@@ -3,11 +3,15 @@
 Drives the ``DatabaseServer`` directly (no simulator clock) over a
 steady-state scenario: a district holding every query quarantine area
 plus background traffic through query-free cells — the regime the
-generation-stamped caches and the update fast path are built for.  The
-same pre-generated report plan is replayed twice, once per
+generation-stamped grid caches and the certified no-op exit are built
+for.  The same pre-generated report plan is replayed twice, once per
 ``enable_caches`` setting, and the run asserts the two servers end
-bit-identical (result snapshots and operation counters), so the speedup
-is measured against a provably equivalent baseline.
+bit-identical (result snapshots and operation counters).  The recorded
+``speedup`` is the grid caches' own contribution — the first rung of
+the ROADMAP's ablation ladder — and is reported, not gated: the
+safe-region certificate does not follow the cache switch, so the ratio
+is a few percent (it was 1.4x only while the switch also turned the
+query-free certificate off).
 
 Emits ``benchmarks/results/BENCH_hotpath.json`` — the tracked perf
 baseline subsequent PRs must not regress.  ``HOTPATH_SMOKE=1`` shrinks
@@ -52,10 +56,8 @@ MOVERS_PER_TICK = NUM_OBJECTS // 5
 #: way to strip scheduler / frequency-scaling noise from wall clocks).
 REPEATS = 1 if SMOKE else 3
 
-#: Floors enforced by CI (the bench-hotpath job runs this in smoke mode).
+#: Floor enforced by CI (the bench-hotpath job runs this in smoke mode).
 MIN_HIT_RATE = 0.5
-#: Full-run tripwire; the committed baseline itself shows the real margin.
-MIN_SPEEDUP = 1.2
 
 
 def _build():
@@ -237,8 +239,4 @@ def test_hotpath_benchmark():
     if not SMOKE:
         append_trajectory(
             "hotpath.cached", document["cached"]["updates_per_sec"]
-        )
-        assert speedup >= MIN_SPEEDUP, (
-            f"hot-path speedup regressed: {speedup:.2f}x < {MIN_SPEEDUP}x "
-            f"(baseline: benchmarks/results/BENCH_hotpath.json)"
         )

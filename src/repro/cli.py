@@ -82,7 +82,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steadiness", type=float, default=0.0,
                         help="Section 6.2 weighted-perimeter D parameter")
     parser.add_argument("--no-caches", action="store_true",
-                        help="disable the hot-path acceleration layer "
+                        help="disable the grid index's candidate caches "
                              "(docs/PERFORMANCE.md) to bisect perf "
                              "regressions; results are identical, only "
                              "CPU cost changes")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Hashable, Iterable
 
+from repro.core.batch import quadrant_extents
 from repro.core.enhancements import ReachabilityModel, weighted_perimeter_objective
 from repro.core.evaluation import evaluate_knn, evaluate_range
 from repro.core.irlp import interior_margin
@@ -28,10 +29,8 @@ from repro.core.reevaluation import (
     reevaluate_range,
     relieve_tight_safe_region,
 )
-from repro.core.batch import quadrant_extents
 from repro.core.results import BatchOutcome, ResultChange, UpdateOutcome
 from repro.core.safe_region import (
-    collect_range_obstacles,
     compute_safe_region,
     knn_safe_region,
 )
@@ -76,13 +75,14 @@ class ServerConfig:
     * ``steadiness`` — the D parameter of the weighted-perimeter
       enhancement (Section 6.2); 0 disables it.
     * ``index_max_entries`` — R*-tree node capacity.
-    * ``enable_caches`` — the hot-path acceleration layer
-      (docs/PERFORMANCE.md): generation-stamped per-cell candidate caches
-      in the grid index and lazy safe-region recomputation keyed on cell
-      generations.  On by default; disabling it restores the seed's
-      recompute-everything behaviour (``repro compare --no-caches``) so
-      perf regressions are bisectable.  Results and message counts are
-      identical either way — only CPU cost changes.
+    * ``enable_caches`` — the grid index's generation-stamped per-cell
+      candidate caches and interned cell rectangles
+      (docs/PERFORMANCE.md).  On by default; ``repro compare
+      --no-caches`` turns them off so their cost or benefit is
+      bisectable.  The safe-region certificate is a policy, not a
+      cache, and does not follow this switch.  Results, message counts
+      and path counters are identical either way — only CPU cost
+      changes.
     """
 
     grid_m: int = 50
@@ -166,40 +166,36 @@ class ServerConfig:
 class ObjectState:
     """Per-object view maintained by the server.
 
-    ``sr_stamp`` is the lazy-recomputation certificate (docs/PERFORMANCE.md):
-    ``(cell id, cell generation)`` recorded when the installed safe region
-    is the full rectangle of a query-free grid cell.  While the grid still
-    reports the same generation for that cell, recomputing the region would
-    provably return the identical rectangle, so the server may skip the
-    work.  ``None`` whenever no such certificate holds (caches disabled,
-    region constrained by queries, or tightened by a reachability shrink).
+    ``sr_cert`` is the safe-region certificate (docs/PERFORMANCE.md):
+    ``(cell id, cell generation, clearances)``, issued with the
+    installed region by ``_compute_full_safe_region`` and tested only by
+    ``DatabaseServer._certificate_holds``.  While the cell's
+    relevant-query set keeps that generation, a report the certificate
+    covers is a provable no-op: no verdict can flip and the installed
+    region stays valid.  Two kinds:
 
-    ``sr_cert`` is the delta certificate for query-covered cells:
-    ``(cell id, cell generation, ((knn query, clearance), ...))``
-    recorded when the installed region was computed with the object
-    outside every relevant kNN quarantine circle and only built-in query
-    types in the cell.  Each *clearance* is the region's minimum
-    distance to that query's centre — the largest quarantine radius the
-    region provably avoids.  The safe-region property then makes a
-    report a provable no-op while (1) the cell's relevant-query set kept
-    its generation, (2) no recorded quarantine radius grew past its
-    clearance (a circle no larger than the clearance cannot reach the
-    region), and (3) the reported position stays strictly interior to
-    the installed region — range rects are immutable and member regions
-    are contained in their rects, so no verdict can flip and the
-    installed region remains valid.  ``None`` whenever any relevant
-    query is a kNN whose quarantine holds the object or the region
-    (rank changes are invisible to the clearance check), a custom
-    extension type, or when the region was degraded or
-    shrink-tightened.  Unlike ``sr_stamp`` it is *not* gated on the
-    cache switch — it is a policy applied identically in cached and
-    uncached runs (cache transparency).
+    * *query-free cell* (``clearances is None``) — the region is the
+      full closed cell; covers a report landing in the same or another
+      query-free cell (both candidate buckets are empty).
+    * *covered cell* (``clearances`` a tuple of ``(kNN query,
+      clearance)``) — every relevant query is a built-in type and the
+      region lies outside every relevant kNN quarantine circle; each
+      *clearance* is the region's minimum distance to that query's
+      centre.  Covers a report strictly interior to the region while no
+      recorded radius exceeds its clearance (a circle that small cannot
+      reach the region; range rects are immutable and member regions
+      are contained in their rects).
+
+    ``None`` when a relevant kNN quarantine holds the object or the
+    region (rank changes are invisible to the clearance check), a
+    relevant query is a custom extension type, or the region was
+    degraded or shrink-tightened.  A policy, not a cache: issued and
+    honoured identically whether ``enable_caches`` is on or off.
     """
 
     safe_region: Rect
     p_lst: Point
     last_update_time: float
-    sr_stamp: tuple[tuple[int, int], int] | None = None
     sr_cert: tuple | None = None
 
 
@@ -273,7 +269,6 @@ class DatabaseServer:
             "server.updates.time_regression"
         )
         self._g_degraded = self.metrics.gauge("server.objects.degraded")
-        self._caches_on = self.config.enable_caches
         self.kernels = Kernels(
             self.config.kernel_backend, metrics=self.metrics,
             min_rows=self.config.kernel_min_rows, events=self.events,
@@ -398,6 +393,18 @@ class DatabaseServer:
                 state.p_lst.x,
                 state.p_lst.y,
             ), f"position store desync for {oid!r}"
+            # Residency: the hot paths read an object's cell from the
+            # store and never recompute it from coordinates.
+            cell = self.positions.cell_of(oid)
+            assert cell == self.query_index.cell_of(
+                state.p_lst
+            ), f"resident cell of {oid!r} is not the cell of its position"
+            cert = state.sr_cert
+            if cert is not None:
+                assert cert[0] == cell, f"certificate of {oid!r} names another cell"
+                assert cert[2] is not None or (
+                    state.safe_region == self.query_index.cell_rect(cell)
+                ), f"query-free certificate of {oid!r} without its full cell"
 
     def refresh_index_gauges(self) -> None:
         """Publish index-shape gauges (``rstar.height``, ``rstar.nodes``).
@@ -512,12 +519,12 @@ class DatabaseServer:
                     raise KeyError(f"object {oid!r} already loaded")
                 cell_id = grid.cell_of(position)
                 cell = grid.cell_rect(cell_id)
-                state = ObjectState(cell, position, time)
-                if self._caches_on:
-                    # No queries exist yet, so every cell is query-free
-                    # and every region is certifiably the full cell.
-                    state.sr_stamp = (cell_id, grid.cell_generation(cell_id))
-                self._objects[oid] = state
+                # No queries exist yet, so every cell is query-free and
+                # every region is certifiably the full cell.
+                self._objects[oid] = ObjectState(
+                    cell, position, time,
+                    (cell_id, grid.cell_generation(cell_id), None),
+                )
                 self.positions.set(oid, position)
                 pairs.append((oid, cell))
             self.object_index = bulk_load(
@@ -535,10 +542,11 @@ class DatabaseServer:
         """Register one object dynamically, reevaluating affected queries."""
         if oid in self._objects:
             raise KeyError(f"object {oid!r} already loaded")
-        self._objects[oid] = ObjectState(Rect.from_point(position), position, time)
+        state = ObjectState(Rect.from_point(position), position, time)
+        self._objects[oid] = state
         self.positions.set(oid, position)
         self.object_index.insert(oid, Rect.from_point(position))
-        return self._process_update(oid, position, None, time)
+        return self._process_update(oid, state, position, None, time)
 
     def remove_object(self, oid: ObjectId) -> None:
         """Drop an object (its query memberships are *not* reevaluated)."""
@@ -797,8 +805,7 @@ class DatabaseServer:
         state = self._objects.get(oid)
         if state is None:
             return self._handle_unknown_update(oid, position, time)
-        previous = state.p_lst
-        return self._process_update(oid, position, previous, time)
+        return self._process_update(oid, state, position, state.p_lst, time)
 
     def _handle_unknown_update(
         self, oid: ObjectId, position: Point, time: float
@@ -825,62 +832,29 @@ class DatabaseServer:
 
         Reports are handled strictly sequentially — the semantics are
         identical to calling ``handle_location_update`` per report — but
-        in a deterministic cell-grouped order: updates landing in the same
-        grid cell run back to back, so the per-cell candidate caches, the
-        interned cell rectangles, and the memoised per-query geometry stay
-        hot across co-located objects.  The order depends only on the
-        reports themselves (destination cell, then submission order), not
-        on any cache state, so batched runs are reproducible with caches
-        on or off.
+        in the deterministic order of :meth:`_order_tick`: updates
+        landing in the same grid cell run back to back, so the per-cell
+        candidate caches, the interned cell rectangles, and the memoised
+        per-query geometry stay hot across co-located objects.
 
-        A batch holding several reports for the *same* object (duplicated
-        or retransmitted messages) disables the cell grouping: sorting
-        such reports by destination cell could run them out of submission
-        order and land the object on the wrong final position, so the
-        whole batch falls back to plain submission order — the documented
-        sequential contract holds either way.
-
-        When the batch is cleanly orderable (unique ids, monotone time,
-        no event stream, no degraded objects), processing runs through
-        the tick-wide planner pipeline (docs/PERFORMANCE.md): the
-        predictable kernel work of every report — range-affected flips
-        and Section 5.3 corner candidates — is gathered into columns and
-        dispatched in bulk before the sequential walk, and the certified
-        no-op fast path runs inline without per-report span/outcome
-        scaffolding.  Results, messages, and ``ServerStats`` are
-        bit-identical to the sequential contract; only CPU cost changes.
+        A plannable batch runs through the tick-wide planner pipeline
+        (docs/PERFORMANCE.md): the predictable kernel work of every
+        report — range-affected flips and Section 5.3 corner candidates
+        — is gathered into columns and dispatched in bulk before the
+        sequential walk, and the no-op exit runs without per-report
+        span/outcome scaffolding.  Results, messages, and
+        ``ServerStats`` are bit-identical to the sequential contract;
+        only CPU cost changes.
         """
         reports = list(reports)
-        oids = [oid for oid, _ in reports]
         batch = BatchOutcome()
         profiler = self.profiler
         # The ownership token: an outer wrapper (a shard batch op) may
         # already hold the tick — then this batch nests inside it.
         owns_tick = profiler.enabled and profiler.tick_begin()
         try:
-            if not reports:
-                self.refresh_index_gauges()
-                return batch
-            if len(set(oids)) != len(oids):
-                for i in range(len(reports)):
-                    oid, position = reports[i]
-                    outcome = self.handle_location_update(oid, position, time)
-                    batch.merge(oid, outcome)
-                self.refresh_index_gauges()
-                return batch
-            # One columnar pass computes every destination cell (identical
-            # to per-report ``grid.cell_of``); the sort key is unchanged.
-            cells = self.query_index.cells_of_points(
-                [position for _, position in reports]
-            )
-            # Stable sort over the already index-ordered range: equal cells
-            # keep submission order, so the key collapses to the cell alone.
-            ordered = sorted(range(len(reports)), key=cells.__getitem__)
-            if (
-                not self.events.enabled
-                and not self._degraded
-                and time >= self._clock
-            ):
+            cells, ordered, plannable = self._order_tick(reports, time)
+            if plannable:
                 self._bulk_updates(reports, ordered, cells, time, batch)
             else:
                 for i in ordered:
@@ -892,6 +866,38 @@ class DatabaseServer:
         finally:
             if owns_tick:
                 profiler.tick_end(len(reports))
+
+    def _order_tick(self, reports: list, time: float):
+        """Destination cells, processing order and planning gate of a tick.
+
+        Returns ``(cells, ordered, plannable)``.  The order is by
+        destination cell (one columnar pass, identical to per-report
+        ``grid.cell_of``), then submission order — a stable sort, so the
+        key collapses to the cell alone.  It depends only on the reports
+        themselves, not on any cache state, so batched runs are
+        reproducible with caches on or off.
+
+        A batch holding several reports for the *same* object (duplicated
+        or retransmitted messages) keeps plain submission order and is
+        never planned: sorting by destination cell could run them out of
+        order and land the object on the wrong final position.  An
+        enabled event stream, degraded objects, or a non-monotone
+        timestamp also rule planning out — those reports need the
+        per-report prologue.
+        """
+        oids = [oid for oid, _ in reports]
+        if not reports or len(set(oids)) != len(oids):
+            return None, range(len(reports)), False
+        cells = self.query_index.cells_of_points(
+            [position for _, position in reports]
+        )
+        ordered = sorted(range(len(reports)), key=cells.__getitem__)
+        plannable = (
+            not self.events.enabled
+            and not self._degraded
+            and time >= self._clock
+        )
+        return cells, ordered, plannable
 
     @contextmanager
     def planned_tick(
@@ -909,48 +915,33 @@ class DatabaseServer:
         operation simply falls back to the scalar path: results are
         bit-identical with or without the plan.
 
-        The gate mirrors ``handle_location_updates``: duplicate object
-        ids, an enabled event stream, degraded objects, or a
-        non-monotone timestamp skip planning entirely.
+        A tick ``handle_location_updates`` would not plan
+        (:meth:`_order_tick`) is not planned here either.
         """
         reports = list(reports)
-        oids = [oid for oid, _ in reports]
-        if (
-            not reports
-            or len(set(oids)) != len(oids)
-            or self.events.enabled
-            or self._degraded
-            or time < self._clock
-        ):
+        cells, ordered, plannable = self._order_tick(reports, time)
+        if not plannable:
             yield
             return
-        cells = self.query_index.cells_of_points(
-            [position for _, position in reports]
-        )
-        ordered = sorted(range(len(reports)), key=cells.__getitem__)
-        objects = self._objects
-        prev_pts = [
-            state.p_lst if state is not None else None
-            for state in (objects.get(oid) for oid in oids)
-        ]
-        self._tick_plan = self._plan_tick(reports, ordered, cells, prev_pts)
+        self._tick_plan = self._plan_tick(reports, ordered, cells)
         try:
             yield
         finally:
             self._tick_plan = None
 
-    def _plan_tick(self, reports, ordered, cells, prev_pts):
+    def _plan_tick(self, reports, ordered, cells):
         """Gather the batch's predictable kernel work and dispatch it.
 
-        Walks the reports in processing order, skips those certified for
-        the fast path (their buckets are provably empty — nothing to
-        plan), and gathers the rest's range-affected rows, kNN quarantine
-        gates, and safe-region obstacle rows by *extending* the planner's
-        columns with cell-resident column slices (cached per cell pair
-        and generation).  Old cells come from the resident position
-        store — one dict probe, always equal to ``grid.cell_of(p_lst)``.
-        Returns the scattered :class:`~repro.kernels.planner.TickPlan`,
-        or ``None`` when no report had plannable work.
+        Walks the reports in processing order, skips those the
+        safe-region certificate covers (their reevaluation never runs —
+        nothing to plan), and gathers the rest's range-affected rows,
+        kNN quarantine gates, and safe-region obstacle rows by
+        *extending* the planner's columns with cell-resident column
+        slices (cached per cell pair and generation).  Old cells come
+        from the resident position store — one dict probe, always equal
+        to ``grid.cell_of(p_lst)``.  Returns the scattered
+        :class:`~repro.kernels.planner.TickPlan`, or ``None`` when no
+        report had plannable work.
         """
         grid = self.query_index
         objects = self._objects
@@ -959,15 +950,11 @@ class DatabaseServer:
         profiler = self.profiler
         if profiler.enabled:
             profiler.push("plan.gather")
-        caches_on = self._caches_on
         plan_regions = (
             self.config.batch_range_regions and self.config.steadiness == 0.0
         )
-        # Bound-method / bound-dict locals: ``_generations`` and
-        # ``_buckets`` are mutated in place but never rebound, so the
-        # hoisted accessors stay live across the loop.
-        generation_of = grid._generations.get
-        has_queries_in_cell = grid._buckets.__contains__
+        certificate_holds = self._certificate_holds
+        generation_of = grid.cell_generation
         candidate_queries_ordered = grid.candidate_queries_ordered
         resident_cell_of = self.positions.cell_of
         add_affected = planner.add_affected
@@ -975,52 +962,28 @@ class DatabaseServer:
         add_region = planner.add_region
         any_work = False
         for i in ordered:
-            previous = prev_pts[i]
-            if previous is None:
-                continue  # unknown object: the scalar path decides
             oid, position = reports[i]
-            state = objects[oid]
-            cell_old = resident_cell_of(oid)
+            state = objects.get(oid)
+            if state is None:
+                continue  # unknown object: the scalar path decides
             cell_new = cells[i]
-            stamp = state.sr_stamp
-            if (
-                caches_on
-                and stamp is not None
-                and stamp[0] == cell_old
-                and stamp[1] == generation_of(cell_old, 0)
-                and (
-                    cell_new == cell_old
-                    or not has_queries_in_cell(cell_new)
-                )
-            ):
-                continue  # certified fast path: no reevaluation happens
-            cert = state.sr_cert
-            if cert is not None and cell_new == cell_old \
-                    and cert[0] == cell_old:
-                # Plan-time preview of the delta certificate: a report
-                # the sequential loop will certify has nothing to plan.
-                # Mid-tick radius growth can still fail the authoritative
-                # consume-time check — that report then runs unplanned,
-                # which is slower but identical in outcome.
-                region = state.safe_region
-                if (
-                    region.min_x < position.x < region.max_x
-                    and region.min_y < position.y < region.max_y
-                    and cert[1] == generation_of(cell_old, 0)
-                ):
-                    for q, r in cert[2]:
-                        if q.radius > r:
-                            break
-                    else:
-                        continue
+            if certificate_holds(state, position, cell_new):
+                # Plan-time preview: a report the sequential walk will
+                # exit on has nothing to plan.  Mid-tick churn can still
+                # fail the authoritative consume-time check — that
+                # report then runs unplanned, which is slower but
+                # identical in outcome.
+                continue
+            previous = state.p_lst
+            cell_old = resident_cell_of(oid)
             candidates = candidate_queries_ordered(position, previous)
             if cell_new == cell_old:
                 cell_pair = (cell_new,)
-                generations = (generation_of(cell_new, 0),)
+                generations = (generation_of(cell_new),)
             else:
                 cell_pair = (cell_new, cell_old)
                 generations = (
-                    generation_of(cell_new, 0), generation_of(cell_old, 0)
+                    generation_of(cell_new), generation_of(cell_old)
                 )
             add_affected(
                 oid, position, previous, candidates, cell_pair, generations,
@@ -1047,123 +1010,49 @@ class DatabaseServer:
     def _bulk_updates(self, reports, ordered, cells, time, batch) -> None:
         """Planner-backed batch processing (see ``handle_location_updates``).
 
-        Strictly sequential semantics: each report either takes the
-        inline certified fast path — the exact commits of
-        ``_fastpath_update`` without the per-report span and
-        ``UpdateOutcome`` scaffolding — or runs the full
-        ``handle_location_update`` path, which consumes the tick plan
+        The loop of ``_process_update`` with the no-op exit's per-report
+        span, ``UpdateOutcome`` and counter scaffolding hoisted to batch
+        level.  Strictly sequential semantics: a report the certificate
+        does not cover runs the slow half, which consumes the tick plan
         through ``self._tick_plan`` where its entries are still valid.
         """
-        grid = self.query_index
-        objects = self._objects
-        positions = self.positions
-        object_index = self.object_index
-        caches_on = self._caches_on
+        objects_get = self._objects.get
+        degraded = self._degraded
+        certificate_holds = self._certificate_holds
+        commit_noop = self._commit_noop
         metrics_on = self.metrics.enabled
-        # Previous positions in one pass; their cells are resident in
-        # the position store (``positions.cell_of`` — no recompute).
-        prev_pts = []
-        for i, (oid, _) in enumerate(reports):
-            state = objects.get(oid)
-            prev_pts.append(state.p_lst if state is not None else None)
-        self._tick_plan = self._plan_tick(reports, ordered, cells, prev_pts)
+        self._tick_plan = self._plan_tick(reports, ordered, cells)
         # The first sequential report would advance the clock to
         # ``time`` (monotonicity was checked by the caller); committing
-        # it up front keeps inline-fastpath timestamps identical.
+        # it up front keeps no-op timestamps identical.
         self._clock = time
-        fast_n = 0
-        cert_n = 0
-        objects_get = objects.get
-        positions_move = positions.move
-        resident_cell_of = positions.cell_of
-        # Never rebound, only mutated — see the same hoists in _plan_tick.
-        generation_of = grid._generations.get
-        has_queries_in_cell = grid._buckets.__contains__
+        fast_n = cert_n = 0
         try:
             for i in ordered:
                 oid, position = reports[i]
                 state = objects_get(oid)
-                fast = False
-                if (
-                    state is not None
-                    and not self._degraded
-                ):
-                    # ``sr_stamp`` is only ever set with caches on; the
-                    # delta certificate applies in either mode.
-                    previous = state.p_lst
-                    if previous is not None:
-                        # ``previous`` is always the stored position
-                        # (every ``p_lst`` write pairs with
-                        # ``positions.set``), so its cell is resident.
-                        cell_old = resident_cell_of(oid)
-                        if cell_old is None:
-                            cell_old = grid.cell_of(previous)
-                        stamp = state.sr_stamp
-                        if (
-                            stamp is not None
-                            and stamp[0] == cell_old
-                            and stamp[1] == generation_of(cell_old, 0)
-                        ):
-                            cell_new = cells[i]
-                            if cell_new == cell_old or not (
-                                has_queries_in_cell(cell_new)
-                            ):
-                                # Inline fast path: the exact state
-                                # commits of ``_fastpath_update``.
-                                state.p_lst = position
-                                positions_move(
-                                    oid, position.x, position.y, cell_new
-                                )
-                                state.last_update_time = time
-                                if cell_new != cell_old:
-                                    region = grid.cell_rect(cell_new)
-                                    state.safe_region = region
-                                    object_index.update(oid, region)
-                                    state.sr_stamp = (
-                                        cell_new,
-                                        generation_of(cell_new, 0),
-                                    )
-                                    state.sr_cert = None
-                                fast = True
-                        elif cells[i] == cell_old:
-                            # Inline ``_certified_update``: a delta-
-                            # certified no-op inside a query-covered
-                            # cell (strict interior of the installed
-                            # region, generation and radii unchanged).
-                            cert = state.sr_cert
-                            if cert is not None and cert[0] == cell_old:
-                                region = state.safe_region
-                                x = position.x
-                                y = position.y
-                                if (
-                                    region.min_x < x < region.max_x
-                                    and region.min_y < y < region.max_y
-                                    and cert[1] == generation_of(
-                                        cell_old, 0
-                                    )
-                                ):
-                                    for q, r in cert[2]:
-                                        if q.radius > r:
-                                            break
-                                    else:
-                                        state.p_lst = position
-                                        positions_move(oid, x, y, cell_old)
-                                        state.last_update_time = time
-                                        fast = True
-                                        cert_n += 1
-                if fast:
+                if state is None or degraded:
+                    # Unknown ids and mid-batch degradation need the
+                    # full per-report prologue.
+                    outcome = self.handle_location_update(oid, position, time)
+                elif certificate_holds(state, position, cells[i]):
+                    commit_noop(oid, state, position, cells[i], time)
                     fast_n += 1
+                    if state.sr_cert[2] is not None:
+                        cert_n += 1
                     # Inline ``BatchOutcome.merge`` of an outcome whose
-                    # only payload is the (unchanged) safe region.
+                    # only payload is the safe region.
                     batch.regions[oid] = state.safe_region
                     if batch.missed:
-                        batch.missed = [
-                            t for t in batch.missed if t != oid
-                        ]
+                        batch.missed = [t for t in batch.missed if t != oid]
                     if metrics_on:
                         self._m_checked.observe(0)
                     continue
-                outcome = self.handle_location_update(oid, position, time)
+                else:
+                    outcome = self._process_update(
+                        oid, state, position, state.p_lst, time,
+                        rejected=True,
+                    )
                 batch.merge(oid, outcome)
         finally:
             self._tick_plan = None
@@ -1176,172 +1065,136 @@ class DatabaseServer:
                     self._m_certified.inc(cert_n)
             self.stats.cpu_seconds = self._trace.cpu_seconds
 
+    def _certificate_holds(
+        self, state: ObjectState, position: Point, cell_new: tuple
+    ) -> bool:
+        """Whether ``state.sr_cert`` proves a report at ``position`` a no-op.
+
+        The one validity test of the safe-region certificate
+        (Algorithm 1, lines 8-15: a report that cannot leave its safe
+        region's guarantees changes nothing).  ``cell_new`` is the grid
+        cell of ``position``.  Pure — :meth:`_commit_noop` is the write —
+        and hot (twice per batched report): it reads the grid's dicts.
+        """
+        cert = state.sr_cert
+        if cert is None:
+            return False
+        cell, generation, clearances = cert
+        grid = self.query_index
+        if generation != grid._generations.get(cell, 0):
+            return False  # a query entered or left the cell since issue
+        if clearances is None:
+            # Query-free cell, region = the closed cell: landing in the
+            # same or another query-free cell leaves both candidate
+            # buckets empty, so there is nothing to reevaluate and the
+            # recomputed region is exactly the landing cell's rectangle.
+            return cell_new == cell or cell_new not in grid._buckets
+        if cell_new != cell:
+            return False
+        region = state.safe_region
+        if not (
+            region.min_x < position.x < region.max_x
+            and region.min_y < position.y < region.max_y
+        ):
+            return False
+        for query, clearance in clearances:
+            if query.radius > clearance:
+                return False  # the circle grew past the region's slack
+        return True
+
+    def _commit_noop(
+        self,
+        oid: ObjectId,
+        state: ObjectState,
+        position: Point,
+        cell_new: tuple,
+        time: float,
+    ) -> None:
+        """Commit a report :meth:`_certificate_holds` proved a no-op.
+
+        Only the held position moves.  The full path's
+        pointify-then-recompute R*-tree churn (two tree updates)
+        collapses to zero, or to one on a query-free cell crossing,
+        where the region re-anchors to the new cell's rectangle.
+        """
+        # Commit the position before any region install so the
+        # ``safe_region`` event (and its containment invariant) sees the
+        # position the region was granted for.
+        state.p_lst = position
+        self.positions.move(oid, position.x, position.y, cell_new)
+        state.last_update_time = time
+        if cell_new != state.sr_cert[0]:
+            grid = self.query_index
+            self._install_safe_region(oid, grid.cell_rect(cell_new))
+            state.sr_cert = (cell_new, grid.cell_generation(cell_new), None)
+
     def _process_update(
         self,
         oid: ObjectId,
+        state: ObjectState,
         position: Point,
         previous: Point | None,
         time: float,
+        rejected: bool = False,
     ) -> UpdateOutcome:
+        """One report: prologue, no-op exit, else the slow path.
+
+        ``rejected`` marks a report whose certificate the caller has
+        already tested and found wanting (``_bulk_updates``).
+        """
         profiler = self.profiler
         # Auto-root: an update arriving outside a batch (the simulator's
         # per-event path) is its own one-report tick; inside a batch the
         # open tick wins (tick_begin returns False).
         owns_tick = profiler.enabled and profiler.tick_begin()
         try:
-            return self._process_update_traced(oid, position, previous, time)
+            with self._trace.span("server.update"):
+                self.stats.location_updates += 1
+                self._m_updates.inc()
+                self._probe_spent = 0
+                self._failed_probes.clear()
+                time = self._advance_clock(oid, time)
+                self._refresh_degraded(time)
+                events = self.events
+                if events.enabled:
+                    events.set_time(time)
+                    self._cause = events.emit(
+                        "update",
+                        oid=oid,
+                        pos=(position.x, position.y),
+                        prev=(
+                            (previous.x, previous.y)
+                            if previous is not None else None
+                        ),
+                    )
+                if self._degraded and oid in self._degraded:
+                    # The object reported: it is reachable again.
+                    self._exit_degraded(oid, time)
+                try:
+                    cell_new = self.query_index.cell_of(position)
+                    if not rejected and self._certificate_holds(
+                        state, position, cell_new
+                    ):
+                        self._commit_noop(oid, state, position, cell_new, time)
+                        self._m_fastpath.inc()
+                        if state.sr_cert[2] is not None:
+                            self._m_certified.inc()
+                        self._m_checked.observe(0)
+                        outcome = UpdateOutcome()
+                        outcome.safe_region = state.safe_region
+                        if events.enabled:
+                            events.emit("fastpath", cause=self._cause, oid=oid)
+                    else:
+                        outcome = self._slowpath_update(
+                            oid, position, previous, time
+                        )
+                finally:
+                    self._cause = None
+            self.stats.cpu_seconds = self._trace.cpu_seconds
+            return outcome
         finally:
             if owns_tick:
                 profiler.tick_end(1)
-
-    def _process_update_traced(
-        self,
-        oid: ObjectId,
-        position: Point,
-        previous: Point | None,
-        time: float,
-    ) -> UpdateOutcome:
-        with self._trace.span("server.update"):
-            self.stats.location_updates += 1
-            self._m_updates.inc()
-            self._probe_spent = 0
-            self._failed_probes.clear()
-            time = self._advance_clock(oid, time)
-            self._refresh_degraded(time)
-            events = self.events
-            if events.enabled:
-                events.set_time(time)
-                self._cause = events.emit(
-                    "update",
-                    oid=oid,
-                    pos=(position.x, position.y),
-                    prev=(
-                        (previous.x, previous.y)
-                        if previous is not None else None
-                    ),
-                )
-            if self._degraded and oid in self._degraded:
-                # The object reported: it is reachable again.
-                self._exit_degraded(oid, time)
-            try:
-                outcome = None
-                if previous is not None:
-                    # With caches off ``sr_stamp`` is never set, so this
-                    # reduces to the (cache-independent) delta
-                    # certificate check.
-                    outcome = self._fastpath_update(
-                        oid, position, previous, time
-                    )
-                    if outcome is not None and events.enabled:
-                        events.emit("fastpath", cause=self._cause, oid=oid)
-                if outcome is None:
-                    outcome = self._slowpath_update(
-                        oid, position, previous, time
-                    )
-            finally:
-                self._cause = None
-        self.stats.cpu_seconds = self._trace.cpu_seconds
-        return outcome
-
-    def _fastpath_update(
-        self,
-        oid: ObjectId,
-        position: Point,
-        previous: Point,
-        time: float,
-    ) -> UpdateOutcome | None:
-        """Zero-churn handling of an update that provably changes nothing.
-
-        Applies when the updater's ``sr_stamp`` certifies that its region
-        is the full rectangle of a query-free cell and the destination
-        cell is query-free too.  Both candidate buckets are then empty, so
-        there is no reevaluation and no probe, and the recomputed safe
-        region of a query-free cell is exactly that cell's rectangle — the
-        full path's pointify-then-recompute R*-tree churn (two tree
-        updates) collapses to zero (same cell) or one (cell crossing).
-        Returns ``None`` when the preconditions fail; the full path runs.
-        """
-        grid = self.query_index
-        state = self._objects[oid]
-        stamp = state.sr_stamp
-        if previous is state.p_lst:
-            # The stored position's cell is resident in the store.
-            cell_old = self.positions.cell_of(oid)
-            if cell_old is None:
-                cell_old = grid.cell_of(previous)
-        else:
-            cell_old = grid.cell_of(previous)
-        if (
-            stamp is None
-            or stamp[0] != cell_old
-            or stamp[1] != grid.cell_generation(cell_old)
-        ):
-            return self._certified_update(oid, state, position, cell_old, time)
-        cell_new = grid.cell_of(position)
-        if cell_new != cell_old and grid.has_queries_in_cell(cell_new):
-            return None
-        # Commit the reported position before any region install so the
-        # ``safe_region`` event (and its containment invariant) sees the
-        # position the region was granted for.
-        state.p_lst = position
-        self.positions.move(oid, position.x, position.y, cell_new)
-        state.last_update_time = time
-        if cell_new != cell_old:
-            region = grid.cell_rect(cell_new)
-            self._install_safe_region(oid, region)
-            state.sr_stamp = (cell_new, grid.cell_generation(cell_new))
-            state.sr_cert = None
-        self._m_fastpath.inc()
-        self._m_checked.observe(0)
-        outcome = UpdateOutcome()
-        outcome.safe_region = state.safe_region
-        return outcome
-
-    def _certified_update(
-        self,
-        oid: ObjectId,
-        state: "ObjectState",
-        position: Point,
-        cell_old: tuple,
-        time: float,
-    ) -> UpdateOutcome | None:
-        """Delta-certified no-op handling inside a query-covered cell.
-
-        Consumes ``ObjectState.sr_cert``: when the report stays strictly
-        interior to the installed safe region, the cell kept its
-        relevant-query generation, and no recorded kNN quarantine radius
-        grew past its install-time value, the safe-region property
-        guarantees no query verdict can have flipped and the installed
-        region is still valid for the new position — the report commits
-        with zero reevaluation and zero index churn.  The strict-interior
-        requirement also pins the report to the certified cell (the
-        region is contained in it), so no cell arithmetic is needed.
-        """
-        cert = state.sr_cert
-        if cert is None or cert[0] != cell_old:
-            return None
-        region = state.safe_region
-        x = position.x
-        y = position.y
-        if not (
-            region.min_x < x < region.max_x
-            and region.min_y < y < region.max_y
-        ):
-            return None
-        if cert[1] != self.query_index.cell_generation(cell_old):
-            return None
-        for q, r in cert[2]:
-            if q.radius > r:
-                return None
-        state.p_lst = position
-        self.positions.move(oid, x, y, cell_old)
-        state.last_update_time = time
-        self._m_fastpath.inc()
-        self._m_certified.inc()
-        self._m_checked.observe(0)
-        outcome = UpdateOutcome()
-        outcome.safe_region = region
-        return outcome
 
     def _slowpath_update(
         self,
@@ -1493,20 +1346,16 @@ class DatabaseServer:
             return previous_positions.get(target)
 
         # Hoisted out of the worklist loop (one lookup per report adds
-        # up).  The grid's generation dict is only ever mutated in
-        # place, never rebound, so binding its ``.get`` is safe.
+        # up).
         objects = self._objects
-        grid = self.query_index
-        cell_of = grid.cell_of
         resident_cell_of = self.positions.cell_of
-        generation_of = grid._generations.get
-        cell_rect_of_point = grid.cell_rect_of_point
         install_safe_region = self._install_safe_region
         failed_probes = self._failed_probes
+        relief = self.config.anti_storm_relief
+        margin_floor = self._margin_floor
 
         queue: list[ObjectId] = list(targets)
         queued = set(queue)
-        completed: set[ObjectId] = set()
         while queue:
             target = queue.pop(0)
             queued.discard(target)
@@ -1518,139 +1367,70 @@ class DatabaseServer:
                 shrunk_only.pop(target, None)
                 if target not in outcome.missed:
                     outcome.missed.append(target)
-                completed.add(target)
                 continue
             state = objects[target]
             target_pos = state.p_lst
-            stamp = state.sr_stamp
             # ``target_pos`` is the stored position, so its cell is
             # resident in the position store (one dict probe).
             target_cell = resident_cell_of(target)
-            if target_cell is None:
-                target_cell = cell_of(target_pos)
+            region = state.safe_region
+            cert = state.sr_cert
             if (
-                stamp is not None
-                and stamp[0] == target_cell
-                and stamp[1] == generation_of(stamp[0], 0)
+                target != updater
+                and cert is not None
+                and cert[0] == target_cell
+                and self._certificate_holds(state, target_pos, target_cell)
+                and (
+                    not relief
+                    or interior_margin(region, target_pos) >= margin_floor
+                )
             ):
-                # Lazy recomputation: the stamp certifies the installed
-                # region is the full, still query-free cell — recomputing
-                # would return the identical rectangle.  The region must
-                # still be (re)installed: ingestion pointified the
-                # object's index entry.  Relief cannot apply either: a
-                # full-cell region has the same interior margin as its
-                # cell, which contradicts the trigger condition below.
+                # Lazy recomputation: a probed target whose certificate
+                # still covers its exact position (the updater's was
+                # just rejected by the no-op exit).  Recomputing would
+                # return the identical rectangle (query-free cell) or
+                # only re-centre it (covered cell); reinstalling restores
+                # the index entry the probe pointified.  With anti-storm
+                # relief on, a tight region falls through to its trigger.
                 self._m_sr_skipped.inc()
                 if self.events.enabled:
                     self.events.emit(
                         "sr_skip", cause=self._cause, oid=target
                     )
-                region = state.safe_region
-                shrunk_only.pop(target, None)
-                pending = self._pending_pointify
-                if pending is not None and pending[0] == target:
-                    # The deferred pointify never ran: the index entry
-                    # still holds exactly ``region``, so the reinstall's
-                    # delete+insert is a no-op — emit the event and keep
-                    # the entry untouched.
-                    self._pending_pointify = None
-                    if self.events.enabled:
-                        self.events.emit(
-                            "safe_region", cause=self._cause, oid=target,
-                            region=(region.min_x, region.min_y,
-                                    region.max_x, region.max_y),
-                            pos=(state.p_lst.x, state.p_lst.y),
-                        )
-                else:
-                    install_safe_region(target, region)
-                completed.add(target)
-                if target == updater:
-                    outcome.safe_region = region
-                else:
-                    outcome.probed[target] = region
-                continue
-            cert = state.sr_cert
-            if cert is not None and cert[0] == target_cell:
-                region = state.safe_region
+            else:
+                region = self._full_safe_region(target, prev_lookup(target))
                 if (
-                    region.min_x < target_pos.x < region.max_x
-                    and region.min_y < target_pos.y < region.max_y
-                    and cert[1] == generation_of(target_cell, 0)
+                    relief
+                    and interior_margin(region, target_pos) < margin_floor
+                    and interior_margin(
+                        self.query_index.cell_rect(target_cell), target_pos
+                    ) >= margin_floor
                 ):
-                    for q, r in cert[2]:
-                        if q.radius > r:
-                            break
-                    else:
-                        if (
-                            not self.config.anti_storm_relief
-                            or interior_margin(region, target_pos)
-                            >= self._margin_floor
-                        ):
-                            # Delta-certificate reinstall: the recorded
-                            # clearances prove the installed region still
-                            # avoids every relevant quarantine and keeps
-                            # every verdict, so recomputing would only
-                            # re-centre it.  Reinstalling restores the
-                            # index entry that ingestion pointified —
-                            # mostly for probed targets, whose exact
-                            # position landed strictly inside their
-                            # standing region.  (With anti-storm relief
-                            # enabled, a tight region falls through so
-                            # the relief trigger still sees it.)
-                            self._m_sr_skipped.inc()
-                            if self.events.enabled:
-                                self.events.emit(
-                                    "sr_skip", cause=self._cause, oid=target
-                                )
-                            shrunk_only.pop(target, None)
-                            pending = self._pending_pointify
-                            if pending is not None and pending[0] == target:
-                                # The deferred pointify never ran: the
-                                # entry still holds exactly ``region``.
-                                self._pending_pointify = None
-                            else:
-                                install_safe_region(target, region)
-                            completed.add(target)
-                            if target == updater:
-                                outcome.safe_region = region
-                            else:
-                                outcome.probed[target] = region
-                            continue
-            region = self._full_safe_region(
-                target, target_pos, prev_lookup(target)
-            )
-            cell = cell_rect_of_point(target_pos)
-            if (
-                self.config.anti_storm_relief
-                and interior_margin(region, target_pos) < self._margin_floor
-                and interior_margin(cell, target_pos) >= self._margin_floor
-            ):
-                # Tight for a query-related reason (an object hugging its
-                # own grid-cell edge resolves itself at the next crossing).
-                relieved, fresh = self._relieve(
-                    target, target_pos, probe, probed, previous_positions,
-                    time,
-                )
-                # Relief probes are position reports too: fix any query
-                # their exact positions contradict, then queue their
-                # safe-region recomputation.
-                for other, other_pos in fresh.items():
-                    self._reevaluate_affected(
-                        other, other_pos, previous_positions.get(other),
-                        probe, probed, previous_positions, shrunk_only,
-                        constrain, outcome, time,
+                    # Tight for a query-related reason (an object hugging
+                    # its own grid-cell edge resolves itself at the next
+                    # crossing).
+                    relieved, fresh = self._relieve(
+                        target, target_pos, probe, probed,
+                        previous_positions, time,
                     )
-                    if other not in queued and other != target:
-                        completed.discard(other)
-                        queued.add(other)
-                        queue.append(other)
-                if relieved:
-                    region = self._full_safe_region(
-                        target, target_pos, prev_lookup(target)
-                    )
+                    # Relief probes are position reports too: fix any
+                    # query their exact positions contradict, then queue
+                    # their safe-region recomputation.
+                    for other, other_pos in fresh.items():
+                        self._reevaluate_affected(
+                            other, other_pos, previous_positions.get(other),
+                            probe, probed, previous_positions, shrunk_only,
+                            constrain, outcome, time,
+                        )
+                        if other not in queued and other != target:
+                            queued.add(other)
+                            queue.append(other)
+                    if relieved:
+                        region = self._full_safe_region(
+                            target, prev_lookup(target)
+                        )
             shrunk_only.pop(target, None)
             install_safe_region(target, region)
-            completed.add(target)
             if target == updater:
                 outcome.safe_region = region
             else:
@@ -2088,8 +1868,7 @@ class DatabaseServer:
                 continue
             state = self._objects[target]
             state.safe_region = region
-            state.sr_stamp = None  # region no longer the full cell
-            state.sr_cert = None  # nor the cell-certified region
+            state.sr_cert = None  # no longer the region it was issued for
             self.object_index.update(target, region)
             self.stats.safe_region_pushes += 1
             self._m_pushes.inc()
@@ -2171,7 +1950,6 @@ class DatabaseServer:
             self._g_degraded.set(len(self._degraded))
         region = self._degraded_region(state, now)
         state.safe_region = region
-        state.sr_stamp = None
         state.sr_cert = None
         self.object_index.update(oid, region)
         if self.events.enabled:
@@ -2219,19 +1997,13 @@ class DatabaseServer:
             position, previous, self.config.steadiness
         )
 
-    def _full_safe_region(
-        self,
-        oid: ObjectId,
-        position: Point,
-        previous: Point | None,
-    ) -> Rect:
+    def _full_safe_region(self, oid: ObjectId, previous: Point | None) -> Rect:
         """Recompute an object's safe region against all relevant queries.
 
-        As a side effect, refreshes the object's lazy-recomputation stamp:
-        set when the cell is query-free (the result is then certifiably
-        the full cell rectangle), cleared otherwise.  Callers always
-        install the returned region, keeping the stamp's certificate in
-        step with the installed state.
+        As a side effect, reissues the object's safe-region certificate
+        for the returned region (or clears it when none applies).
+        Callers always install the returned region, keeping the
+        certificate in step with the installed state.
         """
         profiler = self.profiler
         timed = profiler.enabled and profiler.tick_open
@@ -2239,35 +2011,23 @@ class DatabaseServer:
             start = perf_counter()
         try:
             if self._trace.noop_spans():
-                return self._compute_full_safe_region(oid, position, previous)
+                return self._compute_full_safe_region(oid, previous)
             with self._trace.span("safe_region"):
-                return self._compute_full_safe_region(oid, position, previous)
+                return self._compute_full_safe_region(oid, previous)
         finally:
             if timed:
                 profiler.acc_sr += perf_counter() - start
 
     def _compute_full_safe_region(
-        self,
-        oid: ObjectId,
-        position: Point,
-        previous: Point | None,
+        self, oid: ObjectId, previous: Point | None
     ) -> Rect:
         grid = self.query_index
         state = self._objects[oid]
-        if position is state.p_lst:
-            # The stored position's cell is resident in the store.
-            cell_id = self.positions.cell_of(oid)
-            if cell_id is None:
-                cell_id = grid.cell_of(position)
-        else:
-            cell_id = grid.cell_of(position)
+        position = state.p_lst
+        # The stored position's cell is resident in the store.
+        cell_id = self.positions.cell_of(oid)
         cell = grid.cell_rect(cell_id)
         relevant = grid.relevant_queries(cell_id)
-        if self._caches_on and not relevant:
-            state.sr_stamp = (cell_id, grid.cell_generation(cell_id))
-            state.sr_cert = None
-        else:
-            state.sr_stamp = None
         # A planned tick may carry this report's Section 5.3
         # staircase union, computed in the tick-wide corner dispatch;
         # ``compute_safe_region`` double-checks the obstacle count
@@ -2289,42 +2049,37 @@ class DatabaseServer:
             kernels=self.kernels,
             batch_region=batch_region,
         )
-        if state.sr_stamp is None:
-            # The delta certificate is a policy, not a cache: it applies
-            # in cached and uncached runs alike (cache transparency —
-            # both runs must take identical decisions).  Each kNN entry
-            # records the *clearance* — the region's minimum distance to
-            # the quarantine centre — so the certificate survives radius
-            # growth up to the region's slack, not just shrinks.  An
-            # insider (region inside the quarantine circle) has
-            # clearance below the radius and is rejected by the same
-            # comparison that guards against growth.
-            cert = None
-            radii = []
-            for q in relevant:
-                tq = type(q)
-                if tq is RangeQuery:
-                    continue  # immutable quarantine rect
-                if tq is KNNQuery:
-                    d = region.min_dist_to_point(q.center)
-                    if (
-                        d <= 0.0
-                        or q.radius > d
-                        or q.quarantine_contains(position)
-                    ):
-                        # Quarantine holding the object or the region
-                        # (rank changes escape the clearance check), or
-                        # a degenerate zero-clearance region: no
-                        # certificate.
-                        break
-                    radii.append((q, d))
-                    continue
-                break  # custom query type: no certificate
-            else:
-                cert = (
-                    cell_id, grid.cell_generation(cell_id), tuple(radii)
-                )
-            state.sr_cert = cert
+        # Issue the certificate for ``region`` (``ObjectState.sr_cert``).
+        # Recording each kNN *clearance* rather than the radius lets the
+        # certificate survive radius growth up to the region's slack,
+        # not just shrinks; an insider has clearance below the radius
+        # and is rejected by the comparison that guards against growth.
+        cert = None
+        clearances = []
+        for q in relevant:
+            tq = type(q)
+            if tq is RangeQuery:
+                continue  # immutable quarantine rect
+            if tq is KNNQuery:
+                d = region.min_dist_to_point(q.center)
+                if (
+                    d <= 0.0
+                    or q.radius > d
+                    or q.quarantine_contains(position)
+                ):
+                    # Quarantine holding the object or the region, or a
+                    # degenerate zero-clearance region: no certificate.
+                    break
+                clearances.append((q, d))
+                continue
+            break  # custom query type: no certificate
+        else:
+            cert = (
+                cell_id,
+                grid.cell_generation(cell_id),
+                tuple(clearances) if relevant else None,
+            )
+        state.sr_cert = cert
         return region
 
 

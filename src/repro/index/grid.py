@@ -13,7 +13,8 @@ frozenset plus the deterministically sorted relevant-query tuple the
 location manager consumes — validated against the generation, so the
 common no-churn lookup costs two dict probes instead of a set copy and a
 sort.  The generations are also the server's invalidation signal for its
-lazy safe-region recomputation (``ObjectState.sr_stamp``).
+safe-region certificate (``ObjectState.sr_cert``), which — unlike the
+caches — does not follow ``enable_cache``.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ class Scenario:
     #: Ablation switches (DESIGN.md §6 and Section 5.3).
     batch_range_regions: bool = True
     anti_storm_relief: bool = False
-    #: Hot-path acceleration layer (docs/PERFORMANCE.md); disable with
+    #: Grid candidate caches (docs/PERFORMANCE.md); disable with
     #: ``repro ... --no-caches`` to bisect perf regressions.  Results are
     #: identical either way — only CPU cost changes.
     enable_caches: bool = True

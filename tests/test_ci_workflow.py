@@ -64,8 +64,8 @@ def test_workflow_parses_and_validates(workflow):
 
 def test_expected_jobs_present(workflow):
     assert set(workflow["jobs"]) == {
-        "lint", "test", "bench-smoke", "bench-hotpath", "bench-kernels",
-        "bench-shards", "fault-matrix", "profile-smoke",
+        "lint", "test", "bench-smoke", "e2e-smoke", "bench-hotpath",
+        "bench-kernels", "bench-shards", "fault-matrix", "profile-smoke",
     }
 
 
@@ -140,6 +140,23 @@ def test_bench_smoke_uploads_metrics_artifact(workflow):
         "benchmarks/results/scratch/bench_metrics.json"
     )
     assert uploads[0]["with"]["if-no-files-found"] == "error"
+
+
+def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
+    """The benchmark harness the pipeline judges PRs with (BENCHMARK.json)
+    smokes in CI, by the documented commands and from the repository
+    root: the ladder first, then the harness's own tests."""
+    runs = _runs(workflow["jobs"]["e2e-smoke"])
+    ladder = [
+        i for i, run in enumerate(runs)
+        if "python3 benchmarks/e2e/run.py --smoke" in run
+    ]
+    tests = [
+        i for i, run in enumerate(runs)
+        if "pytest benchmarks/e2e/test_e2e_smoke.py" in run
+    ]
+    assert ladder and tests
+    assert ladder[0] < tests[0]
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

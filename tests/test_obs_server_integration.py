@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.geometry import Point, Rect
-from repro.obs import MetricsRegistry
+from repro.obs import EventLog, MetricsRegistry, diagnose
 
 
 @pytest.fixture
@@ -148,3 +148,68 @@ def test_default_server_records_cpu_but_no_metrics():
     assert server.metrics.to_dict() == {
         "counters": {}, "gauges": {}, "histograms": {}
     }
+
+
+def test_probed_target_with_a_valid_certificate_emits_sr_skip():
+    """The one way ``sr_skip`` fires: a reevaluation probes a bystander
+    whose safe-region certificate still covers its exact position, so
+    the location manager reinstalls its region instead of recomputing.
+
+    ``a`` is the 1-NN of ``k0``; ``b`` is the runner-up, an outsider
+    whose region hugs the quarantine circle (clearance = radius).  ``c``
+    sits behind range query ``r0``'s edge, so its region starts farther
+    out than ``b``'s and is probed second.  ``c`` drifts unreported to
+    nearer than ``a`` ever was, then ``a`` leaves: the kNN refill probes
+    ``b`` then ``c``, ``c`` wins, and the quarantine radius *shrinks* —
+    ``b``'s certificate holds.
+    """
+    positions = {
+        "a": Point(0.25, 0.28), "b": Point(0.34, 0.31),
+        "c": Point(0.40, 0.25), "far": Point(0.9, 0.9),
+    }
+    registry = MetricsRegistry()
+    log = EventLog(capacity=1000)
+    server = DatabaseServer(
+        position_oracle=lambda oid: positions[oid],
+        config=ServerConfig(grid_m=2), metrics=registry, events=log,
+    )
+    server.load_objects(positions.items())
+    server.register_query(
+        RangeQuery(Rect(0.15, 0.15, 0.35, 0.35), query_id="r0"), time=0.0
+    )
+    knn = KNNQuery(Point(0.25, 0.25), 1, query_id="k0")
+    server.register_query(knn, time=0.0)
+    region_before = server.safe_region_of("b")
+    radius_before = knn.radius
+
+    positions["c"] = Point(0.26, 0.25)  # unreported drift, caught by the probe
+    positions["a"] = Point(0.75, 0.75)
+    mark = len(log.events())
+    outcome = server.handle_location_update("a", positions["a"], 2.0)
+
+    assert knn.results == ["c"] and knn.radius < radius_before
+    assert outcome.probed["b"] == region_before == server.safe_region_of("b")
+    counters = registry.to_dict()["counters"]
+    assert counters["server.sr_recompute.skipped"] == 1
+
+    events = [event.to_dict() for event in log.events()]
+    fresh = events[mark:]
+    update = fresh[0]
+    assert update["kind"] == "update" and update["oid"] == "a"
+    about_b = [e for e in fresh if e.get("oid") == "b"]
+    assert [e["kind"] for e in about_b] == ["probe", "sr_skip", "safe_region"]
+    probe, skip, install = about_b
+    # The probe chains to the reevaluation that issued it; the skip and
+    # the reinstall run in the location manager, under the root update.
+    reevaluation = next(e for e in fresh if e["seq"] == probe["cause"])
+    assert reevaluation["kind"] == "reevaluation"
+    assert reevaluation["cause"] == update["seq"]
+    assert skip["cause"] == install["cause"] == update["seq"]
+    assert install["region"] == (
+        region_before.min_x, region_before.min_y,
+        region_before.max_x, region_before.max_y,
+    )
+    assert install["pos"] == (0.34, 0.31)
+    findings = diagnose(events)
+    assert findings.ok, findings.render()
+    server.validate()
