@@ -14,11 +14,10 @@ Quick start::
         DatabaseServer, KNNQuery, Point, RangeQuery, Rect, ServerConfig,
     )
 
-    positions = {"taxi-1": Point(0.2, 0.3), "taxi-2": Point(0.7, 0.8)}
+    positions = {"taxi-1": Point(0.2, 0.3), "taxi-2": Point(0.7, 0.7)}
     server = DatabaseServer(position_oracle=positions.__getitem__)
-    server.load_objects(positions.items())
     query = KNNQuery(Point(0.5, 0.5), k=1)
-    server.register_query(query)
+    server.bootstrap(positions.items(), [query])
     assert query.results == ["taxi-2"]
 """
 

@@ -55,6 +55,14 @@ PositionOracle = Callable[[ObjectId], Point]
 
 UNIT_SPACE = Rect(0.0, 0.0, 1.0, 1.0)
 
+#: Cases of the probe census ``server.probes.by_case.<case>``: the
+#: reevaluation paths that can probe (``ReevaluationOutcome.case``),
+#: the anti-storm relief, and query registration.
+PROBE_CASES = (
+    "knn_leaves", "knn_enters", "knn_moves_within", "knn_unordered",
+    "sr_relief", "registration",
+)
+
 
 @dataclass(frozen=True, slots=True)
 class ServerConfig:
@@ -68,10 +76,10 @@ class ServerConfig:
       tightened by the reachability constraint during a *decision* is
       installed and pushed to the client (downlink cost 0.5), keeping the
       quarantine invariants exact.  When False the constraint is used the
-      way the paper describes — decide, don't install — which reproduces
-      the paper's 20-40% savings but silently allows stale results
-      whenever an object outruns a decision made on its constrained
-      region (EXPERIMENTS.md quantifies the accuracy cost).
+      way the paper describes — decide, don't install — which saves
+      the downlink pushes but allows stale results whenever an object
+      outruns a decision made on its constrained region (EXPERIMENTS.md,
+      Fig 7.6, quantifies both).
     * ``steadiness`` — the D parameter of the weighted-perimeter
       enhancement (Section 6.2); 0 disables it.
     * ``index_max_entries`` — R*-tree node capacity.
@@ -264,6 +272,12 @@ class DatabaseServer:
         self._m_certified = self.metrics.counter("server.update.certified")
         self._m_probe_timeouts = self.metrics.counter("server.probes.timeouts")
         self._m_probe_retries = self.metrics.counter("server.probes.retries")
+        #: Probe census (docs/OBSERVABILITY.md): which kind of work the
+        #: fresh probes of each reevaluation / registration were for.
+        self._m_probes_by_case = {
+            case: self.metrics.counter(f"server.probes.by_case.{case}")
+            for case in PROBE_CASES
+        }
         self._m_unknown = self.metrics.counter("server.updates.unknown_object")
         self._m_time_regressions = self.metrics.counter(
             "server.updates.time_regression"
@@ -500,33 +514,68 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     # Object population
     # ------------------------------------------------------------------
-    def load_objects(
-        self, positions: Iterable[tuple[ObjectId, Point]], time: float = 0.0
+    def bootstrap(
+        self,
+        objects: Iterable[tuple[ObjectId, Point]],
+        queries: Iterable[Query] = (),
+        time: float = 0.0,
     ) -> dict[ObjectId, Rect]:
-        """Bulk-register objects before any query exists.
+        """Start monitoring ``objects`` and ``queries`` together, in one pass.
 
-        With no registered queries, every object's safe region is its full
-        grid cell — the largest region the framework ever grants.  Returns
-        the safe regions to hand to the clients.
+        At start-up every object has just reported its exact position,
+        so nothing about the queries is ambiguous: each is evaluated
+        over a *point* index (Algorithm 2 and the range evaluator
+        return without a probe), and only then is every object's first
+        safe region derived — once, against the complete query set —
+        and the object index STR-loaded from the final regions.
+        Registering the same queries one by one after a plain load
+        would instead evaluate each over full-cell regions, probe every
+        ambiguous object, and re-derive regions cell by cell.
+
+        With no queries every region is the object's full grid cell —
+        the largest region the framework ever grants.  Returns the safe
+        regions to hand to the clients; ``register_query`` remains the
+        way to add a query to a running system.
         """
         if self.query_count:
-            raise RuntimeError("load_objects must run before query registration")
-        with self._trace.span("server.load_objects"):
+            raise RuntimeError("bootstrap must run before query registration")
+        queries = list(queries)
+        with self._trace.span("server.bootstrap"):
+            self._clock = max(self._clock, time)
             grid = self.query_index
-            pairs = []
-            for oid, position in positions:
-                if oid in self._objects:
+            states = self._objects
+            for oid, position in objects:
+                if oid in states:
                     raise KeyError(f"object {oid!r} already loaded")
-                cell_id = grid.cell_of(position)
-                cell = grid.cell_rect(cell_id)
-                # No queries exist yet, so every cell is query-free and
-                # every region is certifiably the full cell.
-                self._objects[oid] = ObjectState(
-                    cell, position, time,
-                    (cell_id, grid.cell_generation(cell_id), None),
-                )
                 self.positions.set(oid, position)
-                pairs.append((oid, cell))
+                # The full cell stands until a region is derived below.
+                states[oid] = ObjectState(
+                    grid.cell_rect(self.positions.cell_of(oid)), position, time
+                )
+            order = (
+                self._bootstrap_queries(queries, time) if queries else states
+            )
+            events = self.events
+            pairs = []
+            for oid in order:
+                state = states[oid]
+                region = self._compute_full_safe_region(oid, None)
+                state.safe_region = region
+                pairs.append((oid, region))
+                cert = state.sr_cert
+                if events.enabled and (cert is None or cert[2] is not None):
+                    # Regions shaped by a query are installs like any
+                    # other; a query-free full cell is the silent default.
+                    events.emit(
+                        "safe_region", oid=oid,
+                        region=(region.min_x, region.min_y,
+                                region.max_x, region.max_y),
+                        pos=(state.p_lst.x, state.p_lst.y),
+                    )
+            # Free the point index (if any) before building its
+            # replacement, so the two never coexist in memory.
+            self.object_index.release()
+            self.object_index = None
             self.object_index = bulk_load(
                 pairs,
                 max_entries=self.config.index_max_entries,
@@ -534,7 +583,58 @@ class DatabaseServer:
             )
         self.refresh_index_gauges()
         self.stats.cpu_seconds = self._trace.cpu_seconds
-        return {oid: rect for oid, rect in pairs}
+        return dict(pairs)
+
+    def _bootstrap_queries(
+        self, queries: list[Query], time: float
+    ) -> list[ObjectId]:
+        """Evaluate the start-up queries over exact points; index them.
+
+        Leaves ``object_index`` a point index, so the region pass that
+        follows sees every ranked kNN neighbour as a point and
+        ``knn_safe_region`` splits each gap by the midpoint rule on
+        both sides.  Returns the order to derive regions in: objects an
+        extension evaluator asked about first, as asked — a query
+        anchored at a moving object records the anchor's granted box,
+        which the regions of the objects around it must be cut against.
+        """
+        states = self._objects
+        self.object_index = bulk_load(
+            [
+                (oid, Rect.from_point(state.p_lst))
+                for oid, state in states.items()
+            ],
+            max_entries=self.config.index_max_entries,
+            kernels=self.kernels,
+        )
+        asked: dict[ObjectId, None] = {}
+
+        def held_position(target: ObjectId) -> Point:
+            # Not a probe: the position was reported this instant, so
+            # nothing is counted and no message is sent.
+            asked[target] = None
+            return states[target].p_lst
+
+        events = self.events
+        if events.enabled:
+            events.set_time(time)
+        for query in queries:
+            if events.enabled:
+                events.emit("query_registered", query=query.query_id)
+            self._evaluate_query(query, held_position, None)
+            self.query_index.insert(query)
+            self.stats.queries_registered += 1
+        return list(asked) + [oid for oid in states if oid not in asked]
+
+    def load_objects(
+        self, positions: Iterable[tuple[ObjectId, Point]], time: float = 0.0
+    ) -> dict[ObjectId, Rect]:
+        """Bulk-register objects before any query exists.
+
+        :meth:`bootstrap` with no queries: every safe region is the
+        object's full grid cell.
+        """
+        return self.bootstrap(positions, (), time)
 
     def add_object(
         self, oid: ObjectId, position: Point, time: float = 0.0
@@ -732,6 +832,30 @@ class DatabaseServer:
         probe = self._make_probe(probed, time)
         constrain = self._make_constrain(time)
 
+        evaluation = self._evaluate_query(query, probe, constrain)
+        if probed:
+            self._count_probes("registration", len(probed))
+        previous_positions.update(self._apply_probes(probed, time))
+        shrunk_only.update(self._apply_shrinks(evaluation.shrunk, probed))
+        self.query_index.insert(query)
+        self.stats.queries_registered += 1
+
+        outcome = UpdateOutcome()
+        outcome.changes.append(
+            ResultChange(query.query_id, None, _snapshot(query))
+        )
+        self._ingest_reports(
+            list(probed.items()), probe, probed, previous_positions,
+            shrunk_only, constrain, outcome, time,
+        )
+        self._location_manager_phase(
+            list(probed), {}, probe, probed, previous_positions,
+            shrunk_only, constrain, outcome, time, updater=None,
+        )
+        return outcome
+
+    def _evaluate_query(self, query: Query, probe, constrain):
+        """Evaluate ``query`` over the object index; set its results."""
         if hasattr(query, "evaluate_over"):
             # Extension query types (repro.core.extensions) bring their own
             # evaluation routine over safe regions.
@@ -757,25 +881,7 @@ class DatabaseServer:
             query.radius = evaluation.radius
         else:
             raise TypeError(f"unsupported query type: {type(query).__name__}")
-
-        previous_positions.update(self._apply_probes(probed, time))
-        shrunk_only.update(self._apply_shrinks(evaluation.shrunk, probed))
-        self.query_index.insert(query)
-        self.stats.queries_registered += 1
-
-        outcome = UpdateOutcome()
-        outcome.changes.append(
-            ResultChange(query.query_id, None, _snapshot(query))
-        )
-        self._ingest_reports(
-            list(probed.items()), probe, probed, previous_positions,
-            shrunk_only, constrain, outcome, time,
-        )
-        self._location_manager_phase(
-            list(probed), {}, probe, probed, previous_positions,
-            shrunk_only, constrain, outcome, time, updater=None,
-        )
-        return outcome
+        return evaluation
 
     def deregister_query(self, query: Query) -> None:
         """Stop monitoring ``query`` (Algorithm 1, lines 6-7).
@@ -1482,6 +1588,7 @@ class DatabaseServer:
                 if other not in probes_before
             }
             if fresh:
+                self._count_probes("sr_relief", len(fresh))
                 previous_positions.update(self._apply_probes(fresh, time))
                 all_fresh.update(fresh)
             if relief.quarantine_changed:
@@ -1673,6 +1780,10 @@ class DatabaseServer:
                     for target, pos in probed.items()
                     if target not in probes_before
                 }
+                if fresh:
+                    self._count_probes(
+                        getattr(reevaluation, "case", ""), len(fresh)
+                    )
                 previous_positions.update(self._apply_probes(fresh, time))
                 shrunk_only.update(
                     self._apply_shrinks(reevaluation.shrunk, probed)
@@ -1747,6 +1858,12 @@ class DatabaseServer:
             return position
 
         return probe
+
+    def _count_probes(self, case: str, fresh: int) -> None:
+        """Tally ``fresh`` probes on the census counter of ``case``."""
+        counter = self._m_probes_by_case.get(case)
+        if counter is not None:
+            counter.inc(fresh)
 
     def _attempt_probe(self, target: ObjectId) -> Point | None:
         """One probe with bounded retry, backoff, and the per-op budget.

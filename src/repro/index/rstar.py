@@ -187,6 +187,22 @@ class RStarTree:
             else:
                 stack.extend(entry.child for entry in node.entries)
 
+    def release(self) -> None:
+        """Cut the parent back-references of a tree about to be dropped.
+
+        Nodes and their parents form reference cycles that only a full
+        garbage collection reclaims; a throw-away index (the point index
+        of ``DatabaseServer.bootstrap``) would otherwise sit dead in
+        memory through the build of its replacement.  The tree must not
+        be used afterwards.
+        """
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.parent = node.parent_entry = None
+            if not node.is_leaf:
+                stack.extend(entry.child for entry in node.entries)
+
     # ------------------------------------------------------------------
     # Insertion machinery
     # ------------------------------------------------------------------

@@ -80,13 +80,18 @@ class Trajectory:
     def _next_segment(self) -> Segment:
         """Draw the next waypoint leg from the per-object RNG."""
         origin = self._cursor
+        space = self._space
+        # One draw of four variates, scaled as ``Generator.uniform``
+        # scales them (``lo + (hi - lo) * u``): the same stream and the
+        # same floats as four scalar ``uniform`` calls, at a sixth of
+        # the cost (tests/test_mobility.py pins the equality).
+        ux, uy, us, ut = self._rng.random(4).tolist()
         destination = Point(
-            self._rng.uniform(self._space.min_x, self._space.max_x),
-            self._rng.uniform(self._space.min_y, self._space.max_y),
+            space.min_x + (space.max_x - space.min_x) * ux,
+            space.min_y + (space.max_y - space.min_y) * uy,
         )
-        speed = self._rng.uniform(0.0, 2.0 * self._mean_speed)
-        period = self._rng.uniform(0.0, 2.0 * self._mean_period)
-        period = max(period, _MIN_SEGMENT)
+        speed = 2.0 * self._mean_speed * us
+        period = max(2.0 * self._mean_period * ut, _MIN_SEGMENT)
 
         distance = origin.distance_to(destination)
         if speed <= 0.0 or distance == 0.0:

@@ -95,15 +95,29 @@ class ShardBackend:
         self.busy_seconds = 0.0
 
     # -- op surface ----------------------------------------------------
-    def load(
-        self, pairs: list[tuple[ObjectId, tuple[float, float]]], time: float
+    def bootstrap(
+        self,
+        pairs: list[tuple[ObjectId, tuple[float, float]]],
+        specs: list[dict],
+        time: float,
     ) -> dict:
+        """Start-up: this shard's residents and the queries it keeps.
+
+        One ``DatabaseServer.bootstrap`` pass — local evaluation over
+        exact points, every first region derived once — answering with
+        the regions and this shard's partial of every query.
+        """
         start = _time.process_time()
-        regions = self.server.load_objects(
-            [(oid, Point(x, y)) for oid, (x, y) in pairs], time
+        queries = [query_from_spec(spec) for spec in specs]
+        regions = self.server.bootstrap(
+            [(oid, Point(x, y)) for oid, (x, y) in pairs], queries, time
         )
+        partials = {}
+        for query in queries:
+            self._queries[query.query_id] = query
+            partials[query.query_id] = self._partial(query)
         self.busy_seconds += _time.process_time() - start
-        return {"regions": regions}
+        return {"regions": regions, "partials": partials}
 
     def register(self, spec: dict, time: float) -> dict:
         start = _time.process_time()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from array import array
 from dataclasses import fields as _dataclass_fields
 from typing import Hashable, Iterable
 
@@ -420,29 +421,147 @@ class ShardedServer:
     # ------------------------------------------------------------------
     # Object population
     # ------------------------------------------------------------------
+    def bootstrap(
+        self,
+        objects: Iterable[tuple[ObjectId, Point]],
+        queries: Iterable[Query] = (),
+        time: float = 0.0,
+    ) -> dict[ObjectId, Rect]:
+        """Start monitoring ``objects`` and ``queries`` together.
+
+        The sharded ``DatabaseServer.bootstrap`` (docs/SHARDING.md
+        "Registration"): the coordinator sees every exact position
+        while routing, so it picks each query's holder shards up front
+        — a kNN query's from the exact global ranking — and ships **one
+        ``bootstrap`` op per shard** carrying the shard's residents and
+        the specs of the queries it keeps.  Each shard evaluates over
+        points and derives every first region once; no shard registers
+        a query it would be pruned from, and nothing is probed.
+        Mid-run registration stays ``register_query``.
+        """
+        if self._homes or self._views:
+            raise RuntimeError("bootstrap must run on an empty cluster")
+        queries = list(queries)
+        specs = [query_spec(query) for query in queries]  # TypeError early
+        if len({spec["query_id"] for spec in specs}) != len(specs):
+            raise ValueError("duplicate query ids in bootstrap")
+        self._clock = max(self._clock, time)
+        self._begin_op()
+        start = _time.process_time()
+        excluding = frozenset(self._dead)
+        objects = list(objects)
+        points = [position for _, position in objects]
+        xs = array("d", [p.x for p in points])
+        ys = array("d", [p.y for p in points])
+        cells = self.router.grid.cells_of_points(points)
+        shards = [self.map.shard_of(cell, excluding) for cell in cells]
+        requests: dict[int, tuple] = {
+            shard: ([], [], time) for shard in self._live()
+        }
+        for (oid, p), shard in zip(objects, shards):
+            if oid in self._homes:
+                raise KeyError(f"duplicate object {oid!r} in bootstrap")
+            self._homes[oid] = shard
+            self._home_counts[shard] += 1
+            requests[shard][0].append((oid, (p.x, p.y)))
+        if self.refresh_probes:
+            # Reported this instant: fresh by definition, so the first
+            # merges need no refresh probe.
+            self._probe_memo.update(
+                (oid, (p.x, p.y)) for oid, p in objects
+            )
+        for query, spec in zip(queries, specs):
+            qid = query.query_id
+            if isinstance(query, RangeQuery):
+                holders = self.router.shards_for_rect(query.rect, excluding)
+            else:
+                holders = self.router.shards_for_circle(
+                    Circle(
+                        query.center,
+                        self._first_bound(query, xs, ys, cells, shards),
+                    ),
+                    excluding,
+                )
+            self._views[qid] = query
+            self._partials[qid] = {}
+            self._holders[qid] = set(holders)
+            for shard in holders:
+                requests[shard][1].append(spec)
+            self._m_fanout_reg.inc(len(holders))
+        self.route_seconds += _time.process_time() - start
+
+        responses = self._call_shards("bootstrap", requests)
+
+        start = _time.process_time()
+        regions: dict[ObjectId, Rect] = {}
+        for shard in sorted(responses):
+            regions.update(responses[shard]["regions"])
+            for qid, partial in responses[shard]["partials"].items():
+                self._partials[qid][shard] = partial
+        for query in queries:
+            # The first merge is the registration itself, not a result
+            # change; the fan-out fixpoint inside is the safety net for
+            # a bound the holder choice above did not cover.
+            self._remerge(query.query_id, time, outcome=None, count=False)
+        self._drain_dirty(time, None)
+        self.merge_seconds += _time.process_time() - start
+        self.refresh_index_gauges()
+        return regions
+
+    def _first_bound(
+        self, query: KNNQuery, xs, ys, cells: list, shards: list[int]
+    ) -> float:
+        """An upper bound on a kNN view's first merged radius.
+
+        The merged radius is the k-th smallest safe-region ``max_dist``
+        among the pooled members, and the k exactly-nearest objects are
+        always pooled (each is in its home shard's local top-k).  Before
+        any region exists, each one's ``max_dist`` is bounded by the
+        farthest corner of its grid cell (a region never leaves its
+        cell) and by the ring its home shard will cut for it: up to the
+        midpoint to the shard's next-ranked resident when the query is
+        order-sensitive, up to the shard's local quarantine radius when
+        it is not.  The largest of those k bounds covers the radius, so
+        every shard the first merge can need is a holder from the
+        start.  ``shards`` is each row's home shard.
+        """
+        center = query.center
+        k = query.k
+        # Deep enough that each shard's next-ranked residents are
+        # usually in view; a shard they are not found on falls back to
+        # the cell-corner bound.
+        depth = 2 * (k + 1) * len(self._live())
+        top = self.kernels.top_k_rows(xs, ys, center.x, center.y, depth)
+        if len(top) < k:
+            return self._diameter
+        dists = [
+            math.hypot(xs[row] - center.x, ys[row] - center.y) for row in top
+        ]
+        ranked: dict[int, list[float]] = {}
+        for row, dist in zip(top, dists):
+            ranked.setdefault(shards[row], []).append(dist)
+        cell_rect = self.router.grid.cell_rect
+        seen: dict[int, int] = {}
+        bound = 0.0
+        for row, dist in zip(top[:k], dists):
+            shard = shards[row]
+            local = ranked[shard]
+            rank = seen.get(shard, 0)
+            seen[shard] = rank + 1
+            reach = cell_rect(cells[row]).max_dist_to_point(center)
+            if query.order_sensitive:
+                if rank + 1 < len(local):
+                    reach = min(reach, (dist + local[rank + 1]) / 2.0)
+            elif len(local) > k:
+                reach = min(reach, (local[k - 1] + local[k]) / 2.0)
+            bound = max(bound, reach)
+        return bound
+
     def load_objects(
         self, positions: Iterable[tuple[ObjectId, Point]], time: float = 0.0
     ) -> dict[ObjectId, Rect]:
-        self._clock = max(self._clock, time)
-        start = _time.process_time()
-        excluding = frozenset(self._dead)
-        by_shard: dict[int, list] = {}
-        for oid, position in positions:
-            if oid in self._homes:
-                raise KeyError(f"object {oid!r} already loaded")
-            shard = self.router.shard_for_point(position, excluding)
-            self._homes[oid] = shard
-            self._home_counts[shard] += 1
-            by_shard.setdefault(shard, []).append(
-                (oid, (position.x, position.y))
-            )
-        self.route_seconds += _time.process_time() - start
-        regions: dict[ObjectId, Rect] = {}
-        for shard in sorted(by_shard):
-            resp = self._shards[shard].call("load", by_shard[shard], time)
-            regions.update(resp["regions"])
-        self.refresh_index_gauges()
-        return regions
+        """:meth:`bootstrap` with no queries."""
+        return self.bootstrap(positions, (), time)
 
     # ------------------------------------------------------------------
     # Query registration
@@ -967,16 +1086,24 @@ class ShardedServer:
         self, per_shard: dict[int, list[tuple]], time: float
     ) -> dict[int, dict]:
         """Run each shard's op stream; workers run them concurrently."""
+        return self._call_shards(
+            "batch", {shard: (ops, time) for shard, ops in per_shard.items()}
+        )
+
+    def _call_shards(
+        self, op: str, requests: dict[int, tuple]
+    ) -> dict[int, dict]:
+        """One ``op`` per shard in ``requests``; workers run concurrently."""
         if not self.n_workers:
             return {
-                shard: self._shards[shard].call("batch", ops, time)
-                for shard, ops in sorted(per_shard.items())
+                shard: self._shards[shard].call(op, *args)
+                for shard, args in sorted(requests.items())
             }
         from multiprocessing.connection import wait
 
         pending: dict = {}
-        for shard, ops in sorted(per_shard.items()):
-            self._shards[shard].send_op("batch", ops, time)
+        for shard, args in sorted(requests.items()):
+            self._shards[shard].send_op(op, *args)
             pending[self._shards[shard].conn] = shard
         responses: dict[int, dict] = {}
         while pending:

@@ -241,13 +241,18 @@ class SRBSimulation:
 
         Bootstrap is instantaneous (no propagation delay): the paper's
         monitoring period starts with a consistent, fully set-up system.
+        Every client reports its exact position in the same instant, so
+        the server sets up in one pass (``bootstrap``) and probes nobody.
         """
         self._now = 0.0
-        self.server.load_objects(
-            (oid, client.position_at(0.0)) for oid, client in self.clients.items()
+        self.server.bootstrap(
+            (
+                (oid, client.position_at(0.0))
+                for oid, client in self.clients.items()
+            ),
+            self.queries,
+            0.0,
         )
-        for query in self.queries:
-            self.server.register_query(query, time=0.0)
         horizon = self.scenario.duration
         for oid, client in self.clients.items():
             client.install_safe_region(self.server.safe_region_of(oid), 0.0)
@@ -531,11 +536,9 @@ class SRBSimulation:
         true_results = self.truth.evaluate_at(self._now)
         matches = 0
         for query in self.queries:
-            if query.result_snapshot() == true_results[query.query_id]:
-                matches += 1
-            self.accuracy.record(
-                query.result_snapshot() == true_results[query.query_id]
-            )
+            match = query.result_snapshot() == true_results[query.query_id]
+            matches += match
+            self.accuracy.record(match)
         if self.events.enabled:
             self.events.set_time(self._now)
             self.events.emit(

@@ -157,6 +157,12 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     ]
     assert ladder and tests
     assert ladder[0] < tests[0]
+    # The same step gates start-up: bootstrap sends zero probes, single
+    # and sharded (the ladder's comm_cost measures the monitoring loop).
+    assert (
+        "tests/test_bootstrap.py::test_engine_bootstrap_sends_no_probe"
+        in runs[tests[0]]
+    )
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

@@ -83,8 +83,21 @@ class TestFigures:
             "comm_reach_paper",
             "improve_paper_pct",
         } <= set(row)
-        # The paper-semantics variant never costs more than plain SRB.
-        assert row["comm_reach_paper"] <= row["comm_cost_srb"] * 1.05
+        # The saving columns restate the cost columns, and installing
+        # the tightenings never monitors less accurately than deciding
+        # on them without installing.  (This used to pin "paper
+        # semantics never cost more than plain SRB", which held only
+        # through a start-up artefact: per-query registration at t = 0
+        # decided everything on zero-radius reachability circles and
+        # installed nothing, so that variant ran this scenario on 7
+        # updates at accuracy 0.85.  One-pass bootstrap gives every
+        # object a first region; at 80 objects the enhancement then
+        # costs more than it saves — EXPERIMENTS.md, Fig 7.6.)
+        for variant in ("exact", "paper"):
+            assert row[f"improve_{variant}_pct"] == pytest.approx(
+                100.0 * (1.0 - row[f"comm_reach_{variant}"] / row["comm_cost_srb"])
+            )
+        assert row["acc_exact"] >= row["acc_paper"] > 0.95
 
     def test_all_figures_registry(self):
         assert set(figures.ALL_FIGURES) == {

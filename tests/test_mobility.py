@@ -70,6 +70,47 @@ class TestTrajectory:
         assert trajectory.distance_travelled(1.0, 1.0) == 0.0
         assert total <= trajectory.max_speed * 2.0 + 1e-9
 
+    def test_legs_match_the_scalar_uniform_draws(self):
+        """The batched four-variate draw is the scalar draws, bit for bit.
+
+        Reference: the destination, speed and period of every leg drawn
+        with four ``Generator.uniform`` calls from the same per-object
+        stream — the formula workload inputs were generated with before
+        the draw was batched.
+        """
+        import numpy as np
+
+        space = Rect(0.1, -0.5, 0.9, 2.0)  # offsets exercise ``lo +``
+        speed, period = 0.013, 0.37
+        legs = 0
+        for seed in range(40):
+            trajectory = RandomWaypointModel(
+                speed, period, space, seed=seed
+            ).create(7)
+            trajectory.position_at(3.0)
+            rng = np.random.default_rng((seed, 7))
+            cursor = (
+                rng.uniform(space.min_x, space.max_x),
+                rng.uniform(space.min_y, space.max_y),
+            )
+            for segment in trajectory._segments:
+                assert (segment.start.x, segment.start.y) == cursor
+                dest_x = rng.uniform(space.min_x, space.max_x)
+                dest_y = rng.uniform(space.min_y, space.max_y)
+                v = rng.uniform(0.0, 2.0 * speed)
+                limit = max(rng.uniform(0.0, 2.0 * period), 1e-9)
+                distance = math.hypot(cursor[0] - dest_x, cursor[1] - dest_y)
+                duration = min(distance / v, limit)
+                assert segment.end_time - segment.start_time == pytest.approx(
+                    duration, abs=1e-12
+                )
+                assert segment.velocity_x == (dest_x - cursor[0]) / distance * v
+                assert segment.velocity_y == (dest_y - cursor[1]) / distance * v
+                end = segment.position_at(segment.end_time)
+                cursor = (end.x, end.y)
+                legs += 1
+        assert legs >= 300
+
     def test_random_access_after_forward_scan(self):
         trajectory = make_trajectory(seed=8)
         late = trajectory.position_at(5.0)

@@ -68,7 +68,7 @@ def test_update_cycle_emits_per_phase_spans(world):
     spans = set(snapshot["histograms"])
     # The full per-phase hierarchy of Algorithm 1, as dotted span paths.
     assert {
-        "span.server.load_objects.seconds",
+        "span.server.bootstrap.seconds",
         "span.server.register_query.seconds",
         "span.server.update.seconds",
         "span.server.update.ingest.seconds",
@@ -122,7 +122,7 @@ def test_cpu_seconds_matches_tracer_totals(world):
         data["sum"]
         for name, data in histograms.items()
         if name in (
-            "span.server.load_objects.seconds",
+            "span.server.bootstrap.seconds",
             "span.server.register_query.seconds",
             "span.server.update.seconds",
         )
