@@ -2,12 +2,13 @@
 
 Paper shapes to verify (Section 7.5):
 * (a) the reachability circle (maximum-speed assumption) cuts
-  communication cost — the paper reports 20-40%; measured during
-  monitoring (start-up sends no probes) both the paper's
-  decide-but-don't-install semantics and the exactness-preserving
-  variant save 13-21% up to W = 40 — with the gain shrinking as W grows
-  (smaller safe regions are outgrown by the ever-expanding circle
-  sooner);
+  communication cost — the paper reports 20-40%.  Here it saved 13-21%
+  up to W = 40 for as long as non-result safe regions touched the
+  quarantine circles: every point of that was probes of the touching
+  ring.  With the outsider standoff (DESIGN.md §6 item 5) plain SRB no
+  longer sends those probes, and the enhancement is left at +1-3%
+  (decisive tightenings installed and pushed) or -1 to -7% (the paper's
+  decide-but-don't-install semantics);
 * (b) the weighted perimeter (steady-movement assumption, D = 0.5) helps
   for steady movement (larger t_v-bar) and may hurt when direction
   changes constantly.
@@ -27,22 +28,29 @@ def test_fig7_6a_reachability(benchmark):
     )
     rows = sorted(result.rows, key=lambda r: r["W"])
 
-    # Under the paper's semantics the savings reach the low end of the
-    # reported 20-40% (measured 16.5 / 19.8 / 19.0 / 3.9%; the 31-56%
-    # this bench used to see were objects left without first regions by
-    # per-query registration at t = 0 — EXPERIMENTS.md, Fig 7.6).
+    # The paper's semantics used to save 16.5 / 19.8 / 19.0 / 3.9% here
+    # (asserted as mean > 10) — all of it probes: at W = 40 the circle
+    # took plain SRB's 7,089 probes to 1,689 for 2,371 extra updates.
+    # Outsider regions now keep a standoff from the quarantine circle,
+    # plain SRB sends 1,776 probes, and the variant is left with its
+    # extra updates: measured -0.9 / -3.5 / -6.9 / -7.3% (EXPERIMENTS.md,
+    # Fig 7.6).  What remains to pin is that it stays a mild loss.
     mean_paper = sum(r["improve_paper_pct"] for r in rows) / len(rows)
-    assert mean_paper > 10.0
+    assert mean_paper > -10.0
 
-    # The exactness-preserving variant is never the less accurate one.
+    # Both variants monitor as accurately as each other.  (This read
+    # "exact is never the less accurate one" while they differed by
+    # whole points at start-up; they now differ by at most 0.001, in
+    # either direction.)
     for row in rows:
-        assert row["acc_exact"] >= row["acc_paper"]
+        assert abs(row["acc_exact"] - row["acc_paper"]) < 0.002
         assert row["acc_exact"] > 0.9
 
-    # The exact variant still helps where safe regions are large (low W);
-    # its benefit fades as W grows (the paper's own trend).
-    assert rows[0]["improve_exact_pct"] > 0.0
-    assert rows[0]["improve_exact_pct"] >= rows[-1]["improve_exact_pct"]
+    # Installing and pushing the decisive tightenings never costs more
+    # than plain SRB: +0.8 / 3.1 / 3.3 / 3.0%.  (The benefit used to be
+    # largest at low W and fade as W grew; that trend was the probe
+    # ring's and went with it.)
+    assert all(row["improve_exact_pct"] > 0.0 for row in rows)
 
 
 def test_fig7_6b_weighted_perimeter(benchmark):

@@ -6,7 +6,9 @@ whose quarantine area overlaps the grid cell containing ``p``), further
 constrained to that cell.  Per Theorem 5.1 the expected update rate of an
 object moving in a random direction is inversely proportional to the safe
 region's perimeter, so every constituent maximises perimeter (or the
-weighted perimeter of Section 6.2 when a movement direction is known).
+weighted perimeter of Section 6.2 when a movement direction is known) —
+after a kNN non-result has ceded ``OUTSIDER_STANDOFF`` of its gap to the
+quarantine circle, because the theorem prices updates, not probes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.irlp import (
     irlp_ring,
 )
 from repro.core.queries import KNNQuery, Query, RangeQuery
+from repro.geometry.circle import Circle
 from repro.geometry.distances import Delta, delta
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -29,6 +32,16 @@ from repro.geometry.ring import Ring
 
 ObjectId = Hashable
 SrLookup = Callable[[ObjectId], Rect]
+
+#: Share of a kNN non-result's gap ``d - r`` to the quarantine circle
+#: that its safe region leaves free (DESIGN.md §6 item 5).  The
+#: perimeter-maximal rectangle *touches* the circle, so the moment the
+#: k-th neighbour steps out, Algorithm 2 must probe every outsider of
+#: the ring (37 probes per leaving neighbour at 40 objects per cell);
+#: receding in proportion to the object's real distance leaves only
+#: genuinely adjacent objects as probe candidates.  A constant, not a
+#: knob: comm cost is flat from 0.10 to 0.25 (docs/PERFORMANCE.md).
+OUTSIDER_STANDOFF = 0.15
 
 
 def range_safe_region(
@@ -79,7 +92,8 @@ def knn_safe_region(
     """Safe region of one kNN query for an object at ``p`` (Section 5.2).
 
     * Non-result objects must stay outside the quarantine circle — Ir-lp
-      of the circle's complement within the cell.
+      of the complement, within the cell, of the circle pushed out by
+      ``OUTSIDER_STANDOFF`` of the object's own gap to it.
     * Results of an order-insensitive query must stay inside the circle —
       Ir-lp of the circle.
     * The i-th result of an order-sensitive query must additionally keep
@@ -101,6 +115,10 @@ def knn_safe_region(
     rank = results.index(oid) if oid in results else -1
 
     if rank < 0:
+        r = circle.radius
+        d = query.center.distance_to(p)
+        if d > r > 0.0:
+            circle = Circle(query.center, r + OUTSIDER_STANDOFF * (d - r))
         return irlp_circle_complement(circle, p, cell, objective)
     if not query.order_sensitive:
         region = irlp_circle(circle, p, objective)

@@ -55,9 +55,11 @@ PositionOracle = Callable[[ObjectId], Point]
 
 UNIT_SPACE = Rect(0.0, 0.0, 1.0, 1.0)
 
-#: Cases of the probe census ``server.probes.by_case.<case>``: the
-#: reevaluation paths that can probe (``ReevaluationOutcome.case``),
-#: the anti-storm relief, and query registration.
+#: Cases of the probe census — ``server.reevaluations.by_case.<case>``
+#: runs and the ``server.probes.by_case.<case>`` fresh probes they
+#: sent: the reevaluation paths that can probe
+#: (``ReevaluationOutcome.case``), the anti-storm relief, and query
+#: registration.
 PROBE_CASES = (
     "knn_leaves", "knn_enters", "knn_moves_within", "knn_unordered",
     "sr_relief", "registration",
@@ -272,12 +274,19 @@ class DatabaseServer:
         self._m_certified = self.metrics.counter("server.update.certified")
         self._m_probe_timeouts = self.metrics.counter("server.probes.timeouts")
         self._m_probe_retries = self.metrics.counter("server.probes.retries")
-        #: Probe census (docs/OBSERVABILITY.md): which kind of work the
-        #: fresh probes of each reevaluation / registration were for.
-        self._m_probes_by_case = {
-            case: self.metrics.counter(f"server.probes.by_case.{case}")
+        #: Probe census (docs/OBSERVABILITY.md): per kind of work, how
+        #: many reevaluations / reliefs / registrations ran and how many
+        #: fresh probes they sent.
+        self._m_census = {
+            case: (
+                self.metrics.counter(f"server.reevaluations.by_case.{case}"),
+                self.metrics.counter(f"server.probes.by_case.{case}"),
+            )
             for case in PROBE_CASES
         }
+        self._m_leaver_reelected = self.metrics.counter(
+            "server.knn.leaver_reelected"
+        )
         self._m_unknown = self.metrics.counter("server.updates.unknown_object")
         self._m_time_regressions = self.metrics.counter(
             "server.updates.time_regression"
@@ -833,8 +842,7 @@ class DatabaseServer:
         constrain = self._make_constrain(time)
 
         evaluation = self._evaluate_query(query, probe, constrain)
-        if probed:
-            self._count_probes("registration", len(probed))
+        self._census("registration", len(probed))
         previous_positions.update(self._apply_probes(probed, time))
         shrunk_only.update(self._apply_shrinks(evaluation.shrunk, probed))
         self.query_index.insert(query)
@@ -1587,8 +1595,8 @@ class DatabaseServer:
                 for other, pos in probed.items()
                 if other not in probes_before
             }
+            self._census("sr_relief", len(fresh))
             if fresh:
-                self._count_probes("sr_relief", len(fresh))
                 previous_positions.update(self._apply_probes(fresh, time))
                 all_fresh.update(fresh)
             if relief.quarantine_changed:
@@ -1780,10 +1788,11 @@ class DatabaseServer:
                     for target, pos in probed.items()
                     if target not in probes_before
                 }
-                if fresh:
-                    self._count_probes(
-                        getattr(reevaluation, "case", ""), len(fresh)
-                    )
+                case = getattr(reevaluation, "case", "")
+                self._census(case, len(fresh))
+                if case == "knn_leaves" and oid in query.results:
+                    # Case 1 re-elected the leaver as the k-th neighbour.
+                    self._m_leaver_reelected.inc()
                 previous_positions.update(self._apply_probes(fresh, time))
                 shrunk_only.update(
                     self._apply_shrinks(reevaluation.shrunk, probed)
@@ -1813,7 +1822,7 @@ class DatabaseServer:
                         events.emit(
                             "result_change", cause=self._cause,
                             query=query.query_id,
-                            case=getattr(reevaluation, "case", ""),
+                            case=case,
                             before=_event_snapshot(before),
                             after=_event_snapshot(after),
                             **(
@@ -1859,11 +1868,13 @@ class DatabaseServer:
 
         return probe
 
-    def _count_probes(self, case: str, fresh: int) -> None:
-        """Tally ``fresh`` probes on the census counter of ``case``."""
-        counter = self._m_probes_by_case.get(case)
-        if counter is not None:
-            counter.inc(fresh)
+    def _census(self, case: str, fresh: int) -> None:
+        """Tally one run of ``case`` and the ``fresh`` probes it sent."""
+        counters = self._m_census.get(case)
+        if counters is not None:
+            runs, probes = counters
+            runs.inc()
+            probes.inc(fresh)
 
     def _attempt_probe(self, target: ObjectId) -> Point | None:
         """One probe with bounded retry, backoff, and the per-op budget.

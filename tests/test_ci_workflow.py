@@ -163,6 +163,9 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "tests/test_bootstrap.py::test_engine_bootstrap_sends_no_probe"
         in runs[tests[0]]
     )
+    # ... and the monitoring loop's probes: a dense kNN world probes
+    # only adjacent outsiders and records no probe_cascade.
+    assert "tests/test_outsider_standoff.py" in runs[tests[0]]
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

@@ -5,9 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.enhancements import weighted_perimeter_objective
 from repro.core.evaluation import evaluate_knn
+from repro.core.irlp import irlp_circle_complement
 from repro.core.queries import KNNQuery, RangeQuery
 from repro.core.safe_region import (
+    OUTSIDER_STANDOFF,
     compute_safe_region,
     knn_safe_region,
     range_safe_region,
@@ -99,6 +102,40 @@ class TestKNNSafeRegion:
         )
         assert region.contains_point(p, eps=1e-9)
         assert region.min_dist_to_point(query.center) >= query.radius - 1e-9
+
+    @given(
+        st.floats(min_value=0.4, max_value=0.6),
+        st.floats(min_value=0.4, max_value=0.6),
+        st.floats(min_value=0.3, max_value=0.7),
+        st.floats(min_value=0.3, max_value=0.7),
+        st.floats(min_value=1e-4, max_value=0.2),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_property_outsider_keeps_its_standoff(
+        self, px, py, qx, qy, r, steadiness
+    ):
+        """A non-result's region recedes from the circle by its standoff."""
+        p = Point(px, py)
+        query = KNNQuery(Point(qx, qy), 1)
+        query.radius = r
+        objective = weighted_perimeter_objective(
+            p, Point(px - 0.01, py + 0.003), steadiness
+        )
+        region = knn_safe_region(
+            query, "outsider", p, CELL, lambda oid: None, objective
+        )
+        assert CELL.contains_rect(region)
+        assert region.contains_point(p, eps=1e-9)
+        d = query.center.distance_to(p)
+        if d > r:
+            kept = r + OUTSIDER_STANDOFF * (d - r)
+            assert region.min_dist_to_point(query.center) >= kept - 1e-12
+        else:
+            # Numerically inside the circle: no gap to share out, the
+            # quarantine circle itself stays the obstacle.
+            assert region == irlp_circle_complement(
+                query.quarantine_circle(), p, CELL, objective
+            )
 
     def test_result_ring_respects_neighbours(self):
         world = MaintainedQuery(seed=2)

@@ -59,7 +59,12 @@ MOVES = {
     "on_cell_edge":      (FAST, SLOW, SLOW, SLOW, SLOW),
     "cross_into_free":   (FAST, SLOW, SLOW, SLOW, SLOW),
     "cross_into_covered": (SLOW, SLOW, SLOW, SLOW, SLOW),
-    "radius_grown":      (FAST, CERTIFIED, SLOW, SLOW, SLOW),
+    # An outsider's region keeps OUTSIDER_STANDOFF of its gap to the
+    # circle, so its clearance exceeds the radius and the certificate
+    # survives a 0.1 % growth (SLOW while regions touched the circle:
+    # clearance == radius); only growth past the clearance ends it.
+    "radius_grown":      (FAST, CERTIFIED, CERTIFIED, SLOW, SLOW),
+    "radius_past_clearance": (FAST, CERTIFIED, SLOW, SLOW, SLOW),
     "generation_bumped": (SLOW, SLOW, SLOW, SLOW, SLOW),
 }
 
@@ -132,12 +137,17 @@ def _run(kind, move, entry, enable_caches):
         target = Point(0.60, 0.40)
     elif move == "cross_into_covered":
         target = Point(0.40, 0.60)  # inside ``rn``
-    elif move == "radius_grown":
+    elif move in ("radius_grown", "radius_past_clearance"):
         target = _toward_centre(start, region)
+        recorded = {q.query_id: c for q, c in (cert and cert[2]) or ()}
         for query in queries:
             if isinstance(query, KNNQuery):
-                # Past every clearance, short of any new cell or object.
+                # Short of any new cell or object either way.
                 query.radius *= 1.001
+                if move == "radius_past_clearance":
+                    query.radius = max(
+                        query.radius, recorded.get(query.query_id, 0) * 1.001
+                    )
                 server.query_index.update(query)
     else:
         assert move == "generation_bumped"
