@@ -1,9 +1,8 @@
 """Ablations of the design choices DESIGN.md calls out.
 
 Not figures from the paper — these quantify decisions the paper argues
-for (the batch range-region algorithm of Section 5.3) or that this
-reproduction added (the anti-storm relief pass of DESIGN.md §6), by
-toggling them off and measuring the cost on the base scenario.
+for (the batch range-region algorithm of Section 5.3) by toggling them
+off and measuring the cost on the base scenario.
 """
 
 from conftest import SCRATCH_DIR
@@ -30,9 +29,6 @@ def test_ablations(benchmark):
             "default": ABLATION_BASE,
             "no-batch-range": ABLATION_BASE.with_overrides(
                 batch_range_regions=False
-            ),
-            "with-anti-storm": ABLATION_BASE.with_overrides(
-                anti_storm_relief=True
             ),
         }
         return {name: _run(sc, truth) for name, sc in variants.items()}
@@ -64,9 +60,3 @@ def test_ablations(benchmark):
     # Dropping the batch algorithm must not *help*: strip-intersection
     # regions are never longer-perimeter than the greedy union's.
     assert reports["no-batch-range"].comm_cost >= 0.95 * default.comm_cost
-
-    # The relief pass trades probes for avoided re-reports; with
-    # poll-paced clients the trade is a net loss, which is why it is off
-    # by default (DESIGN.md §6).
-    assert reports["with-anti-storm"].costs.probes > default.costs.probes
-    assert reports["with-anti-storm"].comm_cost > default.comm_cost

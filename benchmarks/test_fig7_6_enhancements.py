@@ -5,10 +5,12 @@ Paper shapes to verify (Section 7.5):
   communication cost — the paper reports 20-40%.  Here it saved 13-21%
   up to W = 40 for as long as non-result safe regions touched the
   quarantine circles: every point of that was probes of the touching
-  ring.  With the outsider standoff (DESIGN.md §6 item 5) plain SRB no
-  longer sends those probes, and the enhancement is left at +1-3%
-  (decisive tightenings installed and pushed) or -1 to -7% (the paper's
-  decide-but-don't-install semantics);
+  ring.  With the outsider standoff (DESIGN.md §6 item 3) plain SRB no
+  longer sends those probes, and with room in every kNN region (item 1)
+  it sends half the reports; the enhancement is left at +0.1-1.5%
+  (decisive tightenings installed and pushed) or -3 to -20% (the paper's
+  decide-but-don't-install semantics: about the same extra reports over
+  half the base);
 * (b) the weighted perimeter (steady-movement assumption, D = 0.5) helps
   for steady movement (larger t_v-bar) and may hurt when direction
   changes constantly.
@@ -33,10 +35,14 @@ def test_fig7_6a_reachability(benchmark):
     # took plain SRB's 7,089 probes to 1,689 for 2,371 extra updates.
     # Outsider regions now keep a standoff from the quarantine circle,
     # plain SRB sends 1,776 probes, and the variant is left with its
-    # extra updates: measured -0.9 / -3.5 / -6.9 / -7.3% (EXPERIMENTS.md,
-    # Fig 7.6).  What remains to pin is that it stays a mild loss.
+    # extra updates: measured -0.9 / -3.5 / -6.9 / -7.3% (asserted as
+    # mean > -10).  Room in the kNN regions then halved plain SRB's
+    # reports (W = 40: 20,762 -> 9,784) but not the variant's surplus
+    # (2,265 -> 2,861 extra reports), so the same loss reads
+    # -2.7 / -9.9 / -20.1 / -19.4% of a smaller base (EXPERIMENTS.md,
+    # Fig 7.6).  What remains to pin is that it stays a bounded loss.
     mean_paper = sum(r["improve_paper_pct"] for r in rows) / len(rows)
-    assert mean_paper > -10.0
+    assert mean_paper > -20.0
 
     # Both variants monitor as accurately as each other.  (This read
     # "exact is never the less accurate one" while they differed by
@@ -47,9 +53,10 @@ def test_fig7_6a_reachability(benchmark):
         assert row["acc_exact"] > 0.9
 
     # Installing and pushing the decisive tightenings never costs more
-    # than plain SRB: +0.8 / 3.1 / 3.3 / 3.0%.  (The benefit used to be
-    # largest at low W and fade as W grew; that trend was the probe
-    # ring's and went with it.)
+    # than plain SRB: +0.1 / 1.5 / 0.3 / 0.7% (+0.8 / 3.1 / 3.3 / 3.0%
+    # before room halved the reports its saved probes are weighed
+    # against).  (The benefit used to be largest at low W and fade as W
+    # grew; that trend was the probe ring's and went with it.)
     assert all(row["improve_exact_pct"] > 0.0 for row in rows)
 
 

@@ -199,7 +199,13 @@ def _case_enters(
     )
     new_kth_max = _max_dist(query, query.results[-1], sr_of, outcome)
     dropped_min = _min_dist(query, dropped, sr_of, outcome)
-    query.radius = (new_kth_max + max(dropped_min, new_kth_max)) / 2.0
+    # Never past the old radius: a dropped neighbour probed and caught
+    # beyond the old circle (a stray between polls) would otherwise grow
+    # it over outsiders nobody probed.  Its own ingested report handles
+    # it as ``knn_leaves``.
+    query.radius = min(
+        query.radius, (new_kth_max + max(dropped_min, new_kth_max)) / 2.0
+    )
     outcome.changed = query.result_snapshot() != old_snapshot
     return outcome
 
@@ -293,126 +299,6 @@ def _reevaluate_unordered(
         quarantine_changed=True,
         case="knn_unordered",
     )
-
-
-def relieve_tight_safe_region(
-    query: KNNQuery,
-    oid: ObjectId,
-    p: Point,
-    index,
-    probe: ProbeFn,
-    already_probed: frozenset[ObjectId] = frozenset(),
-    min_gain: float = 0.0,
-) -> ReevaluationOutcome:
-    """Restore slack around ``oid`` when its safe region came out tiny.
-
-    Quarantine areas of kNN queries are circles; inscribed safe-region
-    rectangles degenerate as an object approaches a circle, and an object
-    sliding *along* a circle (without crossing it) would otherwise get a
-    zero-room safe region after every update — an update storm the paper's
-    construction does not guard against.  Called by the server when a
-    freshly computed safe region has (near-)zero interior margin, this
-    relief restores whatever slack legally exists:
-
-    * adjacent neighbours in the ranking whose safe regions are still
-      rectangles are probed — their distance intervals collapse to exact
-      points, widening the object's ring;
-    * the quarantine radius (a free parameter anywhere between
-      ``Delta(q, o_k)`` and ``delta(q, o_{k+1})``) is re-centred at the
-      midpoint of its legal interval.
-
-    All adjustments preserve the quarantine invariants.  When no slack
-    exists (two objects at genuinely equal distance), the outcome is a
-    no-op and the caller lives with a tight region.
-    """
-    outcome = ReevaluationOutcome(changed=False, case="sr_relief")
-    if not query.results or query.radius <= 0.0:
-        return outcome
-    q = query.center
-    d = q.distance_to(p)
-
-    def probe_if_region(target: ObjectId) -> None:
-        # Probe at most once per server update cycle, and only when the
-        # target's distance interval is *loose* — collapsing a stale wide
-        # interval recovers real slack, whereas probing a neighbour whose
-        # interval is already as tight as the true distance gap gains
-        # nothing and just burns uplink messages.
-        if target in already_probed:
-            return
-        region = index.rect_of(target)
-        spread = Delta(q, region) - delta(q, region)
-        if spread > min_gain:
-            outcome.probed[target] = probe(target)
-
-    min_gain = max(min_gain, 0.1 * query.radius / max(query.k, 1))
-
-    def kth_max_dist() -> float:
-        return max(
-            Delta(q, _region_of(other, index.rect_of, outcome))
-            for other in query.results
-        )
-
-    if oid not in query.results:
-        # Hugging the circle from outside: probe the farthest result and
-        # shrink the radius to the midpoint of the legal interval.
-        farthest = max(
-            query.results,
-            key=lambda other: Delta(q, index.rect_of(other)),
-        )
-        probe_if_region(farthest)
-        kth_max = kth_max_dist()
-        if d > kth_max:
-            new_radius = (kth_max + d) / 2.0
-            if new_radius != query.radius:
-                query.radius = new_radius
-                outcome.quarantine_changed = True
-        return outcome
-
-    if query.order_sensitive:
-        rank = query.results.index(oid)
-        if rank > 0:
-            probe_if_region(query.results[rank - 1])
-        if rank < len(query.results) - 1:
-            probe_if_region(query.results[rank + 1])
-        is_last = rank == len(query.results) - 1
-    else:
-        is_last = True
-
-    if is_last:
-        # Re-centre the radius between the k-th NN and the next candidate.
-        members = set(query.results)
-        followers = index.nearest_iter(q, exclude=lambda c: c in members)
-        follower = next(followers, None)
-        kth_max = max(kth_max_dist(), d)
-        if follower is None:
-            new_radius = max(query.radius, 2.0 * kth_max + 1e-9)
-        else:
-            follower_oid, follower_rect, follower_min = follower
-            boxed_in = follower_min - kth_max < 0.05 * query.radius
-            spread = Delta(q, follower_rect) - follower_min
-            if (
-                boxed_in
-                and follower_oid not in already_probed
-                and spread > min_gain
-            ):
-                # The follower's safe region itself hugs the circle from
-                # outside, leaving the radius no legal room; its exact
-                # position is usually much deeper inside the region.
-                position = probe(follower_oid)
-                outcome.probed[follower_oid] = position
-                follower_min = q.distance_to(position)
-                # The enlarged circle must still exclude every *other*
-                # non-result's safe region, not only the probed follower.
-                second = next(followers, None)
-                if second is not None:
-                    follower_min = min(follower_min, second[2])
-            if follower_min < kth_max:
-                return outcome  # genuinely adjacent: no slack exists
-            new_radius = (kth_max + follower_min) / 2.0
-        if new_radius != query.radius:
-            query.radius = new_radius
-            outcome.quarantine_changed = True
-    return outcome
 
 
 def _region_of(

@@ -8,11 +8,15 @@ object moving in a random direction is inversely proportional to the safe
 region's perimeter, so every constituent maximises perimeter (or the
 weighted perimeter of Section 6.2 when a movement direction is known) —
 after a kNN non-result has ceded ``OUTSIDER_STANDOFF`` of its gap to the
-quarantine circle, because the theorem prices updates, not probes.
+quarantine circle, because the theorem prices updates, not probes, and
+inside the narrower θ range that keeps ``ROOM_SHARE`` of the object's
+clearance free around it, because the theorem places the object at random
+inside its region while the clamped closed forms put it on a face.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Hashable, Iterable
 
 from repro.core.batch import batch_range_safe_region
@@ -34,7 +38,7 @@ ObjectId = Hashable
 SrLookup = Callable[[ObjectId], Rect]
 
 #: Share of a kNN non-result's gap ``d - r`` to the quarantine circle
-#: that its safe region leaves free (DESIGN.md §6 item 5).  The
+#: that its safe region leaves free (DESIGN.md §6 item 3).  The
 #: perimeter-maximal rectangle *touches* the circle, so the moment the
 #: k-th neighbour steps out, Algorithm 2 must probe every outsider of
 #: the ring (37 probes per leaving neighbour at 40 objects per cell);
@@ -42,6 +46,19 @@ SrLookup = Callable[[ObjectId], Rect]
 #: genuinely adjacent objects as probe candidates.  A constant, not a
 #: knob: comm cost is flat from 0.10 to 0.25 (docs/PERFORMANCE.md).
 OUTSIDER_STANDOFF = 0.15
+
+#: Share of a kNN object's radial clearance ``c`` — its distance to the
+#: nearest bound of the annulus it must stay in — kept free around it on
+#: all four sides (DESIGN.md §6 item 1).  The Ir-lp families size their
+#: rectangle to hold the axis box ``p ± room`` with
+#: ``room = ROOM_SHARE · c / √2``: the box's far corner is
+#: ``ROOM_SHARE · c`` from ``p``, so it fits the annulus for any share up
+#: to 1, and up to ``1/√2`` some family's layout always holds it.  A
+#: constant, not a knob: comm cost is within 1.5 % of its best from 0.7
+#: to 0.9 (docs/PERFORMANCE.md "Storm census").
+ROOM_SHARE = 0.7
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def range_safe_region(
@@ -91,6 +108,10 @@ def knn_safe_region(
 ) -> Rect:
     """Safe region of one kNN query for an object at ``p`` (Section 5.2).
 
+    Every piece keeps ``ROOM_SHARE`` of the object's radial clearance —
+    to the standoff circle, the quarantine circle, or the nearer of its
+    two rank bounds — free around ``p`` (the Ir-lp families' ``room``).
+
     * Non-result objects must stay outside the quarantine circle — Ir-lp
       of the complement, within the cell, of the circle pushed out by
       ``OUTSIDER_STANDOFF`` of the object's own gap to it.
@@ -113,19 +134,25 @@ def knn_safe_region(
     # raising ValueError on every one of them is measurably slower than a
     # second scan over the (short) result list for the members.
     rank = results.index(oid) if oid in results else -1
+    q = query.center
+    d_p = q.distance_to(p)
 
     if rank < 0:
         r = circle.radius
-        d = query.center.distance_to(p)
-        if d > r > 0.0:
-            circle = Circle(query.center, r + OUTSIDER_STANDOFF * (d - r))
-        return irlp_circle_complement(circle, p, cell, objective)
+        clearance = 0.0
+        if d_p > r > 0.0:
+            kept = r + OUTSIDER_STANDOFF * (d_p - r)
+            circle = Circle(q, kept)
+            clearance = d_p - kept
+        return irlp_circle_complement(
+            circle, p, cell, objective, ROOM_SHARE * clearance / _SQRT2
+        )
     if not query.order_sensitive:
-        region = irlp_circle(circle, p, objective)
+        clearance = max(circle.radius - d_p, 0.0)
+        region = irlp_circle(
+            circle, p, objective, ROOM_SHARE * clearance / _SQRT2
+        )
         return _clip_to_cell(region, cell, p)
-
-    q = query.center
-    d_p = q.distance_to(p)
 
     if rank == 0:
         inner = 0.0
@@ -143,7 +170,13 @@ def knn_safe_region(
     # Numerical guards: the ring must be well-formed and contain p.
     inner = min(inner, d_p)
     outer = max(outer, inner, d_p)
-    region = irlp_ring(Ring(q, inner, outer), p, cell, objective)
+    clearance = outer - d_p
+    if inner > 0.0:
+        clearance = min(clearance, d_p - inner)
+    region = irlp_ring(
+        Ring(q, inner, outer), p, cell, objective,
+        ROOM_SHARE * clearance / _SQRT2,
+    )
     return _clip_to_cell(region, cell, p)
 
 

@@ -22,18 +22,10 @@ from typing import Callable, Hashable, Iterable
 from repro.core.batch import quadrant_extents
 from repro.core.enhancements import ReachabilityModel, weighted_perimeter_objective
 from repro.core.evaluation import evaluate_knn, evaluate_range
-from repro.core.irlp import interior_margin
 from repro.core.queries import KNNQuery, Query, RangeQuery
-from repro.core.reevaluation import (
-    reevaluate_knn,
-    reevaluate_range,
-    relieve_tight_safe_region,
-)
+from repro.core.reevaluation import reevaluate_knn, reevaluate_range
 from repro.core.results import BatchOutcome, ResultChange, UpdateOutcome
-from repro.core.safe_region import (
-    compute_safe_region,
-    knn_safe_region,
-)
+from repro.core.safe_region import compute_safe_region
 from repro.faults import ProbeTimeout
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -58,11 +50,10 @@ UNIT_SPACE = Rect(0.0, 0.0, 1.0, 1.0)
 #: Cases of the probe census — ``server.reevaluations.by_case.<case>``
 #: runs and the ``server.probes.by_case.<case>`` fresh probes they
 #: sent: the reevaluation paths that can probe
-#: (``ReevaluationOutcome.case``), the anti-storm relief, and query
-#: registration.
+#: (``ReevaluationOutcome.case``) and query registration.
 PROBE_CASES = (
     "knn_leaves", "knn_enters", "knn_moves_within", "knn_unordered",
-    "sr_relief", "registration",
+    "registration",
 )
 
 
@@ -117,12 +108,6 @@ class ServerConfig:
     #: queries with the Section 5.3 algorithm (True) or by intersecting
     #: per-query strips (False).
     batch_range_regions: bool = True
-    #: The anti-storm relief pass (DESIGN.md §6).  Off by default: with
-    #: interior-preferring Ir-lp candidates, fair gap splitting, and
-    #: poll-paced clients, the residual pinch episodes cost less than the
-    #: relief's probes (see benchmarks/test_ablations.py).  Enable for
-    #: deployments with very fine position polling and no probe budget.
-    anti_storm_relief: bool = False
     #: Robustness knobs (docs/ROBUSTNESS.md).  A probe attempt that the
     #: channel reports as lost (``repro.faults.ProbeTimeout``) is retried
     #: up to ``probe_retries`` times with exponential backoff starting at
@@ -275,7 +260,7 @@ class DatabaseServer:
         self._m_probe_timeouts = self.metrics.counter("server.probes.timeouts")
         self._m_probe_retries = self.metrics.counter("server.probes.retries")
         #: Probe census (docs/OBSERVABILITY.md): per kind of work, how
-        #: many reevaluations / reliefs / registrations ran and how many
+        #: many reevaluations / registrations ran and how many
         #: fresh probes they sent.
         self._m_census = {
             case: (
@@ -359,12 +344,6 @@ class DatabaseServer:
         #: nothing (the reinstall overwrites the entry anyway).
         self._pending_pointify: tuple | None = None
         self.stats = ServerStats()
-        # Safe regions whose interior margin falls below this floor
-        # trigger the anti-storm relief (see relieve_tight_safe_region).
-        cell_extent = min(
-            self.config.space.width, self.config.space.height
-        ) / self.config.grid_m
-        self._margin_floor = 0.0005 * cell_extent
 
     # ------------------------------------------------------------------
     # Introspection
@@ -798,8 +777,8 @@ class DatabaseServer:
             shrunk_only, constrain, outcome, time,
         )
         self._location_manager_phase(
-            list(probed), {}, probe, probed, previous_positions,
-            shrunk_only, constrain, outcome, time, updater=None,
+            list(probed), {}, previous_positions, shrunk_only, outcome,
+            updater=None,
         )
         return outcome
 
@@ -857,8 +836,8 @@ class DatabaseServer:
             shrunk_only, constrain, outcome, time,
         )
         self._location_manager_phase(
-            list(probed), {}, probe, probed, previous_positions,
-            shrunk_only, constrain, outcome, time, updater=None,
+            list(probed), {}, previous_positions, shrunk_only, outcome,
+            updater=None,
         )
         return outcome
 
@@ -1321,16 +1300,11 @@ class DatabaseServer:
         state.p_lst = position
         self.positions.set(oid, position)
         state.last_update_time = time
-        if self.config.anti_storm_relief:
-            # Relief scans the index freely mid-phase; keep the eager
-            # pointify so it always sees the exact position.
-            self.object_index.update(oid, Rect.from_point(position))
-        else:
-            # Defer the pointify: it only matters if some reevaluation
-            # actually reads the index before the location manager
-            # reinstalls the entry.  ``_do_reevaluate_affected`` flushes
-            # it just in time; otherwise the entry is never touched.
-            self._pending_pointify = (oid, position)
+        # Defer the pointify: it only matters if some reevaluation
+        # actually reads the index before the location manager
+        # reinstalls the entry.  ``_do_reevaluate_affected`` flushes
+        # it just in time; otherwise the entry is never touched.
+        self._pending_pointify = (oid, position)
 
         probed: dict[ObjectId, Point] = {}
         shrunk_only: dict[ObjectId, Rect] = {}
@@ -1349,8 +1323,8 @@ class DatabaseServer:
 
             targets = [oid] + [target for target in probed if target != oid]
             self._location_manager_phase(
-                targets, {oid: previous}, probe, probed, previous_positions,
-                shrunk_only, constrain, outcome, time, updater=oid,
+                targets, {oid: previous}, previous_positions, shrunk_only,
+                outcome, updater=oid,
             )
         finally:
             self._pending_pointify = None
@@ -1362,7 +1336,6 @@ class DatabaseServer:
         profiler = self.profiler
         timed = profiler.enabled and profiler.tick_open
         if timed:
-            profiler.in_ingest = True
             start = perf_counter()
         try:
             # Skip the no-op span scaffolding when tracing is off
@@ -1375,7 +1348,6 @@ class DatabaseServer:
         finally:
             if timed:
                 profiler.acc_ingest += perf_counter() - start
-                profiler.in_ingest = False
 
     def _do_ingest_reports(
         self,
@@ -1438,41 +1410,19 @@ class DatabaseServer:
         self,
         targets: list[ObjectId],
         initial_previous: dict[ObjectId, Point | None],
-        probe,
-        probed: dict[ObjectId, Point],
         previous_positions: dict[ObjectId, Point],
         shrunk_only: dict[ObjectId, Rect],
-        constrain,
         outcome: UpdateOutcome,
-        time: float,
         updater: ObjectId | None,
     ) -> None:
-        """Recompute safe regions for every object that reported (§5).
-
-        Processed as a worklist: when a freshly computed region has
-        (near-)zero room, the anti-storm relief may probe further objects,
-        whose positions are then ingested like any other report and whose
-        safe regions are recomputed in turn.
-        """
-        def prev_lookup(target):
-            if target in initial_previous:
-                return initial_previous[target]
-            return previous_positions.get(target)
-
-        # Hoisted out of the worklist loop (one lookup per report adds
-        # up).
+        """Recompute safe regions for every object that reported (§5)."""
+        # Hoisted out of the loop (one lookup per report adds up).
         objects = self._objects
         resident_cell_of = self.positions.cell_of
         install_safe_region = self._install_safe_region
         failed_probes = self._failed_probes
-        relief = self.config.anti_storm_relief
-        margin_floor = self._margin_floor
 
-        queue: list[ObjectId] = list(targets)
-        queued = set(queue)
-        while queue:
-            target = queue.pop(0)
-            queued.discard(target)
+        for target in targets:
             if target in failed_probes:
                 # Unreachable this round: the widened degraded region
                 # installed by ``_apply_probes`` stands — recomputing a
@@ -1483,66 +1433,35 @@ class DatabaseServer:
                     outcome.missed.append(target)
                 continue
             state = objects[target]
-            target_pos = state.p_lst
-            # ``target_pos`` is the stored position, so its cell is
+            # ``state.p_lst`` is the stored position, so its cell is
             # resident in the position store (one dict probe).
             target_cell = resident_cell_of(target)
-            region = state.safe_region
             cert = state.sr_cert
             if (
                 target != updater
                 and cert is not None
                 and cert[0] == target_cell
-                and self._certificate_holds(state, target_pos, target_cell)
-                and (
-                    not relief
-                    or interior_margin(region, target_pos) >= margin_floor
-                )
+                and self._certificate_holds(state, state.p_lst, target_cell)
             ):
                 # Lazy recomputation: a probed target whose certificate
                 # still covers its exact position (the updater's was
                 # just rejected by the no-op exit).  Recomputing would
                 # return the identical rectangle (query-free cell) or
                 # only re-centre it (covered cell); reinstalling restores
-                # the index entry the probe pointified.  With anti-storm
-                # relief on, a tight region falls through to its trigger.
+                # the index entry the probe pointified.
+                region = state.safe_region
                 self._m_sr_skipped.inc()
                 if self.events.enabled:
                     self.events.emit(
                         "sr_skip", cause=self._cause, oid=target
                     )
             else:
-                region = self._full_safe_region(target, prev_lookup(target))
-                if (
-                    relief
-                    and interior_margin(region, target_pos) < margin_floor
-                    and interior_margin(
-                        self.query_index.cell_rect(target_cell), target_pos
-                    ) >= margin_floor
-                ):
-                    # Tight for a query-related reason (an object hugging
-                    # its own grid-cell edge resolves itself at the next
-                    # crossing).
-                    relieved, fresh = self._relieve(
-                        target, target_pos, probe, probed,
-                        previous_positions, time,
-                    )
-                    # Relief probes are position reports too: fix any
-                    # query their exact positions contradict, then queue
-                    # their safe-region recomputation.
-                    for other, other_pos in fresh.items():
-                        self._reevaluate_affected(
-                            other, other_pos, previous_positions.get(other),
-                            probe, probed, previous_positions, shrunk_only,
-                            constrain, outcome, time,
-                        )
-                        if other not in queued and other != target:
-                            queued.add(other)
-                            queue.append(other)
-                    if relieved:
-                        region = self._full_safe_region(
-                            target, prev_lookup(target)
-                        )
+                region = self._full_safe_region(
+                    target,
+                    initial_previous[target]
+                    if target in initial_previous
+                    else previous_positions.get(target),
+                )
             shrunk_only.pop(target, None)
             install_safe_region(target, region)
             if target == updater:
@@ -1552,64 +1471,10 @@ class DatabaseServer:
         for target, region in shrunk_only.items():
             outcome.probed[target] = region
 
-    def _relieve(
-        self,
-        target: ObjectId,
-        position: Point,
-        probe,
-        probed: dict[ObjectId, Point],
-        previous_positions: dict[ObjectId, Point],
-        time: float,
-    ) -> tuple[bool, dict[ObjectId, Point]]:
-        """Anti-storm relief: widen the slack around a pinched object.
-
-        Returns ``(changed, fresh)``: whether anything changed (so the
-        caller must recompute the region) and the positions of any objects
-        the relief probed.  Quarantine-radius adjustments are applied to
-        the queries directly.
-        """
-        all_fresh: dict[ObjectId, Point] = {}
-        changed_radius = False
-        for query in sorted(
-            self.query_index.queries_at(position), key=lambda q: q.query_id
-        ):
-            if not isinstance(query, KNNQuery):
-                continue
-            # Only relieve the queries whose own constraint is the pinch;
-            # probing neighbours of a query with ample slack is waste.
-            piece = knn_safe_region(
-                query, target, position,
-                self.query_index.cell_rect_of_point(position),
-                self.object_index.rect_of,
-            )
-            if interior_margin(piece, position) >= self._margin_floor:
-                continue
-            probes_before = set(probed)
-            relief = relieve_tight_safe_region(
-                query, target, position, self.object_index, probe,
-                already_probed=frozenset(probed),
-                min_gain=self._margin_floor,
-            )
-            fresh = {
-                other: pos
-                for other, pos in probed.items()
-                if other not in probes_before
-            }
-            self._census("sr_relief", len(fresh))
-            if fresh:
-                previous_positions.update(self._apply_probes(fresh, time))
-                all_fresh.update(fresh)
-            if relief.quarantine_changed:
-                changed_radius = True
-                self.query_index.update(query)
-        return (changed_radius or bool(all_fresh), all_fresh)
-
     def _reevaluate_affected(self, *args, **kwargs) -> None:
         # Called once per report; skip the no-op span scaffolding when
         # tracing is off (behaviourally identical, measurably cheaper).
-        # The profiler's ``in_ingest`` flag routes the segment to
-        # ``tick;ingest;reevaluate`` or ``tick;report.scatter;reevaluate``
-        # (the relief path reevaluates from inside the scatter phase).
+        # The segment lands under ``tick;ingest;reevaluate``.
         profiler = self.profiler
         timed = profiler.enabled and profiler.tick_open
         if timed:
@@ -1622,10 +1487,7 @@ class DatabaseServer:
                 self._do_reevaluate_affected(*args, **kwargs)
         finally:
             if timed:
-                if profiler.in_ingest:
-                    profiler.acc_reev_in += perf_counter() - start
-                else:
-                    profiler.acc_reev_out += perf_counter() - start
+                profiler.acc_reev += perf_counter() - start
 
     def _do_reevaluate_affected(
         self,

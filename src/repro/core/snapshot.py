@@ -109,7 +109,6 @@ def snapshot_server(server: DatabaseServer) -> dict:
             "steadiness": server.config.steadiness,
             "index_max_entries": server.config.index_max_entries,
             "batch_range_regions": server.config.batch_range_regions,
-            "anti_storm_relief": server.config.anti_storm_relief,
             "kernel_backend": server.config.kernel_backend,
             "kernel_min_rows": server.config.kernel_min_rows,
             "probe_timeout": server.config.probe_timeout,
@@ -142,6 +141,8 @@ def config_from_payload(config_data: dict) -> ServerConfig:
     config_data.setdefault("probe_budget", None)
     config_data.setdefault("on_unknown_object", "raise")
     config_data.setdefault("degraded_max_speed", None)
+    # Written by snapshots older than the relief pass's removal.
+    config_data.pop("anti_storm_relief", None)
     return ServerConfig(**config_data)
 
 

@@ -37,7 +37,7 @@ back via :func:`~repro.obs.events.read_events`) and produces a
   transitively caused more than ``probe_cascade_threshold`` probes.
 * ``shrink_storm`` — more than ``shrink_storm_threshold`` shrink pushes
   landed within one ``shrink_storm_window`` of simulated time (the
-  §6.1 downlink-budget failure mode the anti-storm relief exists for).
+  §6.1 downlink-budget failure mode).
 * ``retry_storm`` — more than ``retry_storm_threshold`` probe retries
   within one ``retry_storm_window`` of simulated time: the retry
   machinery is amplifying an outage instead of riding it out.

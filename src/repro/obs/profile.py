@@ -55,7 +55,6 @@ class NullProfiler:
     enabled = False
 
     tick_open = False
-    in_ingest = False
 
     def tick_begin(self) -> bool:
         return False
@@ -102,8 +101,7 @@ class TickProfiler:
         "wall_seconds", "cpu_seconds", "phase_wall",
         "query_seconds", "query_reevals", "cell_rows", "cell_reports",
         "object_reports", "_stack", "_tick_start", "_cpu_start",
-        "tick_open", "in_ingest", "acc_ingest", "acc_reev_in",
-        "acc_reev_out", "acc_scatter", "acc_sr",
+        "tick_open", "acc_ingest", "acc_reev", "acc_scatter", "acc_sr",
     )
 
     def __init__(self, max_ticks: int | None = None) -> None:
@@ -129,15 +127,12 @@ class TickProfiler:
         #: attributes — no method call, no stack frame — and
         #: ``tick_end`` folds the totals into :attr:`phase_wall` with
         #: the containment layout fixed by the server's call graph
-        #: (reevaluate under ingest or under scatter via
-        #: :attr:`in_ingest`; safe_region always under scatter).  The
+        #: (reevaluate under ingest, safe_region under scatter).  The
         #: generic push/pop stack still serves the per-tick phases
         #: (plan.gather, kernel.dispatch, index.maintenance).
         self.tick_open = False
-        self.in_ingest = False
         self.acc_ingest = 0.0
-        self.acc_reev_in = 0.0
-        self.acc_reev_out = 0.0
+        self.acc_reev = 0.0
         self.acc_scatter = 0.0
         self.acc_sr = 0.0
 
@@ -156,10 +151,8 @@ class TickProfiler:
         self._cpu_start = process_time()
         self._stack.append(["tick", now])
         self.tick_open = True
-        self.in_ingest = False
         self.acc_ingest = 0.0
-        self.acc_reev_in = 0.0
-        self.acc_reev_out = 0.0
+        self.acc_reev = 0.0
         self.acc_scatter = 0.0
         self.acc_sr = 0.0
         return True
@@ -189,7 +182,7 @@ class TickProfiler:
         if ingest or scatter:
             wall["tick"] = wall.get("tick", 0.0) - ingest - scatter
             if ingest:
-                reev = self.acc_reev_in
+                reev = self.acc_reev
                 wall["tick;ingest"] = (
                     wall.get("tick;ingest", 0.0) + ingest - reev
                 )
@@ -199,20 +192,13 @@ class TickProfiler:
                     )
             if scatter:
                 sr = self.acc_sr
-                reev = self.acc_reev_out
                 wall["tick;report.scatter"] = (
-                    wall.get("tick;report.scatter", 0.0)
-                    + scatter - sr - reev
+                    wall.get("tick;report.scatter", 0.0) + scatter - sr
                 )
                 if sr:
                     wall["tick;report.scatter;safe_region"] = (
                         wall.get("tick;report.scatter;safe_region", 0.0)
                         + sr
-                    )
-                if reev:
-                    wall["tick;report.scatter;reevaluate"] = (
-                        wall.get("tick;report.scatter;reevaluate", 0.0)
-                        + reev
                     )
         self.tick_open = False
         self.wall_seconds += now - self._tick_start

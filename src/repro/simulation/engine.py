@@ -82,6 +82,12 @@ class SRBSimulation:
         #: metrics snapshot under ``"timeseries"``.
         self.sampler = sampler
         self._trace = Tracer(self.metrics)
+        #: Monitoring-period region installs the client would have left
+        #: before its next position poll — the update storm as a number
+        #: (docs/OBSERVABILITY.md).
+        self._m_poll_floored = self.metrics.counter(
+            "sim.installs.poll_floored"
+        )
         if truth is not None:
             if queries is None:
                 queries = truth.queries
@@ -154,7 +160,6 @@ class SRBSimulation:
                 reachability_pushes=scenario.reachability_pushes,
                 steadiness=scenario.steadiness,
                 batch_range_regions=scenario.batch_range_regions,
-                anti_storm_relief=scenario.anti_storm_relief,
                 enable_caches=scenario.enable_caches,
                 kernel_backend=scenario.kernel_backend,
                 kernel_min_rows=scenario.kernel_min_rows,
@@ -492,9 +497,10 @@ class SRBSimulation:
             exit_at = client.next_exit_time(self._now, horizon)
             # Clients poll their position at a finite granularity; a fresh
             # safe region is therefore observed for at least one interval.
-            exit_at = max(
-                exit_at, self._now + self.scenario.client_poll_interval
-            )
+            next_poll = self._now + self.scenario.client_poll_interval
+            if exit_at < next_poll:
+                self._m_poll_floored.inc()
+                exit_at = next_poll
             if exit_at <= horizon and not math.isinf(exit_at):
                 self._schedule(exit_at, _PRIO_EXIT, "exit", (oid, client.epoch))
         else:

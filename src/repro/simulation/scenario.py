@@ -56,9 +56,8 @@ class Scenario:
     #: (install + push tightened regions).  False = the paper's semantics.
     reachability_pushes: bool = True
     steadiness: float = 0.0           # Section 6.2 enhancement (D)
-    #: Ablation switches (DESIGN.md §6 and Section 5.3).
+    #: Ablation switch (Section 5.3).
     batch_range_regions: bool = True
-    anti_storm_relief: bool = False
     #: Grid candidate caches (docs/PERFORMANCE.md); disable with
     #: ``repro ... --no-caches`` to bisect perf regressions.  Results are
     #: identical either way — only CPU cost changes.

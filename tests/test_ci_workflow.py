@@ -166,6 +166,13 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     # ... and the monitoring loop's probes: a dense kNN world probes
     # only adjacent outsiders and records no probe_cascade.
     assert "tests/test_outsider_standoff.py" in runs[tests[0]]
+    # ... and its reports: the file runs whole — no ``::`` selection —
+    # so the storm regression (regions outlast a position poll) and the
+    # quarantine-invariant sweep gate here too.
+    assert "tests/test_outsider_standoff.py::" not in runs[tests[0]]
+    dense_world = (ROOT / "tests" / "test_outsider_standoff.py").read_text()
+    assert "def test_dense_world_regions_outlast_a_position_poll(" in dense_world
+    assert "def test_dense_world_keeps_every_quarantine_invariant(" in dense_world
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

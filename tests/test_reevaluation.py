@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.evaluation import evaluate_knn
 from repro.core.queries import KNNQuery, RangeQuery
-from repro.core.reevaluation import (
-    reevaluate_knn,
-    reevaluate_range,
-    relieve_tight_safe_region,
-)
+from repro.core.reevaluation import reevaluate_knn, reevaluate_range
 from repro.geometry import Point, Rect
 from repro.index import RStarTree
 
@@ -156,6 +152,35 @@ class TestCaseTwo:
         assert world.query.radius < radius  # shrunk to exclude the visitor
         assert outcome.quarantine_changed
 
+    def test_dropped_neighbour_probed_beyond_the_circle_cannot_grow_it(self):
+        """A stray k-th neighbour must not pull the radius over outsiders.
+
+        The newcomer lands inside the k-th neighbour's distance interval,
+        so that neighbour is probed — and answers from beyond the old
+        circle (it left its region between two position polls).  The
+        midpoint of the new k-th and the dropped neighbour then lies
+        past the old radius, over an outsider nobody probed.
+        """
+        q = Point(0.5, 0.5)
+        index = RStarTree()
+        index.insert("a", Rect.from_point(Point(0.52, 0.5)))       # d = 0.02
+        index.insert("b", Rect(0.54, 0.5, 0.56, 0.5))       # d in [0.04, 0.06]
+        index.insert("outsider", Rect.from_point(Point(0.572, 0.5)))  # 0.072
+        index.insert("n", Rect.from_point(Point(0.55, 0.5)))       # d = 0.05
+        query = KNNQuery(q, 2)
+        query.results = ["a", "b"]
+        query.radius = 0.07
+        outcome = reevaluate_knn(
+            query, "n", Point(0.55, 0.5), Point(0.6, 0.5), index,
+            lambda oid: {"b": Point(0.6, 0.5)}[oid],               # d = 0.10
+            index.rect_of,
+        )
+        assert outcome.case == "knn_enters"
+        assert list(outcome.probed) == ["b"]
+        assert query.results == ["a", "n"]
+        # (0.05 + 0.10) / 2 = 0.075 would cover the outsider at 0.072.
+        assert 0.05 <= query.radius <= 0.07
+
 
 class TestCaseThree:
     """A result moves within the quarantine area."""
@@ -224,61 +249,3 @@ class TestRandomisedMaintenance:
                 assert world.query.results == truth
             else:
                 assert set(world.query.results) == set(truth)
-
-
-class TestRelief:
-    def test_noop_when_no_results(self):
-        index = RStarTree()
-        query = KNNQuery(Point(0.5, 0.5), 2)
-        outcome = relieve_tight_safe_region(
-            query, "x", Point(0.6, 0.5), index, lambda o: Point(0, 0)
-        )
-        assert not outcome.probed and not outcome.quarantine_changed
-
-    def test_nonresult_hugging_shrinks_radius(self):
-        index = RStarTree()
-        q = Point(0.5, 0.5)
-        index.insert("near", Rect.from_point(Point(0.55, 0.5)))   # d = 0.05
-        index.insert("hug", Rect.from_point(Point(0.6, 0.5)))     # d = 0.10
-        query = KNNQuery(q, 1)
-        query.results = ["near"]
-        query.radius = 0.0999999  # the hugger sits right on the circle
-        outcome = relieve_tight_safe_region(
-            query, "hug", Point(0.6, 0.5), index, lambda o: Point(0, 0)
-        )
-        assert outcome.quarantine_changed
-        assert 0.05 < query.radius < 0.1
-
-    def test_last_result_hugging_grows_radius(self):
-        index = RStarTree()
-        q = Point(0.5, 0.5)
-        index.insert("a", Rect.from_point(Point(0.52, 0.5)))    # result
-        index.insert("b", Rect.from_point(Point(0.55, 0.5)))    # result (last)
-        index.insert("c", Rect.from_point(Point(0.8, 0.5)))     # follower
-        query = KNNQuery(q, 2)
-        query.results = ["a", "b"]
-        query.radius = 0.0500001  # "b" hugs the boundary from inside
-        outcome = relieve_tight_safe_region(
-            query, "b", Point(0.55, 0.5), index, lambda o: Point(0, 0)
-        )
-        assert outcome.quarantine_changed
-        assert query.radius == pytest.approx((0.05 + 0.3) / 2)
-
-    def test_middle_result_probes_loose_neighbour(self):
-        index = RStarTree()
-        q = Point(0.5, 0.5)
-        positions = {
-            "a": Point(0.52, 0.5),
-            "b": Point(0.55, 0.5),
-            "c": Point(0.62, 0.5),
-        }
-        index.insert("a", Rect(0.5, 0.45, 0.56, 0.55))  # loose region
-        index.insert("b", Rect.from_point(positions["b"]))
-        index.insert("c", Rect.from_point(positions["c"]))
-        query = KNNQuery(q, 3)
-        query.results = ["a", "b", "c"]
-        query.radius = 0.2
-        outcome = relieve_tight_safe_region(
-            query, "b", positions["b"], index, lambda o: positions[o]
-        )
-        assert "a" in outcome.probed  # the loose lower neighbour is probed

@@ -382,12 +382,17 @@ def test_maybe_rebalance_grows_and_respects_cooldown():
 # Merge exactness: refresh probes close the stale-position gap
 # ----------------------------------------------------------------------
 def test_refresh_probes_restore_closed_loop_knn_accuracy():
-    """The tentpole number: >= 0.99 accuracy with probes on, against the
-    same seeded closed loop that drifts well below it with probes off.
+    """The tentpole number: >= 0.98 accuracy with probes on, two points
+    above the same seeded closed loop with probes off.
 
     Ground truth is the simulation's own accuracy checkpoint (results
     against true client positions) — the same metric ``repro compare``
     reports and the shard bench records.
+
+    It read ``>= 0.99`` while every other kNN safe region was left
+    within one position poll: a refresh probe fires when a report comes
+    in, so part of that accuracy was bought by storm traffic.  With room
+    in the regions (DESIGN.md §6 item 1) the same world reads 0.9896.
     """
     base = dict(num_objects=240, num_queries=16, duration=3.0,
                 seed=3, shards=3, grid_m=14)
@@ -397,7 +402,8 @@ def test_refresh_probes_restore_closed_loop_knn_accuracy():
     assert stale.extras["shards"]["refresh_probes"] == 0
     assert fresh.extras["shards"]["refresh_probes"] > 0
     assert stale.accuracy < 0.97  # the bug is visible at this scale
-    assert fresh.accuracy >= 0.99
+    assert fresh.accuracy >= 0.98
+    assert fresh.accuracy >= stale.accuracy + 0.02
     # The exactness is bought with probe traffic, and that traffic is
     # accounted as communication cost, not hidden.
     assert fresh.costs.probes > stale.costs.probes

@@ -181,6 +181,22 @@ def test_restore_rejects_id_payload_length_mismatch():
         restore_shards(payload, oracle)
 
 
+def test_restore_drops_the_relief_flag_of_older_snapshots():
+    """Every shard payload of an older envelope names the removed
+    ``anti_storm_relief`` config field; restore ignores it."""
+    cluster, oracle, _ = _build()
+    payload = snapshot_shards(cluster)
+    for shard in payload["shards"]:
+        shard["config"]["anti_storm_relief"] = False
+    restored = restore_shards(payload, oracle)
+    try:
+        assert restored.config == cluster.config
+        assert restored.shard_object_counts() == cluster.shard_object_counts()
+        restored.validate()
+    finally:
+        restored.close()
+
+
 def test_restore_rejects_foreign_payloads():
     cluster, oracle, _ = _build()
     payload = snapshot_shards(cluster)

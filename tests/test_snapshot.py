@@ -97,6 +97,17 @@ class TestSnapshotShape:
         legacy = restore_server(payload, lambda oid: positions[oid])
         assert legacy.config.kernel_min_rows == 8
 
+    def test_relief_flag_of_older_snapshots_is_dropped(self):
+        """Snapshots written while ``ServerConfig`` had an
+        ``anti_storm_relief`` field still restore; the key is ignored."""
+        _, positions, server = build_server(seed=12, n=30)
+        payload = json.loads(json.dumps(snapshot_server(server)))
+        assert "anti_storm_relief" not in payload["config"]
+        payload["config"]["anti_storm_relief"] = True
+        restored = restore_server(payload, lambda oid: positions[oid])
+        assert restored.config == server.config
+        restored.validate()
+
     def test_fault_state_round_trips(self):
         """Clock, degraded set, and fault config survive the round trip."""
         from repro.faults import ProbeTimeout
