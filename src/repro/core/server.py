@@ -41,6 +41,7 @@ from repro.obs import (
     Tracer,
     occupancy_summary,
 )
+from repro.runtime import paused_gc
 
 ObjectId = Hashable
 PositionOracle = Callable[[ObjectId], Point]
@@ -502,6 +503,7 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     # Object population
     # ------------------------------------------------------------------
+    @paused_gc()
     def bootstrap(
         self,
         objects: Iterable[tuple[ObjectId, Point]],
@@ -532,21 +534,44 @@ class DatabaseServer:
             self._clock = max(self._clock, time)
             grid = self.query_index
             states = self._objects
+            oids, points = [], []
             for oid, position in objects:
+                oids.append(oid)
+                points.append(position)
+            cells = grid.cells_of_points(points)
+            for oid, position, cell in zip(oids, points, cells):
                 if oid in states:
                     raise KeyError(f"object {oid!r} already loaded")
-                self.positions.set(oid, position)
                 # The full cell stands until a region is derived below.
-                states[oid] = ObjectState(
-                    grid.cell_rect(self.positions.cell_of(oid)), position, time
-                )
+                states[oid] = ObjectState(grid.cell_rect(cell), position, time)
+            self.positions.load(oids, points, cells)
+            # Three N-long lists the index builds below need not sit under.
+            del oids, points, cells
             order = (
                 self._bootstrap_queries(queries, time) if queries else states
             )
             events = self.events
+            cell_of = self.positions.cell_of
+            #: Query-free cell -> the grant every resident shares: the
+            #: full cell and its ``(cell, generation, None)`` certificate.
+            grants: dict = {}
             pairs = []
             for oid in order:
                 state = states[oid]
+                cell = cell_of(oid)
+                if not grid.has_queries_in_cell(cell):
+                    # No query can shape this region: what
+                    # ``_compute_full_safe_region`` would hand back,
+                    # without entering it.
+                    grant = grants.get(cell)
+                    if grant is None:
+                        grant = grants[cell] = (
+                            grid.cell_rect(cell),
+                            (cell, grid.cell_generation(cell), None),
+                        )
+                    state.safe_region, state.sr_cert = grant
+                    pairs.append((oid, grant[0]))
+                    continue
                 region = self._compute_full_safe_region(oid, None)
                 state.safe_region = region
                 pairs.append((oid, region))

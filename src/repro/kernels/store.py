@@ -263,6 +263,29 @@ class PositionStore:
                 self._leave_cell(oid, held)
             self._enter_cell(oid, cell, x, y)
 
+    def load(self, oids: Sequence, points: Sequence, cells: Sequence) -> None:
+        """Insert many objects at once: one :meth:`move` per row, in order.
+
+        The start-up path (``DatabaseServer.bootstrap``).  Every id must
+        be absent from the store and distinct (the caller has checked);
+        ``cells`` are the rows' grid cells from one columnar pass
+        (``GridIndex.cells_of_points``).  Rows, residency, bucket order
+        and generations end exactly as ``len(oids)`` ``set`` calls would
+        leave them (tests/test_bootstrap.py pins the equality).
+        """
+        xs = array("d", [p.x for p in points])
+        ys = array("d", [p.y for p in points])
+        base = len(self._ids)
+        self._row_of.update(zip(oids, range(base, base + len(oids))))
+        self._ids.extend(oids)
+        self._xs.extend(xs)
+        self._ys.extend(ys)
+        if self._grid is None:
+            return
+        enter_cell = self._enter_cell
+        for oid, cell, x, y in zip(oids, cells, xs, ys):
+            enter_cell(oid, cell, x, y)
+
     def discard(self, oid) -> None:
         """Remove ``oid`` (no-op if absent) via swap-remove."""
         row = self._row_of.pop(oid, None)

@@ -41,10 +41,16 @@ class MobileClient:
         the normal case — and ``False`` when it has already left, in which
         case the caller must send a fresh location update immediately.
         """
+        self.adopt_safe_region(region)
+        return region.contains_point(self.position_at(t), eps=1e-12)
+
+    def adopt_safe_region(self, region: Rect) -> None:
+        """:meth:`install_safe_region` for a caller that knows where the
+        client is — start-up, where the region was derived from the
+        position reported in the same instant."""
         self.epoch += 1
         self.awaiting = False
         self.safe_region = region
-        return region.contains_point(self.position_at(t), eps=1e-12)
 
     def begin_update(self) -> None:
         """Mark an update as sent; the client mutes until the response."""

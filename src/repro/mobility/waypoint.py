@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -181,6 +182,65 @@ def _segment_exit(position: Point, segment: Segment, rect: Rect) -> float:
     return max(t_exit, 0.0)
 
 
+def exit_times_from_rects(
+    trajectories: Sequence[Trajectory],
+    rects: Sequence[Rect],
+    t: float,
+    horizon: float,
+) -> list[float]:
+    """:meth:`Trajectory.exit_time_from_rect` for many pairs, bit for bit.
+
+    One columnar pass over the (leg active at ``t``, rect) columns
+    answers every row that leg decides — already outside, exit inside
+    the leg, or leg end and exit both past ``horizon`` — with the same
+    IEEE operations in the same order as the scalar walk; only rows
+    whose leg ends first, before the horizon, walk on through it.
+    """
+    n = len(trajectories)
+    if t > horizon:
+        return [math.inf] * n
+    legs = [trajectory.segment_at(t) for trajectory in trajectories]
+
+    def column(values) -> np.ndarray:
+        return np.fromiter(values, np.float64, n)
+
+    start_time = column(leg.start_time for leg in legs)
+    end_time = column(leg.end_time for leg in legs)
+    vx = column(leg.velocity_x for leg in legs)
+    vy = column(leg.velocity_y for leg in legs)
+    # ``Segment.position_at(t)``.
+    dt = np.minimum(np.maximum(t, start_time), end_time) - start_time
+    px = column(leg.start.x for leg in legs) + vx * dt
+    py = column(leg.start.y for leg in legs) + vy * dt
+    min_x = column(rect.min_x for rect in rects)
+    min_y = column(rect.min_y for rect in rects)
+    max_x = column(rect.max_x for rect in rects)
+    max_y = column(rect.max_y for rect in rects)
+    inside = (
+        (min_x - 1e-12 <= px) & (px <= max_x + 1e-12)
+        & (min_y - 1e-12 <= py) & (py <= max_y + 1e-12)
+    )
+    # ``_segment_exit``: a zero velocity component never exits.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exit_x = np.where(vx > 0.0, max_x - px, min_x - px) / vx
+        exit_y = np.where(vy > 0.0, max_y - py, min_y - py) / vy
+    exit_x[vx == 0.0] = math.inf
+    exit_y[vy == 0.0] = math.inf
+    exit_at = t + np.maximum(np.minimum(exit_x, exit_y), 0.0)
+    in_leg = inside & (exit_at <= end_time)
+    out = np.where(in_leg & (exit_at <= horizon), exit_at, math.inf)
+    out[~inside] = t
+    # Undecided: the leg ends before the exit and the walk's next hop,
+    # just past the leg's end, is still within the horizon.
+    hop = np.nextafter(np.maximum(end_time, t), math.inf)
+    times = out.tolist()
+    for row in np.flatnonzero(inside & ~in_leg & (hop <= horizon)).tolist():
+        times[row] = trajectories[row].exit_time_from_rect(
+            rects[row], t, horizon
+        )
+    return times
+
+
 class RandomWaypointModel:
     """Factory producing deterministic per-object trajectories."""
 
@@ -199,9 +259,13 @@ class RandomWaypointModel:
     def create(self, oid: int) -> Trajectory:
         """Trajectory for object ``oid`` (reproducible per (seed, oid))."""
         rng = np.random.default_rng((self._seed, int(oid)))
+        space = self.space
+        # One draw of two variates, scaled as ``Generator.uniform``
+        # scales them — see ``Trajectory._next_segment``.
+        ux, uy = rng.random(2).tolist()
         start = Point(
-            rng.uniform(self.space.min_x, self.space.max_x),
-            rng.uniform(self.space.min_y, self.space.max_y),
+            space.min_x + (space.max_x - space.min_x) * ux,
+            space.min_y + (space.max_y - space.min_y) * uy,
         )
         return Trajectory(
             start, self.mean_speed, self.mean_period, self.space, rng

@@ -17,6 +17,7 @@ per shard.
 
 from __future__ import annotations
 
+import gc
 import time as _time
 from typing import Hashable
 
@@ -246,6 +247,9 @@ class ShardBackend:
             "busy": self.busy_seconds,
             "oids": sorted(self.server._objects, key=repr),
             "degraded": self.server.degraded_objects(),
+            # A worker forked mid start-up inherits a paused collector
+            # (``worker_main`` switches it back on).
+            "gc_enabled": gc.isenabled(),
         }
 
     def safe_region(self, oid: ObjectId) -> Rect:
@@ -303,7 +307,7 @@ class ShardBackend:
             for change in outcome.changes:
                 affected.add(change.query_id)
         for query in self._queries.values():
-            if any(oid in query.results for oid in touched):
+            if not touched.isdisjoint(query.results):
                 affected.add(query.query_id)
         return self.query_partials(sorted(affected))
 

@@ -53,6 +53,7 @@ from repro.obs import (
     MetricsRegistry,
     merge_profiles,
 )
+from repro.runtime import paused_gc
 from repro.sharding.backend import ShardBackend, query_spec
 from repro.sharding.router import ShardRouter
 from repro.sharding.shardmap import ShardMap
@@ -421,6 +422,7 @@ class ShardedServer:
     # ------------------------------------------------------------------
     # Object population
     # ------------------------------------------------------------------
+    @paused_gc()
     def bootstrap(
         self,
         objects: Iterable[tuple[ObjectId, Point]],

@@ -22,6 +22,7 @@ Workers are daemonic: an abandoned coordinator cannot leak processes.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import time as _time
 
@@ -40,6 +41,13 @@ def _spawn_context():
 def worker_main(conn, shard_id: int, config: ServerConfig,
                 metrics_enabled: bool) -> None:
     """Child entry point: serve ops until ``close`` or EOF."""
+    # Forked from inside the coordinator's paused start-up scope
+    # (``repro.runtime.paused_gc``), so the collector arrives switched
+    # off and would stay off for the worker's life.  Freezing first keeps
+    # this process's full collections from traversing — and so
+    # copy-on-write-touching — the heap inherited from the parent.
+    gc.freeze()
+    gc.enable()
     from repro.obs import MetricsRegistry
     from repro.sharding.backend import ShardBackend
 

@@ -37,8 +37,9 @@ from repro.core.server import DatabaseServer, ServerConfig
 from repro.faults import ProbeTimeout
 from repro.kernels import Kernels
 from repro.mobility.client import MobileClient
-from repro.mobility.waypoint import RandomWaypointModel
+from repro.mobility.waypoint import RandomWaypointModel, exit_times_from_rects
 from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY, Tracer
+from repro.runtime import paused_gc
 from repro.simulation.metrics import (
     AccuracyAccumulator,
     CommunicationCosts,
@@ -54,12 +55,15 @@ _PRIO_RECV_REGION = 2
 _PRIO_SAMPLE = 3
 _PRIO_TIMEOUT = 4
 
-
+#: Clients per columnar first-exit block: long enough to amortise the
+#: array calls, short enough that the columns stay a few hundred KB.
+_FIRST_EXIT_BLOCK = 8192
 
 
 class SRBSimulation:
     """One run of the safe-region-based monitoring scheme."""
 
+    @paused_gc()
     def __init__(
         self,
         scenario: Scenario,
@@ -241,6 +245,7 @@ class SRBSimulation:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @paused_gc()
     def _bootstrap(self) -> None:
         """Load objects, register queries, and hand out initial regions.
 
@@ -250,7 +255,7 @@ class SRBSimulation:
         the server sets up in one pass (``bootstrap``) and probes nobody.
         """
         self._now = 0.0
-        self.server.bootstrap(
+        granted = self.server.bootstrap(
             (
                 (oid, client.position_at(0.0))
                 for oid, client in self.clients.items()
@@ -259,14 +264,27 @@ class SRBSimulation:
             0.0,
         )
         horizon = self.scenario.duration
-        for oid, client in self.clients.items():
-            client.install_safe_region(self.server.safe_region_of(oid), 0.0)
-            exit_at = max(
-                client.next_exit_time(0.0, horizon),
-                self.scenario.client_poll_interval,
+        poll = self.scenario.client_poll_interval
+        # First exits, a columnar block of clients at a time (client
+        # order, so ``seq`` tie-breaks are those of a per-client loop).
+        members = iter(self.clients.items())
+        while block := list(itertools.islice(members, _FIRST_EXIT_BLOCK)):
+            regions = [granted[oid] for oid, _ in block]
+            first_exits = exit_times_from_rects(
+                [client.trajectory for _, client in block],
+                regions,
+                0.0,
+                horizon,
             )
-            if exit_at <= horizon:
-                self._schedule(exit_at, _PRIO_EXIT, "exit", (oid, client.epoch))
+            for (oid, client), region, exit_at in zip(
+                block, regions, first_exits
+            ):
+                client.adopt_safe_region(region)
+                exit_at = max(exit_at, poll)
+                if exit_at <= horizon:
+                    self._schedule(
+                        exit_at, _PRIO_EXIT, "exit", (oid, client.epoch)
+                    )
         for t in self.scenario.sample_times():
             self._schedule(t, _PRIO_SAMPLE, "sample", None)
         if self.scenario.kill_shard is not None:

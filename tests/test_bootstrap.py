@@ -5,18 +5,32 @@ server evaluates the first queries over points, derives every first safe
 region once and probes nobody.  These tests pin that against the path it
 replaces — ``load_objects`` followed by one ``register_query`` per query
 — on a single server, in-process shards and worker-process shards.
+
+Start-up is also a bulk operation (docs/PERFORMANCE.md "Set-up at paper
+scale"): one columnar store load, one shared grant per query-free cell,
+the cycle collector paused throughout.  The second half of this file
+pins those against the per-object pass they replace, and the collector's
+state against what the caller had.
 """
 
+import gc
 import random
 
 import pytest
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.extensions import CircleRangeQuery
+from repro.core.server import ObjectState
 from repro.geometry import Point, Rect
+from repro.index.bulk import bulk_load
+from repro.mobility import RandomWaypointModel
 from repro.obs import EventLog, MetricsRegistry, diagnose
+from repro.runtime import paused_gc
 from repro.sharding import ShardedServer
+from repro.sharding.backend import query_from_spec
+from repro.sharding.worker import WorkerShard
 from repro.simulation import Scenario, SRBSimulation
+from tests.test_outsider_standoff import DENSE, dense_queries
 
 N_OBJECTS = 250
 CONFIG = ServerConfig(grid_m=10)
@@ -278,3 +292,275 @@ def test_engine_bootstrap_sends_no_probe(shards):
     report = sim.run()
     assert report.costs.probes == server.stats.probes
     assert diagnose([e.to_dict() for e in log.events()]).ok
+
+
+# ----------------------------------------------------------------------
+# Bulk store load + per-cell grant  ==  the per-object pass
+
+
+def _per_object_bootstrap(server, objects, queries, time=0.0):
+    """Start-up one object at a time — the reference for the bulk pass.
+
+    ``len(objects)`` ``PositionStore.set`` calls, and every first region
+    — a query-free cell's too — through ``_compute_full_safe_region``.
+    """
+    states, grid = server._objects, server.query_index
+    for oid, position in objects:
+        server.positions.set(oid, position)
+        states[oid] = ObjectState(
+            grid.cell_rect(server.positions.cell_of(oid)), position, time
+        )
+    order = server._bootstrap_queries(queries, time) if queries else states
+    pairs = []
+    for oid in order:
+        region = server._compute_full_safe_region(oid, None)
+        states[oid].safe_region = region
+        pairs.append((oid, region))
+    server.object_index.release()
+    server.object_index = bulk_load(
+        pairs, max_entries=server.config.index_max_entries,
+        kernels=server.kernels,
+    )
+    return dict(pairs)
+
+
+def _fingerprint(server):
+    """Everything start-up leaves behind, in a comparable form."""
+    store = server.positions
+    xs, ys = store.columns()
+
+    def certificate(cert):
+        if cert is None or cert[2] is None:
+            return cert
+        return cert[:2] + (tuple((q.query_id, d) for q, d in cert[2]),)
+
+    return {
+        "states": [
+            (oid, s.safe_region, s.p_lst, s.last_update_time,
+             certificate(s.sr_cert))
+            for oid, s in server._objects.items()
+        ],
+        "rows": (list(store.ids), list(xs), list(ys)),
+        "residency": [(oid, store.cell_of(oid)) for oid in store.ids],
+        # Bucket creation order, row order and generations.
+        "cells": [
+            (cell, store.cell_generation(cell), list(store.cell_ids(cell)),
+             [list(column) for column in store.cell_columns(cell)[:2]])
+            for cell in store.resident_cells()
+        ],
+        "indexed": [
+            (oid, server.object_index.rect_of(oid)) for oid in server._objects
+        ],
+        "queries": sorted(
+            (q.query_id, q.result_snapshot(), getattr(q, "radius", None))
+            for q in server.queries()
+        ),
+    }
+
+
+def _dense_world():
+    """The dense CI world at start-up: 30 objects per cell."""
+    model = RandomWaypointModel(
+        DENSE.mean_speed, DENSE.mean_period, DENSE.space, seed=DENSE.seed
+    )
+    world = {
+        oid: model.create(oid).position_at(0.0)
+        for oid in range(DENSE.num_objects)
+    }
+    return world, lambda: dense_queries(DENSE.seed, 3), ServerConfig(grid_m=4)
+
+
+def _random_world():
+    """5k uniform objects on 400 cells."""
+    rng = random.Random(11)
+    world = {i: Point(rng.random(), rng.random()) for i in range(5_000)}
+    return world, lambda: _queries(11, extension=False), ServerConfig(grid_m=20)
+
+
+WORLDS = {"dense": _dense_world, "random-5k": _random_world}
+
+
+@pytest.mark.parametrize("world_name", WORLDS)
+def test_bulk_start_up_matches_the_per_object_pass(world_name):
+    world, make_queries, config = WORLDS[world_name]()
+    bulk = DatabaseServer(world.__getitem__, config)
+    regions = bulk.bootstrap(world.items(), make_queries())
+    reference = DatabaseServer(world.__getitem__, config)
+    expected = _per_object_bootstrap(reference, world.items(), make_queries())
+    assert list(regions.items()) == list(expected.items())
+    assert _fingerprint(bulk) == _fingerprint(reference)
+    bulk.validate()
+    reference.validate()
+    free = [
+        state for state in bulk._objects.values()
+        if state.sr_cert is not None and state.sr_cert[2] is None
+    ]
+    # Both kinds of region are well represented.
+    assert len(world) // 8 < len(free) < len(world) - len(world) // 8
+    for state in free:
+        assert state.safe_region is bulk.query_index.cell_rect(state.sr_cert[0])
+
+
+@pytest.mark.parametrize("world_name", WORLDS)
+def test_bulk_start_up_matches_the_per_object_pass_on_every_shard(world_name):
+    world, make_queries, config = WORLDS[world_name]()
+    cluster = ShardedServer(world.__getitem__, config, n_shards=3)
+    workers = ShardedServer(
+        world.__getitem__, config, n_shards=3, n_workers=2
+    )
+    try:
+        shipped = {}
+        for shard in cluster._shards:
+            def recording(pairs, specs, time, shard=shard,
+                          bootstrap=shard.backend.bootstrap):
+                shipped[shard.shard_id] = (pairs, specs, time)
+                return bootstrap(pairs, specs, time)
+
+            shard.backend.bootstrap = recording
+        regions = cluster.bootstrap(world.items(), make_queries())
+        cluster.validate()
+        assert sum(len(pairs) for pairs, _, _ in shipped.values()) == len(world)
+        for shard in cluster._shards:
+            pairs, specs, time = shipped[shard.shard_id]
+            reference = DatabaseServer(world.__getitem__, config)
+            _per_object_bootstrap(
+                reference,
+                [(oid, Point(x, y)) for oid, (x, y) in pairs],
+                [query_from_spec(spec) for spec in specs],
+                time,
+            )
+            assert _fingerprint(shard.backend.server) == _fingerprint(reference)
+
+        # Worker processes host the same backend: same regions, same
+        # per-shard state, same merged results.
+        worker_queries = make_queries()
+        assert workers.bootstrap(world.items(), worker_queries) == regions
+        workers.validate()
+        for ours, theirs in zip(cluster._shards, workers._shards):
+            assert ours.call("snapshot") == theirs.call("snapshot")
+        for query in worker_queries:
+            assert query.result_snapshot() == _brute_force(query, world)
+    finally:
+        cluster.close()
+        workers.close()
+
+
+def test_bulk_store_load_extends_a_populated_store():
+    """A second query-free load lands on the rows of the first."""
+    rng = random.Random(2)
+    world = {i: Point(rng.random(), rng.random()) for i in range(600)}
+    first = dict(list(world.items())[:250])
+    rest = dict(list(world.items())[250:])
+    twice = DatabaseServer(world.__getitem__, CONFIG)
+    twice.load_objects(first.items())
+    twice.load_objects(rest.items())
+    reference = DatabaseServer(world.__getitem__, CONFIG)
+    _per_object_bootstrap(reference, world.items(), [])
+    assert _fingerprint(twice) == _fingerprint(reference)
+    twice.validate()
+
+
+# ----------------------------------------------------------------------
+# The collector is paused during start-up, and only then
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """Run the test with the collector on, then off; restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_paused_gc_restores_the_state_it_found(collector):
+    with paused_gc():
+        assert not gc.isenabled()
+        with paused_gc():
+            assert not gc.isenabled()
+        assert not gc.isenabled()  # the inner exit must not resume
+    assert gc.isenabled() is collector
+    with pytest.raises(KeyError):
+        with paused_gc():
+            raise KeyError("boom")
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_start_up_restores_the_collector_state(collector, shards):
+    """The CI collector-state gate (``.github/workflows/ci.yml``)."""
+    paused = []
+
+    def reporting(world):
+        for item in world.items():
+            paused.append(not gc.isenabled())
+            yield item
+
+    world = {0: Point(0.1, 0.1), 1: Point(0.9, 0.9), 2: Point(0.4, 0.6)}
+    if shards:
+        server = ShardedServer(world.__getitem__, CONFIG, n_shards=shards)
+    else:
+        server = DatabaseServer(world.__getitem__, CONFIG)
+    server.bootstrap(reporting(world), [KNNQuery(Point(0.5, 0.5), 1)])
+    assert paused == [True] * 3
+    assert gc.isenabled() is collector
+    # A duplicate object aborts the pass; the collector still resumes.
+    duplicated = (
+        ShardedServer(world.__getitem__, CONFIG, n_shards=shards)
+        if shards else DatabaseServer(world.__getitem__, CONFIG)
+    )
+    with pytest.raises(KeyError):
+        duplicated.bootstrap([(0, world[0]), (0, world[1])])
+    assert gc.isenabled() is collector
+
+    class Spy(MetricsRegistry):
+        def counter(self, name):
+            paused.append(not gc.isenabled())
+            return super().counter(name)
+
+    del paused[:]
+    sim = SRBSimulation(SMOKE.with_overrides(shards=shards), metrics=Spy())
+    assert paused and all(paused)
+    assert gc.isenabled() is collector
+    bootstrap = sim.server.bootstrap
+
+    def spied(*args):
+        # Entered from the engine's pause; the server's own nests in it.
+        paused.append(not gc.isenabled())
+        return bootstrap(*args)
+
+    del paused[:]
+    sim.server.bootstrap = spied
+    sim._bootstrap()
+    assert paused == [True]
+    assert gc.isenabled() is collector
+    sim.server.validate()
+    with pytest.raises(ValueError):
+        SRBSimulation(SMOKE.with_overrides(shards=shards, fault_spec="no=1"))
+    assert gc.isenabled() is collector
+    again = SRBSimulation(SMOKE.with_overrides(shards=shards))
+    again.server.load_objects([(0, Point(0.5, 0.5))])
+    # Object 0 is loaded already (a cluster refuses any second load).
+    with pytest.raises(RuntimeError if shards else KeyError):
+        again._bootstrap()
+    assert gc.isenabled() is collector
+
+
+def test_worker_forked_under_a_paused_collector_collects(collector):
+    """Workers are forked from inside the engine's paused start-up."""
+    with paused_gc():
+        shard = WorkerShard(0, CONFIG, {}.__getitem__)
+    try:
+        assert shard.call("info")["gc_enabled"] is True
+    finally:
+        shard.close()
+    sim = SRBSimulation(SMOKE.with_overrides(shards=2, shard_workers=2))
+    try:
+        sim._bootstrap()
+        for shard in sim.server._shards:
+            assert shard.call("info")["gc_enabled"] is True
+    finally:
+        sim.server.close()
+    assert gc.isenabled() is collector

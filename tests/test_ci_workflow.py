@@ -163,6 +163,17 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "tests/test_bootstrap.py::test_engine_bootstrap_sends_no_probe"
         in runs[tests[0]]
     )
+    # ... and the seam itself: first exits from the columnar pass equal
+    # the per-client walk, and start-up leaves the collector as found.
+    assert "tests/test_mobility.py::TestColumnarExitTimes" in runs[tests[0]]
+    assert (
+        "tests/test_bootstrap.py::test_start_up_restores_the_collector_state"
+        in runs[tests[0]]
+    )
+    mobility = (ROOT / "tests" / "test_mobility.py").read_text()
+    assert "class TestColumnarExitTimes:" in mobility
+    start_up = (ROOT / "tests" / "test_bootstrap.py").read_text()
+    assert "def test_start_up_restores_the_collector_state(" in start_up
     # ... and the monitoring loop's probes: a dense kNN world probes
     # only adjacent outsiders and records no probe_cascade.
     assert "tests/test_outsider_standoff.py" in runs[tests[0]]

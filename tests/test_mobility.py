@@ -1,12 +1,15 @@
 """Tests for the random waypoint model and client logic (Section 7.1)."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Rect
-from repro.mobility import MobileClient, RandomWaypointModel
+from repro.geometry import Point, Rect
+from repro.mobility import MobileClient, RandomWaypointModel, Segment, Trajectory
+from repro.mobility.waypoint import exit_times_from_rects
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -111,6 +114,32 @@ class TestTrajectory:
                 legs += 1
         assert legs >= 300
 
+    def test_start_point_matches_the_scalar_uniform_draws(self):
+        """The batched two-variate start draw is two ``uniform`` calls,
+        bit for bit — same point, same stream position afterwards."""
+        space = Rect(0.1, -0.5, 0.9, 2.0)
+        pairs = 0
+        for seed in range(25):
+            model = RandomWaypointModel(0.013, 0.37, space, seed=seed)
+            for oid in range(40):
+                trajectory = model.create(oid)
+                rng = np.random.default_rng((seed, oid))
+                start = (
+                    rng.uniform(space.min_x, space.max_x),
+                    rng.uniform(space.min_y, space.max_y),
+                )
+                first = trajectory.segment_at(0.0)
+                assert (first.start.x, first.start.y) == start
+                # The first leg's destination is the next draw of both.
+                dest_x = rng.uniform(space.min_x, space.max_x)
+                dest_y = rng.uniform(space.min_y, space.max_y)
+                v = rng.uniform(0.0, 2.0 * 0.013)
+                distance = math.hypot(start[0] - dest_x, start[1] - dest_y)
+                assert first.velocity_x == (dest_x - start[0]) / distance * v
+                assert first.velocity_y == (dest_y - start[1]) / distance * v
+                pairs += 1
+        assert pairs == 1000
+
     def test_random_access_after_forward_scan(self):
         trajectory = make_trajectory(seed=8)
         late = trajectory.position_at(5.0)
@@ -166,6 +195,120 @@ class TestExitTimes:
         for i in range(steps):
             t = start + (end - start) * (i / steps) * 0.999
             assert box.contains_point(trajectory.position_at(t), eps=1e-7)
+
+
+def scripted(first: Segment, seed: int) -> Trajectory:
+    """A trajectory whose first leg is ``first``; the RNG draws the rest."""
+    trajectory = Trajectory(
+        first.start, 0.05, 0.3, UNIT, np.random.default_rng(seed)
+    )
+    trajectory._segments.append(first)
+    trajectory._cursor = first.position_at(first.end_time)
+    trajectory._cursor_time = first.end_time
+    return trajectory
+
+
+class TestColumnarExitTimes:
+    """``exit_times_from_rects`` is ``MobileClient.next_exit_time``, bit
+    for bit — the engine schedules every first exit from it."""
+
+    @staticmethod
+    def check(cases, t, horizon):
+        """``cases``: ``(trajectory factory, rect)``; returns the times."""
+        clients = []
+        for make, rect in cases:
+            client = MobileClient(len(clients), make())
+            client.adopt_safe_region(rect)
+            clients.append(client)
+        want = [client.next_exit_time(t, horizon) for client in clients]
+        got = exit_times_from_rects(
+            [make() for make, _ in cases],
+            [rect for _, rect in cases],
+            t,
+            horizon,
+        )
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        return got
+
+    def test_sampled_triples(self):
+        rng = random.Random(5)
+        triples = stays = outside = leaves = 0
+        for seed in range(40):
+            model = RandomWaypointModel(0.05, 0.3, UNIT, seed=seed)
+            # Four (t, horizon) shapes: start-up, a short horizon most
+            # first legs outlast, a late start, an already-past horizon.
+            for t, horizon in ((0.0, 2.0), (0.0, 0.05), (0.7, 1.5), (0.4, 0.3)):
+                cases = []
+                for oid in range(64):
+                    p = model.create(oid).position_at(t)
+                    # From a sliver left within the leg to a box that
+                    # outlasts several legs; one in eight excludes p.
+                    half = 10.0 ** rng.uniform(-5.0, -0.5)
+                    shift = 2.5 * half if oid % 8 == 0 else 0.0
+                    cases.append((
+                        lambda oid=oid: model.create(oid),
+                        Rect(
+                            p.x - half * rng.random() + shift,
+                            p.y - half * rng.random(),
+                            p.x + half * rng.random() + shift,
+                            p.y + half * rng.random(),
+                        ),
+                    ))
+                got = self.check(cases, t, horizon)
+                triples += len(cases)
+                if t <= horizon:
+                    stays += sum(math.isinf(x) for x in got)
+                    outside += got.count(t)
+                    leaves += sum(t < x < math.inf for x in got)
+        assert triples >= 10_000
+        # Every kind of answer is well represented.
+        assert min(stays, outside, leaves) >= 500
+
+    def test_leg_decides_or_the_walk_goes_on(self):
+        start = Point(0.5, 0.5)
+        moving = Segment(0.0, 0.5, start, 0.25, 0.0)
+        parked = Segment(0.0, 0.5, start, 0.0, 0.0)
+        diagonal = Segment(0.0, 0.5, start, -0.125, 0.25)
+        box = Rect(0.25, 0.25, 0.625, 0.75)
+        cases = [
+            # Exit exactly at the leg's end: (0.625 - 0.5) / 0.25 == 0.5.
+            (moving, box),
+            # Leg ends before the exit; the walk continues past it.
+            (moving, Rect(0.0, 0.0, 1.0, 1.0)),
+            (moving, Rect(0.25, 0.25, 0.75, 0.75)),
+            # Zero velocity: only a later leg can leave.
+            (parked, box),
+            (parked, Rect(0.5, 0.5, 0.5, 0.5)),
+            # One zero component, and a corner exit.
+            (diagonal, box),
+            (diagonal, Rect(0.4375, 0.25, 0.75, 0.625)),
+            # Start outside: by more than the 1e-12 tolerance, within
+            # it, and on the edge itself.
+            (moving, Rect(0.5 + 2e-12, 0.25, 0.75, 0.75)),
+            (moving, Rect(0.5 + 5e-13, 0.25, 0.75, 0.75)),
+            (moving, Rect(0.5, 0.25, 0.75, 0.75)),
+            (diagonal, Rect(0.25, 0.25, 0.5 - 2e-12, 0.75)),
+            (diagonal, Rect(0.25, 0.25, 0.5 - 5e-13, 0.75)),
+            (parked, Rect(0.6, 0.6, 0.7, 0.7)),
+        ]
+        for seed in range(8):
+            scripts = [
+                (lambda leg=leg, seed=seed: scripted(leg, seed), rect)
+                for leg, rect in cases
+            ]
+            # Horizons: past every exit, between leg end and exit, at
+            # the leg end exactly, inside the leg, and zero.
+            for horizon in (10.0, 0.6, 0.5, 0.3, 0.0):
+                got = self.check(scripts, 0.0, horizon)
+                if horizon >= 0.5:
+                    assert got[0] == 0.5
+                else:
+                    assert got[0] == math.inf  # exit past the horizon
+                assert got[7] == 0.0 and got[8] > 0.0
+            # Mid-leg, and from the very end of the scripted leg.
+            self.check(scripts, 0.25, 10.0)
+            self.check(scripts, 0.5, 10.0)
+        assert exit_times_from_rects([], [], 0.0, 1.0) == []
 
 
 class TestMobileClient:
