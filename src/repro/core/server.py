@@ -1034,9 +1034,14 @@ class DatabaseServer:
         bit-identical with or without the plan.
 
         A tick ``handle_location_updates`` would not plan
-        (:meth:`_order_tick`) is not planned here either.
+        (:meth:`_order_tick`) is not planned here either, and neither is
+        a one-report tick: there is nothing to batch, and the scalar
+        path it falls back to gives the same answer without the gather.
         """
         reports = list(reports)
+        if len(reports) < 2:
+            yield
+            return
         cells, ordered, plannable = self._order_tick(reports, time)
         if not plannable:
             yield

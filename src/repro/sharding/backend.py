@@ -12,7 +12,9 @@ router" (docs/SHARDING.md).
 mode calls it directly and the ``multiprocessing`` worker
 (:mod:`repro.sharding.worker`) hosts one behind a pipe.  Keeping a
 single implementation is what makes the two modes behave identically
-per shard.
+per shard — down to the frames: both modes answer with the same
+plain-tuple outcomes (:func:`encode_outcome`), which the coordinator
+decodes in one place (:func:`decode_outcome`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,51 @@ import time as _time
 from typing import Hashable
 
 from repro.core.queries import KNNQuery, Query, RangeQuery
+from repro.core.results import UpdateOutcome
 from repro.core.server import DatabaseServer, ServerConfig
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 ObjectId = Hashable
+
+
+def _bounds(rect: Rect) -> tuple[float, float, float, float]:
+    return (rect.min_x, rect.min_y, rect.max_x, rect.max_y)
+
+
+def encode_outcome(outcome: UpdateOutcome) -> tuple:
+    """One op's outcome as a flat frame of built-in values.
+
+    ``(region, probed, missed, queries_checked, queries_reevaluated)``:
+    the updater's region bounds (or ``None``), an ``(oid, bounds)`` pair
+    per probed object, the missed ids and the two counts.  The shard's
+    ``changes`` stay behind — their snapshots are this shard's *local*
+    results, which the coordinator replaces with merged-view deltas
+    (docs/SHARDING.md "What a sharded report costs").
+    """
+    region = outcome.safe_region
+    return (
+        None if region is None else _bounds(region),
+        tuple(
+            (oid, _bounds(probed)) for oid, probed in outcome.probed.items()
+        ),
+        tuple(outcome.missed),
+        outcome.queries_checked,
+        outcome.queries_reevaluated,
+    )
+
+
+def decode_outcome(frame: tuple) -> UpdateOutcome:
+    """The :class:`UpdateOutcome` an :func:`encode_outcome` frame carries
+    (with no ``changes`` — see there)."""
+    region, probed, missed, checked, reevaluated = frame
+    return UpdateOutcome(
+        safe_region=None if region is None else Rect(*region),
+        probed={oid: Rect(*bounds) for oid, bounds in probed},
+        missed=list(missed),
+        queries_checked=checked,
+        queries_reevaluated=reevaluated,
+    )
 
 
 def query_spec(query: Query) -> dict:
@@ -129,12 +171,18 @@ class ShardBackend:
         # catch an object outside its safe region); their partials must
         # reach the coordinator too, or the merged views go stale.
         touched = set(outcome.probed) | set(outcome.missed)
-        partials = self._affected_partials(touched, [outcome])
+        partials = self.query_partials(sorted(self._affected_queries(
+            touched, {change.query_id for change in outcome.changes}
+        )))
         partial = partials.pop(query.query_id, None)
         if partial is None:
             partial = self._partial(query)
         self.busy_seconds += _time.process_time() - start
-        return {"outcome": outcome, "partial": partial, "partials": partials}
+        return {
+            "outcome": encode_outcome(outcome),
+            "partial": partial,
+            "partials": partials,
+        }
 
     def deregister(self, query_id: str) -> None:
         query = self._queries.pop(query_id, None)
@@ -144,21 +192,24 @@ class ShardBackend:
     def batch(self, ops: list[tuple], time: float) -> dict:
         """Run a sequence of update/add/evict ops, in the given order.
 
-        Returns per-op outcomes (in order), the refreshed partials of
-        every query the ops may have touched, and the compute seconds
-        the batch cost this shard.
+        Returns per-op outcome frames (in order, see
+        :func:`encode_outcome`), the refreshed partials of every query
+        the ops may have touched, and the compute seconds the batch cost
+        this shard.
 
-        The stream's location updates are pre-planned through the
-        server's tick planner (``DatabaseServer.planned_tick``): their
-        predictable kernel work is gathered and dispatched in one
-        columnar pass up front, and each per-op call consumes its
-        verdicts where still valid.  The coordinator needs per-op
-        outcomes, so the ops themselves still run one by one — results
-        are bit-identical either way (the shard-equivalence pin in
-        ``benchmarks/test_shards_bench.py`` holds the proof).
+        A stream of several location updates is pre-planned through the
+        server's tick planner (``DatabaseServer.planned_tick``, which
+        leaves a one-report stream — the closed loop's usual op — to the
+        scalar path): their predictable kernel work is gathered and
+        dispatched in one columnar pass up front, and each per-op call
+        consumes its verdicts where still valid.  The coordinator needs
+        per-op outcomes, so the ops themselves still run one by one —
+        results are bit-identical either way (the shard-equivalence pin
+        in ``benchmarks/test_shards_bench.py`` holds the proof).
         """
         start = _time.process_time()
         outcomes = []
+        reevaluated: set[str] = set()
         touched: set[ObjectId] = set()
         updates = [
             (op[1], Point(*op[2])) for op in ops if op[0] == "update"
@@ -184,7 +235,10 @@ class ShardBackend:
                         outcome = self.server.evict_object(oid, time)
                     else:
                         raise ValueError(f"unknown shard op {kind!r}")
-                    outcomes.append(outcome)
+                    outcomes.append(encode_outcome(outcome))
+                    reevaluated.update(
+                        change.query_id for change in outcome.changes
+                    )
                     touched.add(oid)
                     touched.update(outcome.probed)
                     touched.update(outcome.missed)
@@ -197,7 +251,9 @@ class ShardBackend:
                 profiler.tick_end(
                     sum(1 for op in ops if op[0] in ("update", "add"))
                 )
-        partials = self._affected_partials(touched, outcomes)
+        partials = self.query_partials(
+            sorted(self._affected_queries(touched, reevaluated))
+        )
         self.busy_seconds += _time.process_time() - start
         return {
             "outcomes": outcomes,
@@ -205,7 +261,7 @@ class ShardBackend:
             "busy": self.busy_seconds,
         }
 
-    def residents(self, cells: list[tuple]) -> dict:
+    def residents(self, cells: list[tuple] | None) -> dict:
         """``(oid, x, y)`` rows of the objects resident in ``cells``.
 
         The migration work-list of an elastic topology change: the
@@ -213,9 +269,13 @@ class ShardBackend:
         moved cells, then replays them as evict+add pairs.  Reads the
         position store's cell residency — one dict probe per cell, no
         scan — and returns rows in (cell, object id) order so the
-        migration op stream is deterministic.
+        migration op stream is deterministic.  ``None`` asks for every
+        resident: a retiring shard also holds objects a probe placed in
+        cells it does not own.
         """
         store = self.server.positions
+        if cells is None:
+            cells = sorted(store.resident_cells())
         rows: list[tuple] = []
         for cell in cells:
             cell = tuple(cell)
@@ -294,22 +354,32 @@ class ShardBackend:
         return self.server.profile_snapshot(top_k)
 
     # -- partial extraction --------------------------------------------
-    def _affected_partials(self, touched: set[ObjectId], outcomes) -> dict:
-        """Partials of every query the ops may have changed.
+    def _affected_queries(
+        self, touched: set[ObjectId], reevaluated: set[str]
+    ) -> set[str]:
+        """Ids of every query the ops may have changed.
 
-        Membership scans — not the reevaluation log alone — because an
+        The ``reevaluated`` ones plus every query a touched object
+        belongs to — not the reevaluation log alone, because an
         order-insensitive kNN member moving *within* the quarantine
         circle changes no result yet moves the row position the
-        cross-shard merge ranks by.
+        cross-shard merge ranks by.  A member's held position lies in
+        its query's rect or circle, so the query is relevant to the
+        member's resident cell: that cell's relevant queries are the
+        only ones whose membership needs a look (evicted and unknown
+        ids have no cell and belong to nothing).
         """
-        affected: set[str] = set()
-        for outcome in outcomes:
-            for change in outcome.changes:
-                affected.add(change.query_id)
-        for query in self._queries.values():
-            if not touched.isdisjoint(query.results):
-                affected.add(query.query_id)
-        return self.query_partials(sorted(affected))
+        affected = set(reevaluated)
+        cell_of = self.server.positions.cell_of
+        relevant_queries = self.server.query_index.relevant_queries
+        for oid in touched:
+            cell = cell_of(oid)
+            if cell is None:
+                continue
+            for query in relevant_queries(cell):
+                if oid in query.results:
+                    affected.add(query.query_id)
+        return affected
 
     def _partial(self, query: Query) -> dict:
         """This shard's contribution to the query's merged result."""

@@ -54,7 +54,7 @@ from repro.obs import (
     merge_profiles,
 )
 from repro.runtime import paused_gc
-from repro.sharding.backend import ShardBackend, query_spec
+from repro.sharding.backend import ShardBackend, decode_outcome, query_spec
 from repro.sharding.router import ShardRouter
 from repro.sharding.shardmap import ShardMap
 from repro.sharding.worker import WorkerShard
@@ -632,9 +632,8 @@ class ShardedServer:
         responses = self._dispatch(per_shard, time)
         start = _time.process_time()
         outcome = UpdateOutcome()
-        affected = self._absorb_responses(responses)
-        for shard, op in plan:
-            shard_outcome = responses[shard]["outcomes"].pop(0)
+        affected, outcomes = self._absorb_responses(responses, plan)
+        for shard_outcome in outcomes:
             self._fold_outcome(outcome, shard_outcome)
         for qid in sorted(affected):
             self._dirty.discard(qid)
@@ -686,9 +685,11 @@ class ShardedServer:
 
         start = _time.process_time()
         batch = BatchOutcome()
-        affected = self._absorb_responses(responses)
-        for shard, op in plan:
-            batch.merge(op[1], responses[shard]["outcomes"].pop(0))
+        affected, outcomes = self._absorb_responses(responses, plan)
+        for (_, op), shard_outcome in zip(plan, outcomes):
+            # Decoded outcomes carry no shard-local deltas: the batch's
+            # ``changes`` are the merged-view deltas added below.
+            batch.merge(op[1], shard_outcome)
         merged = UpdateOutcome()
         for qid in sorted(affected):
             self._dirty.discard(qid)
@@ -858,7 +859,9 @@ class ShardedServer:
         self._begin_op()
         new_map = self.map.without_shard(shard_id)
         moved = self.map.cells_of(shard_id)
-        resp = self._shards[shard_id].call("residents", moved)
+        # Every resident leaves, including any a probe moved into a cell
+        # this shard does not own.
+        resp = self._shards[shard_id].call("residents", None)
         cells = self.router.grid.cells_of_points(
             [Point(x, y) for _, x, y in resp["rows"]]
         )
@@ -973,9 +976,8 @@ class ShardedServer:
         for shard, op in plan:
             per_shard.setdefault(shard, []).append(op)
         responses = self._dispatch(per_shard, time)
-        affected = self._absorb_responses(responses)
-        for shard, op in plan:
-            shard_outcome = responses[shard]["outcomes"].pop(0)
+        affected, outcomes = self._absorb_responses(responses, plan)
+        for shard_outcome in outcomes:
             self._fold_outcome(outcome, shard_outcome)
         for qid in sorted(affected):
             self._dirty.discard(qid)
@@ -1095,8 +1097,12 @@ class ShardedServer:
     def _call_shards(
         self, op: str, requests: dict[int, tuple]
     ) -> dict[int, dict]:
-        """One ``op`` per shard in ``requests``; workers run concurrently."""
-        if not self.n_workers:
+        """One ``op`` per shard in ``requests``; workers run concurrently.
+
+        A request to a single shard — a closed-loop report that stays
+        home, the usual case — is a plain synchronous ``call``.
+        """
+        if not self.n_workers or len(requests) == 1:
             return {
                 shard: self._shards[shard].call(op, *args)
                 for shard, args in sorted(requests.items())
@@ -1117,16 +1123,26 @@ class ShardedServer:
                     del pending[conn]
         return responses
 
-    def _absorb_responses(self, responses: dict[int, dict]) -> set[str]:
-        """Store refreshed partials and busy time; return affected qids."""
+    def _absorb_responses(
+        self, responses: dict[int, dict], plan: list[tuple[int, tuple]]
+    ) -> tuple[set[str], list[UpdateOutcome]]:
+        """Store refreshed partials and busy time; decode the outcomes.
+
+        Returns the affected qids and one decoded outcome per ``plan``
+        op, in plan order (each shard answers its ops in order).
+        """
         affected: set[str] = set()
+        frames = {}
         for shard, resp in responses.items():
             self._busy[shard] = resp["busy"]
+            frames[shard] = iter(resp["outcomes"])
             for qid, partial in resp["partials"].items():
                 if qid in self._partials:
                     self._partials[qid][shard] = partial
                     affected.add(qid)
-        return affected
+        return affected, [
+            decode_outcome(next(frames[shard])) for shard, _ in plan
+        ]
 
     @staticmethod
     def _fold_outcome(into: UpdateOutcome, outcome: UpdateOutcome) -> None:
@@ -1153,7 +1169,7 @@ class ShardedServer:
                 self._dirty.add(other)
         self._m_fanout_reg.inc()
         if outcome is not None:
-            self._fold_outcome(outcome, resp["outcome"])
+            self._fold_outcome(outcome, decode_outcome(resp["outcome"]))
 
     def _drain_dirty(
         self, time: float, outcome: UpdateOutcome | None

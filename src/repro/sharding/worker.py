@@ -6,10 +6,14 @@ coordinator talks to it over one duplex pipe with a tiny message
 vocabulary:
 
 * parent → child: ``("op", name, args)``, ``("close",)``, and
-  ``("probe_result", ok, value)`` answering an in-flight probe;
+  ``("probe_result", ok, value)`` answering an in-flight probe (an
+  ``(x, y)`` pair when ``ok``);
 * child → parent: ``("probe", oid)`` — the shard needs an exact
   position, which only the coordinator's oracle can supply — then
   ``("done", payload)`` or ``("exc", type_name, message)``.
+
+Payloads are the backend's return values; the hot ``batch`` op's are
+built-in values only (:func:`repro.sharding.backend.encode_outcome`).
 
 Probes are the only mid-op upcall: the paper's probe channel terminates
 at the position oracle, which lives with the coordinator (in the
@@ -24,10 +28,10 @@ from __future__ import annotations
 
 import gc
 import multiprocessing as mp
-import time as _time
 
 from repro.core.server import ServerConfig
 from repro.faults import ProbeTimeout
+from repro.geometry.point import Point
 
 
 def _spawn_context():
@@ -58,7 +62,7 @@ def worker_main(conn, shard_id: int, config: ServerConfig,
             raise RuntimeError(f"protocol error: expected probe_result, got {kind}")
         ok, value = rest
         if ok:
-            return value
+            return Point(*value)
         if value == "timeout":
             raise ProbeTimeout(oid)
         raise RuntimeError(f"probe for {oid!r} failed: {value}")
@@ -87,8 +91,6 @@ def worker_main(conn, shard_id: int, config: ServerConfig,
         except Exception as exc:  # marshalled to the coordinator
             conn.send(("exc", type(exc).__name__, str(exc)))
             continue
-        if isinstance(result, dict) and "busy" in result:
-            result["busy"] = backend.busy_seconds
         conn.send(("done", result))
 
 
@@ -132,7 +134,9 @@ class WorkerShard:
             except Exception as exc:  # pragma: no cover - oracle bug
                 self.conn.send(("probe_result", False, repr(exc)))
             else:
-                self.conn.send(("probe_result", True, position))
+                self.conn.send(
+                    ("probe_result", True, (position.x, position.y))
+                )
             return None
         if kind == "exc":
             _, type_name, text = message

@@ -184,6 +184,25 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     dense_world = (ROOT / "tests" / "test_outsider_standoff.py").read_text()
     assert "def test_dense_world_regions_outlast_a_position_poll(" in dense_world
     assert "def test_dense_world_keeps_every_quarantine_invariant(" in dense_world
+    # ... and the sharded report path shard_loop_20k runs, whole file:
+    # partial lookup == membership scan, flat frames, merged deltas only,
+    # and no tick plan for a one-report shard op (plus the planner pins
+    # that restate what a plan is built for).
+    assert "tests/test_sharded_reports.py" in runs[tests[0]]
+    assert "tests/test_sharded_reports.py::" not in runs[tests[0]]
+    assert (
+        "tests/test_tick_planner.py::TestPlannedTickContext"
+        in runs[tests[0]]
+    )
+    sharded = (ROOT / "tests" / "test_sharded_reports.py").read_text()
+    for name in (
+        "test_partial_lookup_equals_the_membership_scan",
+        "test_wire_frames_decode_to_the_backend_outcome",
+        "test_batch_reports_merged_deltas_only",
+        "test_traced_sharded_closed_loop_builds_no_plan",
+        "test_multi_report_sharded_batches_still_plan",
+    ):
+        assert f"def {name}(" in sharded
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

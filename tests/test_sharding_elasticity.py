@@ -260,6 +260,36 @@ def test_remove_shard_refuses_last_live():
         cluster.remove_shard(1, time=2.0)
 
 
+def test_remove_shard_migrates_residents_a_probe_moved_off_its_cells():
+    """A probe updates a held position without re-homing the object, so
+    a shard can hold an object in a cell it does not own; retiring the
+    shard must still move it (it used to stay homed on the retired
+    slot, and its next report failed)."""
+    world = {
+        "x": Point(0.2, 0.2), "y": Point(0.8, 0.8),
+        "z": Point(0.8, 0.2), "w": Point(0.2, 0.8),
+    }
+    truth = dict(world)
+    cluster = ShardedServer(
+        lambda oid: truth[oid], ServerConfig(grid_m=2), n_shards=2
+    )
+    cluster.load_objects(sorted(world.items()), 0.0)
+    home = cluster.shard_of_object("x")
+    foreign = next(
+        cell for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]
+        if cluster.map.shard_of(cell) != home
+    )
+    truth["x"] = Point(foreign[0] * 0.5 + 0.26, foreign[1] * 0.5 + 0.26)
+    outcome = cluster.register_query(
+        KNNQuery(Point(0.5, 0.5), 4, query_id="k"), 1.0
+    )
+    assert "x" in outcome.probed and cluster.shard_of_object("x") == home
+    cluster.remove_shard(home, 2.0)
+    assert cluster.shard_of_object("x") != home
+    cluster.handle_location_update("x", truth["x"], 3.0)
+    cluster.validate()
+
+
 def test_retired_slot_refuses_calls_with_context():
     cluster = _small_cluster(n_shards=2)
     cluster.remove_shard(1, time=1.0)

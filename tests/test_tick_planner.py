@@ -274,11 +274,25 @@ class TestBulkGating:
 class TestPlannedTickContext:
     def test_installs_and_clears_the_plan(self):
         live, server, rng = _world()
-        # A report into a query-holding cell always has plannable work.
-        oid = sorted(live)[0]
-        with server.planned_tick([(oid, Point(0.3, 0.3))], time=1.0):
+        # Reports into a query-holding cell always have plannable work.
+        # (This pinned a one-report tick, which now installs no plan —
+        # a plan of one report batches nothing, and the sharded closed
+        # loop ran thousands of them; see the test below.)
+        first, second = sorted(live)[:2]
+        reports = [(first, Point(0.3, 0.3)), (second, Point(0.35, 0.3))]
+        with server.planned_tick(reports, time=1.0):
             assert server._tick_plan is not None
         assert server._tick_plan is None
+
+    def test_one_report_tick_installs_no_plan(self):
+        registry = MetricsRegistry()
+        live, server, rng = _world(metrics=registry)
+        oid = sorted(live)[0]
+        with server.planned_tick([(oid, Point(0.3, 0.3))], time=1.0):
+            assert server._tick_plan is None
+            server.handle_location_update(oid, Point(0.3, 0.3), 1.0)
+        counters = registry.to_dict()["counters"]
+        assert counters.get("kernels.planner.plans", 0) == 0
 
     def test_duplicate_ids_skip_planning(self):
         live, server, rng = _world()
