@@ -101,7 +101,7 @@ def _run_once(profile: bool):
 
 
 def _check_committed_pins() -> int:
-    for name in ("BENCH_kernels.json", "BENCH_shards.json"):
+    for name in ("BENCH_shards.json",):
         path = RESULTS_DIR / name
         if not path.exists():
             continue

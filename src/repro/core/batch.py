@@ -75,45 +75,6 @@ def batch_range_safe_region(
     return combine_components(p, cell, component_sets, objective)
 
 
-def quadrant_extents(p: Point, cell: Rect) -> list[tuple[float, float]]:
-    """``(width, height)`` of each quadrant of ``cell`` around ``p``.
-
-    In ``_QUADRANTS`` order, clamped at zero — the local coordinate
-    extents used by corner localisation (kernel and scalar alike).
-    """
-    out = []
-    for sx, sy in _QUADRANTS:
-        width = (cell.max_x - p.x) if sx > 0 else (p.x - cell.min_x)
-        height = (cell.max_y - p.y) if sy > 0 else (p.y - cell.min_y)
-        out.append((max(width, 0.0), max(height, 0.0)))
-    return out
-
-
-def staircase_corners(
-    blockers: list[tuple[float, float]], width: float, height: float
-) -> list[tuple[float, float]]:
-    """Proposition 5.6 staircase from localised blocker corners.
-
-    ``blockers`` holds quadrant-local obstacle corners (any order — they
-    are sorted here, so the result depends only on the corner multiset);
-    the returned list is the opposite corners of the quadrant's maximal
-    component rectangles.  Shared verbatim by the per-call path and the
-    tick planner's scatter phase, which is what keeps the two
-    bit-identical by construction.
-    """
-    blockers.sort()
-    corners: list[tuple[float, float]] = []
-    y_cap = height
-    for ax, ay in blockers:
-        if ay >= y_cap:
-            continue  # adds no new constraint; its corner is dominated
-        if not corners or corners[-1][0] != ax:
-            corners.append((ax, y_cap))
-        y_cap = ay
-    corners.append((width, y_cap))
-    return corners
-
-
 def combine_components(
     p: Point,
     cell: Rect,
@@ -261,7 +222,19 @@ def _component_corners(
             corner = _local_min_corner(p, obstacle, sx, sy, width, height)
             if corner is not None:
                 blockers.append(corner)
-    return staircase_corners(blockers, width, height)
+    # Proposition 5.6: sweep the blockers by x; each one that lowers the
+    # running y cap opens a new component, dominated corners add nothing.
+    blockers.sort()
+    corners: list[tuple[float, float]] = []
+    y_cap = height
+    for ax, ay in blockers:
+        if ay >= y_cap:
+            continue
+        if not corners or corners[-1][0] != ax:
+            corners.append((ax, y_cap))
+        y_cap = ay
+    corners.append((width, y_cap))
+    return corners
 
 
 def _local_min_corner(

@@ -43,19 +43,10 @@ class ReevaluationOutcome:
 
 
 def reevaluate_range(
-    query: RangeQuery, oid: ObjectId, p: Point,
-    inside: bool | None = None,
+    query: RangeQuery, oid: ObjectId, p: Point
 ) -> ReevaluationOutcome:
-    """Flip membership of ``oid`` in a range query after its update to ``p``.
-
-    ``inside`` is an optional precomputed containment verdict for ``p``
-    against ``query.rect`` — the tick planner scatters it out of the
-    batched ``affected_rows`` dispatch, whose comparisons are exactly
-    ``Rect.contains_point``'s, so passing it changes nothing but the
-    redundant check.
-    """
-    if inside is None:
-        inside = query.rect.contains_point(p)
+    """Flip membership of ``oid`` in a range query after its update to ``p``."""
+    inside = query.rect.contains_point(p)
     if inside and oid not in query.results:
         query.results.add(oid)
         return ReevaluationOutcome(changed=True, case="range_enter")
@@ -75,7 +66,6 @@ def reevaluate_knn(
     sr_of: SrLookup,
     constrain: ConstrainFn | None = None,
     kernels=None,
-    gates: tuple[bool, bool] | None = None,
 ) -> ReevaluationOutcome:
     """Incrementally reevaluate a kNN query for an update of ``oid`` to ``p``.
 
@@ -87,22 +77,11 @@ def reevaluate_knn(
     cases fall back on (case 1's replacement search and the unordered
     full reevaluation); the incremental cases 2/3 are a handful of exact
     circle distances and stay scalar.
-
-    ``gates`` is an optional precomputed ``(in_new, in_old)`` pair of
-    quarantine-circle memberships, produced by the tick planner's
-    ``knn_gate_rows`` dispatch with the same arithmetic as
-    ``quarantine_contains`` — when given, the two scalar circle tests
-    are skipped.  The caller guarantees it was computed against the
-    query's *current* radius.
     """
     if not query.order_sensitive:
         return _reevaluate_unordered(query, index, probe, constrain, kernels)
 
-    if gates is not None:
-        in_new, in_old = gates
-    else:
-        in_new = query.quarantine_contains(p)
-        in_old = p_lst is not None and query.quarantine_contains(p_lst)
+    in_new = query.quarantine_contains(p)
     was_result = oid in query.results
 
     if was_result and not in_new:

@@ -194,33 +194,6 @@ def _separating_bound(
     return hi if below else lo
 
 
-def collect_range_obstacles(
-    p: Point, relevant_queries: Iterable[Query]
-) -> list[Rect]:
-    """The obstacle rects ``compute_safe_region`` would batch for ``p``.
-
-    Exactly the rectangles the ``use_batch`` branch of
-    :func:`compute_safe_region` accumulates, in the same order: range
-    queries without a custom ``safe_region_for`` whose quarantine areas
-    exclude ``p``.  The tick planner uses this at gather time; the
-    obstacle count doubles as the validity token when the precomputed
-    staircase is consumed (see ``batch_region`` below).
-    """
-    obstacles: list[Rect] = []
-    for query in relevant_queries:
-        if type(query) is RangeQuery:
-            # Exact type: slots-based, cannot carry ``safe_region_for``.
-            if not query.rect.contains_point(p):
-                obstacles.append(query.rect)
-        elif (
-            not hasattr(query, "safe_region_for")
-            and isinstance(query, RangeQuery)
-            and not query.rect.contains_point(p)
-        ):
-            obstacles.append(query.rect)
-    return obstacles
-
-
 def compute_safe_region(
     oid: ObjectId,
     p: Point,
@@ -230,7 +203,6 @@ def compute_safe_region(
     objective: Objective | None = None,
     use_batch: bool = True,
     kernels=None,
-    batch_region: tuple[int, Rect] | None = None,
 ) -> Rect:
     """Full safe region of object ``oid`` at ``p`` (intersection over queries).
 
@@ -241,14 +213,6 @@ def compute_safe_region(
     baseline).  Every other relevant query contributes its individual
     ``p.sr_Q``.  The result is contained in ``cell`` and contains ``p`` —
     every constituent does.
-
-    ``batch_region`` is an optional tick-planner precompute of the
-    Section 5.3 staircase union: ``(n_obstacles, region)``.  It is used
-    in place of :func:`batch_range_safe_region` only when the obstacle
-    count collected here matches ``n_obstacles`` (the planner gathered
-    from the same query set), and it is intersected last, exactly where
-    the inline computation would be — so consuming it cannot reorder
-    the degenerate-intersection fallbacks.
     """
     sr = cell
     obstacles: list[Rect] = []
@@ -297,12 +261,9 @@ def compute_safe_region(
             raise TypeError(f"unsupported query type: {type(query).__name__}")
 
     if obstacles:
-        if batch_region is not None and batch_region[0] == len(obstacles):
-            batch = batch_region[1]
-        else:
-            batch = batch_range_safe_region(
-                p, cell, obstacles, objective, kernels=kernels
-            )
+        batch = batch_range_safe_region(
+            p, cell, obstacles, objective, kernels=kernels
+        )
         sr = _intersect(sr, batch, p)
     return sr
 

@@ -14,12 +14,10 @@ position.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Hashable, Iterable
 
-from repro.core.batch import quadrant_extents
 from repro.core.enhancements import ReachabilityModel, weighted_perimeter_objective
 from repro.core.evaluation import evaluate_knn, evaluate_range
 from repro.core.queries import KNNQuery, Query, RangeQuery
@@ -32,7 +30,7 @@ from repro.geometry.rect import Rect
 from repro.index.bulk import bulk_load
 from repro.index.grid import GridIndex
 from repro.index.rstar import RStarTree
-from repro.kernels import KERNEL_BACKENDS, Kernels, PositionStore, TickPlanner
+from repro.kernels import KERNEL_BACKENDS, Kernels, PositionStore
 from repro.obs import (
     COUNT_BUCKETS,
     NULL_EVENT_LOG,
@@ -286,12 +284,6 @@ class DatabaseServer:
         #: maintained at each register / update / deregister alongside
         #: ``ObjectState.p_lst``.
         self.positions = PositionStore()
-        #: Tick-wide kernel work planner (docs/PERFORMANCE.md): batch
-        #: update handling gathers the predictable per-report kernel work
-        #: into columns, dispatches it in bulk, and the per-report paths
-        #: consume the scattered verdicts through ``self._tick_plan``.
-        self.planner = TickPlanner(self.kernels, metrics=self.metrics)
-        self._tick_plan = None
         self._g_rstar_height = self.metrics.gauge("rstar.height")
         self._g_rstar_nodes = self.metrics.gauge("rstar.nodes")
         self.object_index = RStarTree(
@@ -432,13 +424,8 @@ class DatabaseServer:
         self._g_rstar_nodes.set(self.object_index.count_nodes())
 
     def attach_profiler(self, profiler) -> None:
-        """Install a tick-phase profiler (``NULL_PROFILER`` detaches).
-
-        The planner shares the instance so kernel dispatch and scatter
-        attribute into the same tick's budget.
-        """
+        """Install a tick-phase profiler (``NULL_PROFILER`` detaches)."""
         self.profiler = profiler
-        self.planner.profiler = profiler
 
     def profile_start(self, max_ticks: int | None = None) -> None:
         """Begin a profiling session (same surface as ``ShardedServer``)."""
@@ -955,11 +942,8 @@ class DatabaseServer:
         candidate caches, the interned cell rectangles, and the memoised
         per-query geometry stay hot across co-located objects.
 
-        A plannable batch runs through the tick-wide planner pipeline
-        (docs/PERFORMANCE.md): the predictable kernel work of every
-        report — range-affected flips and Section 5.3 corner candidates
-        — is gathered into columns and dispatched in bulk before the
-        sequential walk, and the no-op exit runs without per-report
+        A batch :meth:`_order_tick` marks bulk-eligible runs through
+        :meth:`_bulk_updates`, whose no-op exit skips the per-report
         span/outcome scaffolding.  Results, messages, and
         ``ServerStats`` are bit-identical to the sequential contract;
         only CPU cost changes.
@@ -971,8 +955,8 @@ class DatabaseServer:
         # already hold the tick — then this batch nests inside it.
         owns_tick = profiler.enabled and profiler.tick_begin()
         try:
-            cells, ordered, plannable = self._order_tick(reports, time)
-            if plannable:
+            cells, ordered, bulk = self._order_tick(reports, time)
+            if bulk:
                 self._bulk_updates(reports, ordered, cells, time, batch)
             else:
                 for i in ordered:
@@ -986,9 +970,9 @@ class DatabaseServer:
                 profiler.tick_end(len(reports))
 
     def _order_tick(self, reports: list, time: float):
-        """Destination cells, processing order and planning gate of a tick.
+        """Destination cells, processing order and bulk-loop gate of a tick.
 
-        Returns ``(cells, ordered, plannable)``.  The order is by
+        Returns ``(cells, ordered, bulk)``.  The order is by
         destination cell (one columnar pass, identical to per-report
         ``grid.cell_of``), then submission order — a stable sort, so the
         key collapses to the cell alone.  It depends only on the reports
@@ -996,12 +980,12 @@ class DatabaseServer:
         reproducible with caches on or off.
 
         A batch holding several reports for the *same* object (duplicated
-        or retransmitted messages) keeps plain submission order and is
-        never planned: sorting by destination cell could run them out of
-        order and land the object on the wrong final position.  An
-        enabled event stream, degraded objects, or a non-monotone
-        timestamp also rule planning out — those reports need the
-        per-report prologue.
+        or retransmitted messages) keeps plain submission order and never
+        takes :meth:`_bulk_updates`: sorting by destination cell could
+        run them out of order and land the object on the wrong final
+        position.  An enabled event stream, degraded objects, or a
+        non-monotone timestamp also rule the bulk loop out — those
+        reports need the per-report prologue.
         """
         oids = [oid for oid, _ in reports]
         if not reports or len(set(oids)) != len(oids):
@@ -1010,175 +994,57 @@ class DatabaseServer:
             [position for _, position in reports]
         )
         ordered = sorted(range(len(reports)), key=cells.__getitem__)
-        plannable = (
+        bulk = (
             not self.events.enabled
             and not self._degraded
             and time >= self._clock
         )
-        return cells, ordered, plannable
-
-    @contextmanager
-    def planned_tick(
-        self, reports: Iterable[tuple[ObjectId, Point]], time: float = 0.0
-    ):
-        """Pre-plan a tick's kernel work for per-report processing.
-
-        Callers that must drive same-tick reports through
-        ``handle_location_update`` individually — a shard replaying an
-        op stream with adds and evictions interleaved, say — wrap the
-        run in this context to get the tick-wide gather/dispatch
-        batching of ``handle_location_updates``.  Every plan entry
-        revalidates at consume time (position identity and cell
-        generations), so a report invalidated by an interleaved
-        operation simply falls back to the scalar path: results are
-        bit-identical with or without the plan.
-
-        A tick ``handle_location_updates`` would not plan
-        (:meth:`_order_tick`) is not planned here either, and neither is
-        a one-report tick: there is nothing to batch, and the scalar
-        path it falls back to gives the same answer without the gather.
-        """
-        reports = list(reports)
-        if len(reports) < 2:
-            yield
-            return
-        cells, ordered, plannable = self._order_tick(reports, time)
-        if not plannable:
-            yield
-            return
-        self._tick_plan = self._plan_tick(reports, ordered, cells)
-        try:
-            yield
-        finally:
-            self._tick_plan = None
-
-    def _plan_tick(self, reports, ordered, cells):
-        """Gather the batch's predictable kernel work and dispatch it.
-
-        Walks the reports in processing order, skips those the
-        safe-region certificate covers (their reevaluation never runs —
-        nothing to plan), and gathers the rest's range-affected rows,
-        kNN quarantine gates, and safe-region obstacle rows by
-        *extending* the planner's columns with cell-resident column
-        slices (cached per cell pair and generation).  Old cells come
-        from the resident position store — one dict probe, always equal
-        to ``grid.cell_of(p_lst)``.  Returns the scattered
-        :class:`~repro.kernels.planner.TickPlan`, or ``None`` when no
-        report had plannable work.
-        """
-        grid = self.query_index
-        objects = self._objects
-        planner = self.planner
-        planner.begin()
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.push("plan.gather")
-        plan_regions = (
-            self.config.batch_range_regions and self.config.steadiness == 0.0
-        )
-        certificate_holds = self._certificate_holds
-        generation_of = grid.cell_generation
-        candidate_queries_ordered = grid.candidate_queries_ordered
-        resident_cell_of = self.positions.cell_of
-        add_affected = planner.add_affected
-        obstacle_columns = planner.obstacle_columns
-        add_region = planner.add_region
-        any_work = False
-        for i in ordered:
-            oid, position = reports[i]
-            state = objects.get(oid)
-            if state is None:
-                continue  # unknown object: the scalar path decides
-            cell_new = cells[i]
-            if certificate_holds(state, position, cell_new):
-                # Plan-time preview: a report the sequential walk will
-                # exit on has nothing to plan.  Mid-tick churn can still
-                # fail the authoritative consume-time check — that
-                # report then runs unplanned, which is slower but
-                # identical in outcome.
-                continue
-            previous = state.p_lst
-            cell_old = resident_cell_of(oid)
-            candidates = candidate_queries_ordered(position, previous)
-            if cell_new == cell_old:
-                cell_pair = (cell_new,)
-                generations = (generation_of(cell_new),)
-            else:
-                cell_pair = (cell_new, cell_old)
-                generations = (
-                    generation_of(cell_new), generation_of(cell_old)
-                )
-            add_affected(
-                oid, position, previous, candidates, cell_pair, generations,
-            )
-            any_work = True
-            if plan_regions:
-                obstacles = obstacle_columns(
-                    cell_new, generations[0], grid.relevant_queries(cell_new)
-                )
-                if obstacles is not None:
-                    cell = grid.cell_rect(cell_new)
-                    add_region(
-                        oid, position, cell_new, cell,
-                        quadrant_extents(position, cell), obstacles,
-                    )
-        # ``finish`` runs inside the gather phase; the planner opens its
-        # own ``kernel.dispatch`` / ``report.scatter`` child phases.
-        try:
-            return planner.finish() if any_work else None
-        finally:
-            if profiler.enabled:
-                profiler.pop()
+        return cells, ordered, bulk
 
     def _bulk_updates(self, reports, ordered, cells, time, batch) -> None:
-        """Planner-backed batch processing (see ``handle_location_updates``).
+        """Certificate-hoisted batch loop (see ``handle_location_updates``).
 
         The loop of ``_process_update`` with the no-op exit's per-report
         span, ``UpdateOutcome`` and counter scaffolding hoisted to batch
         level.  Strictly sequential semantics: a report the certificate
-        does not cover runs the slow half, which consumes the tick plan
-        through ``self._tick_plan`` where its entries are still valid.
+        does not cover runs the slow half exactly as a single report would.
         """
         objects_get = self._objects.get
         degraded = self._degraded
         certificate_holds = self._certificate_holds
         commit_noop = self._commit_noop
         metrics_on = self.metrics.enabled
-        self._tick_plan = self._plan_tick(reports, ordered, cells)
         # The first sequential report would advance the clock to
         # ``time`` (monotonicity was checked by the caller); committing
         # it up front keeps no-op timestamps identical.
         self._clock = time
         fast_n = cert_n = 0
-        try:
-            for i in ordered:
-                oid, position = reports[i]
-                state = objects_get(oid)
-                if state is None or degraded:
-                    # Unknown ids and mid-batch degradation need the
-                    # full per-report prologue.
-                    outcome = self.handle_location_update(oid, position, time)
-                elif certificate_holds(state, position, cells[i]):
-                    commit_noop(oid, state, position, cells[i], time)
-                    fast_n += 1
-                    if state.sr_cert[2] is not None:
-                        cert_n += 1
-                    # Inline ``BatchOutcome.merge`` of an outcome whose
-                    # only payload is the safe region.
-                    batch.regions[oid] = state.safe_region
-                    if batch.missed:
-                        batch.missed = [t for t in batch.missed if t != oid]
-                    if metrics_on:
-                        self._m_checked.observe(0)
-                    continue
-                else:
-                    outcome = self._process_update(
-                        oid, state, position, state.p_lst, time,
-                        rejected=True,
-                    )
-                batch.merge(oid, outcome)
-        finally:
-            self._tick_plan = None
+        for i in ordered:
+            oid, position = reports[i]
+            state = objects_get(oid)
+            if state is None or degraded:
+                # Unknown ids and mid-batch degradation need the
+                # full per-report prologue.
+                outcome = self.handle_location_update(oid, position, time)
+            elif certificate_holds(state, position, cells[i]):
+                commit_noop(oid, state, position, cells[i], time)
+                fast_n += 1
+                if state.sr_cert[2] is not None:
+                    cert_n += 1
+                # Inline ``BatchOutcome.merge`` of an outcome whose
+                # only payload is the safe region.
+                batch.regions[oid] = state.safe_region
+                if batch.missed:
+                    batch.missed = [t for t in batch.missed if t != oid]
+                if metrics_on:
+                    self._m_checked.observe(0)
+                continue
+            else:
+                outcome = self._process_update(
+                    oid, state, position, state.p_lst, time,
+                    rejected=True,
+                )
+            batch.merge(oid, outcome)
         if fast_n:
             self.stats.location_updates += fast_n
             if metrics_on:
@@ -1533,97 +1399,46 @@ class DatabaseServer:
         time: float,
     ) -> None:
         """Reevaluate every query affected by one position report."""
-        # A planned tick already gathered this report's candidate set
-        # and batched its range-membership flips in one tick-wide
-        # dispatch; consume the verdicts when they are still valid (the
-        # plan validates position identity and cell generations).
-        plan = self._tick_plan
-        planned = (
-            plan.take_affected(oid, position, previous, self.query_index)
-            if plan is not None
-            else None
-        )
-        if planned is not None:
-            ordered, hits, kverdicts = planned
-        else:
-            ordered = self.query_index.candidate_queries_ordered(
-                position, previous
-            )
-            hits = kverdicts = None
+        ordered = self.query_index.candidate_queries_ordered(position, previous)
         outcome.queries_checked += len(ordered)
         self.stats.queries_checked += len(ordered)
         self._m_checked.observe(len(ordered))
-        # Delta-driven consume: plain range queries take their
-        # membership-flip verdicts and plain kNN queries their
-        # quarantine gates from the tick plan's fused dispatches — a
-        # merge walk over ``ordered`` (``hits``/``kverdicts`` preserve
-        # candidate order), so untouched members cost one pointer
-        # comparison.  Unplanned, range flips come from one batch pass
-        # over the rect columns (``Kernels.range_affected`` is exactly
-        # ``RangeQuery.is_affected_by``) and everything else stays
-        # scalar.  ``type`` not ``isinstance``: a subclass may override
+        # Range flips come from one batch pass over the rect columns
+        # (``Kernels.range_affected`` is exactly
+        # ``RangeQuery.is_affected_by``); everything else stays scalar.
+        # ``type`` not ``isinstance``: a subclass may override
         # ``is_affected_by``.
-        affected: list | None = None
-        if hits is not None:
-            affected = []
-            ri = 0
-            rn = len(hits)
-            ki = 0
-            kn = len(kverdicts)
-            for q in ordered:
-                tq = type(q)
-                if tq is RangeQuery:
-                    if ri < rn and hits[ri][0] is q:
-                        affected.append(hits[ri])
-                        ri += 1
-                elif tq is KNNQuery:
-                    if ki < kn and kverdicts[ki][0] is q:
-                        _, hit, gates, planned_radius = kverdicts[ki]
-                        ki += 1
-                        if planned_radius != q.radius:
-                            # An earlier report's reevaluation moved
-                            # this quarantine mid-tick (no generation
-                            # bump) — the planned gates are stale.
-                            if q.is_affected_by(position, previous):
-                                affected.append((q, None))
-                        elif hit:
-                            affected.append((q, gates))
-                    elif q.is_affected_by(position, previous):
-                        affected.append((q, None))
-                elif q.is_affected_by(position, previous):
-                    affected.append((q, None))
-        if affected is None:
-            range_rows = [
-                i for i, q in enumerate(ordered) if type(q) is RangeQuery
-            ]
-            flags: list[bool | None] = [None] * len(ordered)
-            if len(range_rows) >= self.kernels.min_rows:
-                rects = [ordered[i].rect for i in range_rows]
-                mask = self.kernels.range_affected(
-                    [r.min_x for r in rects],
-                    [r.min_y for r in rects],
-                    [r.max_x for r in rects],
-                    [r.max_y for r in rects],
-                    position,
-                    previous,
-                )
-                for i, flag in zip(range_rows, mask):
-                    flags[i] = flag
-            affected = [
-                (q, None)
-                for i, q in enumerate(ordered)
-                if (
-                    flags[i]
-                    if flags[i] is not None
-                    else q.is_affected_by(position, previous)
-                )
-            ]
+        range_rows = [
+            i for i, q in enumerate(ordered) if type(q) is RangeQuery
+        ]
+        flags: list[bool | None] = [None] * len(ordered)
+        if len(range_rows) >= self.kernels.min_rows:
+            rects = [ordered[i].rect for i in range_rows]
+            mask = self.kernels.range_affected(
+                [r.min_x for r in rects],
+                [r.min_y for r in rects],
+                [r.max_x for r in rects],
+                [r.max_y for r in rects],
+                position,
+                previous,
+            )
+            for i, flag in zip(range_rows, mask):
+                flags[i] = flag
+        affected = [
+            q
+            for i, q in enumerate(ordered)
+            if (
+                flags[i]
+                if flags[i] is not None
+                else q.is_affected_by(position, previous)
+            )
+        ]
         if affected and self._pending_pointify is not None:
             # Flush the deferred pointify before any reevaluation that
             # can read the index (kNN evaluation, extension hooks).
             # Plain range flips never touch the index, so a pure-range
             # affected set leaves the entry for the reinstall.
-            for query, _ in affected:
+            for query in affected:
                 if type(query) is not RangeQuery:
                     p_oid, p_pos = self._pending_pointify
                     self._pending_pointify = None
@@ -1640,7 +1455,7 @@ class DatabaseServer:
                 len(ordered), len(affected),
             )
         events = self.events
-        for query, inside in affected:
+        for query in affected:
             started = perf_counter() if profile_on else 0.0
             before = _snapshot(query)
             probes_before = set(probed)
@@ -1659,9 +1474,7 @@ class DatabaseServer:
                         oid, position, self.object_index, probe, constrain
                     )
                 elif isinstance(query, RangeQuery):
-                    reevaluation = reevaluate_range(
-                        query, oid, position, inside=inside
-                    )
+                    reevaluation = reevaluate_range(query, oid, position)
                 else:
                     reevaluation = reevaluate_knn(
                         query,
@@ -1673,7 +1486,6 @@ class DatabaseServer:
                         self.object_index.rect_of,
                         constrain,
                         kernels=self.kernels,
-                        gates=inside,
                     )
                 fresh = {
                     target: pos
@@ -2048,16 +1860,6 @@ class DatabaseServer:
         cell_id = self.positions.cell_of(oid)
         cell = grid.cell_rect(cell_id)
         relevant = grid.relevant_queries(cell_id)
-        # A planned tick may carry this report's Section 5.3
-        # staircase union, computed in the tick-wide corner dispatch;
-        # ``compute_safe_region`` double-checks the obstacle count
-        # before trusting it.
-        plan = self._tick_plan
-        batch_region = (
-            plan.take_range_region(oid, position, cell_id)
-            if plan is not None and plan.regions
-            else None
-        )
         region = compute_safe_region(
             oid,
             position,
@@ -2067,7 +1869,6 @@ class DatabaseServer:
             self._objective(position, previous),
             use_batch=self.config.batch_range_regions,
             kernels=self.kernels,
-            batch_region=batch_region,
         )
         # Issue the certificate for ``region`` (``ObjectState.sr_cert``).
         # Recording each kNN *clearance* rather than the radius lets the

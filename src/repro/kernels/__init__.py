@@ -7,11 +7,6 @@ Public surface:
   ``ServerConfig.kernel_backend``.
 * :class:`~repro.kernels.store.PositionStore` — struct-of-arrays mirror
   of the monitored objects' last reported positions.
-* :class:`~repro.kernels.store.ColumnBuffer` — append-only float64
-  columns for tick-wide kernel gathers.
-* :class:`~repro.kernels.planner.TickPlanner` /
-  :class:`~repro.kernels.planner.TickPlan` — the tick-wide
-  gather -> dispatch -> scatter pipeline (docs/PERFORMANCE.md).
 * :func:`~repro.kernels.ops.resolve_backend`, ``KERNEL_BACKENDS``,
   ``HAS_NUMPY`` — backend negotiation helpers.
 """
@@ -23,17 +18,13 @@ from repro.kernels.ops import (
     Kernels,
     resolve_backend,
 )
-from repro.kernels.planner import TickPlan, TickPlanner
-from repro.kernels.store import ColumnBuffer, PositionStore
+from repro.kernels.store import PositionStore
 
 __all__ = [
-    "ColumnBuffer",
     "DEFAULT_KERNELS",
     "HAS_NUMPY",
     "KERNEL_BACKENDS",
     "Kernels",
     "PositionStore",
-    "TickPlan",
-    "TickPlanner",
     "resolve_backend",
 ]

@@ -48,13 +48,6 @@ except ImportError:  # pragma: no cover — container always ships numpy
 #: Recognised values of ``ServerConfig.kernel_backend``.
 KERNEL_BACKENDS = ("numpy", "python")
 
-#: Quadrant sign pairs of the Section 5.3 staircase batch, kept in
-#: lockstep with ``repro.core.batch._QUADRANTS`` (asserted by the tick
-#: planner).  ``quadrant_corners_grouped`` iterates these as constants,
-#: so no per-row sign column is gathered.
-_QUADRANT_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0))
-
-
 def resolve_backend(requested: str) -> str:
     """Map a requested backend to the one that will actually run.
 
@@ -513,364 +506,6 @@ class Kernels:
                 continue
             out.append((max(lx1, 0.0), max(ly1, 0.0)))
         return out
-
-    # ------------------------------------------------------------------
-    # Tick-wide row kernels (gather -> dispatch -> scatter pipeline)
-    # ------------------------------------------------------------------
-    def affected_rows(
-        self,
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        nxs: Sequence[float],
-        nys: Sequence[float],
-        oxs: Sequence[float],
-        oys: Sequence[float],
-    ) -> tuple[list[bool], list[bool]]:
-        """Row-wise ``range_affected`` with a per-row point pair.
-
-        Unlike :meth:`range_affected` (one update against many rects),
-        every row here carries its own query rect *and* its own
-        new/old point pair, so a whole tick's (report x candidate range
-        query) work becomes one dispatch.  Returns ``(affected,
-        inside_new)`` masks; ``inside_new`` is scattered into
-        ``reevaluate_range`` so the membership flip needs no second
-        containment check.  Pure comparisons — no FP risk.
-        """
-        n = len(minxs)
-        if self._batch(n):
-            np = self._np
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            nx = np.asarray(nxs, dtype=np.float64)
-            ny = np.asarray(nys, dtype=np.float64)
-            ox = np.asarray(oxs, dtype=np.float64)
-            oy = np.asarray(oys, dtype=np.float64)
-            inside_new = (lox <= nx) & (nx <= hix) & (loy <= ny) & (ny <= hiy)
-            inside_old = (lox <= ox) & (ox <= hix) & (loy <= oy) & (oy <= hiy)
-            return (inside_new != inside_old).tolist(), inside_new.tolist()
-        affected = []
-        inside = []
-        for i in range(n):
-            inside_new = (
-                minxs[i] <= nxs[i] <= maxxs[i]
-                and minys[i] <= nys[i] <= maxys[i]
-            )
-            inside_old = (
-                minxs[i] <= oxs[i] <= maxxs[i]
-                and minys[i] <= oys[i] <= maxys[i]
-            )
-            affected.append(inside_new != inside_old)
-            inside.append(inside_new)
-        return affected, inside
-
-    def quadrant_corners_rows(
-        self,
-        pxs: Sequence[float],
-        pys: Sequence[float],
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        sxs: Sequence[float],
-        sys_: Sequence[float],
-        widths: Sequence[float],
-        heights: Sequence[float],
-    ) -> tuple[list[bool], list[float], list[float]]:
-        """Row-wise :meth:`quadrant_corners` with per-row point/sign/extent.
-
-        Each row is one (update, quadrant, obstacle) combination, so a
-        whole tick's Section 5.3 corner localisation becomes one
-        dispatch.  Returns parallel ``(keep, corner_x, corner_y)``
-        columns in input order; callers scatter kept corners back per
-        (update, quadrant) segment.  The sign-dependent subtractions are
-        computed per element exactly as the scalar branch orders them
-        (``np.where`` selects between elementwise expressions whose kept
-        lane performs the identical subtraction), and ``np.where(v >=
-        0.0, v, 0.0)`` replicates ``max(v, 0.0)`` including ``-0.0``.
-        """
-        n = len(minxs)
-        if self._batch(n):
-            np = self._np
-            px = np.asarray(pxs, dtype=np.float64)
-            py = np.asarray(pys, dtype=np.float64)
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            xpos = np.asarray(sxs, dtype=np.float64) > 0
-            ypos = np.asarray(sys_, dtype=np.float64) > 0
-            lx1 = np.where(xpos, lox - px, px - hix)
-            lx2 = np.where(xpos, hix - px, px - lox)
-            ly1 = np.where(ypos, loy - py, py - hiy)
-            ly2 = np.where(ypos, hiy - py, py - loy)
-            keep = ~(
-                (lx2 <= 0.0) | (ly2 <= 0.0)
-                | (lx1 >= np.asarray(widths, dtype=np.float64))
-                | (ly1 >= np.asarray(heights, dtype=np.float64))
-            )
-            cx = np.where(lx1 >= 0.0, lx1, 0.0)
-            cy = np.where(ly1 >= 0.0, ly1, 0.0)
-            return keep.tolist(), cx.tolist(), cy.tolist()
-        keep = []
-        cxs = []
-        cys = []
-        for i in range(n):
-            if sxs[i] > 0:
-                lx1, lx2 = minxs[i] - pxs[i], maxxs[i] - pxs[i]
-            else:
-                lx1, lx2 = pxs[i] - maxxs[i], pxs[i] - minxs[i]
-            if sys_[i] > 0:
-                ly1, ly2 = minys[i] - pys[i], maxys[i] - pys[i]
-            else:
-                ly1, ly2 = pys[i] - maxys[i], pys[i] - minys[i]
-            keep.append(
-                not (
-                    lx2 <= 0.0 or ly2 <= 0.0
-                    or lx1 >= widths[i] or ly1 >= heights[i]
-                )
-            )
-            cxs.append(max(lx1, 0.0))
-            cys.append(max(ly1, 0.0))
-        return keep, cxs, cys
-
-    # ------------------------------------------------------------------
-    # Segmented kernels (per-report segments over shared resident columns)
-    # ------------------------------------------------------------------
-    def affected_deltas(
-        self,
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        seg_lens: Sequence[int],
-        nxs: Sequence[float],
-        nys: Sequence[float],
-        oxs: Sequence[float],
-        oys: Sequence[float],
-    ) -> tuple[list[bool], list[bool]]:
-        """Segmented :meth:`affected_rows`: one point pair per segment.
-
-        Each report contributes one ``(nx, ny, ox, oy)`` pair and a run
-        of ``seg_lens[k]`` candidate rects in the rect columns (the
-        planner extends them straight from cached candidate columns —
-        no per-row point duplication at gather time).  The points are
-        broadcast over their segment with ``np.repeat`` (exact copies,
-        no arithmetic), then the test is the comparison-only
-        ``affected_rows`` arithmetic.  Returns ``(affected,
-        inside_new)`` masks in rect-row order.
-        """
-        n = len(minxs)
-        if self._batch(n):
-            np = self._np
-            reps = np.asarray(seg_lens, dtype=np.int64)
-            nx = np.repeat(np.asarray(nxs, dtype=np.float64), reps)
-            ny = np.repeat(np.asarray(nys, dtype=np.float64), reps)
-            ox = np.repeat(np.asarray(oxs, dtype=np.float64), reps)
-            oy = np.repeat(np.asarray(oys, dtype=np.float64), reps)
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            inside_new = (lox <= nx) & (nx <= hix) & (loy <= ny) & (ny <= hiy)
-            inside_old = (lox <= ox) & (ox <= hix) & (loy <= oy) & (oy <= hiy)
-            return (inside_new != inside_old).tolist(), inside_new.tolist()
-        affected = []
-        inside = []
-        i = 0
-        for k, seg in enumerate(seg_lens):
-            nx, ny, ox, oy = nxs[k], nys[k], oxs[k], oys[k]
-            for _ in range(seg):
-                inside_new = (
-                    minxs[i] <= nx <= maxxs[i]
-                    and minys[i] <= ny <= maxys[i]
-                )
-                inside_old = (
-                    minxs[i] <= ox <= maxxs[i]
-                    and minys[i] <= oy <= maxys[i]
-                )
-                affected.append(inside_new != inside_old)
-                inside.append(inside_new)
-                i += 1
-        return affected, inside
-
-    def knn_gate_rows(
-        self,
-        cxs: Sequence[float],
-        cys: Sequence[float],
-        rads: Sequence[float],
-        seg_lens: Sequence[int],
-        nxs: Sequence[float],
-        nys: Sequence[float],
-        oxs: Sequence[float],
-        oys: Sequence[float],
-    ) -> tuple[list[bool], list[bool]]:
-        """Segmented quarantine-circle membership gates for kNN queries.
-
-        Each report contributes one point pair and ``seg_lens[k]``
-        candidate circle rows (centre + radius).  Replicates
-        ``Circle.contains_point`` with ``eps == 0`` exactly: the centre-
-        minus-point squared distance (``dx*dx + dy*dy``, matching
-        ``Point.squared_distance_to``'s operand order) against ``r*r``.
-        Returns ``(in_new, in_old)`` masks in circle-row order; the
-        delta consumer turns them into ``is_affected_by`` verdicts and
-        feeds them to ``reevaluate_knn`` so the scalar path never
-        re-tests the quarantine circle.
-        """
-        n = len(cxs)
-        if self._batch(n):
-            np = self._np
-            reps = np.asarray(seg_lens, dtype=np.int64)
-            nx = np.repeat(np.asarray(nxs, dtype=np.float64), reps)
-            ny = np.repeat(np.asarray(nys, dtype=np.float64), reps)
-            ox = np.repeat(np.asarray(oxs, dtype=np.float64), reps)
-            oy = np.repeat(np.asarray(oys, dtype=np.float64), reps)
-            cx = np.asarray(cxs, dtype=np.float64)
-            cy = np.asarray(cys, dtype=np.float64)
-            r = np.asarray(rads, dtype=np.float64)
-            rr = r * r
-            dxn = cx - nx
-            dyn = cy - ny
-            dxo = cx - ox
-            dyo = cy - oy
-            in_new = dxn * dxn + dyn * dyn <= rr
-            in_old = dxo * dxo + dyo * dyo <= rr
-            return in_new.tolist(), in_old.tolist()
-        in_new = []
-        in_old = []
-        i = 0
-        for k, seg in enumerate(seg_lens):
-            nx, ny, ox, oy = nxs[k], nys[k], oxs[k], oys[k]
-            for _ in range(seg):
-                cx, cy, r = cxs[i], cys[i], rads[i]
-                dxn = cx - nx
-                dyn = cy - ny
-                dxo = cx - ox
-                dyo = cy - oy
-                rr = r * r
-                in_new.append(dxn * dxn + dyn * dyn <= rr)
-                in_old.append(dxo * dxo + dyo * dyo <= rr)
-                i += 1
-        return in_new, in_old
-
-    def quadrant_corners_grouped(
-        self,
-        pxs: Sequence[float],
-        pys: Sequence[float],
-        quad_widths: Sequence[Sequence[float]],
-        quad_heights: Sequence[Sequence[float]],
-        seg_lens: Sequence[int],
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-    ) -> tuple[list[bool], list[bool], list[float], list[float]]:
-        """Segmented :meth:`quadrant_corners_rows` plus containment.
-
-        Each report contributes one point, four quadrant ``(width,
-        height)`` extents (``quad_widths[q][k]`` is quadrant ``q`` of
-        segment ``k``), and ``seg_lens[k]`` *candidate* obstacle rects —
-        candidates, because the rects come straight from resident
-        per-cell columns and the closed containment test
-        (``collect_range_obstacles``'s exclusion) moves in-kernel: a
-        contained rect is not an obstacle for this point and its rows
-        are dropped at scatter.  Quadrant signs are the module constants
-        (no sign columns), so the sign-dependent subtractions compile to
-        straight-line expressions per quadrant block.
-
-        Returns ``(contained, keep, corner_x, corner_y)``: ``contained``
-        in rect-row order (length ``n``), the corner columns
-        quadrant-major (block ``q`` covers global rows ``[q*n, (q+1)*n)``
-        in rect-row order).  All comparisons / sign-preserving ``max`` —
-        same FP rules as :meth:`quadrant_corners_rows`.
-        """
-        n = len(minxs)
-        if self._batch(5 * n):
-            np = self._np
-            reps = np.asarray(seg_lens, dtype=np.int64)
-            px = np.repeat(np.asarray(pxs, dtype=np.float64), reps)
-            py = np.repeat(np.asarray(pys, dtype=np.float64), reps)
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            contained = (
-                (lox <= px) & (px <= hix) & (loy <= py) & (py <= hiy)
-            )
-            keeps = []
-            cxs_out = []
-            cys_out = []
-            for q, (sx, sy) in enumerate(_QUADRANT_SIGNS):
-                if sx > 0:
-                    lx1 = lox - px
-                    lx2 = hix - px
-                else:
-                    lx1 = px - hix
-                    lx2 = px - lox
-                if sy > 0:
-                    ly1 = loy - py
-                    ly2 = hiy - py
-                else:
-                    ly1 = py - hiy
-                    ly2 = py - loy
-                w = np.repeat(
-                    np.asarray(quad_widths[q], dtype=np.float64), reps
-                )
-                h = np.repeat(
-                    np.asarray(quad_heights[q], dtype=np.float64), reps
-                )
-                keeps.append(
-                    ~((lx2 <= 0.0) | (ly2 <= 0.0) | (lx1 >= w) | (ly1 >= h))
-                )
-                cxs_out.append(np.where(lx1 >= 0.0, lx1, 0.0))
-                cys_out.append(np.where(ly1 >= 0.0, ly1, 0.0))
-            return (
-                contained.tolist(),
-                np.concatenate(keeps).tolist() if n else [],
-                np.concatenate(cxs_out).tolist() if n else [],
-                np.concatenate(cys_out).tolist() if n else [],
-            )
-        contained = []
-        i = 0
-        for k, seg in enumerate(seg_lens):
-            px, py = pxs[k], pys[k]
-            for _ in range(seg):
-                contained.append(
-                    minxs[i] <= px <= maxxs[i]
-                    and minys[i] <= py <= maxys[i]
-                )
-                i += 1
-        keep = []
-        cxs_out = []
-        cys_out = []
-        for q, (sx, sy) in enumerate(_QUADRANT_SIGNS):
-            i = 0
-            for k, seg in enumerate(seg_lens):
-                px, py = pxs[k], pys[k]
-                width = quad_widths[q][k]
-                height = quad_heights[q][k]
-                for _ in range(seg):
-                    if sx > 0:
-                        lx1, lx2 = minxs[i] - px, maxxs[i] - px
-                    else:
-                        lx1, lx2 = px - maxxs[i], px - minxs[i]
-                    if sy > 0:
-                        ly1, ly2 = minys[i] - py, maxys[i] - py
-                    else:
-                        ly1, ly2 = py - maxys[i], py - minys[i]
-                    keep.append(
-                        not (
-                            lx2 <= 0.0 or ly2 <= 0.0
-                            or lx1 >= width or ly1 >= height
-                        )
-                    )
-                    cxs_out.append(max(lx1, 0.0))
-                    cys_out.append(max(ly1, 0.0))
-                    i += 1
-        return contained, keep, cxs_out, cys_out
 
     # ------------------------------------------------------------------
     # Grouped kernels (one dispatch over many queries, query-id keyed)

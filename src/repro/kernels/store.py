@@ -342,38 +342,3 @@ class PositionStore:
             total += 64 * len(self._cells)
         return total
 
-
-class ColumnBuffer:
-    """Append-only ``float64`` column set for tick-wide kernel gathers.
-
-    The planner accumulates one row per work item across a whole tick —
-    each row spread over ``width`` parallel columns — then hands the
-    columns straight to a kernel dispatch.  Same storage discipline as
-    ``PositionStore`` (stdlib ``array('d')``, zero-copy NumPy views) so
-    both kernel backends consume it without conversion.  ``clear()``
-    keeps the allocated buffers for reuse across ticks.
-    """
-
-    __slots__ = ("_cols",)
-
-    def __init__(self, width: int) -> None:
-        if width < 1:
-            raise ValueError("width must be positive")
-        self._cols = tuple(array("d") for _ in range(width))
-
-    def __len__(self) -> int:
-        return len(self._cols[0])
-
-    def append(self, *values: float) -> None:
-        """Append one row (one value per column)."""
-        for col, value in zip(self._cols, values, strict=True):
-            col.append(value)
-
-    def columns(self):
-        """The columns in declaration order (stdlib arrays, row order)."""
-        return self._cols
-
-    def clear(self) -> None:
-        """Drop all rows, keeping the column objects."""
-        for col in self._cols:
-            del col[:]

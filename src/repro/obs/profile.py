@@ -6,10 +6,9 @@ closes the remaining gap — attributed cost — with three pieces:
 
 * :class:`TickProfiler` — a self-time stack accountant.  The server
   opens one *tick* per ``handle_location_updates`` batch and pushes a
-  named phase (``plan.gather``, ``kernel.dispatch``,
-  ``index.maintenance``, …) around each per-tick stage.  A child phase
-  pauses its parent's clock, so *the phase times sum to the tick wall
-  time by construction*; the root's own self-time is the orchestration
+  named phase (``index.maintenance``, …) around each per-tick stage.
+  A child phase pauses its parent's clock, so *the phase times sum to
+  the tick wall time by construction*; the root's own self-time is the orchestration
   residual (per-report dict bookkeeping, fast-path commits) that no
   child claims.  The four per-*report* phases (``ingest``,
   ``reevaluate``, ``report.scatter``, ``safe_region``) bypass the stack
@@ -129,7 +128,7 @@ class TickProfiler:
         #: the containment layout fixed by the server's call graph
         #: (reevaluate under ingest, safe_region under scatter).  The
         #: generic push/pop stack still serves the per-tick phases
-        #: (plan.gather, kernel.dispatch, index.maintenance).
+        #: (index.maintenance).
         self.tick_open = False
         self.acc_ingest = 0.0
         self.acc_reev = 0.0

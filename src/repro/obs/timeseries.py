@@ -28,8 +28,6 @@ DEFAULT_SERIES: tuple[str, ...] = (
     "kernels.batch_calls",
     "kernels.fallback_calls",
     "kernels.fallback_rows",
-    "kernels.planner.plans",
-    "kernels.planner.rows_gathered",
     "grid.occupied_cells",
     "rstar.height",
     "rstar.nodes",

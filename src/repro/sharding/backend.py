@@ -197,51 +197,37 @@ class ShardBackend:
         the ops may have touched, and the compute seconds the batch cost
         this shard.
 
-        A stream of several location updates is pre-planned through the
-        server's tick planner (``DatabaseServer.planned_tick``, which
-        leaves a one-report stream — the closed loop's usual op — to the
-        scalar path): their predictable kernel work is gathered and
-        dispatched in one columnar pass up front, and each per-op call
-        consumes its verdicts where still valid.  The coordinator needs
-        per-op outcomes, so the ops themselves still run one by one —
-        results are bit-identical either way (the shard-equivalence pin
-        in ``benchmarks/test_shards_bench.py`` holds the proof).
+        The ops run one by one through the server's per-report entry
+        points: the coordinator needs per-op outcomes.
         """
         start = _time.process_time()
         outcomes = []
         reevaluated: set[str] = set()
         touched: set[ObjectId] = set()
-        updates = [
-            (op[1], Point(*op[2])) for op in ops if op[0] == "update"
-        ]
-        # One profiled tick per batch op: the plan's gather/dispatch and
-        # every per-op phase nest under it (per-op auto-roots defer to
-        # the open tick).
+        # One profiled tick per batch op: every per-op phase nests under
+        # it (per-op auto-roots defer to the open tick).
         profiler = self.server.profiler
         owns_tick = profiler.enabled and profiler.tick_begin()
         try:
-            with self.server.planned_tick(updates, time):
-                for op in ops:
-                    kind, oid = op[0], op[1]
-                    if kind == "update":
-                        outcome = self.server.handle_location_update(
-                            oid, Point(*op[2]), time
-                        )
-                    elif kind == "add":
-                        outcome = self.server.add_object(
-                            oid, Point(*op[2]), time
-                        )
-                    elif kind == "evict":
-                        outcome = self.server.evict_object(oid, time)
-                    else:
-                        raise ValueError(f"unknown shard op {kind!r}")
-                    outcomes.append(encode_outcome(outcome))
-                    reevaluated.update(
-                        change.query_id for change in outcome.changes
+            for op in ops:
+                kind, oid = op[0], op[1]
+                if kind == "update":
+                    outcome = self.server.handle_location_update(
+                        oid, Point(*op[2]), time
                     )
-                    touched.add(oid)
-                    touched.update(outcome.probed)
-                    touched.update(outcome.missed)
+                elif kind == "add":
+                    outcome = self.server.add_object(oid, Point(*op[2]), time)
+                elif kind == "evict":
+                    outcome = self.server.evict_object(oid, time)
+                else:
+                    raise ValueError(f"unknown shard op {kind!r}")
+                outcomes.append(encode_outcome(outcome))
+                reevaluated.update(
+                    change.query_id for change in outcome.changes
+                )
+                touched.add(oid)
+                touched.update(outcome.probed)
+                touched.update(outcome.missed)
         finally:
             if owns_tick:
                 # Updates and adds are both location reports (a migrated

@@ -65,7 +65,7 @@ def test_workflow_parses_and_validates(workflow):
 def test_expected_jobs_present(workflow):
     assert set(workflow["jobs"]) == {
         "lint", "test", "bench-smoke", "e2e-smoke", "bench-hotpath",
-        "bench-kernels", "bench-shards", "fault-matrix", "profile-smoke",
+        "bench-shards", "fault-matrix", "profile-smoke",
     }
 
 
@@ -186,21 +186,20 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     assert "def test_dense_world_keeps_every_quarantine_invariant(" in dense_world
     # ... and the sharded report path shard_loop_20k runs, whole file:
     # partial lookup == membership scan, flat frames, merged deltas only,
-    # and no tick plan for a one-report shard op (plus the planner pins
-    # that restate what a plan is built for).
+    # and a multi-op shard batch equal to its ops run singly.
     assert "tests/test_sharded_reports.py" in runs[tests[0]]
     assert "tests/test_sharded_reports.py::" not in runs[tests[0]]
+    # ... and the batch entry point equal to one-by-one reports through
+    # the bulk loop and each of its gates.
     assert (
-        "tests/test_tick_planner.py::TestPlannedTickContext"
-        in runs[tests[0]]
+        "tests/test_server.py::TestBatchEqualsSequential" in runs[tests[0]]
     )
     sharded = (ROOT / "tests" / "test_sharded_reports.py").read_text()
     for name in (
         "test_partial_lookup_equals_the_membership_scan",
         "test_wire_frames_decode_to_the_backend_outcome",
         "test_batch_reports_merged_deltas_only",
-        "test_traced_sharded_closed_loop_builds_no_plan",
-        "test_multi_report_sharded_batches_still_plan",
+        "test_multi_op_batch_equals_the_ops_run_singly",
     ):
         assert f"def {name}(" in sharded
 
@@ -219,34 +218,11 @@ def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):
         "benchmarks/results/BENCH_hotpath.json"
     )
     assert uploads[0]["with"]["if-no-files-found"] == "error"
-
-
-def test_bench_kernels_runs_both_backends_and_gates_on_equivalence(workflow):
-    job = workflow["jobs"]["bench-kernels"]
-    runs = _runs(job)
+    # The committed trajectory log is gated here too.
     assert any(
-        "KERNELS_SMOKE=1" in run
-        and "benchmarks/test_kernels_bench.py" in run
+        "--trajectory benchmarks/results/BENCH_trajectory.json" in run
         for run in runs
     )
-    # A dedicated step re-reads the emitted JSON and exits non-zero when
-    # the backend A/B diverged — the job cannot go green on a mismatch.
-    assert any("d['equivalent']" in run for run in runs)
-    # The committed baseline itself is integrity-checked: a full-run
-    # artifact with equivalent backends and a scalar-fallback row share
-    # under the documented 10% cap.
-    assert any(
-        "BENCH_kernels_baseline.json" in run
-        and "fallback_rows" in run
-        and "ratio < 0.10" in run
-        for run in runs
-    )
-    uploads = _primary_uploads(job)
-    assert len(uploads) == 1
-    assert uploads[0]["with"]["path"] == (
-        "benchmarks/results/BENCH_kernels.json"
-    )
-    assert uploads[0]["with"]["if-no-files-found"] == "error"
 
 
 def test_bench_shards_pins_equivalence_and_uploads_baseline(workflow):
@@ -275,8 +251,7 @@ def test_bench_jobs_upload_flight_recorder_on_failure(workflow):
     and tolerates absent files — a job can fail before any recorder
     spill exists.
     """
-    for name in ("bench-smoke", "bench-hotpath", "bench-kernels",
-                 "bench-shards"):
+    for name in ("bench-smoke", "bench-hotpath", "bench-shards"):
         job = workflow["jobs"][name]
         failure_uploads = [
             step for step in _uploads(job) if step.get("if") == "failure()"
@@ -368,7 +343,6 @@ def test_bench_jobs_gate_throughput_against_stashed_baseline(workflow):
     """
     for name, artifact in (
         ("bench-hotpath", "BENCH_hotpath.json"),
-        ("bench-kernels", "BENCH_kernels.json"),
         ("bench-shards", "BENCH_shards.json"),
     ):
         runs = _runs(workflow["jobs"][name])

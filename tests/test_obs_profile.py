@@ -195,7 +195,7 @@ class TestSummaries:
         a["occupancy"] = occupancy_summary([3, 1])
         b = empty_profile()
         b.update(ticks=1, reports=5, wall_seconds=0.5, cpu_seconds=0.4)
-        b["phases"] = {"tick;ingest": 0.1, "tick;plan.gather": 0.4}
+        b["phases"] = {"tick;ingest": 0.1, "tick;index.maintenance": 0.4}
         b["hotspots"]["queries"] = [
             {"id": "q2", "seconds": 0.3, "reevaluations": 1},
             {"id": "q1", "seconds": 0.2, "reevaluations": 2},

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.geometry import Point, Rect
+from repro.obs import EventLog
 
 
 class MovingWorld:
@@ -230,3 +231,90 @@ class TestStats:
         if stats.location_updates:
             checked_per_update = stats.queries_checked / stats.location_updates
             assert checked_per_update < 20
+
+
+def _twins(events=(None, None)):
+    """Two identical servers over one shared oracle, plus a report stream."""
+    rng = random.Random(11)
+    live = {f"o{i}": Point(rng.random(), rng.random()) for i in range(40)}
+    servers = []
+    for log in events:
+        server = DatabaseServer(
+            lambda oid: live[oid], ServerConfig(grid_m=5), events=log
+        )
+        server.load_objects(live.items())
+        server.register_query(
+            RangeQuery(Rect(0.1, 0.1, 0.6, 0.6), query_id="r0"), time=0.0
+        )
+        server.register_query(
+            KNNQuery(Point(0.5, 0.5), 3, query_id="k0"), time=0.0
+        )
+        servers.append(server)
+
+    def moves(n=12):
+        batch = []
+        for oid in rng.sample(sorted(live), n):
+            p = live[oid]
+            live[oid] = Point(
+                min(max(p.x + rng.gauss(0.0, 0.05), 0.0), 1.0),
+                min(max(p.y + rng.gauss(0.0, 0.05), 0.0), 1.0),
+            )
+            batch.append((oid, live[oid]))
+        return batch
+
+    return servers, moves
+
+
+class TestBatchEqualsSequential:
+    """``handle_location_updates`` is the per-report contract run in
+    ``_order_tick`` order: by destination cell when every id is
+    distinct, submission order otherwise.  The bulk loop runs only when
+    the tick is cleanly orderable; every gated-out tick must still match
+    the same reports sent one by one."""
+
+    @staticmethod
+    def _check(batched, single, reports, time, bulk):
+        assert batched._order_tick(list(reports), time)[2] is bulk
+        out = batched.handle_location_updates(reports, time=time)
+        order = range(len(reports))
+        if len({oid for oid, _ in reports}) == len(reports):
+            cell_of = single.query_index.cell_of
+            order = sorted(order, key=lambda i: cell_of(reports[i][1]))
+        changes = []
+        for i in order:
+            oid, p = reports[i]
+            changes += single.handle_location_update(oid, p, time).changes
+        assert out.changes == changes
+        for oid in list(batched._objects):
+            assert batched.safe_region_of(oid) == single.safe_region_of(oid)
+        assert {q.query_id: q.result_snapshot() for q in batched.queries()} \
+            == {q.query_id: q.result_snapshot() for q in single.queries()}
+        assert batched.stats.location_updates == single.stats.location_updates
+        assert batched.stats.queries_checked == single.stats.queries_checked
+        assert batched.stats.probes == single.stats.probes
+        assert batched.clock == single.clock
+        batched.validate()
+
+    def test_cleanly_orderable_ticks_take_the_bulk_loop(self):
+        (batched, single), moves = _twins()
+        for tick in range(1, 7):
+            self._check(batched, single, moves(), float(tick), bulk=True)
+
+    def test_duplicate_ids(self):
+        (batched, single), moves = _twins()
+        reports = moves()
+        reports += [(oid, Point(0.3, 0.3)) for oid, _ in reports[:3]]
+        self._check(batched, single, reports, 1.0, bulk=False)
+
+    def test_non_monotone_timestamp(self):
+        (batched, single), moves = _twins()
+        self._check(batched, single, moves(), 5.0, bulk=True)
+        self._check(batched, single, moves(), 1.0, bulk=False)
+
+    def test_enabled_event_stream(self):
+        logs = (EventLog(), EventLog())
+        (batched, single), moves = _twins(events=logs)
+        for tick in range(1, 4):
+            self._check(batched, single, moves(), float(tick), bulk=False)
+        assert [(e.kind, e.t, e.cause, e.data) for e in logs[0].events()] \
+            == [(e.kind, e.t, e.cause, e.data) for e in logs[1].events()]

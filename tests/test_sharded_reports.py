@@ -13,8 +13,9 @@ that frame cheap without changing a single answer:
   back every field of the shard's ``UpdateOutcome`` but the local
   ``changes``;
 * ``handle_location_updates`` reports merged-view deltas only;
-* a one-report shard op builds no tick plan, a multi-report one still
-  does.
+* a multi-op shard ``batch`` answers exactly as its ops run one by one;
+* a multi-report ``handle_location_updates`` ships one op stream per
+  shard and answers exactly as its reports sent singly.
 """
 
 import io
@@ -26,12 +27,9 @@ import pytest
 from repro.core import KNNQuery, RangeQuery, ServerConfig
 from repro.faults import ProbeTimeout
 from repro.geometry import Point, Rect
-from repro.obs import MetricsRegistry
 from repro.sharding import ShardedServer
 from repro.sharding import backend as shard_backend
 from repro.sharding.backend import ShardBackend, decode_outcome, query_spec
-from repro.simulation.engine import SRBSimulation
-from repro.simulation.scenario import Scenario
 
 
 class _Oracle:
@@ -305,45 +303,84 @@ def test_batch_reports_merged_deltas_only():
 
 
 # ---------------------------------------------------------------------------
-# The planner under sharding
+# Multi-op shard batches
 
 
-def _plans(shard_snapshots):
-    return sum(
-        snapshot["counters"].get("kernels.planner.plans", 0)
-        for snapshot in shard_snapshots.values()
-    )
-
-
-def test_traced_sharded_closed_loop_builds_no_plan():
-    report = SRBSimulation(
-        Scenario(
-            num_objects=400, num_queries=16, duration=2.0, grid_m=10,
-            seed=4, shards=2, shard_workers=2,
-        ),
-        metrics=MetricsRegistry(),
-    ).run()
-    assert report.costs.updates > 100
-    assert report.metrics["shards"]
-    assert _plans(report.metrics["shards"]) == 0
+def test_multi_op_batch_equals_the_ops_run_singly():
+    world = _world(31, 120)
+    oracle = _Oracle(world)
+    rng = random.Random(32)
+    specs = [query_spec(q) for q in _queries(rng, 10)]
+    twins = []
+    for _ in range(2):
+        backend = ShardBackend(0, ServerConfig(grid_m=6), oracle)
+        backend.bootstrap(
+            [(oid, (p.x, p.y)) for oid, p in sorted(world.items())],
+            specs, 0.0,
+        )
+        twins.append(backend)
+    batched, single = twins
+    for tick in range(1, 21):
+        oracle.drift(rng, 0.03)
+        oracle.unreachable = (
+            set(rng.sample(sorted(world), 6)) if tick % 5 == 0 else set()
+        )
+        ops = [
+            ("update", oid, (oracle.positions[oid].x, oracle.positions[oid].y))
+            for oid in rng.sample(sorted(world), 12)
+            if oid not in oracle.unreachable
+        ]
+        if tick % 4 == 0:
+            oid, p = ops[0][1], oracle.positions[ops[0][1]]
+            ops += [("evict", oid), ("add", oid, (p.x, p.y))]
+        frames = batched.batch(ops, float(tick))["outcomes"]
+        assert frames == [
+            single.batch([op], float(tick))["outcomes"][0] for op in ops
+        ]
+    ids = [spec["query_id"] for spec in specs]
+    assert batched.query_partials(ids) == single.query_partials(ids)
 
 
 def test_multi_report_sharded_batches_still_plan():
+    """``handle_location_updates`` still plans a tick coordinator-side:
+    one ``batch`` op stream per shard, several ops long, whose merged
+    answers equal the same reports sent singly in the plan's order."""
     world = _world(31, 300)
-    oracle = _Oracle(world)
-    cluster = ShardedServer(
-        oracle, ServerConfig(grid_m=8), n_shards=2,
-        metrics=MetricsRegistry(),
-    )
-    cluster.bootstrap(
-        sorted(world.items()), _queries(random.Random(32), 12), 0.0
-    )
+    clusters = []
+    for _ in range(2):
+        oracle = _Oracle(world)
+        cluster = ShardedServer(oracle, ServerConfig(grid_m=8), n_shards=2)
+        cluster.bootstrap(
+            sorted(world.items()), _queries(random.Random(32), 12), 0.0
+        )
+        clusters.append((cluster, oracle))
+    (batched, oracle_b), (single, oracle_s) = clusters
+    streams = []
+    dispatch = batched._dispatch
+
+    def recording(per_shard, time):
+        streams.append({shard: len(ops) for shard, ops in per_shard.items()})
+        return dispatch(per_shard, time)
+
+    batched._dispatch = recording
     rng = random.Random(33)
     for tick in range(1, 6):
-        oracle.drift(rng, 0.02)
-        cluster.handle_location_updates(
-            [(oid, oracle.positions[oid])
-             for oid in rng.sample(sorted(world), 60)],
-            float(tick),
-        )
-    assert _plans(cluster.shard_metrics_snapshots()) > 0
+        oracle_b.drift(rng, 0.02)
+        oracle_s.positions = dict(oracle_b.positions)
+        reports = [
+            (oid, oracle_b.positions[oid])
+            for oid in rng.sample(sorted(world), 60)
+        ]
+        batched.handle_location_updates(reports, float(tick))
+        cells = single.router.grid.cells_of_points([p for _, p in reports])
+        for i in sorted(range(len(reports)), key=lambda i: (cells[i], i)):
+            single.handle_location_update(*reports[i], float(tick))
+        assert _snapshots(batched) == _snapshots(single)
+        for oid in world:
+            assert batched.safe_region_of(oid) == single.safe_region_of(oid)
+    assert len(streams) == 5
+    assert all(
+        len(stream) == 2 and min(stream.values()) > 1 for stream in streams
+    )
+    batched.validate()
+    single.validate()

@@ -68,7 +68,7 @@ MOVES = {
     "generation_bumped": (SLOW, SLOW, SLOW, SLOW, SLOW),
 }
 
-ENTRY_POINTS = ("single", "batch", "planned")
+ENTRY_POINTS = ("single", "batch")
 
 
 def _toward_centre(position, region):
@@ -86,11 +86,7 @@ def _report(server, entry, position, time):
         regions = dict(out.regions)
         region = regions.pop("o", None)
     else:
-        if entry == "planned":
-            with server.planned_tick([("o", position)], time=time):
-                out = server.handle_location_update("o", position, time)
-        else:
-            out = server.handle_location_update("o", position, time)
+        out = server.handle_location_update("o", position, time)
         region, regions = out.safe_region, out.probed
     return (
         region,
