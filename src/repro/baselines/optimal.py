@@ -35,9 +35,9 @@ def optimal_report(
             scenario.space,
             seed=scenario.seed,
         )
-        trajectories = {
-            oid: model.create(oid) for oid in range(scenario.num_objects)
-        }
+        trajectories = model.build(
+            range(scenario.num_objects), scenario.duration
+        )
         if queries is None:
             queries = generate_queries(scenario.workload(), seed=scenario.seed)
         truth = GroundTruth(trajectories, queries)

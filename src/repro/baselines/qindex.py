@@ -21,7 +21,10 @@ from typing import Hashable
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.geometry.rect import Rect
 from repro.index.bulk import bulk_load
-from repro.mobility.waypoint import RandomWaypointModel
+from repro.mobility.waypoint import (
+    RandomWaypointModel,
+    total_distance_travelled,
+)
 from repro.obs import NULL_REGISTRY, Tracer
 from repro.simulation.metrics import (
     AccuracyAccumulator,
@@ -63,9 +66,9 @@ class QIndexSimulation:
                 scenario.space,
                 seed=scenario.seed,
             )
-            self.trajectories = {
-                oid: model.create(oid) for oid in range(scenario.num_objects)
-            }
+            self.trajectories = model.build(
+                range(scenario.num_objects), scenario.duration
+            )
             if queries is None:
                 queries = generate_queries(
                     scenario.workload(), seed=scenario.seed
@@ -127,9 +130,8 @@ class QIndexSimulation:
                     visible = pending.pop(0)[1]
                 self._sample(when, visible)
 
-        total_distance = sum(
-            tr.distance_travelled(0.0, scenario.duration)
-            for tr in self.trajectories.values()
+        total_distance = total_distance_travelled(
+            self.trajectories.values(), 0.0, scenario.duration
         )
         return SchemeReport(
             scheme=f"QIDX({self.t_prd:g})",

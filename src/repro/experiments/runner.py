@@ -36,9 +36,7 @@ def build_truth(scenario: Scenario) -> GroundTruth:
         scenario.space,
         seed=scenario.seed,
     )
-    trajectories = {
-        oid: model.create(oid) for oid in range(scenario.num_objects)
-    }
+    trajectories = model.build(range(scenario.num_objects), scenario.duration)
     queries = generate_queries(scenario.workload(), seed=scenario.seed)
     return GroundTruth(
         trajectories, queries,

@@ -37,7 +37,12 @@ from repro.core.server import DatabaseServer, ServerConfig
 from repro.faults import ProbeTimeout
 from repro.kernels import Kernels
 from repro.mobility.client import MobileClient
-from repro.mobility.waypoint import RandomWaypointModel, exit_times_from_rects
+from repro.mobility.waypoint import (
+    BLOCK,
+    RandomWaypointModel,
+    exit_times_from_rects,
+    total_distance_travelled,
+)
 from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY, Tracer
 from repro.runtime import paused_gc
 from repro.simulation.metrics import (
@@ -54,10 +59,6 @@ _PRIO_RECV_UPDATE = 1
 _PRIO_RECV_REGION = 2
 _PRIO_SAMPLE = 3
 _PRIO_TIMEOUT = 4
-
-#: Clients per columnar first-exit block: long enough to amortise the
-#: array calls, short enough that the columns stay a few hundred KB.
-_FIRST_EXIT_BLOCK = 8192
 
 
 class SRBSimulation:
@@ -108,9 +109,12 @@ class SRBSimulation:
                 scenario.space,
                 seed=scenario.seed,
             )
+            # Every leg to the end of the run, in columns.
             self.clients = {
-                oid: MobileClient(oid, model.create(oid))
-                for oid in range(scenario.num_objects)
+                oid: MobileClient(oid, trajectory)
+                for oid, trajectory in model.build(
+                    range(scenario.num_objects), scenario.duration
+                ).items()
             }
             if queries is None:
                 queries = generate_queries(
@@ -266,9 +270,10 @@ class SRBSimulation:
         horizon = self.scenario.duration
         poll = self.scenario.client_poll_interval
         # First exits, a columnar block of clients at a time (client
-        # order, so ``seq`` tie-breaks are those of a per-client loop).
+        # order, so ``seq`` tie-breaks are those of a per-client loop;
+        # a leg block's worth, so each pass reads one leg array).
         members = iter(self.clients.items())
-        while block := list(itertools.islice(members, _FIRST_EXIT_BLOCK)):
+        while block := list(itertools.islice(members, BLOCK)):
             regions = [granted[oid] for oid, _ in block]
             first_exits = exit_times_from_rects(
                 [client.trajectory for _, client in block],
@@ -328,9 +333,10 @@ class SRBSimulation:
                 else:
                     self._on_sample()
         self.server.refresh_index_gauges()
-        total_distance = sum(
-            client.trajectory.distance_travelled(0.0, scenario.duration)
-            for client in self.clients.values()
+        total_distance = total_distance_travelled(
+            (client.trajectory for client in self.clients.values()),
+            0.0,
+            scenario.duration,
         )
         self.costs = CommunicationCosts.from_server_stats(
             self.server.stats, updates=self.costs.updates

@@ -170,8 +170,21 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "tests/test_bootstrap.py::test_start_up_restores_the_collector_state"
         in runs[tests[0]]
     )
+    # ... and the leg columns under every loop: legs and reads equal the
+    # scalar reference generator's, and no generator outlives a build.
+    assert "tests/test_mobility.py::TestColumnarLegs" in runs[tests[0]]
+    assert "tests/test_mobility.py::TestLegMemory" in runs[tests[0]]
     mobility = (ROOT / "tests" / "test_mobility.py").read_text()
     assert "class TestColumnarExitTimes:" in mobility
+    for name in (
+        "class TestColumnarLegs:",
+        "def test_legs_pin_the_scalar_reference(",
+        "def test_reads_are_hex_equal_to_the_reference(",
+        "class TestLegMemory:",
+        "def test_built_trajectories_keep_no_generator(",
+        "def test_a_leg_takes_at_most_64_bytes(",
+    ):
+        assert name in mobility
     start_up = (ROOT / "tests" / "test_bootstrap.py").read_text()
     assert "def test_start_up_restores_the_collector_state(" in start_up
     # ... and the monitoring loop's probes: a dense kNN world probes

@@ -4,7 +4,10 @@ import pytest
 
 from repro.experiments import figures, format_table, run_schemes, sweep
 from repro.experiments.runner import build_truth
-from repro.simulation import Scenario
+from repro.kernels import Kernels
+from repro.mobility import RandomWaypointModel
+from repro.simulation import GroundTruth, Scenario
+from repro.workloads.generator import generate_queries
 
 FAST = Scenario(
     num_objects=80,
@@ -39,6 +42,32 @@ class TestRunner:
         truth = build_truth(FAST)
         reports = run_schemes(FAST, schemes=("SRB", "OPT"), truth=truth)
         assert reports["SRB"].num_objects == FAST.num_objects
+
+    def test_bulk_trajectories_report_as_one_at_a_time(self):
+        """``build_truth`` and the baselines build every trajectory in
+        one bulk pass to the scenario's end; each scheme reports exactly
+        what it reports over trajectories created one at a time."""
+        schemes = ("SRB", "OPT", "PRD(0.1)", "QIDX(0.1)")
+        model = RandomWaypointModel(
+            FAST.mean_speed, FAST.mean_period, FAST.space, seed=FAST.seed
+        )
+        single = GroundTruth(
+            {oid: model.create(oid) for oid in range(FAST.num_objects)},
+            generate_queries(FAST.workload(), seed=FAST.seed),
+            kernels=Kernels(FAST.kernel_backend, min_rows=FAST.kernel_min_rows),
+        )
+        bulk = run_schemes(FAST, schemes=schemes)
+        one_by_one = run_schemes(FAST, schemes=schemes, truth=single)
+        for scheme in schemes:
+            got, want = bulk[scheme], one_by_one[scheme]
+            assert got.accuracy.hex() == want.accuracy.hex(), scheme
+            assert got.costs == want.costs, scheme
+            assert float(got.total_distance).hex() == float(
+                want.total_distance
+            ).hex(), scheme
+            assert got.extras == want.extras, scheme
+        assert bulk["SRB"].total_distance > 0.0
+        assert bulk["QIDX(0.1)"].total_distance == bulk["SRB"].total_distance
 
     def test_sweep_delay_shares_truth(self):
         results = sweep(FAST, "delay", [0.0, 0.2], schemes=("SRB",))

@@ -1,7 +1,10 @@
 """Tests for the random waypoint model and client logic (Section 7.1)."""
 
+import gc
 import math
 import random
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -9,13 +12,150 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect
 from repro.mobility import MobileClient, RandomWaypointModel, Segment, Trajectory
-from repro.mobility.waypoint import exit_times_from_rects
+from repro.mobility.waypoint import (
+    LegBlock,
+    exit_times_from_rects,
+    total_distance_travelled,
+)
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
 
 def make_trajectory(oid=0, speed=0.05, period=0.3, seed=0):
     return RandomWaypointModel(speed, period, UNIT, seed=seed).create(oid)
+
+
+def built_legs(trajectory: Trajectory) -> list[Segment]:
+    """The legs ``trajectory`` has built so far, as ``Segment`` values.
+
+    Legs are a run of rows in a float block shared by the trajectories
+    built with it, not a list of ``Segment`` objects, so asserts about
+    the built legs read that run of rows (``_lo`` / ``_hi`` are offsets
+    into the block's flat view, six floats a leg).
+    """
+    rows = trajectory._legs.rows[trajectory._lo // 6:trajectory._hi // 6]
+    return [
+        Segment(start, end, Point(x, y), vx, vy)
+        for start, end, x, y, vx, vy in rows.tolist()
+    ]
+
+
+def leg_hex(segment: Segment) -> tuple[str, ...]:
+    return tuple(
+        value.hex() for value in (
+            segment.start_time, segment.end_time, segment.start.x,
+            segment.start.y, segment.velocity_x, segment.velocity_y,
+        )
+    )
+
+
+def _segment_exit(position: Point, segment: Segment, rect: Rect) -> float:
+    t_exit = math.inf
+    vx, vy = segment.velocity_x, segment.velocity_y
+    if vx > 0.0:
+        t_exit = min(t_exit, (rect.max_x - position.x) / vx)
+    elif vx < 0.0:
+        t_exit = min(t_exit, (rect.min_x - position.x) / vx)
+    if vy > 0.0:
+        t_exit = min(t_exit, (rect.max_y - position.y) / vy)
+    elif vy < 0.0:
+        t_exit = min(t_exit, (rect.min_y - position.y) / vy)
+    return max(t_exit, 0.0)
+
+
+class ScalarReference:
+    """The scalar trajectory the leg columns replaced, as the reference.
+
+    One ``Segment`` per leg, drawn one at a time from a per-object
+    generator that stays alive, by the arithmetic the columnar builder
+    must reproduce bit for bit; reads walk the ``Segment`` list with the
+    same lookup cursor.
+    """
+
+    def __init__(self, model: RandomWaypointModel, oid: int) -> None:
+        self._speed = model.mean_speed
+        self._period = model.mean_period
+        self._space = space = model.space
+        self._rng = np.random.default_rng((model._seed, oid))
+        ux, uy = self._rng.random(2).tolist()
+        self._cursor = Point(
+            space.min_x + (space.max_x - space.min_x) * ux,
+            space.min_y + (space.max_y - space.min_y) * uy,
+        )
+        self._cursor_time = 0.0
+        self.segments: list[Segment] = []
+        self._search_from = 0
+
+    def extend_to(self, t: float) -> None:
+        while self._cursor_time <= t:
+            self.segments.append(self._next_segment())
+
+    def _next_segment(self) -> Segment:
+        origin = self._cursor
+        space = self._space
+        ux, uy, us, ut = self._rng.random(4).tolist()
+        destination = Point(
+            space.min_x + (space.max_x - space.min_x) * ux,
+            space.min_y + (space.max_y - space.min_y) * uy,
+        )
+        speed = 2.0 * self._speed * us
+        period = max(2.0 * self._period * ut, 1e-9)
+        distance = origin.distance_to(destination)
+        if speed <= 0.0 or distance == 0.0:
+            duration = period
+            vx = vy = 0.0
+        else:
+            duration = min(distance / speed, period)
+            vx = (destination.x - origin.x) / distance * speed
+            vy = (destination.y - origin.y) / distance * speed
+        start_time = self._cursor_time
+        end_time = start_time + duration
+        segment = Segment(start_time, end_time, origin, vx, vy)
+        self._cursor = segment.position_at(end_time)
+        self._cursor_time = end_time
+        return segment
+
+    def segment_at(self, t: float) -> Segment:
+        self.extend_to(t)
+        i = self._search_from
+        segments = self.segments
+        if segments[i].start_time > t:
+            i = 0
+        while segments[i].end_time < t:
+            i += 1
+        self._search_from = i
+        return segments[i]
+
+    def position_at(self, t: float) -> Point:
+        return self.segment_at(t).position_at(t)
+
+    def distance_travelled(self, t0: float, t1: float) -> float:
+        if t1 <= t0:
+            return 0.0
+        self.extend_to(t1)
+        total = 0.0
+        for segment in self.segments:
+            if segment.end_time <= t0:
+                continue
+            if segment.start_time >= t1:
+                break
+            overlap = min(segment.end_time, t1) - max(segment.start_time, t0)
+            total += segment.speed * overlap
+        return total
+
+    def exit_time_from_rect(self, rect: Rect, t: float, horizon: float) -> float:
+        current = t
+        while current <= horizon:
+            segment = self.segment_at(current)
+            position = segment.position_at(current)
+            if not rect.contains_point(position, eps=1e-12):
+                return current
+            if segment.velocity_x != 0.0 or segment.velocity_y != 0.0:
+                exit_at = current + _segment_exit(position, segment, rect)
+                if exit_at <= segment.end_time:
+                    return exit_at if exit_at <= horizon else math.inf
+            current = math.nextafter(max(segment.end_time, current), math.inf)
+        return math.inf
 
 
 class TestTrajectory:
@@ -96,7 +236,7 @@ class TestTrajectory:
                 rng.uniform(space.min_x, space.max_x),
                 rng.uniform(space.min_y, space.max_y),
             )
-            for segment in trajectory._segments:
+            for segment in built_legs(trajectory):
                 assert (segment.start.x, segment.start.y) == cursor
                 dest_x = rng.uniform(space.min_x, space.max_x)
                 dest_y = rng.uniform(space.min_y, space.max_y)
@@ -180,6 +320,24 @@ class TestExitTimes:
         box = Rect(p0.x - 0.4, p0.y - 0.4, p0.x + 0.4, p0.y + 0.4)
         assert trajectory.exit_time_from_rect(box, 0.0, 1.0) == math.inf
 
+    def test_infinite_horizon_is_rejected(self):
+        """A whole-space rect is never left: a walk (or a build) to an
+        infinite horizon would draw legs forever."""
+        model = RandomWaypointModel(0.05, 0.3, UNIT)
+        trajectory = model.create(0)
+        for horizon in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                trajectory.exit_time_from_rect(UNIT, 0.0, horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                exit_times_from_rects([trajectory], [UNIT], 0.0, horizon)
+            with pytest.raises(ValueError, match="horizon"):
+                model.build([0], horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            trajectory.position_at(math.inf)
+        with pytest.raises(ValueError, match="horizon"):
+            model.build([0], -1.0)
+        assert trajectory.exit_time_from_rect(UNIT, 0.0, 5.0) == math.inf
+
     @given(st.integers(min_value=0, max_value=50), st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_property_no_crossing_before_exit(self, oid, start):
@@ -198,14 +356,19 @@ class TestExitTimes:
 
 
 def scripted(first: Segment, seed: int) -> Trajectory:
-    """A trajectory whose first leg is ``first``; the RNG draws the rest."""
-    trajectory = Trajectory(
-        first.start, 0.05, 0.3, UNIT, np.random.default_rng(seed)
-    )
-    trajectory._segments.append(first)
-    trajectory._cursor = first.position_at(first.end_time)
-    trajectory._cursor_time = first.end_time
-    return trajectory
+    """A trajectory whose first leg is ``first``; the model draws the rest.
+
+    A trajectory is a run of rows in a leg block and keeps no generator,
+    so the scripted leg is a one-row block, and the legs after it come
+    from object 0's ``(seed, 0)`` stream advanced past one leg's
+    variates, as for any trajectory extended past its last leg.
+    """
+    leg = np.array([[
+        first.start_time, first.end_time, first.start.x, first.start.y,
+        first.velocity_x, first.velocity_y,
+    ]])
+    model = RandomWaypointModel(0.05, 0.3, UNIT, seed=seed)
+    return Trajectory(model, 0, LegBlock(leg), 0, 1)
 
 
 class TestColumnarExitTimes:
@@ -213,20 +376,15 @@ class TestColumnarExitTimes:
     for bit — the engine schedules every first exit from it."""
 
     @staticmethod
-    def check(cases, t, horizon):
-        """``cases``: ``(trajectory factory, rect)``; returns the times."""
+    def check(make, rects, t, horizon):
+        """``make()``: fresh trajectories, one per rect; returns the times."""
         clients = []
-        for make, rect in cases:
-            client = MobileClient(len(clients), make())
+        for trajectory, rect in zip(make(), rects):
+            client = MobileClient(len(clients), trajectory)
             client.adopt_safe_region(rect)
             clients.append(client)
         want = [client.next_exit_time(t, horizon) for client in clients]
-        got = exit_times_from_rects(
-            [make() for make, _ in cases],
-            [rect for _, rect in cases],
-            t,
-            horizon,
-        )
+        got = exit_times_from_rects(make(), rects, t, horizon)
         assert [x.hex() for x in got] == [x.hex() for x in want]
         return got
 
@@ -238,24 +396,28 @@ class TestColumnarExitTimes:
             # Four (t, horizon) shapes: start-up, a short horizon most
             # first legs outlast, a late start, an already-past horizon.
             for t, horizon in ((0.0, 2.0), (0.0, 0.05), (0.7, 1.5), (0.4, 0.3)):
-                cases = []
-                for oid in range(64):
-                    p = model.create(oid).position_at(t)
+                # Built to the horizon, as the engine builds; odd seeds
+                # build one leg only, so the pass extends them itself.
+                built = 0.0 if seed % 2 else max(horizon, t)
+
+                def make(model=model, built=built):
+                    return list(model.build(range(64), built).values())
+
+                rects = []
+                for oid, trajectory in enumerate(make()):
+                    p = trajectory.position_at(t)
                     # From a sliver left within the leg to a box that
                     # outlasts several legs; one in eight excludes p.
                     half = 10.0 ** rng.uniform(-5.0, -0.5)
                     shift = 2.5 * half if oid % 8 == 0 else 0.0
-                    cases.append((
-                        lambda oid=oid: model.create(oid),
-                        Rect(
-                            p.x - half * rng.random() + shift,
-                            p.y - half * rng.random(),
-                            p.x + half * rng.random() + shift,
-                            p.y + half * rng.random(),
-                        ),
+                    rects.append(Rect(
+                        p.x - half * rng.random() + shift,
+                        p.y - half * rng.random(),
+                        p.x + half * rng.random() + shift,
+                        p.y + half * rng.random(),
                     ))
-                got = self.check(cases, t, horizon)
-                triples += len(cases)
+                got = self.check(make, rects, t, horizon)
+                triples += len(rects)
                 if t <= horizon:
                     stays += sum(math.isinf(x) for x in got)
                     outside += got.count(t)
@@ -291,24 +453,199 @@ class TestColumnarExitTimes:
             (diagonal, Rect(0.25, 0.25, 0.5 - 5e-13, 0.75)),
             (parked, Rect(0.6, 0.6, 0.7, 0.7)),
         ]
+        rects = [rect for _, rect in cases]
         for seed in range(8):
-            scripts = [
-                (lambda leg=leg, seed=seed: scripted(leg, seed), rect)
-                for leg, rect in cases
-            ]
+            def scripts(seed=seed):
+                return [scripted(leg, seed) for leg, _ in cases]
+
             # Horizons: past every exit, between leg end and exit, at
             # the leg end exactly, inside the leg, and zero.
             for horizon in (10.0, 0.6, 0.5, 0.3, 0.0):
-                got = self.check(scripts, 0.0, horizon)
+                got = self.check(scripts, rects, 0.0, horizon)
                 if horizon >= 0.5:
                     assert got[0] == 0.5
                 else:
                     assert got[0] == math.inf  # exit past the horizon
                 assert got[7] == 0.0 and got[8] > 0.0
             # Mid-leg, and from the very end of the scripted leg.
-            self.check(scripts, 0.25, 10.0)
-            self.check(scripts, 0.5, 10.0)
+            self.check(scripts, rects, 0.25, 10.0)
+            self.check(scripts, rects, 0.5, 10.0)
         assert exit_times_from_rects([], [], 0.0, 1.0) == []
+
+
+class TestColumnarLegs:
+    """The leg columns are :class:`ScalarReference`'s legs, and every
+    read off them is the reference's read, bit for bit."""
+
+    #: Offset spaces exercise ``lo +`` in the scaled draws; the fast
+    #: model in the small space arrives before most periods end.
+    MODELS = (
+        (0.05, 0.3, UNIT),
+        (0.013, 0.37, Rect(0.1, -0.5, 0.9, 2.0)),
+        (3.0, 0.2, Rect(-3.0, 2.0, -1.5, 2.25)),
+    )
+
+    def test_legs_pin_the_scalar_reference(self):
+        pairs = legs = 0
+        for seed in range(12):
+            for speed, period, space in self.MODELS:
+                model = RandomWaypointModel(speed, period, space, seed=seed)
+                at_zero = model.build(range(30), 0.0)
+                at_one = model.build(range(30), 1.0)
+                for oid in range(30):
+                    reference = ScalarReference(model, oid)
+                    reference.extend_to(3.0)
+                    third = reference.segments[2]
+                    # Zero, mid-leg, exactly on a leg's end, and the
+                    # block horizon 1.0.
+                    for horizon, trajectory in (
+                        (0.0, at_zero[oid]),
+                        (0.5 * (third.start_time + third.end_time), None),
+                        (third.end_time, None),
+                        (1.0, at_one[oid]),
+                    ):
+                        if trajectory is None:
+                            trajectory = model.build([oid], horizon)[oid]
+                        got = [leg_hex(leg) for leg in built_legs(trajectory)]
+                        want = [
+                            leg_hex(leg) for leg in reference.segments
+                            if leg.start_time <= horizon
+                        ]
+                        assert got == want, (seed, oid, horizon)
+                        legs += len(got)
+                    pairs += 1
+        assert pairs >= 1000
+        assert legs >= 10_000
+
+    def test_extension_continues_one_long_stream(self):
+        model = RandomWaypointModel(0.05, 0.3, Rect(0.1, -0.5, 0.9, 2.0), seed=4)
+        trajectories = list(model.build(range(40), 0.5).values())
+        # One row at a time: a read past the last leg ...
+        for trajectory in trajectories[:20]:
+            trajectory.position_at(3.0)
+        # ... and a block at once: a columnar walk to a later horizon.
+        whole = Rect(-1.0, -1.0, 2.0, 3.0)
+        assert exit_times_from_rects(
+            trajectories[20:], [whole] * 20, 0.0, 4.0
+        ) == [math.inf] * 20
+        for oid, trajectory in enumerate(trajectories):
+            got = [leg_hex(leg) for leg in built_legs(trajectory)]
+            reference = ScalarReference(model, oid)
+            reference.extend_to(3.0 if oid < 20 else 4.0)
+            assert len(got) >= len(reference.segments)
+            reference.extend_to(built_legs(trajectory)[-1].start_time)
+            assert got == [leg_hex(leg) for leg in reference.segments]
+
+    def test_reads_are_hex_equal_to_the_reference(self):
+        rng = random.Random(11)
+        reads = 0
+        for seed in range(6):
+            model = RandomWaypointModel(0.05, 0.3, UNIT, seed=seed)
+            # Half built to the horizon, half one leg at a time: the
+            # columnar pass stacks both blocks.
+            trajectories = list(model.build(range(25), 2.0).values()) + [
+                model.create(oid) for oid in range(25, 50)
+            ]
+            references = [ScalarReference(model, oid) for oid in range(50)]
+            for t, horizon in ((0.0, 2.0), (0.6, 1.9), (1.1, 3.5)):
+                rects = []
+                for reference in references:
+                    p = reference.position_at(t)
+                    half = 10.0 ** rng.uniform(-4.0, -0.5)
+                    rects.append(
+                        Rect(p.x - half, p.y - half, p.x + half, p.y + half)
+                    )
+                for trajectory in trajectories:
+                    trajectory.position_at(t)
+                got = exit_times_from_rects(trajectories, rects, t, horizon)
+                want = [
+                    reference.exit_time_from_rect(rect, t, horizon)
+                    for reference, rect in zip(references, rects)
+                ]
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                # Each walk leaves its cursor on the last leg it read; a
+                # lookup at that leg's start (the previous leg's end, a
+                # tie) picks whichever leg the cursor reaches first.
+                for trajectory, reference in zip(trajectories, references):
+                    tie = reference.segments[reference._search_from].start_time
+                    assert leg_hex(trajectory.segment_at(tie)) == leg_hex(
+                        reference.segment_at(tie)
+                    )
+            for trajectory, reference in zip(trajectories, references):
+                reference.extend_to(3.0)
+                ends = [leg.end_time for leg in reference.segments][:8]
+                # Forward, then rewinds; leg ends are lookup ties.
+                times = sorted([rng.uniform(0.0, 3.0) for _ in range(12)] + ends)
+                times += [rng.uniform(0.0, 3.0) for _ in range(4)] + ends[:3]
+                for t in times:
+                    p, q = trajectory.position_at(t), reference.position_at(t)
+                    assert (p.x.hex(), p.y.hex()) == (q.x.hex(), q.y.hex())
+                    half = 10.0 ** rng.uniform(-4.0, -0.5)
+                    box = Rect(q.x - half, q.y - half, q.x + half, q.y + half)
+                    horizon = t + rng.uniform(0.0, 2.0)
+                    assert trajectory.exit_time_from_rect(
+                        box, t, horizon
+                    ).hex() == reference.exit_time_from_rect(
+                        box, t, horizon
+                    ).hex()
+                    t1 = t + rng.uniform(0.0, 1.0)
+                    assert trajectory.distance_travelled(
+                        t, t1
+                    ).hex() == reference.distance_travelled(t, t1).hex()
+                    reads += 1
+            assert total_distance_travelled(
+                trajectories, 0.2, 2.7
+            ).hex() == sum(
+                reference.distance_travelled(0.2, 2.7)
+                for reference in references
+            ).hex()
+        assert reads >= 5000
+        assert total_distance_travelled(trajectories, 1.0, 1.0) == 0.0
+        assert total_distance_travelled([], 0.0, 1.0) == 0
+
+
+class TestLegMemory:
+    """No generator outlives a build, and a leg costs ≤ 64 bytes."""
+
+    def test_built_trajectories_keep_no_generator(self):
+        built = RandomWaypointModel(0.01, 0.1, UNIT, seed=3).build(
+            range(300), 1.0
+        )
+        built[7].position_at(4.0)  # an extension re-derives a stream
+        seen, stack = set(), list(built.values())
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (
+                np.random.Generator, np.random.BitGenerator,
+                np.random.SeedSequence,
+            )), obj
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > 300
+
+    def test_a_leg_takes_at_most_64_bytes(self):
+        """Bytes retained per extra leg: a build to a long horizon less
+        the same objects built to one leg each, over the legs between."""
+        model = RandomWaypointModel(0.01, 0.1, UNIT, seed=3)
+
+        def retained(horizon):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                built = model.build(range(2000), horizon)
+                gc.collect()
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            legs = sum(len(built_legs(t)) for t in built.values())
+            return size, legs
+
+        short, few = retained(0.0)
+        long, many = retained(5.0)
+        assert many >= 40 * few
+        assert (long - short) / (many - few) <= 64
 
 
 class TestMobileClient:

@@ -169,6 +169,19 @@ class TestSRBSimulation:
         assert a.costs.updates == b.costs.updates
         assert a.accuracy == b.accuracy
 
+    def test_total_distance_is_the_per_trajectory_sum(self):
+        """The report's distance comes from the leg columns in one pass;
+        it is the sum of every trajectory's own walk, bit for bit."""
+        report = SRBSimulation(TINY).run()
+        model = RandomWaypointModel(
+            TINY.mean_speed, TINY.mean_period, TINY.space, seed=TINY.seed
+        )
+        walked = sum(
+            model.create(oid).distance_travelled(0.0, TINY.duration)
+            for oid in range(TINY.num_objects)
+        )
+        assert report.total_distance.hex() == walked.hex()
+
     def test_shared_truth_reuse(self):
         first = SRBSimulation(TINY)
         report_a = first.run()
