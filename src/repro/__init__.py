@@ -3,8 +3,9 @@
 A from-scratch reproduction of Hu, Xu & Lee, *"A Generic Framework for
 Monitoring Continuous Spatial Queries over Moving Objects"* (SIGMOD 2005):
 the safe-region framework (server, query evaluation/reevaluation with lazy
-probes, safe-region geometry), its substrates (R*-tree with bottom-up
-updates, grid query index, random-waypoint mobility, a discrete event
+probes, safe-region geometry), its substrates (a grid query index whose
+cells also index the objects' safe regions, an R*-tree with bottom-up
+updates for the baselines, random-waypoint mobility, a discrete event
 simulator), the paper's baselines (periodic and optimal monitoring), and a
 benchmark harness regenerating every figure of the evaluation.
 

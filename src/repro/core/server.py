@@ -1,9 +1,10 @@
 """The database server of the monitoring framework (Section 3, Algorithm 1).
 
 The server owns four components (Figure 3.1): the object index over safe
-regions (an R*-tree), the in-memory grid index over query quarantine
-areas, the query processor (evaluation / incremental reevaluation with
-lazy probes), and the location manager (safe-region computation).
+regions (bucketed by the cells of the query grid), the in-memory grid
+index over query quarantine areas, the query processor (evaluation /
+incremental reevaluation with lazy probes), and the location manager
+(safe-region computation).
 
 Exact object positions are obtained through ``position_oracle`` — the
 server-initiated probe channel.  In the simulator this callback charges
@@ -27,9 +28,8 @@ from repro.core.safe_region import compute_safe_region
 from repro.faults import ProbeTimeout
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.bulk import bulk_load
+from repro.index.cells import CellObjectIndex
 from repro.index.grid import GridIndex
-from repro.index.rstar import RStarTree
 from repro.kernels import KERNEL_BACKENDS, Kernels, PositionStore
 from repro.obs import (
     COUNT_BUCKETS,
@@ -74,7 +74,6 @@ class ServerConfig:
       Fig 7.6, quantifies both).
     * ``steadiness`` — the D parameter of the weighted-perimeter
       enhancement (Section 6.2); 0 disables it.
-    * ``index_max_entries`` — R*-tree node capacity.
     * ``enable_caches`` — the grid index's generation-stamped per-cell
       candidate caches and interned cell rectangles
       (docs/PERFORMANCE.md).  On by default; ``repro compare
@@ -90,7 +89,6 @@ class ServerConfig:
     max_speed: float | None = None
     reachability_pushes: bool = True
     steadiness: float = 0.0
-    index_max_entries: int = 32
     enable_caches: bool = True
     #: Batch-geometry backend (``repro.kernels``): ``"numpy"`` runs the
     #: hot-path geometry as columnar array passes, ``"python"`` the
@@ -284,11 +282,7 @@ class DatabaseServer:
         #: maintained at each register / update / deregister alongside
         #: ``ObjectState.p_lst``.
         self.positions = PositionStore()
-        self._g_rstar_height = self.metrics.gauge("rstar.height")
-        self._g_rstar_nodes = self.metrics.gauge("rstar.nodes")
-        self.object_index = RStarTree(
-            max_entries=self.config.index_max_entries, kernels=self.kernels
-        )
+        self._g_wide = self.metrics.gauge("object_index.wide")
         self.query_index = GridIndex(
             self.config.grid_m,
             self.config.space,
@@ -303,6 +297,7 @@ class DatabaseServer:
         self.query_index.bind_position_store(
             self.positions, metrics=self.metrics
         )
+        self.object_index = CellObjectIndex(self.query_index)
         self._objects: dict[ObjectId, ObjectState] = {}
         #: Unreachable objects (docs/ROBUSTNESS.md): oid -> time the
         #: object entered degraded mode.  While degraded, the installed
@@ -329,7 +324,7 @@ class DatabaseServer:
         self._probe_spent = 0
         self._failed_probes: set[ObjectId] = set()
         #: Deferred slow-path pointify: ``(oid, position)`` of an updater
-        #: whose R*-tree entry has not been collapsed to its exact point
+        #: whose index entry has not been collapsed to its exact point
         #: yet.  The collapse is only observable through an index read
         #: between ingestion and the location manager's reinstall, so it
         #: runs lazily — just before the first reevaluation that can read
@@ -373,8 +368,11 @@ class DatabaseServer:
         return oid in self._degraded
 
     def validate(self) -> None:
-        """Check server-wide invariants (tests); see also ``RStarTree.validate``."""
+        """Check server-wide invariants (tests), the object index's included."""
         self.object_index.validate()
+        assert len(self.object_index) == len(
+            self._objects
+        ), "object index out of sync with object table"
         assert len(self.positions) == len(
             self._objects
         ), "position store out of sync with object table"
@@ -402,26 +400,13 @@ class DatabaseServer:
                 ), f"query-free certificate of {oid!r} without its full cell"
 
     def refresh_index_gauges(self) -> None:
-        """Publish index-shape gauges (``rstar.height``, ``rstar.nodes``).
+        """Publish the object index's shape gauge (``object_index.wide``).
 
-        Sampled at bulk load, query registration, and batch boundaries —
-        the node-count walk is cheap but pointless per-report.  The grid's
-        own gauges (``grid.cells_indexed`` et al.) refresh on mutation.
+        Sampled at bulk load, query registration, and batch boundaries.
+        The grid's own gauges (``grid.cells_indexed`` et al.) refresh on
+        mutation.
         """
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.push("index.maintenance")
-            try:
-                if self.metrics.enabled:
-                    self._g_rstar_height.set(self.object_index.height)
-                    self._g_rstar_nodes.set(self.object_index.count_nodes())
-            finally:
-                profiler.pop()
-            return
-        if not self.metrics.enabled:
-            return
-        self._g_rstar_height.set(self.object_index.height)
-        self._g_rstar_nodes.set(self.object_index.count_nodes())
+        self._g_wide.set(len(self.object_index.wide))
 
     def attach_profiler(self, profiler) -> None:
         """Install a tick-phase profiler (``NULL_PROFILER`` detaches)."""
@@ -504,7 +489,7 @@ class DatabaseServer:
         over a *point* index (Algorithm 2 and the range evaluator
         return without a probe), and only then is every object's first
         safe region derived — once, against the complete query set —
-        and the object index STR-loaded from the final regions.
+        and the object index rebuilt from the final regions.
         Registering the same queries one by one after a plain load
         would instead evaluate each over full-cell regions, probe every
         ambiguous object, and re-derive regions cell by cell.
@@ -572,15 +557,12 @@ class DatabaseServer:
                                 region.max_x, region.max_y),
                         pos=(state.p_lst.x, state.p_lst.y),
                     )
-            # Free the point index (if any) before building its
+            # Drop the point index (if any) before building its
             # replacement, so the two never coexist in memory.
-            self.object_index.release()
-            self.object_index = None
-            self.object_index = bulk_load(
-                pairs,
-                max_entries=self.config.index_max_entries,
-                kernels=self.kernels,
-            )
+            self.object_index = CellObjectIndex(grid)
+            insert = self.object_index.insert
+            for oid, region in pairs:
+                insert(oid, region)
         self.refresh_index_gauges()
         self.stats.cpu_seconds = self._trace.cpu_seconds
         return dict(pairs)
@@ -599,14 +581,9 @@ class DatabaseServer:
         which the regions of the objects around it must be cut against.
         """
         states = self._objects
-        self.object_index = bulk_load(
-            [
-                (oid, Rect.from_point(state.p_lst))
-                for oid, state in states.items()
-            ],
-            max_entries=self.config.index_max_entries,
-            kernels=self.kernels,
-        )
+        self.object_index = points = CellObjectIndex(self.query_index)
+        for oid, state in states.items():
+            points.insert(oid, Rect.from_point(state.p_lst))
         asked: dict[ObjectId, None] = {}
 
         def held_position(target: ObjectId) -> Point:
@@ -1102,7 +1079,7 @@ class DatabaseServer:
         """Commit a report :meth:`_certificate_holds` proved a no-op.
 
         Only the held position moves.  The full path's
-        pointify-then-recompute R*-tree churn (two tree updates)
+        pointify-then-recompute index churn (two index updates)
         collapses to zero, or to one on a query-free cell crossing,
         where the region re-anchors to the new cell's rectangle.
         """

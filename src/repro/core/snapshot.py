@@ -6,10 +6,10 @@ restart without re-probing the whole fleet is table stakes for a real
 deployment.  The snapshot is plain JSON: every value it stores is either
 a primitive, a point, or a rectangle.
 
-Restoring reconstructs the object index (bulk-loaded over the stored safe
-regions), the grid query index, and the per-object state; the restored
-server continues exactly where the old one stopped, as the round-trip
-tests assert.
+Restoring reconstructs the object index (over the stored safe regions),
+the grid query index, and the per-object state; the restored server
+continues exactly where the old one stopped, as the round-trip tests
+assert.
 
 Only the built-in query types (:class:`RangeQuery`, :class:`KNNQuery`)
 are serialised; extension queries should be re-registered by the
@@ -39,7 +39,6 @@ from repro.core.queries import KNNQuery, RangeQuery
 from repro.core.server import DatabaseServer, ObjectState, ServerConfig
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.bulk import bulk_load
 
 ObjectId = Hashable
 
@@ -107,7 +106,6 @@ def snapshot_server(server: DatabaseServer) -> dict:
             "max_speed": server.config.max_speed,
             "reachability_pushes": server.config.reachability_pushes,
             "steadiness": server.config.steadiness,
-            "index_max_entries": server.config.index_max_entries,
             "batch_range_regions": server.config.batch_range_regions,
             "kernel_backend": server.config.kernel_backend,
             "kernel_min_rows": server.config.kernel_min_rows,
@@ -141,8 +139,10 @@ def config_from_payload(config_data: dict) -> ServerConfig:
     config_data.setdefault("probe_budget", None)
     config_data.setdefault("on_unknown_object", "raise")
     config_data.setdefault("degraded_max_speed", None)
-    # Written by snapshots older than the relief pass's removal.
+    # Written by snapshots older than the relief pass's removal, and by
+    # snapshots older than the cell object index (the R*-tree fanout).
     config_data.pop("anti_storm_relief", None)
+    config_data.pop("index_max_entries", None)
     return ServerConfig(**config_data)
 
 
@@ -156,7 +156,6 @@ def restore_server(payload: dict, position_oracle) -> DatabaseServer:
         config=config_from_payload(payload["config"]),
     )
 
-    pairs = []
     for key, data in payload["objects"].items():
         oid = json.loads(key)
         region = _rect_from_list(data["safe_region"])
@@ -167,12 +166,7 @@ def restore_server(payload: dict, position_oracle) -> DatabaseServer:
         )
         server._objects[oid] = state
         server.positions.set(oid, state.p_lst)
-        pairs.append((oid, region))
-    server.object_index = bulk_load(
-        pairs,
-        max_entries=server.config.index_max_entries,
-        kernels=server.kernels,
-    )
+        server.object_index.insert(oid, region)
 
     for entry in payload["queries"]:
         if entry["type"] == "range":

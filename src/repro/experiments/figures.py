@@ -106,7 +106,7 @@ def figure_7_3(base: Scenario = BENCH_BASE, object_counts=(300, 600, 1200, 2400)
     """Figure 7.3: scalability with the number of objects N.
 
     Expected shape: SRB CPU sublinear in N (incrementally maintained
-    R*-tree) while PRD rebuilds everything per period; SRB communication
+    object index) while PRD rebuilds everything per period; SRB communication
     cost per client grows sublinearly (denser objects shrink kNN safe
     regions) and stays close to OPT.
     """

@@ -21,14 +21,13 @@ def bulk_load(
     max_entries: int = 32,
     min_fill: float = 0.4,
     fill: float = 0.9,
-    kernels=None,
 ) -> RStarTree:
     """Build an :class:`RStarTree` from ``(oid, rect)`` pairs with STR.
 
     ``fill`` is the target node occupancy (fraction of ``max_entries``);
     leaving headroom keeps the first post-load inserts cheap.
     """
-    tree = RStarTree(max_entries=max_entries, min_fill=min_fill, kernels=kernels)
+    tree = RStarTree(max_entries=max_entries, min_fill=min_fill)
     pairs = list(items)
     if not pairs:
         return tree

@@ -1,0 +1,270 @@
+"""The server's object index: safe regions bucketed by query-grid cell.
+
+Every region the server grants lies inside one cell of the ``M x M``
+grid it keeps for queries (Section 3.3): a query-free grant *is* the
+cell, and every query-shaped region is clipped to it.  So the object
+index needs no tree of its own — it hangs each region off the cell it
+lies in, on the grid's own arithmetic, and Algorithm 2's best-first
+browse walks cells outward from the query point instead of R*-tree
+nodes (docs/PERFORMANCE.md, "Algorithm 2 over cells").
+
+An object's *home* is the cell of its region's centre, provided the
+region lies inside that cell's closed rectangle.  Any other region —
+a degraded object's reachability box, or a point one rounding step
+outside the cell its coordinates truncate to — is kept in ``wide`` and
+visited by every search.  Buckets and ``wide`` are insertion-ordered
+dicts, so every iteration order is a function of the update history.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from typing import Callable, Iterator
+
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.index.grid import CellId, GridIndex
+from repro.index.node import ObjectId
+
+
+class CellObjectIndex:
+    """Safe regions bucketed by the cells of ``grid``; the server's object index."""
+
+    def __init__(self, grid: GridIndex) -> None:
+        self._grid = grid
+        # The grid's cell arithmetic, held locally for the per-report
+        # home computation (``_home_of`` spells out ``cell_of`` and
+        # ``cell_rect`` with the same float operations).
+        self._x0 = grid.space.min_x
+        self._y0 = grid.space.min_y
+        self._w = grid._cell_w
+        self._h = grid._cell_h
+        self._hi = grid.m - 1
+        #: Buckets by cell: cell -> {oid: region}.  A bucket is kept once
+        #: made, empty or not (at most ``M * M`` of them).
+        self._cells: dict[CellId, dict[ObjectId, Rect]] = {}
+        #: Regions that lie inside no single home cell.
+        self.wide: dict[ObjectId, Rect] = {}
+        #: oid -> the dict holding its region: its home bucket, or ``wide``.
+        self._bucket_of: dict[ObjectId, dict[ObjectId, Rect]] = {}
+
+    def __len__(self) -> int:
+        return len(self._bucket_of)
+
+    def _home_of(self, rect: Rect) -> CellId | None:
+        """``cell_of(rect.center)`` if ``cell_rect`` of it holds ``rect``."""
+        x0, y0, w, h, hi = self._x0, self._y0, self._w, self._h, self._hi
+        i = int(((rect.min_x + rect.max_x) / 2.0 - x0) / w)
+        j = int(((rect.min_y + rect.max_y) / 2.0 - y0) / h)
+        if i < 0:
+            i = 0
+        elif i > hi:
+            i = hi
+        if j < 0:
+            j = 0
+        elif j > hi:
+            j = hi
+        if (
+            x0 + i * w <= rect.min_x
+            and rect.max_x <= x0 + (i + 1) * w
+            and y0 + j * h <= rect.min_y
+            and rect.max_y <= y0 + (j + 1) * h
+        ):
+            return (i, j)
+        return None
+
+    def _target(self, rect: Rect) -> dict[ObjectId, Rect]:
+        """The dict ``rect`` belongs in: its home bucket, or ``wide``."""
+        home = self._home_of(rect)
+        if home is None:
+            return self.wide
+        bucket = self._cells.get(home)
+        if bucket is None:
+            bucket = self._cells[home] = {}
+        return bucket
+
+    def rect_of(self, oid: ObjectId) -> Rect:
+        """Current region stored for ``oid`` (KeyError when absent)."""
+        return self._bucket_of[oid][oid]
+
+    def insert(self, oid: ObjectId, rect: Rect) -> None:
+        """Insert a new object.  Raises ``KeyError`` if already present."""
+        if oid in self._bucket_of:
+            raise KeyError(f"object {oid!r} already indexed")
+        target = self._bucket_of[oid] = self._target(rect)
+        target[oid] = rect
+
+    def delete(self, oid: ObjectId) -> None:
+        """Remove an object.  Raises ``KeyError`` when absent."""
+        del self._bucket_of.pop(oid)[oid]
+
+    def update(self, oid: ObjectId, rect: Rect) -> None:
+        """Move ``oid`` to a new region.  Raises ``KeyError`` when absent.
+
+        A region that keeps its home (or stays wide) is patched in place,
+        so the object keeps its position in the iteration order.
+        """
+        bucket = self._bucket_of[oid]
+        target = self._target(rect)
+        if target is not bucket:
+            del bucket[oid]
+            self._bucket_of[oid] = target
+        target[oid] = rect
+
+    def search(self, rect: Rect) -> list[ObjectId]:
+        """Ids of all objects whose region intersects ``rect``."""
+        return [oid for oid, _ in self.search_entries(rect)]
+
+    def search_entries(self, rect: Rect) -> Iterator[tuple[ObjectId, Rect]]:
+        """Yield ``(oid, region)`` for every region intersecting ``rect``.
+
+        Visits the cells whose closed rectangle meets ``rect``: the
+        truncated index range, widened by one against rounding, then
+        filtered exactly.  A resident lies inside its cell, so no cell
+        outside that set can hold a match.
+        """
+        m = self._hi + 1
+        lo_i, hi_i = _span(rect.min_x, rect.max_x, self._x0, self._w, m)
+        lo_j, hi_j = _span(rect.min_y, rect.max_y, self._y0, self._h, m)
+        cells = self._cells
+        cell_rect = self._grid.cell_rect
+        for i in range(lo_i, hi_i + 1):
+            for j in range(lo_j, hi_j + 1):
+                bucket = cells.get((i, j))
+                if bucket and cell_rect((i, j)).intersects(rect):
+                    for oid, region in bucket.items():
+                        if region.intersects(rect):
+                            yield oid, region
+        for oid, region in self.wide.items():
+            if region.intersects(rect):
+                yield oid, region
+
+    def nearest_iter(
+        self,
+        q: Point,
+        exclude: Callable[[ObjectId], bool] | None = None,
+    ) -> Iterator[tuple[ObjectId, Rect, float]]:
+        """Incremental best-first nearest-neighbour iterator over cells.
+
+        Yields ``(oid, region, delta(q, region))`` in non-decreasing
+        distance; ``exclude`` filters objects (reevaluation case 1).  One
+        heap holds regions and cells: ``wide`` first, then the cell
+        holding ``q`` keyed by its distance.  Expanding a cell pushes
+        each resident's region distance, then each unseen 4-neighbour
+        keyed by that cell's distance.  A resident lies inside its cell,
+        and along a straight row-then-column path back to ``q``'s cell
+        cell distance never increases, so every cell is pushed before
+        anything farther than it pops.  The start cell is the one whose
+        closed rectangle holds ``q`` (truncation can land one cell off
+        on a boundary), which keeps that path monotone from its first
+        step.  Equal distances pop in push order.
+        """
+        grid = self._grid
+        cell_rect = grid.cell_rect
+        m = grid.m
+        counter = itertools.count()
+        heap = [
+            (region.min_dist_to_point(q), next(counter), oid, region)
+            for oid, region in self.wide.items()
+            if exclude is None or not exclude(oid)
+        ]
+        heapq.heapify(heap)
+        start = _start_cell(grid, q)
+        heapq.heappush(
+            heap,
+            (cell_rect(start).min_dist_to_point(q), next(counter), start, None),
+        )
+        seen = {start}
+        # Residents not yet pushed: once every bucket is expanded, the
+        # empty remainder of the grid needs no walk.
+        unpushed = len(self._bucket_of) - len(self.wide)
+        cells = self._cells
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        while heap:
+            dist, _, key, region = heappop(heap)
+            if region is not None:
+                yield key, region, dist
+                continue
+            bucket = cells.get(key)
+            if bucket:
+                unpushed -= len(bucket)
+                for oid, resident in bucket.items():
+                    if exclude is None or not exclude(oid):
+                        heappush(
+                            heap,
+                            (resident.min_dist_to_point(q), next(counter),
+                             oid, resident),
+                        )
+            if unpushed <= 0:
+                continue
+            i, j = key
+            for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if cell not in seen and 0 <= cell[0] < m and 0 <= cell[1] < m:
+                    seen.add(cell)
+                    heappush(
+                        heap,
+                        (cell_rect(cell).min_dist_to_point(q), next(counter),
+                         cell, None),
+                    )
+
+    def all_entries(self) -> Iterator[tuple[ObjectId, Rect]]:
+        """Yield every ``(oid, region)`` pair: bucket by bucket, then ``wide``."""
+        for bucket in self._cells.values():
+            yield from bucket.items()
+        yield from self.wide.items()
+
+    def validate(self) -> None:
+        """Check the home / wide invariant; raises ``AssertionError``."""
+        grid = self._grid
+        counted = len(self.wide)
+        for cell, bucket in self._cells.items():
+            for oid, region in bucket.items():
+                assert self._bucket_of.get(oid) is bucket, (
+                    f"{oid!r} is listed in a bucket that is not its own"
+                )
+                assert grid.cell_of(region.center) == cell, (
+                    f"{oid!r} is not bucketed at the cell of its centre"
+                )
+                assert grid.cell_rect(cell).contains_rect(region), (
+                    f"region of {oid!r} leaves its home cell {cell}"
+                )
+            counted += len(bucket)
+        for oid, region in self.wide.items():
+            assert self._bucket_of.get(oid) is self.wide, (
+                f"{oid!r} is listed as wide but homed"
+            )
+            assert self._home_of(region) is None, (
+                f"wide region of {oid!r} fits its home cell"
+            )
+        assert counted == len(self._bucket_of), "bucket table out of sync"
+
+
+def _span(lo: float, hi: float, origin: float, step: float, m: int) -> tuple[int, int]:
+    """Cell index range covering ``[lo, hi]`` on one axis, widened by one.
+
+    Comparisons come before ``int`` so infinite bounds clamp instead of
+    overflowing.
+    """
+    a = (lo - origin) / step
+    b = (hi - origin) / step
+    first = 0 if a < 1.0 else min(int(a) - 1, m - 1)
+    last = m - 1 if b >= m - 1 else max(int(b) + 1, 0)
+    return first, last
+
+
+def _start_cell(grid: GridIndex, q: Point) -> CellId:
+    """The cell whose closed rectangle holds ``q`` (clamped to the grid)."""
+    i, j = grid.cell_of(q)
+    rect = grid.cell_rect((i, j))
+    hi = grid.m - 1
+    if q.x < rect.min_x and i > 0:
+        i -= 1
+    elif q.x > rect.max_x and i < hi:
+        i += 1
+    if q.y < rect.min_y and j > 0:
+        j -= 1
+    elif q.y > rect.max_y and j < hi:
+        j += 1
+    return (i, j)

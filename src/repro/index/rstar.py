@@ -1,10 +1,12 @@
 """A dynamic R*-tree with bottom-up update support.
 
-This is the paper's *object index* (Section 3.2): it stores the current
-safe region of every moving object.  The insertion strategy follows the
-R*-tree (Beckmann, Kriegel, Schneider, Seeger — SIGMOD 1990): choose-subtree
-by overlap/area enlargement, forced reinsertion on first overflow per level,
-and the margin-driven topological split.  Frequent location updates go
+The paper's object index (Section 3.2) is an R*-tree; here the server
+indexes safe regions by query-grid cell instead (``repro.index.cells``),
+and this tree serves the PRD and Q-index baselines.  The insertion
+strategy follows the R*-tree (Beckmann, Kriegel, Schneider, Seeger —
+SIGMOD 1990): choose-subtree by overlap/area enlargement, forced
+reinsertion on first overflow per level, and the margin-driven
+topological split.  Frequent location updates go
 through :meth:`RStarTree.update`, which applies the bottom-up technique of
 Lee et al. (VLDB 2003): when the new rectangle still fits in the leaf's
 parent entry, the leaf entry is patched in place without any root-to-leaf
@@ -36,7 +38,6 @@ class RStarTree:
         max_entries: int = 32,
         min_fill: float = 0.4,
         reinsert_fraction: float = 0.3,
-        kernels=None,
     ) -> None:
         if max_entries < 4:
             raise ValueError("max_entries must be at least 4")
@@ -45,7 +46,6 @@ class RStarTree:
         self.max_entries = max_entries
         self.min_entries = max(2, int(math.floor(max_entries * min_fill)))
         self.reinsert_count = max(1, int(max_entries * reinsert_fraction))
-        self.kernels = kernels
         self.root: Node = Node(is_leaf=True, level=0)
         self._leaf_of: dict[ObjectId, Node] = {}
         self._rect_of: dict[ObjectId, Rect] = {}
@@ -68,17 +68,6 @@ class RStarTree:
     def height(self) -> int:
         """Number of levels (a single leaf root has height 1)."""
         return self.root.level + 1
-
-    def count_nodes(self) -> int:
-        """Total node count (root included) — feeds the ``rstar.nodes`` gauge."""
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            total += 1
-            if not node.is_leaf:
-                stack.extend(entry.child for entry in node.entries)
-        return total
 
     def rect_of(self, oid: ObjectId) -> Rect:
         """Current rectangle stored for ``oid`` (KeyError when absent)."""
@@ -187,22 +176,6 @@ class RStarTree:
             else:
                 stack.extend(entry.child for entry in node.entries)
 
-    def release(self) -> None:
-        """Cut the parent back-references of a tree about to be dropped.
-
-        Nodes and their parents form reference cycles that only a full
-        garbage collection reclaims; a throw-away index (the point index
-        of ``DatabaseServer.bootstrap``) would otherwise sit dead in
-        memory through the build of its replacement.  The tree must not
-        be used afterwards.
-        """
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            node.parent = node.parent_entry = None
-            if not node.is_leaf:
-                stack.extend(entry.child for entry in node.entries)
-
     # ------------------------------------------------------------------
     # Insertion machinery
     # ------------------------------------------------------------------
@@ -257,21 +230,8 @@ class RStarTree:
         pairwise overlap work, and any partial overlap sum that exceeds
         the best seen so far can abort early because its per-sibling terms
         are non-negative.  Both cuts preserve the chosen child.
-
-        With kernels attached, the whole scan runs as one batch pass over
-        the entry MBR columns (``Kernels.min_overlap_child`` reproduces
-        this loop's selection bit for bit, pruning included).
         """
         entries = node.entries
-        if self.kernels is not None and len(entries) >= 2:
-            row = self.kernels.min_overlap_child(
-                [e.rect.min_x for e in entries],
-                [e.rect.min_y for e in entries],
-                [e.rect.max_x for e in entries],
-                [e.rect.max_y for e in entries],
-                rect,
-            )
-            return entries[row]
         best = None
         best_key = (math.inf, math.inf, math.inf)
         for entry in entries:

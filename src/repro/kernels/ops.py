@@ -32,7 +32,6 @@ FP-determinism rules for new kernels (see docs/PERFORMANCE.md):
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Sequence
 
 from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY
@@ -323,128 +322,6 @@ class Kernels:
             )
             out.append(inside_new != inside_old)
         return out
-
-    def min_overlap_child(
-        self,
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        rect,
-    ) -> int:
-        """Row of the R* least-``(overlap delta, enlargement, area)`` child.
-
-        Batch form of ``RStarTree._pick_min_overlap_child``'s selection
-        rule: for each candidate row, grow its MBR to cover ``rect`` and
-        sum the resulting pairwise overlap increase against every sibling
-        (left to right, exactly as the scalar loop accumulates); the
-        first row at the lexicographic minimum key wins.  The scalar
-        loop's containment fast path and early abort are pure pruning —
-        the full computation reproduces their keys exactly (a containing
-        child has overlap delta and enlargement exactly ``0.0``; an
-        aborted candidate's full sum exceeds the running best because the
-        per-sibling terms are non-negative in floating point).
-        """
-        n = len(minxs)
-        if n == 0:
-            raise ValueError("min_overlap_child needs at least one row")
-        if self._batch(n):
-            np = self._np
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            ulox = np.minimum(lox, rect.min_x)
-            uloy = np.minimum(loy, rect.min_y)
-            uhix = np.maximum(hix, rect.max_x)
-            uhiy = np.maximum(hiy, rect.max_y)
-            areas = (hix - lox) * (hiy - loy)
-            enlargement = (uhix - ulox) * (uhiy - uloy) - areas
-            # Containment fast path, mirroring the scalar branch: a child
-            # already covering ``rect`` has overlap delta and enlargement
-            # exactly ``0.0``, so the smallest-area containing row (first
-            # on ties, like the scalar strict-``<`` scan) wins — *unless*
-            # some non-containing row also has enlargement ``0.0`` (a
-            # degenerate MBR growing along a zero-extent axis), whose key
-            # could tie at ``(0.0, 0.0, area)`` too; then the full
-            # pairwise pass below decides.
-            containing = (
-                (lox <= rect.min_x) & (loy <= rect.min_y)
-                & (hix >= rect.max_x) & (hiy >= rect.max_y)
-            )
-            if containing.any() and not bool(
-                (~containing & (enlargement == 0.0)).any()
-            ):
-                crows = np.flatnonzero(containing)
-                return int(crows[np.argmin(areas[crows])])
-            # One stacked pairwise pass: rows 0..n-1 hold the union MBRs,
-            # rows n..2n-1 the originals, columns the siblings.  Every
-            # element evaluates the exact per-pair overlap expression of
-            # the scalar loop, so the difference of the two row blocks
-            # matches its per-sibling ``grown`` terms bit for bit.
-            slox = np.concatenate((ulox, lox))
-            sloy = np.concatenate((uloy, loy))
-            shix = np.concatenate((uhix, hix))
-            shiy = np.concatenate((uhiy, hiy))
-            w = np.minimum(shix[:, None], hix[None, :]) - np.maximum(
-                slox[:, None], lox[None, :]
-            )
-            h = np.minimum(shiy[:, None], hiy[None, :]) - np.maximum(
-                sloy[:, None], loy[None, :]
-            )
-            ov = np.where((w <= 0.0) | (h <= 0.0), 0.0, w * h)
-            grown = ov[:n] - ov[n:]
-            np.fill_diagonal(grown, 0.0)
-            # Sequential row sums: matches the scalar left-to-right
-            # accumulation bit for bit (the terms are >= 0, so skipping
-            # the zero terms — as the scalar loop does — is a no-op).
-            deltas = np.cumsum(grown, axis=1)[:, -1]
-            # Stable lexicographic argmin — first row at the minimum
-            # ``(overlap delta, enlargement, area)`` key, like the scalar
-            # scan's strict ``<`` comparisons.
-            return int(np.lexsort((areas, enlargement, deltas))[0])
-        best = 0
-        best_key = (math.inf, math.inf, math.inf)
-        for i in range(n):
-            ulox = min(minxs[i], rect.min_x)
-            uloy = min(minys[i], rect.min_y)
-            uhix = max(maxxs[i], rect.max_x)
-            uhiy = max(maxys[i], rect.max_y)
-            area = (maxxs[i] - minxs[i]) * (maxys[i] - minys[i])
-            if (
-                ulox == minxs[i] and uloy == minys[i]
-                and uhix == maxxs[i] and uhiy == maxys[i]
-            ):
-                key = (0.0, 0.0, area)
-                if key < best_key:
-                    best_key = key
-                    best = i
-                continue
-            overlap_delta = 0.0
-            aborted = False
-            best_delta = best_key[0]
-            for j in range(n):
-                if j == i:
-                    continue
-                w_u = min(uhix, maxxs[j]) - max(ulox, minxs[j])
-                h_u = min(uhiy, maxys[j]) - max(uloy, minys[j])
-                grown = 0.0 if w_u <= 0.0 or h_u <= 0.0 else w_u * h_u
-                w_o = min(maxxs[i], maxxs[j]) - max(minxs[i], minxs[j])
-                h_o = min(maxys[i], maxys[j]) - max(minys[i], minys[j])
-                grown -= 0.0 if w_o <= 0.0 or h_o <= 0.0 else w_o * h_o
-                if grown > 0.0:
-                    overlap_delta += grown
-                    if overlap_delta > best_delta:
-                        aborted = True
-                        break
-            if aborted:
-                continue
-            enlargement = (uhix - ulox) * (uhiy - uloy) - area
-            key = (overlap_delta, enlargement, area)
-            if key < best_key:
-                best_key = key
-                best = i
-        return best
 
     def quadrant_corners(
         self,

@@ -5,8 +5,8 @@ answer *how long* named phases took when metrics are on.  This module
 closes the remaining gap — attributed cost — with three pieces:
 
 * :class:`TickProfiler` — a self-time stack accountant.  The server
-  opens one *tick* per ``handle_location_updates`` batch and pushes a
-  named phase (``index.maintenance``, …) around each per-tick stage.
+  opens one *tick* per ``handle_location_updates`` batch and times a
+  named phase (``ingest``, …) around each per-tick stage.
   A child phase pauses its parent's clock, so *the phase times sum to
   the tick wall time by construction*; the root's own self-time is the orchestration
   residual (per-report dict bookkeeping, fast-path commits) that no
@@ -127,8 +127,7 @@ class TickProfiler:
         #: ``tick_end`` folds the totals into :attr:`phase_wall` with
         #: the containment layout fixed by the server's call graph
         #: (reevaluate under ingest, safe_region under scatter).  The
-        #: generic push/pop stack still serves the per-tick phases
-        #: (index.maintenance).
+        #: generic push/pop stack serves any other phase a caller opens.
         self.tick_open = False
         self.acc_ingest = 0.0
         self.acc_reev = 0.0

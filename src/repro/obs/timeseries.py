@@ -29,8 +29,7 @@ DEFAULT_SERIES: tuple[str, ...] = (
     "kernels.fallback_calls",
     "kernels.fallback_rows",
     "grid.occupied_cells",
-    "rstar.height",
-    "rstar.nodes",
+    "object_index.wide",
 )
 
 

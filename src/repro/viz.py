@@ -116,16 +116,19 @@ def render_world(
     if show_queries:
         for query in sorted(server.queries(), key=lambda q: q.query_id):
             _draw_query(canvas, query)
-    ids = list(objects) if objects is not None else None
-    for oid, region in server.object_index.all_entries():
-        if ids is not None and oid not in ids:
-            continue
-        if show_regions:
-            canvas.rect_outline(region, _REGION)
-    for oid, region in server.object_index.all_entries():
-        if ids is not None and oid not in ids:
-            continue
-        canvas.point(server._objects[oid].p_lst, _OBJECT)
+    ids = set(objects) if objects is not None else None
+    # Registration order, so the picture does not depend on how the
+    # object index happens to lay its buckets out.
+    states = [
+        state
+        for oid, state in server._objects.items()
+        if ids is None or oid in ids
+    ]
+    if show_regions:
+        for state in states:
+            canvas.rect_outline(state.safe_region, _REGION)
+    for state in states:
+        canvas.point(state.p_lst, _OBJECT)
     return canvas.render()
 
 

@@ -22,7 +22,7 @@ from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.extensions import CircleRangeQuery
 from repro.core.server import ObjectState
 from repro.geometry import Point, Rect
-from repro.index.bulk import bulk_load
+from repro.index.cells import CellObjectIndex
 from repro.mobility import RandomWaypointModel
 from repro.obs import EventLog, MetricsRegistry, diagnose
 from repro.runtime import paused_gc
@@ -224,7 +224,9 @@ def test_load_objects_is_bootstrap_without_queries():
         assert a.sr_cert[2] is None
         assert a.safe_region == loaded.query_index.cell_rect(a.sr_cert[0])
     assert metrics_a.to_dict()["gauges"] == metrics_b.to_dict()["gauges"]
-    assert metrics_a.value_of("rstar.nodes") == loaded.object_index.count_nodes()
+    # No region leaves its home cell, so the wide list stays empty.
+    assert metrics_a.value_of("object_index.wide") == 0
+    assert not loaded.object_index.wide
     assert loaded.stats.probes == booted.stats.probes == 0
 
 
@@ -316,11 +318,9 @@ def _per_object_bootstrap(server, objects, queries, time=0.0):
         region = server._compute_full_safe_region(oid, None)
         states[oid].safe_region = region
         pairs.append((oid, region))
-    server.object_index.release()
-    server.object_index = bulk_load(
-        pairs, max_entries=server.config.index_max_entries,
-        kernels=server.kernels,
-    )
+    server.object_index = CellObjectIndex(grid)
+    for oid, region in pairs:
+        server.object_index.insert(oid, region)
     return dict(pairs)
 
 

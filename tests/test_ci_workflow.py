@@ -215,6 +215,18 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "test_multi_op_batch_equals_the_ops_run_singly",
     ):
         assert f"def {name}(" in sharded
+    # ... and the object index under every workload, whole file: the
+    # cell index equals brute force, and degraded (wide) regions are
+    # found by a case-1 browse and a range registration.
+    assert "tests/test_cell_object_index.py" in runs[tests[0]]
+    assert "tests/test_cell_object_index.py::" not in runs[tests[0]]
+    cells = (ROOT / "tests" / "test_cell_object_index.py").read_text()
+    for name in (
+        "class CellIndexMachine(",
+        "def test_range_registration_finds_a_wide_region(",
+        "def test_knn_case_one_browse_finds_a_wide_region(",
+    ):
+        assert name in cells
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

@@ -125,8 +125,8 @@ class TestBackendEquivalence:
         registry = MetricsRegistry()
         _drive("numpy", 7, ticks=20, metrics=registry)
         gauges = registry.to_dict()["gauges"]
-        assert gauges["rstar.height"] >= 1
-        assert gauges["rstar.nodes"] >= 1
+        # No object is degraded, so no region lies outside its home cell.
+        assert gauges["object_index.wide"] == 0
         # Total (query, cell) slots: 8 queries minus one deregistered,
         # each covering at least one cell.
         assert gauges["grid.cells_indexed"] >= 7

@@ -150,17 +150,6 @@ class TestRectKernels:
         assert NP_K.range_affected(*columns, point, previous) == \
             PY_K.range_affected(*columns, point, previous)
 
-    @settings(max_examples=200)
-    @given(rect_columns(max_size=12), rects())
-    def test_min_overlap_child_agrees(self, columns, rect):
-        assert NP_K.min_overlap_child(*columns, rect) == \
-            PY_K.min_overlap_child(*columns, rect)
-
-    def test_min_overlap_child_rejects_empty(self):
-        for k in (NP_K, PY_K):
-            with pytest.raises(ValueError):
-                k.min_overlap_child([], [], [], [], Rect(0, 0, 1, 1))
-
     @settings(max_examples=120)
     @given(
         rect_columns(),

@@ -34,7 +34,7 @@ class TestSampler:
     def test_samples_counters_and_gauges(self):
         registry = MetricsRegistry()
         counter = registry.counter("server.probes")
-        gauge = registry.gauge("rstar.height")
+        gauge = registry.gauge("object_index.wide")
         sampler = TimeSeriesSampler(registry)
         counter.inc(3)
         gauge.set(2)
@@ -43,7 +43,7 @@ class TestSampler:
         sampler.sample(2.0)
         data = sampler.to_dict()
         assert data["server.probes"] == {"t": [1.0, 2.0], "v": [3, 5]}
-        assert data["rstar.height"] == {"t": [1.0, 2.0], "v": [2, 2]}
+        assert data["object_index.wide"] == {"t": [1.0, 2.0], "v": [2, 2]}
 
     def test_absent_instruments_are_skipped_until_they_appear(self):
         registry = MetricsRegistry()

@@ -208,7 +208,7 @@ class TestDynamicObjects:
         world.server.remove_object(3)
         assert 3 not in world.server
         assert world.server.object_count == 9
-        world.server.object_index.validate()
+        world.server.validate()
 
 
 class TestStats:

@@ -7,11 +7,13 @@ stopped — in either worker mode, since the mode is not part of the
 persisted state.
 """
 
+import json
 import random
 
 import pytest
 
-from repro.core import KNNQuery, RangeQuery, ServerConfig
+from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
+from repro.core.snapshot import restore_server, snapshot_server
 from repro.geometry import Point, Rect
 from repro.sharding import ShardedServer, restore_shards, snapshot_shards
 
@@ -189,6 +191,36 @@ def test_restore_drops_the_relief_flag_of_older_snapshots():
     for shard in payload["shards"]:
         shard["config"]["anti_storm_relief"] = False
     restored = restore_shards(payload, oracle)
+    try:
+        assert restored.config == cluster.config
+        assert restored.shard_object_counts() == cluster.shard_object_counts()
+        restored.validate()
+    finally:
+        restored.close()
+
+
+def test_restore_drops_the_tree_fanout_of_older_snapshots():
+    """Snapshots written while the server's object index was an R*-tree
+    carry ``"index_max_entries": 32``; both restore paths ignore it and
+    rebuild the cell object index from the stored regions."""
+    cluster, oracle, _ = _build()
+    single = DatabaseServer(oracle, ServerConfig(grid_m=16, max_speed=0.04))
+    single.load_objects(sorted(oracle.positions.items()), 0.0)
+    single.register_query(KNNQuery(Point(0.5, 0.5), 3, query_id="k"), 0.0)
+    payload = snapshot_server(single)
+    assert "index_max_entries" not in payload["config"]
+    payload["config"]["index_max_entries"] = 32
+    restored_single = restore_server(json.loads(json.dumps(payload)), oracle)
+    assert restored_single.config == single.config
+    for oid in oracle.positions:
+        assert restored_single.object_index.rect_of(oid) == \
+            single.safe_region_of(oid)
+    restored_single.validate()
+
+    sharded = snapshot_shards(cluster)
+    for shard in sharded["shards"]:
+        shard["config"]["index_max_entries"] = 32
+    restored = restore_shards(sharded, oracle)
     try:
         assert restored.config == cluster.config
         assert restored.shard_object_counts() == cluster.shard_object_counts()
