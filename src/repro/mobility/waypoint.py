@@ -11,10 +11,12 @@ Legs are float columns, not objects.  :meth:`RandomWaypointModel.build`
 draws every leg up to a horizon for a block of objects at a time,
 vectorised across the block, into one ``(legs, 6)`` float array per block
 — start time, end time, start point and velocity, 48 bytes a leg — and
-each :class:`Trajectory` is a run of rows in its block.  No generator
-outlives the build: a trajectory asked about a time past its last leg
-re-derives its ``default_rng((seed, oid))`` stream, advances it past the
-variates its legs used, and extends through the same builder.
+each :class:`Trajectory` is a run of rows in its block.  The variates are
+each object's ``default_rng((seed, oid))`` stream, bit for bit, drawn as
+columns (:class:`~repro.mobility.streams.Streams`): no generator is ever
+made.  A trajectory asked about a time past its last leg re-seeds its
+stream, jumps it past the variates its legs used, and extends through
+the same builder.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.mobility.streams import Streams
 
 _MIN_SEGMENT = 1e-9
 
@@ -410,7 +413,8 @@ class RandomWaypointModel:
     def build(self, oids: Iterable, horizon: float) -> dict:
         """Trajectories for ``oids``, keyed by oid, every leg drawn until
         each passes ``horizon``: a block of objects at a time, each from
-        its own ``default_rng((seed, oid))`` stream."""
+        its own ``default_rng((seed, oid))`` stream, seeded and drawn
+        across the block as :class:`Streams` columns."""
         if self.mean_speed <= 0:
             raise ValueError("mean speed must be positive")
         if self.mean_period <= 0:
@@ -423,18 +427,14 @@ class RandomWaypointModel:
         built = {}
         for first in range(0, len(oids), BLOCK):
             block = oids[first:first + BLOCK]
-            rngs = [
-                np.random.default_rng((self._seed, int(oid))) for oid in block
-            ]
+            streams = Streams(self._seed, block)
             # Two variates for the start point, then the first chunk of
             # legs', each scaled as ``Generator.uniform`` scales them.
-            u = np.empty((len(block), 2 + 4 * _CHUNK_LEGS))
-            for rng, row in zip(rngs, u):
-                rng.random(out=row)
+            u = streams.random(np.arange(len(block)), 2 + 4 * _CHUNK_LEGS)
             x = space.min_x + (space.max_x - space.min_x) * u[:, 0]
             y = space.min_y + (space.max_y - space.min_y) * u[:, 1]
             steps = self._walk(
-                rngs, x, y, np.zeros(len(block)), horizon, u[:, 2:]
+                streams, x, y, np.zeros(len(block)), horizon, u[:, 2:]
             )
             legs, lo, count = _lay_out(steps, np.zeros(len(block), np.intp))
             for oid, row, n in zip(block, lo.tolist(), count.tolist()):
@@ -444,17 +444,15 @@ class RandomWaypointModel:
     def _extend(self, trajectories: Sequence[Trajectory], horizon: float) -> None:
         """Build legs on until each trajectory's last ends past ``horizon``.
 
-        Each stream is re-derived and advanced past the variates the
-        built legs used (two for the start, four a leg), which continues
-        it exactly; the old legs and the new move to a fresh block.
+        Each stream is re-seeded and jumped past the variates the built
+        legs used (two for the start, four a leg) with
+        :meth:`Streams.advance`, which continues it exactly; the old legs
+        and the new move to a fresh block.
         """
         _check_horizon(horizon)
-        rngs, x, y, t, keep = [], [], [], [], []
+        x, y, t, keep = [], [], [], []
         for trajectory in trajectories:
             n = (trajectory._hi - trajectory._lo) // _W
-            rng = np.random.default_rng((self._seed, int(trajectory._oid)))
-            rng.bit_generator.advance(2 + 4 * n)
-            rngs.append(rng)
             # The cursor: ``Segment.position_at(end_time)`` of the last leg.
             old = trajectory._legs.flat
             start, end, lx, ly, vx, vy = old[trajectory._hi - _W:trajectory._hi]
@@ -462,12 +460,17 @@ class RandomWaypointModel:
             y.append(ly + vy * (end - start))
             t.append(end)
             keep.append(n)
-        steps = self._walk(
-            rngs, np.array(x), np.array(y), np.array(t), horizon, None
+        keep = np.array(keep, dtype=np.intp)
+        streams = Streams(
+            self._seed, [trajectory._oid for trajectory in trajectories]
         )
-        legs, lo, count = _lay_out(steps, np.array(keep, dtype=np.intp))
+        streams.advance(np.arange(len(keep)), 2 + 4 * keep)
+        steps = self._walk(
+            streams, np.array(x), np.array(y), np.array(t), horizon, None
+        )
+        legs, lo, count = _lay_out(steps, keep)
         for trajectory, row, n, kept in zip(
-            trajectories, lo.tolist(), count.tolist(), keep
+            trajectories, lo.tolist(), count.tolist(), keep.tolist()
         ):
             first = trajectory._lo // _W
             legs.rows[row:row + kept] = trajectory._legs.rows[first:first + kept]
@@ -478,7 +481,7 @@ class RandomWaypointModel:
 
     def _walk(
         self,
-        rngs: list,
+        streams: Streams,
         x: np.ndarray,
         y: np.ndarray,
         t: np.ndarray,
@@ -490,9 +493,10 @@ class RandomWaypointModel:
         leg of every row still short of it, as ``(rows, *fields)``.
 
         ``u`` holds leg variates already drawn, four a leg, a row per
-        stream; more are drawn as rows run out.  Every operation is the
-        scalar leg's, in its order — ``Point.distance_to`` included,
-        whose CPython ``hypot`` NumPy's differs from in the last ulp.
+        stream; more are drawn from ``streams`` as rows run out.  Every
+        operation is the scalar leg's, in its order —
+        ``Point.distance_to`` included, whose CPython ``hypot`` NumPy's
+        differs from in the last ulp.
         """
         space = self.space
         width = space.max_x - space.min_x
@@ -505,9 +509,8 @@ class RandomWaypointModel:
         k = 0
         while rows.size:
             if k == drawn:
-                u = np.empty((len(rngs), 4 * _CHUNK_LEGS))
-                for row in rows.tolist():
-                    rngs[row].random(out=u[row])
+                u = np.empty((len(streams), 4 * _CHUNK_LEGS))
+                u[rows] = streams.random(rows, 4 * _CHUNK_LEGS)
                 k, drawn = 0, _CHUNK_LEGS
             ux, uy, us, ut = u[rows, 4 * k:4 * k + 4].T
             ox, oy, start = x[rows], y[rows], t[rows]

@@ -174,6 +174,12 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     # scalar reference generator's, and no generator outlives a build.
     assert "tests/test_mobility.py::TestColumnarLegs" in runs[tests[0]]
     assert "tests/test_mobility.py::TestLegMemory" in runs[tests[0]]
+    # ... and the streams those legs are drawn from: equal to NumPy's
+    # generators, and the built worlds pinned by digest.
+    assert "tests/test_streams.py" in runs[tests[0]]
+    streams = (ROOT / "tests" / "test_streams.py").read_text()
+    assert "def test_streams_follow_the_generators(" in streams
+    assert "def test_built_worlds_do_not_move(" in streams
     mobility = (ROOT / "tests" / "test_mobility.py").read_text()
     assert "class TestColumnarExitTimes:" in mobility
     for name in (

@@ -625,6 +625,27 @@ class TestLegMemory:
             stack.extend(gc.get_referents(obj))
         assert len(seen) > 300
 
+    def test_no_generator_is_ever_made(self, monkeypatch):
+        """Streams are seeded, drawn and jumped as columns: a build and
+        an extension past the horizon run with NumPy's generators gone."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a NumPy generator was made")
+
+        for name in ("default_rng", "SeedSequence", "PCG64"):
+            monkeypatch.setattr(np.random, name, refuse)
+        built = RandomWaypointModel(0.01, 0.1, UNIT, seed=3).build(
+            range(300), 1.0
+        )
+        before = len(built_legs(built[7]))
+        built[7].position_at(4.0)
+        assert len(built_legs(built[7])) > before
+        monkeypatch.undo()
+        reference = ScalarReference(built[7]._model, 7)
+        reference.extend_to(4.0)
+        want = [leg_hex(leg) for leg in reference.segments]
+        assert [leg_hex(leg) for leg in built_legs(built[7])][:len(want)] == want
+
     def test_a_leg_takes_at_most_64_bytes(self):
         """Bytes retained per extra leg: a build to a long horizon less
         the same objects built to one leg each, over the legs between."""
