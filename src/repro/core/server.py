@@ -15,6 +15,7 @@ position.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Hashable, Iterable
@@ -29,8 +30,8 @@ from repro.faults import ProbeTimeout
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.cells import CellObjectIndex
-from repro.index.grid import GridIndex
-from repro.kernels import KERNEL_BACKENDS, Kernels, PositionStore
+from repro.index.grid import CellId, GridIndex
+from repro.kernels import KERNEL_BACKENDS, Kernels
 from repro.obs import (
     COUNT_BUCKETS,
     NULL_EVENT_LOG,
@@ -158,6 +159,10 @@ class ServerConfig:
 class ObjectState:
     """Per-object view maintained by the server.
 
+    ``cell`` is ``GridIndex.cell_of(p_lst)``, the grid's interned id, so
+    it costs one pointer per object; it is written wherever ``p_lst``
+    is, and read instead of recomputing the cell from coordinates.
+
     ``sr_cert`` is the safe-region certificate (docs/PERFORMANCE.md):
     ``(cell id, cell generation, clearances)``, issued with the
     installed region by ``_compute_full_safe_region`` and tested only by
@@ -187,8 +192,26 @@ class ObjectState:
 
     safe_region: Rect
     p_lst: Point
+    cell: CellId
     last_update_time: float
     sr_cert: tuple | None = None
+
+
+class HeldPositions:
+    """Read-only ``(x, y)`` view of every object's held position.
+
+    ``get(oid)`` answers ``(p_lst.x, p_lst.y)``, or ``None`` for an
+    unknown object; the server itself reads ``ObjectState`` directly.
+    """
+
+    __slots__ = ("_objects",)
+
+    def __init__(self, objects: dict) -> None:
+        self._objects = objects
+
+    def get(self, oid):
+        state = self._objects.get(oid)
+        return None if state is None else (state.p_lst.x, state.p_lst.y)
 
 
 @dataclass(slots=True)
@@ -278,10 +301,6 @@ class DatabaseServer:
             self.config.kernel_backend, metrics=self.metrics,
             min_rows=self.config.kernel_min_rows, events=self.events,
         )
-        #: Columnar mirror of every object's last reported position,
-        #: maintained at each register / update / deregister alongside
-        #: ``ObjectState.p_lst``.
-        self.positions = PositionStore()
         self._g_wide = self.metrics.gauge("object_index.wide")
         self.query_index = GridIndex(
             self.config.grid_m,
@@ -291,14 +310,9 @@ class DatabaseServer:
             kernels=self.kernels,
             events=self.events,
         )
-        # Cell residency: the store buckets every object into its grid
-        # cell with the grid's own arithmetic, so the hot paths read
-        # ``positions.cell_of(oid)`` instead of recomputing cells.
-        self.query_index.bind_position_store(
-            self.positions, metrics=self.metrics
-        )
         self.object_index = CellObjectIndex(self.query_index)
         self._objects: dict[ObjectId, ObjectState] = {}
+        self.positions = HeldPositions(self._objects)
         #: Unreachable objects (docs/ROBUSTNESS.md): oid -> time the
         #: object entered degraded mode.  While degraded, the installed
         #: region is the §6.1 reachability circle's bounding box around
@@ -373,25 +387,18 @@ class DatabaseServer:
         assert len(self.object_index) == len(
             self._objects
         ), "object index out of sync with object table"
-        assert len(self.positions) == len(
-            self._objects
-        ), "position store out of sync with object table"
         for oid, state in self._objects.items():
             indexed = self.object_index.rect_of(oid)
             assert indexed == state.safe_region, f"index desync for {oid!r}"
             assert state.safe_region.contains_point(
                 state.p_lst, eps=1e-9
             ), f"safe region of {oid!r} lost its own location"
-            assert self.positions.get(oid) == (
-                state.p_lst.x,
-                state.p_lst.y,
-            ), f"position store desync for {oid!r}"
-            # Residency: the hot paths read an object's cell from the
-            # store and never recompute it from coordinates.
-            cell = self.positions.cell_of(oid)
+            # The hot paths read an object's cell from its state and
+            # never recompute it from coordinates.
+            cell = state.cell
             assert cell == self.query_index.cell_of(
                 state.p_lst
-            ), f"resident cell of {oid!r} is not the cell of its position"
+            ), f"held cell of {oid!r} is not the cell of its position"
             cert = state.sr_cert
             if cert is not None:
                 assert cert[0] == cell, f"certificate of {oid!r} names another cell"
@@ -425,52 +432,15 @@ class DatabaseServer:
     def profile_snapshot(self, top_k: int = 10) -> dict:
         """The attached profiler's summary + current cell-occupancy skew.
 
-        The occupancy section is computed from the resident position
-        store at snapshot time (it is state, not a per-tick cost) and
-        reuses the ``shard.objects.imbalance`` formula.
+        The occupancy section counts the objects' held cells at
+        snapshot time (it is state, not a per-tick cost) and reuses the
+        ``shard.objects.imbalance`` formula.
         """
         summary = self.profiler.to_dict(top_k)
         summary["occupancy"] = occupancy_summary(
-            self.positions.cell_occupancy().values()
+            Counter(state.cell for state in self._objects.values()).values()
         )
         return summary
-
-    # ------------------------------------------------------------------
-    # Columnar position queries (repro.kernels)
-    # ------------------------------------------------------------------
-    def known_positions_in(self, rect: Rect) -> list[ObjectId]:
-        """Objects whose *last reported* position lies in ``rect``, by id.
-
-        A diagnostic / analysis helper over the columnar store — one batch
-        containment pass instead of N point tests.  This is the server's
-        knowledge, not ground truth: an object may have drifted within its
-        safe region without reporting.
-        """
-        xs, ys = self.positions.columns()
-        mask = self.kernels.points_in_rect(xs, ys, rect)
-        return sorted(
-            oid for oid, inside in zip(self.positions.ids, mask) if inside
-        )
-
-    def nearest_known(self, q: Point, k: int) -> list[ObjectId]:
-        """The ``k`` objects whose last reported positions are nearest ``q``.
-
-        Distance ties break deterministically by object id.  Same caveat
-        as :meth:`known_positions_in`: last *reported* positions, not
-        ground truth.
-        """
-        ids = self.positions.ids
-        if k <= 0 or not ids:
-            return []
-        # Row order depends on deregistration history (swap-remove), so
-        # rank ties by id, not row: sort the id order once and scan
-        # columns through it.
-        order = sorted(range(len(ids)), key=lambda row: ids[row])
-        xs, ys = self.positions.columns()
-        sx = [xs[row] for row in order]
-        sy = [ys[row] for row in order]
-        top = self.kernels.top_k_rows(sx, sy, q.x, q.y, k)
-        return [ids[order[row]] for row in top]
 
     # ------------------------------------------------------------------
     # Object population
@@ -515,22 +485,22 @@ class DatabaseServer:
                 if oid in states:
                     raise KeyError(f"object {oid!r} already loaded")
                 # The full cell stands until a region is derived below.
-                states[oid] = ObjectState(grid.cell_rect(cell), position, time)
-            self.positions.load(oids, points, cells)
+                states[oid] = ObjectState(
+                    grid.cell_rect(cell), position, cell, time
+                )
             # Three N-long lists the index builds below need not sit under.
             del oids, points, cells
             order = (
                 self._bootstrap_queries(queries, time) if queries else states
             )
             events = self.events
-            cell_of = self.positions.cell_of
             #: Query-free cell -> the grant every resident shares: the
             #: full cell and its ``(cell, generation, None)`` certificate.
             grants: dict = {}
             pairs = []
             for oid in order:
                 state = states[oid]
-                cell = cell_of(oid)
+                cell = state.cell
                 if not grid.has_queries_in_cell(cell):
                     # No query can shape this region: what
                     # ``_compute_full_safe_region`` would hand back,
@@ -619,16 +589,17 @@ class DatabaseServer:
         """Register one object dynamically, reevaluating affected queries."""
         if oid in self._objects:
             raise KeyError(f"object {oid!r} already loaded")
-        state = ObjectState(Rect.from_point(position), position, time)
+        state = ObjectState(
+            Rect.from_point(position), position,
+            self.query_index.cell_of(position), time,
+        )
         self._objects[oid] = state
-        self.positions.set(oid, position)
         self.object_index.insert(oid, Rect.from_point(position))
         return self._process_update(oid, state, position, None, time)
 
     def remove_object(self, oid: ObjectId) -> None:
         """Drop an object (its query memberships are *not* reevaluated)."""
         del self._objects[oid]
-        self.positions.discard(oid)
         self.object_index.delete(oid)
         if self._degraded.pop(oid, None) is not None:
             self._g_degraded.set(len(self._degraded))
@@ -1078,7 +1049,7 @@ class DatabaseServer:
     ) -> None:
         """Commit a report :meth:`_certificate_holds` proved a no-op.
 
-        Only the held position moves.  The full path's
+        Only the held position and its cell move.  The full path's
         pointify-then-recompute index churn (two index updates)
         collapses to zero, or to one on a query-free cell crossing,
         where the region re-anchors to the new cell's rectangle.
@@ -1087,7 +1058,7 @@ class DatabaseServer:
         # ``safe_region`` event (and its containment invariant) sees the
         # position the region was granted for.
         state.p_lst = position
-        self.positions.move(oid, position.x, position.y, cell_new)
+        state.cell = cell_new
         state.last_update_time = time
         if cell_new != state.sr_cert[0]:
             grid = self.query_index
@@ -1152,7 +1123,7 @@ class DatabaseServer:
                             events.emit("fastpath", cause=self._cause, oid=oid)
                     else:
                         outcome = self._slowpath_update(
-                            oid, position, previous, time
+                            oid, position, cell_new, previous, time
                         )
                 finally:
                     self._cause = None
@@ -1166,12 +1137,13 @@ class DatabaseServer:
         self,
         oid: ObjectId,
         position: Point,
+        cell: CellId,
         previous: Point | None,
         time: float,
     ) -> UpdateOutcome:
         state = self._objects[oid]
         state.p_lst = position
-        self.positions.set(oid, position)
+        state.cell = cell
         state.last_update_time = time
         # Defer the pointify: it only matters if some reevaluation
         # actually reads the index before the location manager
@@ -1291,7 +1263,6 @@ class DatabaseServer:
         """Recompute safe regions for every object that reported (§5)."""
         # Hoisted out of the loop (one lookup per report adds up).
         objects = self._objects
-        resident_cell_of = self.positions.cell_of
         install_safe_region = self._install_safe_region
         failed_probes = self._failed_probes
 
@@ -1306,9 +1277,7 @@ class DatabaseServer:
                     outcome.missed.append(target)
                 continue
             state = objects[target]
-            # ``state.p_lst`` is the stored position, so its cell is
-            # resident in the position store (one dict probe).
-            target_cell = resident_cell_of(target)
+            target_cell = state.cell
             cert = state.sr_cert
             if (
                 target != updater
@@ -1643,7 +1612,7 @@ class DatabaseServer:
             if self._degraded and target in self._degraded:
                 self._exit_degraded(target, time)
             state.p_lst = position
-            self.positions.set(target, position)
+            state.cell = self.query_index.cell_of(position)
             state.last_update_time = time
             self.object_index.update(target, Rect.from_point(position))
         return previous_positions
@@ -1833,8 +1802,7 @@ class DatabaseServer:
         grid = self.query_index
         state = self._objects[oid]
         position = state.p_lst
-        # The stored position's cell is resident in the store.
-        cell_id = self.positions.cell_of(oid)
+        cell_id = state.cell
         cell = grid.cell_rect(cell_id)
         relevant = grid.relevant_queries(cell_id)
         region = compute_safe_region(

@@ -156,16 +156,17 @@ def restore_server(payload: dict, position_oracle) -> DatabaseServer:
         config=config_from_payload(payload["config"]),
     )
 
+    cell_of = server.query_index.cell_of
     for key, data in payload["objects"].items():
         oid = json.loads(key)
         region = _rect_from_list(data["safe_region"])
-        state = ObjectState(
+        position = Point(*data["p_lst"])
+        server._objects[oid] = ObjectState(
             safe_region=region,
-            p_lst=Point(*data["p_lst"]),
+            p_lst=position,
+            cell=cell_of(position),
             last_update_time=data["last_update_time"],
         )
-        server._objects[oid] = state
-        server.positions.set(oid, state.p_lst)
         server.object_index.insert(oid, region)
 
     for entry in payload["queries"]:

@@ -65,6 +65,11 @@ class GridIndex:
             raise ValueError("grid space must have positive area")
         self._cell_w = self.space.width / m
         self._cell_h = self.space.height / m
+        #: Interned cell ids: ``_cell_ids[i][j] is (i, j)``, so every
+        #: object holding its cell shares one tuple per cell.
+        self._cell_ids = tuple(
+            tuple((i, j) for j in range(m)) for i in range(m)
+        )
         self._buckets: dict[CellId, set] = {}
         self._cells_of: dict[Hashable, frozenset[CellId]] = {}
         self.enable_cache = enable_cache
@@ -106,7 +111,10 @@ class GridIndex:
     # Cell arithmetic
     # ------------------------------------------------------------------
     def cell_of(self, p: Point) -> CellId:
-        """The (column, row) cell containing ``p`` (clamped to the space)."""
+        """The (column, row) cell containing ``p`` (clamped to the space).
+
+        The id is interned: two points in one cell get the same object.
+        """
         i = int((p.x - self.space.min_x) / self._cell_w)
         j = int((p.y - self.space.min_y) / self._cell_h)
         hi = self.m - 1
@@ -118,7 +126,7 @@ class GridIndex:
             j = 0
         elif j > hi:
             j = hi
-        return (i, j)
+        return self._cell_ids[i][j]
 
     def cell_rect(self, cell: CellId) -> Rect:
         """The rectangle covered by ``cell`` (interned when caches are on)."""
@@ -143,26 +151,8 @@ class GridIndex:
         """The rectangle of the cell containing ``p``."""
         return self.cell_rect(self.cell_of(p))
 
-    def bind_position_store(self, store, metrics=None) -> None:
-        """Make ``store`` cell-resident over this grid's geometry.
-
-        Hands the store the exact :meth:`cell_of` arithmetic (offset,
-        cell extents, clamp bound), so ``store.cell_of(oid)`` is always
-        ``self.cell_of(stored position)`` — the hot paths then read an
-        object's current cell as one dict probe instead of recomputing
-        it from coordinates (docs/PERFORMANCE.md "Resident columns").
-        """
-        store.bind_grid(
-            self.space.min_x,
-            self.space.min_y,
-            self._cell_w,
-            self._cell_h,
-            self.m,
-            metrics=metrics,
-        )
-
     def cells_of_points(self, points: list[Point]) -> list[CellId]:
-        """Batch :meth:`cell_of` over a list of points.
+        """Batch :meth:`cell_of` over a list of points, interned alike.
 
         With kernels attached the whole batch runs as one array pass
         (``Kernels.cells_of`` truncates and clamps exactly like the
@@ -170,7 +160,7 @@ class GridIndex:
         loop.
         """
         if self.kernels is not None:
-            return self.kernels.cells_of(
+            cells = self.kernels.cells_of(
                 [p.x for p in points],
                 [p.y for p in points],
                 self.space.min_x,
@@ -179,6 +169,8 @@ class GridIndex:
                 self._cell_h,
                 self.m,
             )
+            ids = self._cell_ids
+            return [ids[i][j] for i, j in cells]
         return [self.cell_of(p) for p in points]
 
     def cells_overlapping(self, rect: Rect) -> Iterable[CellId]:

@@ -252,23 +252,20 @@ class ShardBackend:
 
         The migration work-list of an elastic topology change: the
         coordinator asks the old owner which of its objects sit in the
-        moved cells, then replays them as evict+add pairs.  Reads the
-        position store's cell residency — one dict probe per cell, no
-        scan — and returns rows in (cell, object id) order so the
-        migration op stream is deterministic.  ``None`` asks for every
-        resident: a retiring shard also holds objects a probe placed in
-        cells it does not own.
+        moved cells, then replays them as evict+add pairs.  One pass
+        over the object table reads each object's held cell
+        (``ObjectState.cell``), and rows come back in (cell, object id)
+        order so the migration op stream is deterministic.  ``None``
+        asks for every resident: a retiring shard also holds objects a
+        probe placed in cells it does not own.
         """
-        store = self.server.positions
-        if cells is None:
-            cells = sorted(store.resident_cells())
-        rows: list[tuple] = []
-        for cell in cells:
-            cell = tuple(cell)
-            for oid in sorted(store.cell_ids(cell), key=repr):
-                x, y = store.get(oid)
-                rows.append((oid, x, y))
-        return {"rows": rows}
+        wanted = None if cells is None else {tuple(cell) for cell in cells}
+        held = sorted(
+            (state.cell, repr(oid), oid, state.p_lst)
+            for oid, state in self.server._objects.items()
+            if wanted is None or state.cell in wanted
+        )
+        return {"rows": [(oid, p.x, p.y) for _, _, oid, p in held]}
 
     def query_partials(self, query_ids: list[str]) -> dict:
         return {
@@ -351,18 +348,18 @@ class ShardBackend:
         circle changes no result yet moves the row position the
         cross-shard merge ranks by.  A member's held position lies in
         its query's rect or circle, so the query is relevant to the
-        member's resident cell: that cell's relevant queries are the
-        only ones whose membership needs a look (evicted and unknown
-        ids have no cell and belong to nothing).
+        member's held cell (``ObjectState.cell``): that cell's relevant
+        queries are the only ones whose membership needs a look (evicted
+        and unknown ids have no state and belong to nothing).
         """
         affected = set(reevaluated)
-        cell_of = self.server.positions.cell_of
+        objects_get = self.server._objects.get
         relevant_queries = self.server.query_index.relevant_queries
         for oid in touched:
-            cell = cell_of(oid)
-            if cell is None:
+            state = objects_get(oid)
+            if state is None:
                 continue
-            for query in relevant_queries(cell):
+            for query in relevant_queries(state.cell):
                 if oid in query.results:
                     affected.add(query.query_id)
         return affected
@@ -377,14 +374,14 @@ class ShardBackend:
         if isinstance(query, KNNQuery):
             rows = []
             for oid in query.results:
-                x, y = server.positions.get(oid)
-                region = server.safe_region_of(oid)
+                state = server._objects[oid]
+                region = state.safe_region
                 # ``max_dist`` is the merge's conservative ranking bound;
                 # ``min_dist`` tells the coordinator which candidates a
                 # refresh probe could still move into or out of the true
                 # top-k (docs/SHARDING.md "Refresh probes").
                 rows.append((
-                    oid, x, y,
+                    oid, state.p_lst.x, state.p_lst.y,
                     region.max_dist_to_point(query.center),
                     region.min_dist_to_point(query.center),
                 ))

@@ -7,7 +7,7 @@ replaces — ``load_objects`` followed by one ``register_query`` per query
 — on a single server, in-process shards and worker-process shards.
 
 Start-up is also a bulk operation (docs/PERFORMANCE.md "Set-up at paper
-scale"): one columnar store load, one shared grant per query-free cell,
+scale"): one columnar cell pass, one shared grant per query-free cell,
 the cycle collector paused throughout.  The second half of this file
 pins those against the per-object pass they replace, and the collector's
 state against what the caller had.
@@ -297,20 +297,21 @@ def test_engine_bootstrap_sends_no_probe(shards):
 
 
 # ----------------------------------------------------------------------
-# Bulk store load + per-cell grant  ==  the per-object pass
+# Bulk table load + per-cell grant  ==  the per-object pass
 
 
 def _per_object_bootstrap(server, objects, queries, time=0.0):
     """Start-up one object at a time — the reference for the bulk pass.
 
-    ``len(objects)`` ``PositionStore.set`` calls, and every first region
-    — a query-free cell's too — through ``_compute_full_safe_region``.
+    One ``GridIndex.cell_of`` per object (not the batch
+    ``cells_of_points``), and every first region — a query-free cell's
+    too — through ``_compute_full_safe_region``.
     """
     states, grid = server._objects, server.query_index
     for oid, position in objects:
-        server.positions.set(oid, position)
+        cell = grid.cell_of(position)
         states[oid] = ObjectState(
-            grid.cell_rect(server.positions.cell_of(oid)), position, time
+            grid.cell_rect(cell), position, cell, time
         )
     order = server._bootstrap_queries(queries, time) if queries else states
     pairs = []
@@ -326,8 +327,7 @@ def _per_object_bootstrap(server, objects, queries, time=0.0):
 
 def _fingerprint(server):
     """Everything start-up leaves behind, in a comparable form."""
-    store = server.positions
-    xs, ys = store.columns()
+    grid = server.query_index
 
     def certificate(cert):
         if cert is None or cert[2] is None:
@@ -335,18 +335,18 @@ def _fingerprint(server):
         return cert[:2] + (tuple((q.query_id, d) for q, d in cert[2]),)
 
     return {
+        # Table order, held positions and cells.
         "states": [
-            (oid, s.safe_region, s.p_lst, s.last_update_time,
+            (oid, s.safe_region, s.p_lst, s.cell, s.last_update_time,
              certificate(s.sr_cert))
             for oid, s in server._objects.items()
         ],
-        "rows": (list(store.ids), list(xs), list(ys)),
-        "residency": [(oid, store.cell_of(oid)) for oid in store.ids],
-        # Bucket creation order, row order and generations.
-        "cells": [
-            (cell, store.cell_generation(cell), list(store.cell_ids(cell)),
-             [list(column) for column in store.cell_columns(cell)[:2]])
-            for cell in store.resident_cells()
+        # Every cell is the grid's own interned id.
+        "interned": all(
+            s.cell is grid.cell_of(s.p_lst) for s in server._objects.values()
+        ),
+        "positions": [
+            (oid, server.positions.get(oid)) for oid in server._objects
         ],
         "indexed": [
             (oid, server.object_index.rect_of(oid)) for oid in server._objects
@@ -446,7 +446,7 @@ def test_bulk_start_up_matches_the_per_object_pass_on_every_shard(world_name):
 
 
 def test_bulk_store_load_extends_a_populated_store():
-    """A second query-free load lands on the rows of the first."""
+    """A second query-free load appends to the object table of the first."""
     rng = random.Random(2)
     world = {i: Point(rng.random(), rng.random()) for i in range(600)}
     first = dict(list(world.items())[:250])

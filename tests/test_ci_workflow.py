@@ -233,6 +233,18 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "def test_knn_case_one_browse_finds_a_wide_region(",
     ):
         assert name in cells
+    # ... and the one cell table, whole file: held cells stay the cells
+    # of held positions through evictions and shard migrations, and the
+    # migration export equals a brute-force scan.
+    assert "tests/test_store_eviction_properties.py" in runs[tests[0]]
+    assert "tests/test_store_eviction_properties.py::" not in runs[tests[0]]
+    table = (ROOT / "tests" / "test_store_eviction_properties.py").read_text()
+    for name in (
+        "test_store_mirrors_object_table_through_evictions",
+        "test_migration_preserves_cell_columns_and_generations",
+        "test_sharded_migrations_keep_cell_residency_exact",
+    ):
+        assert f"def {name}(" in table
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

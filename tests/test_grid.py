@@ -1,10 +1,15 @@
 """Tests for the grid-based query index (Section 3.3)."""
 
+import math
+import random
+
 import pytest
 
+from repro.core import DatabaseServer, ServerConfig
 from repro.core.queries import KNNQuery, RangeQuery
 from repro.geometry import Point, Rect
 from repro.index import GridIndex
+from repro.kernels import Kernels
 
 
 def make_range(x, y, size=0.1, qid=None):
@@ -136,3 +141,82 @@ class TestCandidateQueries:
 
     def test_size_accounting(self):
         assert self.grid.approximate_size_bytes() > 0
+
+
+class TestInternedCellIds:
+    """``cell_of`` hands out one shared tuple per cell, never a fresh one,
+    so each object's held cell (``ObjectState.cell``) costs a pointer."""
+
+    def setup_method(self):
+        self.grid = GridIndex(10)
+
+    def test_points_in_one_cell_share_one_id(self):
+        cell_of = self.grid.cell_of
+        assert cell_of(Point(0.21, 0.31)) is cell_of(Point(0.29, 0.39))
+        # Clamped points outside the space share the edge cell's id.
+        assert cell_of(Point(-1.0, 2.0)) is cell_of(Point(0.01, 0.95))
+        assert cell_of(Point(5.0, 5.0)) is cell_of(Point(1.0, 1.0))
+        # One ulp below a cell edge lands in the cell below it, by the
+        # same id as that cell's centre.
+        edge = self.grid.cell_rect((3, 0)).min_x
+        below = Point(math.nextafter(edge, -math.inf), 0.05)
+        cell = cell_of(below)
+        assert cell is cell_of(self.grid.cell_rect(cell).center)
+        assert cell_of(Point(edge, 0.05)) is not cell
+
+    @pytest.mark.parametrize("kernels", [
+        None, Kernels("numpy", min_rows=1), Kernels("python"),
+    ], ids=["no-kernels", "numpy", "python"])
+    def test_cells_of_points_returns_the_cell_of_objects(self, kernels):
+        grid = GridIndex(10, kernels=kernels)
+        rng = random.Random(5)
+        points = [
+            Point(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5))
+            for _ in range(500)
+        ]
+        points.append(Point(math.nextafter(grid.cell_rect((3, 3)).min_x, 0.0),
+                            0.5))
+        cells = grid.cells_of_points(points)
+        assert len(cells) == len(points)
+        for p, cell in zip(points, cells):
+            assert cell is grid.cell_of(p)
+
+    def test_bootstrap_holds_at_most_m_squared_cell_objects(self):
+        m = 8
+        rng = random.Random(9)
+        world = {
+            i: Point(rng.random(), rng.random()) for i in range(2_000)
+        }
+        server = DatabaseServer(world.__getitem__, ServerConfig(grid_m=m))
+        server.bootstrap(world.items(), [
+            RangeQuery(Rect(0.1, 0.1, 0.3, 0.3), query_id="r"),
+            KNNQuery(Point(0.7, 0.6), 5, query_id="k"),
+        ])
+
+        def check():
+            grid = server.query_index
+            held = [state.cell for state in server._objects.values()]
+            assert len({id(cell) for cell in held}) <= m * m
+            for state in server._objects.values():
+                assert state.cell is grid.cell_of(state.p_lst)
+
+        check()
+        # Reports through the batch loop (certified no-ops included,
+        # many crossing a cell edge) and one by one.
+        for tick in range(1, 4):
+            movers = rng.sample(sorted(world), 600)
+            for oid in movers:
+                p = world[oid]
+                world[oid] = Point(
+                    min(max(p.x + rng.uniform(-0.05, 0.05), 0.0), 1.0),
+                    min(max(p.y + rng.uniform(-0.05, 0.05), 0.0), 1.0),
+                )
+            server.handle_location_updates(
+                [(oid, world[oid]) for oid in movers], float(tick)
+            )
+            check()
+        oid = movers[0]
+        world[oid] = Point(0.95, 0.05)
+        server.handle_location_update(oid, world[oid], 4.0)
+        check()
+        server.validate()

@@ -12,8 +12,9 @@ duplicated points producing exact distance ties, and degenerate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import DatabaseServer, KNNQuery, ServerConfig
 from repro.geometry import Point, Rect
-from repro.kernels import HAS_NUMPY, Kernels, PositionStore, resolve_backend
+from repro.kernels import HAS_NUMPY, Kernels, resolve_backend
 
 pytestmark = pytest.mark.skipif(
     not HAS_NUMPY, reason="backend cross-check needs NumPy"
@@ -243,52 +244,73 @@ class TestBackendPlumbing:
 
 
 class TestPositionStore:
+    """The held positions that replaced the columnar position store.
+
+    ``DatabaseServer.positions`` answers ``(x, y)`` from the object
+    table itself, and each ``ObjectState`` holds its position's cell;
+    both must follow add / update / remove exactly like a dict.
+    """
+
+    @staticmethod
+    def _server(model):
+        return DatabaseServer(
+            lambda oid: Point(*model[oid]), ServerConfig(grid_m=4)
+        )
+
+    @staticmethod
+    def _check(server, model):
+        grid = server.query_index
+        assert server.object_count == len(model)
+        assert sorted(server._objects) == sorted(model)
+        for oid, expected in model.items():
+            assert server.positions.get(oid) == expected
+            state = server._objects[oid]
+            assert state.cell is grid.cell_of(Point(*expected))
+        server.validate()
+
     def test_set_move_discard_swap_remove(self):
-        store = PositionStore()
+        model = {}
+        server = self._server(model)
         for i in range(5):
-            store.set(f"o{i}", Point(i * 0.125, i * 0.25))
-        assert len(store) == 5
-        assert store.get("o3") == (0.375, 0.75)
+            model[f"o{i}"] = (i * 0.125, i * 0.25)
+            server.add_object(f"o{i}", Point(*model[f"o{i}"]), time=0.0)
+        self._check(server, model)
+        assert server.positions.get("o3") == (0.375, 0.75)
 
-        store.set("o3", Point(0.9, 0.9))           # move in place
-        assert store.get("o3") == (0.9, 0.9)
-        assert len(store) == 5
+        model["o3"] = (0.9, 0.9)                   # move across cells
+        server.handle_location_update("o3", Point(0.9, 0.9), time=1.0)
+        assert server.positions.get("o3") == (0.9, 0.9)
+        assert server._objects["o3"].cell == (3, 3)
+        self._check(server, model)
 
-        store.discard("o1")                        # swap-remove
-        assert len(store) == 4
-        assert store.get("o1") is None
-        assert "o1" not in store
-        store.discard("o1")                        # idempotent
-        assert len(store) == 4
+        server.remove_object("o1")                 # remove
+        del model["o1"]
+        assert server.positions.get("o1") is None
+        assert "o1" not in server
+        with pytest.raises(KeyError):              # not idempotent
+            server.remove_object("o1")
+        self._check(server, model)
 
-        # Columns stay aligned with ids after the swap.
-        xs, ys = store.columns()
-        by_id = dict(zip(store.ids, zip(list(xs), list(ys))))
-        for oid in ("o0", "o2", "o4"):
-            assert by_id[oid] == store.get(oid)
-        assert by_id["o3"] == (0.9, 0.9)
-
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=9),
                   st.booleans(), unit, unit),
         max_size=60,
     ))
     def test_store_matches_dict_model(self, ops):
-        store = PositionStore()
         model = {}
+        server = self._server(model)
+        server.register_query(KNNQuery(Point(0.5, 0.5), 2), time=0.0)
+        clock = 0.0
         for oid, insert, x, y in ops:
+            clock += 1.0
             if insert:
-                store.set(oid, Point(x, y))
                 model[oid] = (x, y)
-            else:
-                store.discard(oid)
-                model.pop(oid, None)
-        assert len(store) == len(model)
-        assert set(store.ids) == set(model)
-        assert sorted(store) == sorted(model)
-        for oid, expected in model.items():
-            assert store.get(oid) == expected
-        xs, ys = store.columns()
-        assert dict(zip(store.ids, zip(list(xs), list(ys)))) == model
-        assert store.approximate_size_bytes() >= 96 * len(model)
+                if oid in server:
+                    server.handle_location_update(oid, Point(x, y), clock)
+                else:
+                    server.add_object(oid, Point(x, y), clock)
+            elif oid in server:
+                server.evict_object(oid, clock)
+                del model[oid]
+            self._check(server, model)

@@ -318,3 +318,23 @@ class TestBatchEqualsSequential:
             self._check(batched, single, moves(), float(tick), bulk=False)
         assert [(e.kind, e.t, e.cause, e.data) for e in logs[0].events()] \
             == [(e.kind, e.t, e.cause, e.data) for e in logs[1].events()]
+
+
+def test_validate_rejects_a_stale_held_cell():
+    """``validate`` guards ``ObjectState.cell``: it must be the cell of
+    the held position, and the certificate must name that cell."""
+    positions = {"a": Point(0.05, 0.05), "b": Point(0.95, 0.95)}
+    server = DatabaseServer(positions.__getitem__, ServerConfig(grid_m=4))
+    server.bootstrap(positions.items())
+    server.validate()
+    state = server._objects["a"]
+    held = state.cell
+    state.cell = server.query_index.cell_of(positions["b"])
+    with pytest.raises(AssertionError, match="held cell"):
+        server.validate()
+    state.cell = held
+    server.validate()
+    # A correct cell under a certificate issued for another one.
+    state.sr_cert = (server._objects["b"].cell,) + state.sr_cert[1:]
+    with pytest.raises(AssertionError, match="certificate"):
+        server.validate()

@@ -1,13 +1,14 @@
-"""Property test: PositionStore swap-remove × ``DatabaseServer.evict_object``.
+"""Property tests: the object table × evictions and shard migrations.
 
-The columnar position store deletes by swapping the last row into the
-vacated slot, so every eviction permutes row order.  The server relies
-on the store staying a *dense, exact* mirror of its object table through
-any interleaving of adds, moves, and evictions — including the probe
-ingests that ``evict_object`` triggers while refilling kNN results that
-referenced the evicted object.  This test drives random op sequences
-through a live server (queries registered, so evictions do real repair
-work) and checks the mirror invariant after every operation.
+The server keeps one record per object, its ``ObjectState``: the held
+position ``p_lst`` and that position's grid cell ``cell`` (the grid's
+interned id).  Every site that moves an object writes both, so the cell
+must stay ``GridIndex.cell_of(p_lst)`` through any interleaving of adds,
+moves and evictions — including the probe ingests that ``evict_object``
+triggers while refilling kNN results that referenced the evicted object
+— and through shard migrations, which evict an object on one shard and
+add it on another.  The shard's migration export (``residents``) reads
+those cells, so it must equal a brute-force scan of the table.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.geometry import Point, Rect
-from repro.kernels.store import PositionStore
 from repro.obs import MetricsRegistry
 from repro.sharding import ShardedServer
+from repro.sharding.backend import ShardBackend, query_spec
 
 OIDS = [f"o{i}" for i in range(8)]
 
@@ -34,21 +35,28 @@ ops_strategy = st.lists(
 )
 
 
-def _check_mirror(server: DatabaseServer) -> None:
-    """The store is a dense, exact mirror of the object table."""
-    store = server.positions
+def _check_table(server: DatabaseServer) -> None:
+    """Each object's cell is its held position's, and the index agrees."""
+    grid = server.query_index
     objects = server._objects
-    assert len(store) == len(objects)
-    assert set(store) == set(objects)
+    assert len(server.object_index) == len(objects)
     for oid, state in objects.items():
-        assert store.get(oid) == (state.p_lst.x, state.p_lst.y)
-    # Row order is permuted by swap-removes but the columns must stay
-    # aligned with the id list.
-    xs, ys = store.columns()
-    assert dict(zip(store.ids, zip(list(xs), list(ys)))) == {
-        oid: (state.p_lst.x, state.p_lst.y)
-        for oid, state in objects.items()
-    }
+        assert state.cell is grid.cell_of(state.p_lst)
+        assert server.positions.get(oid) == (state.p_lst.x, state.p_lst.y)
+
+
+def _brute_force_rows(server: DatabaseServer, cells=None) -> list:
+    """The migration export by a scan: ``(oid, x, y)`` in (cell, id) order."""
+    grid = server.query_index
+    held = [
+        (grid.cell_of(state.p_lst), repr(oid), oid, state.p_lst)
+        for oid, state in server._objects.items()
+    ]
+    return [
+        (oid, p.x, p.y)
+        for cell, _, oid, p in sorted(held)
+        if cells is None or cell in cells
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -59,7 +67,7 @@ def test_store_mirrors_object_table_through_evictions(ops):
         lambda oid: live[oid], ServerConfig(grid_m=4)
     )
     # Real queries make evictions do repair work: a kNN refill probes
-    # surviving objects, whose positions re-ingest through the store.
+    # surviving objects, whose positions re-ingest into the table.
     server.register_query(
         RangeQuery(Rect(0.2, 0.2, 0.8, 0.8), query_id="r0"), time=0.0
     )
@@ -84,7 +92,10 @@ def test_store_mirrors_object_table_through_evictions(ops):
         elif kind == 2 and oid in server._objects:
             server.evict_object(oid, time=clock)
             live.pop(oid, None)
-        _check_mirror(server)
+        _check_table(server)
+        assert set(server._objects) == set(live)
+        for oid, p in live.items():
+            assert server._objects[oid].p_lst == p
 
     server.validate()
 
@@ -96,10 +107,10 @@ def test_evicting_unknown_object_raises():
 
 
 # ----------------------------------------------------------------------
-# Cell residency across shard migration (evict on one store, re-add on
-# another).  A migration is exactly discard-from-home + set-on-target;
-# the per-cell columns and membership generations of *both* stores must
-# track a reference model through any interleaving.
+# Held cells across shard migration (evict on one shard, re-add on
+# another).  A migration is exactly evict-from-home + add-on-target; the
+# cells and the migration export of *both* shards must track a reference
+# model through any interleaving.
 # ----------------------------------------------------------------------
 
 GRID_M = 4
@@ -115,24 +126,9 @@ def _model_cell(x: float, y: float) -> tuple[int, int]:
     )
 
 
-def _check_store_against_model(store: PositionStore, pos: dict) -> None:
-    """Per-cell columns mirror ``pos`` exactly; generations match the
-    enter/leave count tracked on each live bucket."""
-    residents: dict = {}
-    for oid, (x, y) in pos.items():
-        residents.setdefault(_model_cell(x, y), {})[oid] = (x, y)
-    assert sorted(store.resident_cells()) == sorted(residents)
-    for cell, expected in residents.items():
-        xs, ys, ids = store.cell_columns(cell)
-        assert dict(zip(ids, zip(list(xs), list(ys)))) == expected
-        assert sorted(store.cell_ids(cell)) == sorted(expected)
-        for oid in expected:
-            assert store.cell_of(oid) == cell
-
-
-# op: (kind, oid index, x, y, target store) with
-# kind 0 = set/move on the home store, 1 = migrate home -> target
-# (discard + re-add, the shard-migration shape), 2 = discard.
+# op: (kind, oid index, x, y, target shard) with
+# kind 0 = add/move on the home shard, 1 = migrate home -> target
+# (evict + re-add, the shard-migration shape), 2 = evict.
 migration_ops = st.lists(
     st.tuples(st.integers(min_value=0, max_value=2),
               st.integers(min_value=0, max_value=len(OIDS) - 1),
@@ -140,85 +136,75 @@ migration_ops = st.lists(
               st.integers(min_value=0, max_value=1)),
     min_size=1, max_size=60,
 )
+cell_lists = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=GRID_M - 1),
+              st.integers(min_value=0, max_value=GRID_M - 1)),
+    max_size=GRID_M * GRID_M,
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=migration_ops)
-def test_migration_preserves_cell_columns_and_generations(ops):
-    stores = (PositionStore(), PositionStore())
-    for store in stores:
-        store.bind_grid(0.0, 0.0, CELL_W, CELL_W, GRID_M)
-    positions: list[dict] = [{}, {}]   # per store: oid -> (x, y)
-    generations: list[dict] = [{}, {}]  # per store: cell -> expected gen
-    home: dict = {}
+@given(ops=migration_ops, asked=cell_lists)
+def test_migration_preserves_cell_columns_and_generations(ops, asked):
+    live: dict[str, Point] = {}
+    config = ServerConfig(grid_m=GRID_M)
+    shards = tuple(
+        ShardBackend(s, config, lambda oid: live[oid]) for s in (0, 1)
+    )
+    for shard in shards:
+        # A query makes evictions repair results (and probe) on each side.
+        shard.register(
+            query_spec(KNNQuery(Point(0.5, 0.5), 2, query_id="k0")), 0.0
+        )
+    home: dict = {}  # oid -> shard holding it
 
-    def enter(s, oid, x, y):
-        cell = _model_cell(x, y)
-        held = positions[s].get(oid)
-        positions[s][oid] = (x, y)
-        if held is not None and _model_cell(*held) == cell:
-            return  # in-place move: no membership change, no bump
-        if held is not None:
-            leave_cell(s, _model_cell(*held), oid_gone=oid)
-        generations[s][cell] = generations[s].get(cell, 0) + 1
-
-    def leave_cell(s, cell, oid_gone):
-        # Bucket deleted when its last resident leaves: generation
-        # restarts from 0 on the next enter, exactly like the store.
-        if any(
-            oid != oid_gone and _model_cell(*p) == cell
-            for oid, p in positions[s].items()
-        ):
-            generations[s][cell] += 1
-        else:
-            del generations[s][cell]
-
-    def discard(s, oid):
-        x, y = positions[s][oid]
-        del positions[s][oid]
-        leave_cell(s, _model_cell(x, y), oid_gone=None)
-
+    clock = 0.0
     for kind, idx, x, y, target in ops:
+        clock += 1.0
         oid = OIDS[idx]
+        p = Point(x, y)
         s = home.get(oid)
         if kind == 0 or s is None:
-            s = target if s is None else s
-            home[oid] = s
-            stores[s].set(oid, Point(x, y))
-            enter(s, oid, x, y)
+            live[oid] = p
+            if s is None:
+                home[oid] = s = target
+                shards[s].server.add_object(oid, p, time=clock)
+            else:
+                shards[s].server.handle_location_update(oid, p, time=clock)
         elif kind == 1:
             if s == target:
                 target = 1 - target
-            stores[s].discard(oid)
-            discard(s, oid)
-            stores[target].set(oid, Point(x, y))
-            enter(target, oid, x, y)
+            shards[s].server.evict_object(oid, time=clock)
+            live[oid] = p
+            shards[target].server.add_object(oid, p, time=clock)
             home[oid] = target
         else:
-            stores[s].discard(oid)
-            discard(s, oid)
+            shards[s].server.evict_object(oid, time=clock)
             del home[oid]
-        for s in (0, 1):
-            _check_store_against_model(stores[s], positions[s])
-            for cell, gen in generations[s].items():
-                assert stores[s].cell_generation(cell) == gen
-            for cell in stores[s].resident_cells():
-                assert cell in generations[s]
+            live.pop(oid)
+        for s, shard in enumerate(shards):
+            objects = shard.server._objects
+            _check_table(shard.server)
+            expected = {o: live[o] for o, h in home.items() if h == s}
+            assert {o: state.p_lst for o, state in objects.items()} == expected
+            for o, q in expected.items():
+                assert objects[o].cell == _model_cell(q.x, q.y)
+            rows = shard.residents(None)["rows"]
+            assert rows == _brute_force_rows(shard.server)
+            # Asked cells may repeat, come unordered, or hold no one.
+            assert shard.residents(asked)["rows"] == _brute_force_rows(
+                shard.server, set(asked)
+            )
+    for shard in shards:
+        shard.validate()
 
 
-def _check_cell_consistency(server: DatabaseServer) -> None:
-    """Every object sits in exactly one bucket, at its stored position."""
-    store = server.positions
-    seen: dict = {}
-    for cell in store.resident_cells():
-        xs, ys, ids = store.cell_columns(cell)
-        assert store.cell_generation(cell) >= 1
-        for x, y, oid in zip(list(xs), list(ys), ids):
-            assert oid not in seen
-            seen[oid] = cell
-            assert store.cell_of(oid) == cell
-            assert store.get(oid) == (x, y)
-    assert set(seen) == set(store) == set(server._objects)
+def _check_cell_consistency(backend: ShardBackend) -> set:
+    """Every object's cell is its held position's; the export agrees."""
+    _check_table(backend.server)
+    rows = backend.residents(None)["rows"]
+    assert rows == _brute_force_rows(backend.server)
+    return {oid for oid, _, _ in rows}
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,8 +239,13 @@ def test_sharded_migrations_keep_cell_residency_exact(moves):
         cluster.handle_location_update(oid, live[oid], time=clock)
         if cluster.shard_of_object(oid) != before:
             migrated += 1
-        for shard in cluster._shards:
-            _check_cell_consistency(shard.backend.server)
+        held = [
+            _check_cell_consistency(shard.backend)
+            for shard in cluster._shards
+        ]
+        # Each object is held by exactly one shard.
+        assert not held[0] & held[1]
+        assert held[0] | held[1] == set(OIDS)
 
     counters = registry.to_dict()["counters"]
     assert counters.get("shard.migrations", 0) == migrated
