@@ -1,17 +1,15 @@
-"""Hot-path benchmark: cached vs cache-disabled server (docs/PERFORMANCE.md).
+"""Hot-path benchmark: the server's steady-state update loop (docs/PERFORMANCE.md).
 
 Drives the ``DatabaseServer`` directly (no simulator clock) over a
 steady-state scenario: a district holding every query quarantine area
 plus background traffic through query-free cells — the regime the
 generation-stamped grid caches and the certified no-op exit are built
-for.  The same pre-generated report plan is replayed twice, once per
-``enable_caches`` setting, and the run asserts the two servers end
-bit-identical (result snapshots and operation counters).  The recorded
-``speedup`` is the grid caches' own contribution — the first rung of
-the ROADMAP's ablation ladder — and is reported, not gated: the
-safe-region certificate does not follow the cache switch, so the ratio
-is a few percent (it was 1.4x only while the switch also turned the
-query-free certificate off).
+for.  A pre-generated report plan is replayed against a fresh server;
+the best of ``REPEATS`` timed replays is recorded under ``cached``, and
+a separate instrumented replay feeds the grid-cache hit-rate floor and
+the flight-recorder invariant check.  The caches' correctness is pinned
+by ``tests/test_hotpath_caches.py``, which checks every touched cell's
+cached views against a brute-force recomputation.
 
 Emits ``benchmarks/results/BENCH_hotpath.json`` — the tracked perf
 baseline subsequent PRs must not regress.  ``HOTPATH_SMOKE=1`` shrinks
@@ -52,7 +50,7 @@ if SMOKE:
 else:
     NUM_OBJECTS, NUM_QUERIES, TICKS = 3000, 30, 40
 MOVERS_PER_TICK = NUM_OBJECTS // 5
-#: Timed repetitions per configuration; the best run counts (the standard
+#: Timed repetitions; the best run counts (the standard
 #: way to strip scheduler / frequency-scaling noise from wall clocks).
 REPEATS = 1 if SMOKE else 3
 
@@ -64,8 +62,8 @@ def _build():
     """World + replay plan, fully determined by ``SEED``.
 
     Query objects are stateful (they carry their live result sets), so
-    each run rebuilds the world from scratch; determinism makes the two
-    builds identical.
+    each run rebuilds the world from scratch; determinism makes every
+    build identical.
     """
     rng = random.Random(SEED)
     positions = {}
@@ -104,13 +102,13 @@ def _build():
     return positions, queries, plan
 
 
-def _run(enable_caches: bool, metrics=None, events=None):
+def _run(metrics=None, events=None):
     """Replay the plan against a fresh server; time only the update loop."""
     positions, queries, plan = _build()
     live = dict(positions)
     server = DatabaseServer(
         lambda oid: live[oid],
-        ServerConfig(grid_m=GRID_M, enable_caches=enable_caches),
+        ServerConfig(grid_m=GRID_M),
         metrics=metrics,
         events=events,
     )
@@ -134,19 +132,10 @@ def _run(enable_caches: bool, metrics=None, events=None):
         if gc_was_enabled:
             gc.enable()
     server.validate()
-    snapshots = {q.query_id: q.result_snapshot() for q in queries}
-    st = server.stats
-    counters = (
-        st.location_updates, st.probes, st.safe_region_pushes,
-        st.queries_registered, st.queries_checked,
-        st.queries_reevaluated, st.result_changes,
-    )
     return {
         "total_seconds": total,
         "latencies": sorted(latencies),
-        "snapshots": snapshots,
-        "counters": counters,
-        "updates": st.location_updates,
+        "updates": server.stats.location_updates,
     }
 
 
@@ -168,20 +157,10 @@ def _timing(run: dict) -> dict:
 
 
 def test_hotpath_benchmark():
-    # Interleave repetitions so slow system phases hit both configs alike;
-    # the best repetition per config is the reported timing.
-    cached, uncached = None, None
-    for _ in range(REPEATS):
-        run_c = _run(enable_caches=True)
-        run_u = _run(enable_caches=False)
-        if cached is None or run_c["total_seconds"] < cached["total_seconds"]:
-            cached = run_c
-        if uncached is None or run_u["total_seconds"] < uncached["total_seconds"]:
-            uncached = run_u
-
-    # Correctness pin: the acceleration layer must be invisible in results.
-    assert cached["snapshots"] == uncached["snapshots"]
-    assert cached["counters"] == uncached["counters"]
+    # The best repetition is the reported timing.
+    cached = min(
+        (_run() for _ in range(REPEATS)), key=lambda run: run["total_seconds"]
+    )
 
     # Metrics replay (separate so instrument costs stay out of the
     # timings).  The flight recorder rides along: its tail is archived
@@ -190,7 +169,7 @@ def test_hotpath_benchmark():
     # containment fails here even if all counters look plausible.
     registry = MetricsRegistry()
     recorder = EventLog(capacity=50_000)
-    _run(enable_caches=True, metrics=registry, events=recorder)
+    _run(metrics=registry, events=recorder)
     SCRATCH_DIR.mkdir(parents=True, exist_ok=True)
     recorder.dump(SCRATCH_DIR / "BENCH_hotpath_flight.jsonl")
     findings = diagnose([event.to_dict() for event in recorder.events()])
@@ -201,7 +180,6 @@ def test_hotpath_benchmark():
     misses = counters.get("grid.cache.misses", 0)
     hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
-    speedup = uncached["total_seconds"] / cached["total_seconds"]
     document = {
         "benchmark": "hotpath",
         "smoke": SMOKE,
@@ -214,8 +192,6 @@ def test_hotpath_benchmark():
             "seed": SEED,
         },
         "cached": _timing(cached),
-        "uncached": _timing(uncached),
-        "speedup": round(speedup, 3),
         "cache": {
             "hits": hits,
             "misses": misses,
@@ -227,7 +203,6 @@ def test_hotpath_benchmark():
             "occupied_cells": gauges.get("grid.occupied_cells", 0),
             "cell_occupancy_peak": gauges.get("grid.cell_occupancy.peak", 0),
         },
-        "equivalent": True,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_hotpath.json"

@@ -81,22 +81,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="enable the Section 6.1 enhancement")
     parser.add_argument("--steadiness", type=float, default=0.0,
                         help="Section 6.2 weighted-perimeter D parameter")
-    parser.add_argument("--no-caches", action="store_true",
-                        help="disable the grid index's candidate caches "
-                             "(docs/PERFORMANCE.md) to bisect perf "
-                             "regressions; results are identical, only "
-                             "CPU cost changes")
-    parser.add_argument("--kernel-backend", default="numpy",
-                        choices=("numpy", "python", "both"),
-                        help="batch-geometry backend (repro.kernels); "
-                             "'both' runs each backend and verifies the "
-                             "reports match (compare only)")
-    parser.add_argument("--kernel-min-rows", type=int, default=8,
-                        metavar="N",
-                        help="batch-size cutoff below which kernel "
-                             "dispatches take the scalar path (>= 1; "
-                             "results are identical, only CPU cost "
-                             "changes)")
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="inject channel/probe faults, e.g. "
                              "'drop=0.05,dup=0.02,delay=2,probe_timeout=0.1' "
@@ -159,13 +143,6 @@ def _scenario_from(args: argparse.Namespace) -> Scenario:
             seed=args.seed,
             use_reachability=args.reachability,
             steadiness=args.steadiness,
-            enable_caches=not args.no_caches,
-            kernel_backend=(
-                "numpy"
-                if args.kernel_backend == "both"
-                else args.kernel_backend
-            ),
-            kernel_min_rows=args.kernel_min_rows,
             fault_spec=args.faults,
             fault_seed=args.fault_seed,
             retransmit_timeout=args.retransmit_timeout,
@@ -179,11 +156,6 @@ def _scenario_from(args: argparse.Namespace) -> Scenario:
     except ValueError as error:
         print(f"bad scenario: {error}", file=sys.stderr)
         raise SystemExit(2) from None
-
-
-def _result_fields(row: dict) -> dict:
-    """A report row minus timing — the fields kernels must not change."""
-    return {k: v for k, v in row.items() if k != "cpu_s_per_time"}
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -207,26 +179,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         title=f"scheme comparison (N={scenario.num_objects}, "
               f"W={scenario.num_queries}, tau={scenario.delay:g})",
     ))
-    if args.kernel_backend == "both":
-        # A/B: rerun everything on the scalar backend and require the
-        # result-determined numbers to match exactly (CPU time may not).
-        alt = run_schemes(
-            scenario.with_overrides(kernel_backend="python"), schemes=schemes
-        )
-        mismatched = sorted(
-            name
-            for name in reports
-            if _result_fields(reports[name].row())
-            != _result_fields(alt[name].row())
-        )
-        if mismatched:
-            print(
-                "kernel backend mismatch (numpy vs python): "
-                + ", ".join(mismatched),
-                file=sys.stderr,
-            )
-            return 1
-        print("kernel backends equivalent: numpy == python")
     if args.metrics_out is not None:
         document = {
             "schemes": {

@@ -40,7 +40,6 @@ def batch_range_safe_region(
     cell: Rect,
     obstacles: Sequence[Rect],
     objective: Objective | None = None,
-    kernels=None,
 ) -> Rect:
     """Largest-perimeter rectangle in ``cell`` around ``p`` avoiding obstacles.
 
@@ -50,26 +49,9 @@ def batch_range_safe_region(
     cell; only their part inside the cell matters.  The returned rectangle
     contains ``p`` (possibly on its boundary) and overlaps no open
     obstacle.
-
-    With ``kernels``, the per-obstacle corner localisation runs as one
-    batch pass per quadrant over obstacle columns built once per call
-    (``Kernels.quadrant_corners`` mirrors ``_local_min_corner`` exactly,
-    signed zeros included); the staircase and the greedy combination stay
-    scalar — they are sequential over a handful of corners.  Obstacle
-    sets below ``kernels.min_rows`` skip the column build entirely and
-    run the scalar corner localisation in place — same arithmetic,
-    without a round trip through the dispatcher's row-count gate.
     """
-    columns = None
-    if kernels is not None and len(obstacles) >= kernels.min_rows:
-        columns = (
-            [r.min_x for r in obstacles],
-            [r.min_y for r in obstacles],
-            [r.max_x for r in obstacles],
-            [r.max_y for r in obstacles],
-        )
     component_sets = [
-        _component_corners(p, cell, obstacles, sx, sy, kernels, columns)
+        _component_corners(p, cell, obstacles, sx, sy)
         for sx, sy in _QUADRANTS
     ]
     return combine_components(p, cell, component_sets, objective)
@@ -196,8 +178,6 @@ def _component_corners(
     obstacles: Sequence[Rect],
     sx: float,
     sy: float,
-    kernels=None,
-    columns=None,
 ) -> list[tuple[float, float]]:
     """Opposite corners of the component rectangles in one quadrant.
 
@@ -212,16 +192,11 @@ def _component_corners(
     width = max(width, 0.0)
     height = max(height, 0.0)
 
-    if kernels is not None and columns is not None:
-        blockers = kernels.quadrant_corners(
-            p.x, p.y, *columns, sx, sy, width, height
-        )
-    else:
-        blockers = []
-        for obstacle in obstacles:
-            corner = _local_min_corner(p, obstacle, sx, sy, width, height)
-            if corner is not None:
-                blockers.append(corner)
+    blockers = []
+    for obstacle in obstacles:
+        corner = _local_min_corner(p, obstacle, sx, sy, width, height)
+        if corner is not None:
+            blockers.append(corner)
     # Proposition 5.6: sweep the blockers by x; each one that lowers the
     # running y cap opens a new component, dominated corners add nothing.
     blockers.sort()

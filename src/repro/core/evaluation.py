@@ -206,7 +206,6 @@ def evaluate_knn(
     order_sensitive: bool = True,
     exclude: Callable[[ObjectId], bool] | None = None,
     constrain: ConstrainFn | None = None,
-    kernels=None,
 ) -> EvaluationResult:
     """Evaluate a new kNN query over safe regions (Algorithm 2).
 
@@ -216,16 +215,12 @@ def evaluate_knn(
     evaluation ended with — and the probes issued.  ``exclude`` omits
     objects from the search (used by reevaluation case 1).
 
-    ``kernels`` only accelerates the unordered variant's held-set
-    partition (a pure comparison mask, so exactness is trivial); the
-    ordered variant is inherently sequential — every queue pop depends on
-    the previous decision — and ignores it.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if order_sensitive:
         return _evaluate_knn_ordered(index, q, k, probe, exclude, constrain)
-    return _evaluate_knn_unordered(index, q, k, probe, exclude, constrain, kernels)
+    return _evaluate_knn_unordered(index, q, k, probe, exclude, constrain)
 
 
 def _evaluate_knn_ordered(
@@ -343,7 +338,6 @@ def _evaluate_knn_unordered(
     probe: ProbeFn,
     exclude: Callable[[ObjectId], bool] | None,
     constrain: ConstrainFn | None,
-    kernels=None,
 ) -> EvaluationResult:
     """Order-insensitive variant: up to ``k`` objects may be held at once.
 
@@ -366,26 +360,8 @@ def _evaluate_knn_unordered(
         if current is None:
             break
         still_held = []
-        if kernels is not None and len(held) >= kernels.min_rows:
-            # Batch the distance comparisons; the capacity check
-            # (``len(confirmed) < k``) stays in-loop because each
-            # confirmation changes it.  Below the cutoff the comparison
-            # runs inline instead of through the dispatcher: a held set
-            # bounded by ``k`` can never batch, so routing it through
-            # ``mask_leq`` would only pay call overhead and pollute the
-            # fallback counters with intrinsically scalar rows.
-            resolvable = kernels.mask_leq(
-                [candidate.max_dist for candidate in held], current.min_dist
-            )
-        else:
-            resolvable = None
-        for position_in_held, candidate in enumerate(held):
-            done = (
-                resolvable[position_in_held]
-                if resolvable is not None
-                else candidate.max_dist <= current.min_dist
-            )
-            if len(confirmed) < k and done:
+        for candidate in held:
+            if len(confirmed) < k and candidate.max_dist <= current.min_dist:
                 confirmed.append(candidate)
             else:
                 still_held.append(candidate)

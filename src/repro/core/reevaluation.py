@@ -65,27 +65,21 @@ def reevaluate_knn(
     probe: ProbeFn,
     sr_of: SrLookup,
     constrain: ConstrainFn | None = None,
-    kernels=None,
 ) -> ReevaluationOutcome:
     """Incrementally reevaluate a kNN query for an update of ``oid`` to ``p``.
 
     The updated object's entry in ``index`` must already be its exact
     point (the server collapses the safe region on receipt of the update),
     so ``sr_of(oid)`` is point-sized and distance bounds are exact.
-
-    ``kernels`` is forwarded to the fresh :func:`evaluate_knn` runs the
-    cases fall back on (case 1's replacement search and the unordered
-    full reevaluation); the incremental cases 2/3 are a handful of exact
-    circle distances and stay scalar.
     """
     if not query.order_sensitive:
-        return _reevaluate_unordered(query, index, probe, constrain, kernels)
+        return _reevaluate_unordered(query, index, probe, constrain)
 
     in_new = query.quarantine_contains(p)
     was_result = oid in query.results
 
     if was_result and not in_new:
-        return _case_leaves(query, oid, index, probe, constrain, kernels)
+        return _case_leaves(query, oid, index, probe, constrain)
     if in_new and not was_result:
         return _case_enters(query, oid, p, probe, sr_of, constrain)
     if in_new and was_result:
@@ -101,7 +95,6 @@ def _case_leaves(
     index,
     probe: ProbeFn,
     constrain: ConstrainFn | None,
-    kernels=None,
 ) -> ReevaluationOutcome:
     """Case 1: a result left the quarantine area; find the new k-th NN.
 
@@ -120,7 +113,6 @@ def _case_leaves(
         order_sensitive=True,
         exclude=lambda candidate: candidate in remaining_set,
         constrain=constrain,
-        kernels=kernels,
     )
     query.results = remaining + replacement.results
     query.radius = replacement.radius
@@ -256,7 +248,6 @@ def _reevaluate_unordered(
     index,
     probe: ProbeFn,
     constrain: ConstrainFn | None,
-    kernels=None,
 ) -> ReevaluationOutcome:
     """Order-insensitive kNN queries are reevaluated as new (Section 4.3)."""
     old_snapshot = query.result_snapshot()
@@ -267,7 +258,6 @@ def _reevaluate_unordered(
         probe,
         order_sensitive=False,
         constrain=constrain,
-        kernels=kernels,
     )
     query.results = fresh.results
     query.radius = fresh.radius

@@ -202,7 +202,6 @@ def compute_safe_region(
     sr_of: SrLookup,
     objective: Objective | None = None,
     use_batch: bool = True,
-    kernels=None,
 ) -> Rect:
     """Full safe region of object ``oid`` at ``p`` (intersection over queries).
 
@@ -261,9 +260,7 @@ def compute_safe_region(
             raise TypeError(f"unsupported query type: {type(query).__name__}")
 
     if obstacles:
-        batch = batch_range_safe_region(
-            p, cell, obstacles, objective, kernels=kernels
-        )
+        batch = batch_range_safe_region(p, cell, obstacles, objective)
         sr = _intersect(sr, batch, p)
     return sr
 

@@ -31,7 +31,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.cells import CellObjectIndex
 from repro.index.grid import CellId, GridIndex
-from repro.kernels import KERNEL_BACKENDS, Kernels
+from repro.kernels import Kernels, ops as kernel_ops
 from repro.obs import (
     COUNT_BUCKETS,
     NULL_EVENT_LOG,
@@ -75,14 +75,6 @@ class ServerConfig:
       Fig 7.6, quantifies both).
     * ``steadiness`` — the D parameter of the weighted-perimeter
       enhancement (Section 6.2); 0 disables it.
-    * ``enable_caches`` — the grid index's generation-stamped per-cell
-      candidate caches and interned cell rectangles
-      (docs/PERFORMANCE.md).  On by default; ``repro compare
-      --no-caches`` turns them off so their cost or benefit is
-      bisectable.  The safe-region certificate is a policy, not a
-      cache, and does not follow this switch.  Results, message counts
-      and path counters are identical either way — only CPU cost
-      changes.
     """
 
     grid_m: int = 50
@@ -90,18 +82,6 @@ class ServerConfig:
     max_speed: float | None = None
     reachability_pushes: bool = True
     steadiness: float = 0.0
-    enable_caches: bool = True
-    #: Batch-geometry backend (``repro.kernels``): ``"numpy"`` runs the
-    #: hot-path geometry as columnar array passes, ``"python"`` the
-    #: bit-identical scalar fallbacks.  Results are identical either way
-    #: (``tests/test_kernel_equivalence.py``); only CPU cost changes.
-    #: ``"numpy"`` silently degrades to ``"python"`` when NumPy is absent.
-    kernel_backend: str = "numpy"
-    #: Batch-size cutoff below which kernel dispatches take the scalar
-    #: path even on the NumPy backend (array set-up costs more than it
-    #: saves on tiny batches).  Inclusive: a batch of exactly this many
-    #: rows vectorises.  Must be at least 1.
-    kernel_min_rows: int = 8
     #: Ablation switch: compute the safe region for a batch of range
     #: queries with the Section 5.3 algorithm (True) or by intersecting
     #: per-query strips (False).
@@ -133,13 +113,6 @@ class ServerConfig:
             raise ValueError("steadiness must be within [0, 1]")
         if self.max_speed is not None and self.max_speed <= 0:
             raise ValueError("max_speed must be positive when set")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
-            )
-        if self.kernel_min_rows < 1:
-            raise ValueError("kernel_min_rows must be at least 1")
         if self.probe_timeout <= 0:
             raise ValueError("probe_timeout must be positive")
         if self.probe_retries < 0:
@@ -186,8 +159,7 @@ class ObjectState:
     ``None`` when a relevant kNN quarantine holds the object or the
     region (rank changes are invisible to the clearance check), a
     relevant query is a custom extension type, or the region was
-    degraded or shrink-tightened.  A policy, not a cache: issued and
-    honoured identically whether ``enable_caches`` is on or off.
+    degraded or shrink-tightened.  A policy, not a cache.
     """
 
     safe_region: Rect
@@ -297,16 +269,12 @@ class DatabaseServer:
             "server.updates.time_regression"
         )
         self._g_degraded = self.metrics.gauge("server.objects.degraded")
-        self.kernels = Kernels(
-            self.config.kernel_backend, metrics=self.metrics,
-            min_rows=self.config.kernel_min_rows, events=self.events,
-        )
+        self.kernels = Kernels(metrics=self.metrics, events=self.events)
         self._g_wide = self.metrics.gauge("object_index.wide")
         self.query_index = GridIndex(
             self.config.grid_m,
             self.config.space,
             metrics=self.metrics,
-            enable_cache=self.config.enable_caches,
             kernels=self.kernels,
             events=self.events,
         )
@@ -679,7 +647,6 @@ class DatabaseServer:
                         probe,
                         order_sensitive=query.order_sensitive,
                         constrain=constrain,
-                        kernels=self.kernels,
                     )
                     query.results = list(evaluation.results)
                     query.radius = evaluation.radius
@@ -822,7 +789,6 @@ class DatabaseServer:
                 probe,
                 order_sensitive=query.order_sensitive,
                 constrain=constrain,
-                kernels=self.kernels,
             )
             query.results = list(evaluation.results)
             query.radius = evaluation.radius
@@ -1358,7 +1324,7 @@ class DatabaseServer:
             i for i, q in enumerate(ordered) if type(q) is RangeQuery
         ]
         flags: list[bool | None] = [None] * len(ordered)
-        if len(range_rows) >= self.kernels.min_rows:
+        if len(range_rows) >= kernel_ops.MIN_ROWS:
             rects = [ordered[i].rect for i in range_rows]
             mask = self.kernels.range_affected(
                 [r.min_x for r in rects],
@@ -1431,7 +1397,6 @@ class DatabaseServer:
                         probe,
                         self.object_index.rect_of,
                         constrain,
-                        kernels=self.kernels,
                     )
                 fresh = {
                     target: pos
@@ -1813,7 +1778,6 @@ class DatabaseServer:
             self.object_index.rect_of,
             self._objective(position, previous),
             use_batch=self.config.batch_range_regions,
-            kernels=self.kernels,
         )
         # Issue the certificate for ``region`` (``ObjectState.sr_cert``).
         # Recording each kNN *clearance* rather than the radius lets the

@@ -107,8 +107,6 @@ def snapshot_server(server: DatabaseServer) -> dict:
             "reachability_pushes": server.config.reachability_pushes,
             "steadiness": server.config.steadiness,
             "batch_range_regions": server.config.batch_range_regions,
-            "kernel_backend": server.config.kernel_backend,
-            "kernel_min_rows": server.config.kernel_min_rows,
             "probe_timeout": server.config.probe_timeout,
             "probe_retries": server.config.probe_retries,
             "probe_budget": server.config.probe_budget,
@@ -130,19 +128,19 @@ def config_from_payload(config_data: dict) -> ServerConfig:
     config_data = dict(config_data)
     if not isinstance(config_data["space"], Rect):
         config_data["space"] = _rect_from_list(config_data["space"])
-    # Snapshots written before the kernels subsystem carry no backend;
-    # version-1 snapshots predate the fault-handling fields entirely.
-    config_data.setdefault("kernel_backend", "numpy")
-    config_data.setdefault("kernel_min_rows", 8)
+    # Version-1 snapshots predate the fault-handling fields entirely.
     config_data.setdefault("probe_timeout", 0.05)
     config_data.setdefault("probe_retries", 2)
     config_data.setdefault("probe_budget", None)
     config_data.setdefault("on_unknown_object", "raise")
     config_data.setdefault("degraded_max_speed", None)
-    # Written by snapshots older than the relief pass's removal, and by
-    # snapshots older than the cell object index (the R*-tree fanout).
+    # Written by snapshots older than the relief pass's removal, by
+    # snapshots older than the cell object index (the R*-tree fanout),
+    # and by snapshots older than the kernel switches' removal.
     config_data.pop("anti_storm_relief", None)
     config_data.pop("index_max_entries", None)
+    config_data.pop("kernel_backend", None)
+    config_data.pop("kernel_min_rows", None)
     return ServerConfig(**config_data)
 
 

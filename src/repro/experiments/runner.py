@@ -14,7 +14,6 @@ from typing import Iterable, Literal
 from repro.baselines.optimal import optimal_report
 from repro.baselines.periodic import PRDSimulation
 from repro.baselines.qindex import QIndexSimulation
-from repro.kernels import Kernels
 from repro.mobility.waypoint import RandomWaypointModel
 from repro.obs import MetricsRegistry, TimeSeriesSampler
 from repro.simulation.engine import SRBSimulation
@@ -38,12 +37,7 @@ def build_truth(scenario: Scenario) -> GroundTruth:
     )
     trajectories = model.build(range(scenario.num_objects), scenario.duration)
     queries = generate_queries(scenario.workload(), seed=scenario.seed)
-    return GroundTruth(
-        trajectories, queries,
-        kernels=Kernels(
-            scenario.kernel_backend, min_rows=scenario.kernel_min_rows
-        ),
-    )
+    return GroundTruth(trajectories, queries)
 
 
 def run_schemes(

@@ -14,19 +14,10 @@ from repro.index.node import ObjectId
 
 
 class BruteForceIndex:
-    """Dictionary-backed stand-in for :class:`~repro.index.rstar.RStarTree`.
+    """Dictionary-backed stand-in for :class:`~repro.index.rstar.RStarTree`."""
 
-    With ``kernels`` attached, range filtering runs as one batch
-    intersection pass over lazily rebuilt MBR columns (rebuilt on the
-    first search after any mutation) instead of a per-entry scan; the
-    mask is applied in dict insertion order, so results are identical to
-    the scalar loop.
-    """
-
-    def __init__(self, kernels=None) -> None:
+    def __init__(self) -> None:
         self._rects: dict[ObjectId, Rect] = {}
-        self.kernels = kernels
-        self._columns: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._rects)
@@ -41,37 +32,20 @@ class BruteForceIndex:
         if oid in self._rects:
             raise KeyError(f"object {oid!r} already indexed")
         self._rects[oid] = rect
-        self._columns = None
 
     def delete(self, oid: ObjectId) -> None:
         del self._rects[oid]
-        self._columns = None
 
     def update(self, oid: ObjectId, rect: Rect) -> bool:
         if oid not in self._rects:
             raise KeyError(f"object {oid!r} not indexed")
         self._rects[oid] = rect
-        self._columns = None
         return True
 
     def search(self, rect: Rect) -> list[ObjectId]:
         return [oid for oid, _ in self.search_entries(rect)]
 
     def search_entries(self, rect: Rect) -> Iterator[tuple[ObjectId, Rect]]:
-        if self.kernels is not None and self._rects:
-            if self._columns is None:
-                rects = self._rects.values()
-                self._columns = (
-                    [r.min_x for r in rects],
-                    [r.min_y for r in rects],
-                    [r.max_x for r in rects],
-                    [r.max_y for r in rects],
-                )
-            mask = self.kernels.rects_intersecting(*self._columns, rect)
-            for keep, (oid, stored) in zip(mask, self._rects.items()):
-                if keep:
-                    yield oid, stored
-            return
         for oid, stored in self._rects.items():
             if stored.intersects(rect):
                 yield oid, stored

@@ -13,8 +13,7 @@ frozenset plus the deterministically sorted relevant-query tuple the
 location manager consumes — validated against the generation, so the
 common no-churn lookup costs two dict probes instead of a set copy and a
 sort.  The generations are also the server's invalidation signal for its
-safe-region certificate (``ObjectState.sr_cert``), which — unlike the
-caches — does not follow ``enable_cache``.
+safe-region certificate (``ObjectState.sr_cert``).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ class GridIndex:
         m: int,
         space: Rect | None = None,
         metrics=None,
-        enable_cache: bool = True,
         kernels=None,
         events=None,
     ) -> None:
@@ -72,7 +70,6 @@ class GridIndex:
         )
         self._buckets: dict[CellId, set] = {}
         self._cells_of: dict[Hashable, frozenset[CellId]] = {}
-        self.enable_cache = enable_cache
         #: Per-cell membership generation; bumped whenever a query starts
         #: or stops overlapping the cell.  Absent cells are generation 0.
         self._generations: dict[CellId, int] = {}
@@ -80,7 +77,7 @@ class GridIndex:
         #: relevant-query tuple sorted by query_id).  Entries are validated
         #: lazily against the cell generation.
         self._cache: dict[CellId, tuple[int, frozenset, tuple]] = {}
-        #: Interned cell rectangles (cache-enabled mode only).
+        #: Interned cell rectangles, filled on first use.
         self._cell_rects: dict[CellId, Rect] = {}
         self._total_slots = 0
         self.kernels = kernels
@@ -129,11 +126,10 @@ class GridIndex:
         return self._cell_ids[i][j]
 
     def cell_rect(self, cell: CellId) -> Rect:
-        """The rectangle covered by ``cell`` (interned when caches are on)."""
-        if self.enable_cache:
-            rect = self._cell_rects.get(cell)
-            if rect is not None:
-                return rect
+        """The rectangle covered by ``cell`` (interned on first use)."""
+        rect = self._cell_rects.get(cell)
+        if rect is not None:
+            return rect
         i, j = cell
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise IndexError(f"cell {cell} outside {self.m}x{self.m} grid")
@@ -143,8 +139,7 @@ class GridIndex:
             self.space.min_x + (i + 1) * self._cell_w,
             self.space.min_y + (j + 1) * self._cell_h,
         )
-        if self.enable_cache:
-            self._cell_rects[cell] = rect
+        self._cell_rects[cell] = rect
         return rect
 
     def cell_rect_of_point(self, p: Point) -> Rect:
@@ -327,8 +322,6 @@ class GridIndex:
         bucket = self._buckets.get(cell)
         if bucket is None:
             return _EMPTY_BUCKET
-        if not self.enable_cache:
-            return frozenset(bucket)
         return self._cached_views(cell, bucket)[0]
 
     def queries_at(self, p: Point) -> frozenset:
@@ -343,15 +336,11 @@ class GridIndex:
     def relevant_queries(self, cell: CellId) -> tuple:
         """The cell's relevant queries sorted by ``query_id``.
 
-        With the cache enabled this is served from the generation-stamped
-        per-cell cache; disabled, it is rebuilt per call (the seed
-        behaviour, kept as the benchmark ablation baseline).
+        Served from the generation-stamped per-cell cache.
         """
         bucket = self._buckets.get(cell)
         if bucket is None:
             return _EMPTY_SORTED
-        if not self.enable_cache:
-            return tuple(sorted(bucket, key=_query_order))
         return self._cached_views(cell, bucket)[1]
 
     def candidate_queries(self, p: Point, p_lst: Point | None) -> frozenset:

@@ -1,17 +1,18 @@
 """Columnar geometry kernels for the evaluation hot path.
 
-Every kernel exists twice: a NumPy batch implementation and a pure-Python
-scalar fallback.  The two are **bit-identical by construction** — the
-NumPy path performs the same floating-point operations in the same order
-per element as the scalar path (``dx*dx + dy*dy``, explicit ``min``/
-``max`` compositions, sequential ``cumsum`` row sums instead of pairwise
-reductions, and never ``hypot``, whose result CPython and NumPy are free
-to compute differently).  This lets the server swap backends via
-``ServerConfig.kernel_backend`` without perturbing a single result,
-message, or counter; ``tests/test_kernels_properties.py`` cross-checks
-the two paths on random columns including rect-edge and distance-tie
-inputs, and ``tests/test_kernel_equivalence.py`` replays full monitoring
-streams under both backends.
+One form per op, scalar below ``MIN_ROWS``: a call with at least
+``MIN_ROWS`` rows runs as a NumPy batch pass, a smaller one runs the
+pure-Python scalar loop.  The two are **bit-identical by construction**
+— the NumPy path performs the same floating-point operations in the
+same order per element as the scalar path (``dx*dx + dy*dy``, explicit
+``min``/``max`` compositions, sequential ``cumsum`` row sums instead of
+pairwise reductions, and never ``hypot``, whose result CPython and NumPy
+are free to compute differently).  The scalar loop is also the reference
+the NumPy pass is checked against: ``tests/test_kernels_properties.py``
+forces each side by patching ``MIN_ROWS`` and cross-checks the two on
+random columns including rect-edge and distance-tie inputs, and
+``tests/test_kernel_equivalence.py`` replays full monitoring streams
+both ways.
 
 FP-determinism rules for new kernels (see docs/PERFORMANCE.md):
 
@@ -34,66 +35,40 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
+import numpy as np
+
 from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY
 
-try:  # pragma: no cover — exercised implicitly by backend resolution
-    import numpy as _np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover — container always ships numpy
-    _np = None
-    HAS_NUMPY = False
-
-#: Recognised values of ``ServerConfig.kernel_backend``.
-KERNEL_BACKENDS = ("numpy", "python")
-
-def resolve_backend(requested: str) -> str:
-    """Map a requested backend to the one that will actually run.
-
-    ``"numpy"`` silently degrades to ``"python"`` when NumPy is absent —
-    the fallback is bit-identical, so nothing but speed changes.
-    """
-    if requested not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {requested!r}; choose from {KERNEL_BACKENDS}"
-        )
-    if requested == "numpy" and not HAS_NUMPY:
-        return "python"
-    return requested
+#: Batch-size cutoff: a call with fewer rows runs the scalar loop, whose
+#: constant cost is below NumPy's array set-up on tiny inputs.
+#: Inclusive — a call with exactly ``MIN_ROWS`` rows vectorises.
+MIN_ROWS = 8
 
 
 class Kernels:
-    """Batch geometry kernels with a selected backend.
+    """Batch geometry kernels with per-call counters.
 
-    ``min_rows`` is the batch-size cutoff below which the NumPy path is
-    not worth its constant overhead; smaller inputs run the scalar
-    fallback (identical results either way).  Counters:
+    Counters:
 
     * ``kernels.batch_calls``    — invocations served by the NumPy path;
     * ``kernels.rows_scanned``   — rows processed by the NumPy path;
-    * ``kernels.fallback_calls`` — invocations served by the scalar path
-      (explicit ``python`` backend, missing NumPy, or below-cutoff);
+    * ``kernels.fallback_calls`` — invocations below ``MIN_ROWS``, served
+      by the scalar path;
     * ``kernels.fallback_rows``  — rows processed by the scalar path.
       The ratio ``fallback_rows / (rows_scanned + fallback_rows)`` is the
       number that matters for batching health: many tiny fallback calls
       can be negligible by rows, and one huge fallback call can dominate.
+
+    Each scalar call also emits a ``kernel_fallback`` event carrying its
+    ``rows`` when the event log is enabled.
     """
 
     __slots__ = (
-        "backend", "min_rows", "_np", "_events",
-        "_batch_calls", "_rows_scanned", "_fallback_calls",
+        "_events", "_batch_calls", "_rows_scanned", "_fallback_calls",
         "_fallback_rows",
     )
 
-    def __init__(
-        self, backend: str = "numpy", metrics=None, min_rows: int = 8,
-        events=None,
-    ) -> None:
-        if min_rows < 1:
-            raise ValueError("min_rows must be positive")
-        self.backend = resolve_backend(backend)
-        self.min_rows = min_rows
-        self._np = _np if self.backend == "numpy" else None
+    def __init__(self, metrics=None, events=None) -> None:
         registry = NULL_REGISTRY if metrics is None else metrics
         self._events = NULL_EVENT_LOG if events is None else events
         self._batch_calls = registry.counter("kernels.batch_calls")
@@ -104,63 +79,22 @@ class Kernels:
     def _batch(self, n: int) -> bool:
         """Whether to take the NumPy path for an ``n``-row call.
 
-        The cutoff is inclusive: a call with exactly ``min_rows`` rows
-        takes the vectorized path (``n >= self.min_rows``), on both
-        backends — pinned by ``test_min_rows_exact_cutoff_vectorises``.
+        The cutoff is inclusive (``n >= MIN_ROWS``) — pinned by
+        ``test_min_rows_exact_cutoff_vectorises``.
         """
-        if self._np is not None and n >= self.min_rows:
+        if n >= MIN_ROWS:
             self._batch_calls.inc()
             self._rows_scanned.inc(n)
             return True
         self._fallback_calls.inc()
         self._fallback_rows.inc(n)
         if self._events.enabled:
-            self._events.emit(
-                "kernel_fallback", rows=n, backend=self.backend,
-                reason="below_cutoff" if self._np is not None else "no_numpy",
-            )
+            self._events.emit("kernel_fallback", rows=n)
         return False
 
     # ------------------------------------------------------------------
     # Point kernels
     # ------------------------------------------------------------------
-    def points_in_rect(
-        self, xs: Sequence[float], ys: Sequence[float], rect
-    ) -> list[bool]:
-        """Per-row mask: is ``(xs[i], ys[i])`` inside the closed ``rect``."""
-        n = len(xs)
-        if self._batch(n):
-            np = self._np
-            x = np.asarray(xs, dtype=np.float64)
-            y = np.asarray(ys, dtype=np.float64)
-            mask = (
-                (x >= rect.min_x) & (x <= rect.max_x)
-                & (y >= rect.min_y) & (y <= rect.max_y)
-            )
-            return mask.tolist()
-        return [
-            rect.min_x <= xs[i] <= rect.max_x
-            and rect.min_y <= ys[i] <= rect.max_y
-            for i in range(n)
-        ]
-
-    def squared_dists(
-        self, xs: Sequence[float], ys: Sequence[float], qx: float, qy: float
-    ) -> list[float]:
-        """Per-row squared distance to ``(qx, qy)`` as ``dx*dx + dy*dy``."""
-        n = len(xs)
-        if self._batch(n):
-            np = self._np
-            dx = np.asarray(xs, dtype=np.float64) - qx
-            dy = np.asarray(ys, dtype=np.float64) - qy
-            return (dx * dx + dy * dy).tolist()
-        out = []
-        for i in range(n):
-            dx = xs[i] - qx
-            dy = ys[i] - qy
-            out.append(dx * dx + dy * dy)
-        return out
-
     def top_k_rows(
         self,
         xs: Sequence[float],
@@ -180,7 +114,6 @@ class Kernels:
             return []
         k = min(k, n)
         if self._batch(n):
-            np = self._np
             dx = np.asarray(xs, dtype=np.float64) - qx
             dy = np.asarray(ys, dtype=np.float64) - qy
             d2 = dx * dx + dy * dy
@@ -192,7 +125,11 @@ class Kernels:
                 cand = np.arange(n)
             order = cand[np.lexsort((cand, d2[cand]))]
             return order[:k].tolist()
-        d2 = self.squared_dists(xs, ys, qx, qy)
+        d2 = []
+        for i in range(n):
+            dx = xs[i] - qx
+            dy = ys[i] - qy
+            d2.append(dx * dx + dy * dy)
         return heapq.nsmallest(k, range(n), key=lambda i: (d2[i], i))
 
     def cells_of(
@@ -208,7 +145,6 @@ class Kernels:
         """Per-row grid cell ids, clamped exactly like ``GridIndex.cell_of``."""
         n = len(xs)
         if self._batch(n):
-            np = self._np
             i = ((np.asarray(xs, dtype=np.float64) - min_x) / cell_w)
             j = ((np.asarray(ys, dtype=np.float64) - min_y) / cell_h)
             # astype truncates toward zero, matching int().
@@ -225,33 +161,6 @@ class Kernels:
     # ------------------------------------------------------------------
     # Rect-column kernels
     # ------------------------------------------------------------------
-    def rects_intersecting(
-        self,
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        rect,
-    ) -> list[bool]:
-        """Per-row mask: does stored rect ``i`` intersect ``rect`` (closed)."""
-        n = len(minxs)
-        if self._batch(n):
-            np = self._np
-            mask = (
-                (np.asarray(minxs, dtype=np.float64) <= rect.max_x)
-                & (np.asarray(maxxs, dtype=np.float64) >= rect.min_x)
-                & (np.asarray(minys, dtype=np.float64) <= rect.max_y)
-                & (np.asarray(maxys, dtype=np.float64) >= rect.min_y)
-            )
-            return mask.tolist()
-        return [
-            minxs[i] <= rect.max_x
-            and rect.min_x <= maxxs[i]
-            and minys[i] <= rect.max_y
-            and rect.min_y <= maxys[i]
-            for i in range(n)
-        ]
-
     def rects_contained_in(
         self,
         minxs: Sequence[float],
@@ -263,7 +172,6 @@ class Kernels:
         """Per-row mask: is stored rect ``i`` fully inside ``rect``."""
         n = len(minxs)
         if self._batch(n):
-            np = self._np
             mask = (
                 (np.asarray(minxs, dtype=np.float64) >= rect.min_x)
                 & (np.asarray(minys, dtype=np.float64) >= rect.min_y)
@@ -296,7 +204,6 @@ class Kernels:
         """
         n = len(minxs)
         if self._batch(n):
-            np = self._np
             lox = np.asarray(minxs, dtype=np.float64)
             loy = np.asarray(minys, dtype=np.float64)
             hix = np.asarray(maxxs, dtype=np.float64)
@@ -323,67 +230,6 @@ class Kernels:
             out.append(inside_new != inside_old)
         return out
 
-    def quadrant_corners(
-        self,
-        px: float,
-        py: float,
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        sx: float,
-        sy: float,
-        width: float,
-        height: float,
-    ) -> list[tuple[float, float]]:
-        """Quadrant-local obstacle corners for the Section 5.3 staircase.
-
-        Batch form of ``repro.core.batch._local_min_corner`` over obstacle
-        columns: rows that cannot constrain the quadrant are dropped, the
-        rest contribute ``(max(lx1, 0), max(ly1, 0))`` in input order.
-        ``np.where(v >= 0.0, v, 0.0)`` replicates Python's
-        ``max(v, 0.0)`` exactly, including for ``-0.0``.
-        """
-        n = len(minxs)
-        if self._batch(n):
-            np = self._np
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            if sx > 0:
-                lx1, lx2 = lox - px, hix - px
-            else:
-                lx1, lx2 = px - hix, px - lox
-            if sy > 0:
-                ly1, ly2 = loy - py, hiy - py
-            else:
-                ly1, ly2 = py - hiy, py - loy
-            keep = ~(
-                (lx2 <= 0.0) | (ly2 <= 0.0) | (lx1 >= width) | (ly1 >= height)
-            )
-            cx = np.where(lx1 >= 0.0, lx1, 0.0)
-            cy = np.where(ly1 >= 0.0, ly1, 0.0)
-            return [
-                (x, y)
-                for k, x, y in zip(keep.tolist(), cx.tolist(), cy.tolist())
-                if k
-            ]
-        out = []
-        for i in range(n):
-            if sx > 0:
-                lx1, lx2 = minxs[i] - px, maxxs[i] - px
-            else:
-                lx1, lx2 = px - maxxs[i], px - minxs[i]
-            if sy > 0:
-                ly1, ly2 = minys[i] - py, maxys[i] - py
-            else:
-                ly1, ly2 = py - maxys[i], py - minys[i]
-            if lx2 <= 0.0 or ly2 <= 0.0 or lx1 >= width or ly1 >= height:
-                continue
-            out.append((max(lx1, 0.0), max(ly1, 0.0)))
-        return out
-
     # ------------------------------------------------------------------
     # Grouped kernels (one dispatch over many queries, query-id keyed)
     # ------------------------------------------------------------------
@@ -399,15 +245,14 @@ class Kernels:
         """Containment of every point against every query rect.
 
         One dispatch answers ``Q`` range queries over the same ``N``
-        point columns; ``out[q][i]`` is ``points_in_rect`` of point ``i``
-        against rect ``q``.  Counts ``Q * N`` rows.  Pure comparisons.
+        point columns; ``out[q][i]`` is whether point ``i`` lies in the
+        closed rect ``q``.  Counts ``Q * N`` rows.  Pure comparisons.
         """
         q = len(minxs)
         n = len(xs)
         if q == 0 or n == 0:
             return [[False] * n for _ in range(q)]
         if self._batch(q * n):
-            np = self._np
             x = np.asarray(xs, dtype=np.float64)[None, :]
             y = np.asarray(ys, dtype=np.float64)[None, :]
             lox = np.asarray(minxs, dtype=np.float64)[:, None]
@@ -449,7 +294,6 @@ class Kernels:
         if n == 0:
             return [[] for _ in range(q)]
         if self._batch(q * n):
-            np = self._np
             dx = np.asarray(xs, dtype=np.float64)[None, :] - np.asarray(
                 qxs, dtype=np.float64
             )[:, None]
@@ -479,20 +323,3 @@ class Kernels:
                 )
             )
         return out
-
-    # ------------------------------------------------------------------
-    # Scalar-value helpers
-    # ------------------------------------------------------------------
-    def mask_leq(
-        self, values: Sequence[float], bound: float
-    ) -> list[bool]:
-        """Per-row mask ``values[i] <= bound`` (comparison only, no FP risk)."""
-        n = len(values)
-        if self._batch(n):
-            np = self._np
-            return (np.asarray(values, dtype=np.float64) <= bound).tolist()
-        return [values[i] <= bound for i in range(n)]
-
-
-#: Shared default instance (NumPy when available, no metrics).
-DEFAULT_KERNELS = Kernels()

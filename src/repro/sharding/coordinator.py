@@ -163,10 +163,7 @@ class ShardedServer:
         self._probe_memo: dict[ObjectId, tuple[float, float] | None] = {}
         self.map = ShardMap(live_ids, self.config.grid_m)
         self.router = ShardRouter(self.map, self.config.space)
-        self.kernels = Kernels(
-            self.config.kernel_backend,
-            min_rows=self.config.kernel_min_rows,
-        )
+        self.kernels = Kernels()
         space = self.config.space
         self._diameter = math.hypot(space.width, space.height)
 

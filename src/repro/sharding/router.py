@@ -31,7 +31,7 @@ class ShardRouter:
     def __init__(self, shard_map: ShardMap, space: Rect) -> None:
         self.map = shard_map
         # Geometry only — no queries are ever inserted into this grid.
-        self.grid = GridIndex(shard_map.grid_m, space, enable_cache=False)
+        self.grid = GridIndex(shard_map.grid_m, space)
 
     @property
     def n_shards(self) -> int:

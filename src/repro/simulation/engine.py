@@ -35,7 +35,6 @@ import math
 from repro.core.queries import Query
 from repro.core.server import DatabaseServer, ServerConfig
 from repro.faults import ProbeTimeout
-from repro.kernels import Kernels
 from repro.mobility.client import MobileClient
 from repro.mobility.waypoint import (
     BLOCK,
@@ -124,10 +123,6 @@ class SRBSimulation:
             self.truth = GroundTruth(
                 {oid: client.trajectory for oid, client in self.clients.items()},
                 queries,
-                kernels=Kernels(
-                    scenario.kernel_backend,
-                    min_rows=scenario.kernel_min_rows,
-                ),
             )
         #: Fault injection (docs/ROBUSTNESS.md).  ``None`` reproduces the
         #: paper's perfectly reliable channel bit-for-bit; otherwise both
@@ -168,9 +163,6 @@ class SRBSimulation:
                 reachability_pushes=scenario.reachability_pushes,
                 steadiness=scenario.steadiness,
                 batch_range_regions=scenario.batch_range_regions,
-                enable_caches=scenario.enable_caches,
-                kernel_backend=scenario.kernel_backend,
-                kernel_min_rows=scenario.kernel_min_rows,
                 # Under faults, duplicated/reordered reports are normal
                 # traffic — never crash on them — and degraded regions
                 # get the waypoint model's hard speed bound so widening

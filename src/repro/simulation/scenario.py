@@ -58,16 +58,6 @@ class Scenario:
     steadiness: float = 0.0           # Section 6.2 enhancement (D)
     #: Ablation switch (Section 5.3).
     batch_range_regions: bool = True
-    #: Grid candidate caches (docs/PERFORMANCE.md); disable with
-    #: ``repro ... --no-caches`` to bisect perf regressions.  Results are
-    #: identical either way — only CPU cost changes.
-    enable_caches: bool = True
-    #: Batch-geometry backend (``repro.kernels``): ``"numpy"`` or the
-    #: bit-identical ``"python"`` fallback (``--kernel-backend``).
-    kernel_backend: str = "numpy"
-    #: Batch-size cutoff below which kernel dispatches fall back to the
-    #: scalar path (``--kernel-min-rows``); must be at least 1.
-    kernel_min_rows: int = 8
     #: Fault injection (docs/ROBUSTNESS.md): a ``FaultPlan`` spec string
     #: such as ``"drop=0.05,dup=0.02,delay=2"`` (``--faults``), or
     #: ``None`` for the paper's perfectly reliable channel.  ``delay``
@@ -113,13 +103,6 @@ class Scenario:
             raise ValueError("delay must be non-negative")
         if self.client_poll_interval <= 0:
             raise ValueError("client_poll_interval must be positive")
-        if self.kernel_backend not in ("numpy", "python"):
-            raise ValueError(
-                "kernel_backend must be 'numpy' or 'python', "
-                f"got {self.kernel_backend!r}"
-            )
-        if self.kernel_min_rows < 1:
-            raise ValueError("kernel_min_rows must be at least 1")
         if self.fault_spec is not None:
             # Fail fast on a malformed spec — parse() raises ValueError.
             FaultPlan.parse(self.fault_spec)

@@ -51,28 +51,31 @@ class TestParser:
         assert _parse_value("0.5") == 0.5
         assert _parse_value("abc") == "abc"
 
-    def test_kernel_min_rows_flag_reaches_scenario(self):
-        from repro.cli import _scenario_from
+    def test_speed_switches_are_gone(self, capsys):
+        """No user-set option selects between paths that give the same
+        results: the kernel backend, its row cutoff and the grid caches
+        are fixed, and their fields and flags stay removed."""
+        import dataclasses
 
-        args = build_parser().parse_args(
-            ["compare", "--kernel-min-rows", "17"]
-        )
-        assert args.kernel_min_rows == 17
-        assert _scenario_from(args).kernel_min_rows == 17
+        from repro.core import ServerConfig
+        from repro.simulation import Scenario
 
-    def test_kernel_min_rows_defaults_to_8(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.kernel_min_rows == 8
-
-    def test_kernel_min_rows_below_one_rejected(self, capsys):
-        args = build_parser().parse_args(
-            ["compare", "--kernel-min-rows", "0"]
-        )
-        from repro.cli import _scenario_from
-
-        with pytest.raises(SystemExit):
-            _scenario_from(args)
-        assert "kernel_min_rows" in capsys.readouterr().err
+        assert [f.name for f in dataclasses.fields(ServerConfig)] == [
+            "grid_m", "space", "max_speed", "reachability_pushes",
+            "steadiness", "batch_range_regions", "probe_timeout",
+            "probe_retries", "probe_budget", "on_unknown_object",
+            "degraded_max_speed",
+        ]
+        switches = {"enable_caches", "kernel_backend", "kernel_min_rows"}
+        scenario_fields = {f.name for f in dataclasses.fields(Scenario)}
+        assert not switches & scenario_fields
+        assert len(scenario_fields) == 28
+        for flag in (["--no-caches"], ["--kernel-backend", "python"],
+                     ["--kernel-min-rows", "8"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["compare", *flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import figures, format_table, run_schemes, sweep
 from repro.experiments.runner import build_truth
-from repro.kernels import Kernels
 from repro.mobility import RandomWaypointModel
 from repro.simulation import GroundTruth, Scenario
 from repro.workloads.generator import generate_queries
@@ -54,7 +53,6 @@ class TestRunner:
         single = GroundTruth(
             {oid: model.create(oid) for oid in range(FAST.num_objects)},
             generate_queries(FAST.workload(), seed=FAST.seed),
-            kernels=Kernels(FAST.kernel_backend, min_rows=FAST.kernel_min_rows),
         )
         bulk = run_schemes(FAST, schemes=schemes)
         one_by_one = run_schemes(FAST, schemes=schemes, truth=single)

@@ -9,7 +9,7 @@ from repro.core import DatabaseServer, ServerConfig
 from repro.core.queries import KNNQuery, RangeQuery
 from repro.geometry import Point, Rect
 from repro.index import GridIndex
-from repro.kernels import Kernels
+from repro.kernels import Kernels, ops
 
 
 def make_range(x, y, size=0.1, qid=None):
@@ -164,10 +164,14 @@ class TestInternedCellIds:
         assert cell is cell_of(self.grid.cell_rect(cell).center)
         assert cell_of(Point(edge, 0.05)) is not cell
 
-    @pytest.mark.parametrize("kernels", [
-        None, Kernels("numpy", min_rows=1), Kernels("python"),
+    @pytest.mark.parametrize("kernels, min_rows", [
+        (None, ops.MIN_ROWS), (Kernels(), 1), (Kernels(), 10**9),
     ], ids=["no-kernels", "numpy", "python"])
-    def test_cells_of_points_returns_the_cell_of_objects(self, kernels):
+    def test_cells_of_points_returns_the_cell_of_objects(
+        self, kernels, min_rows, monkeypatch
+    ):
+        # ``MIN_ROWS`` 1 forces the vector pass, 10**9 the scalar loop.
+        monkeypatch.setattr(ops, "MIN_ROWS", min_rows)
         grid = GridIndex(10, kernels=kernels)
         rng = random.Random(5)
         points = [

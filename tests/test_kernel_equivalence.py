@@ -1,11 +1,12 @@
-"""Replay equivalence for the kernel backends (repro.kernels).
+"""Replay equivalence for the kernel paths (repro.kernels).
 
 The same guarantee family as ``tests/test_hotpath_caches.py``, one level
-down: with ``kernel_backend="numpy"`` or ``"python"`` the server must
-produce bit-identical outcomes, messages, result snapshots, and operation
-counters over a full monitoring stream — including mid-run query churn
-and batched updates.  The kernels are a CPU optimisation, never a
-semantic change.
+down: with every kernel call forced onto the NumPy pass
+(``ops.MIN_ROWS`` patched to 1) or onto the scalar loop (patched to
+10**9) the server must produce bit-identical outcomes, messages, result
+snapshots, and operation counters over a full monitoring stream —
+including mid-run query churn and batched updates.  The kernels are a
+CPU optimisation, never a semantic change.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.geometry import Point, Rect
-from repro.kernels import HAS_NUMPY
+from repro.kernels import ops
 from repro.obs import MetricsRegistry
 
 
@@ -38,16 +39,26 @@ def _outcome_key(outcome):
     )
 
 
-def _drive(backend, seed, ticks=200, n=100, movers=15, batch_every=4,
+#: ``ops.MIN_ROWS`` that forces each path.
+VECTOR, SCALAR = 1, 10**9
+
+
+def _drive(min_rows, seed, ticks=200, n=100, movers=15, batch_every=4,
            metrics=None):
     """Replay a seeded report stream (with mid-run query churn) end to end."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "MIN_ROWS", min_rows)
+        return _replay(seed, ticks, n, movers, batch_every, metrics)
+
+
+def _replay(seed, ticks, n, movers, batch_every, metrics):
     rng = random.Random(seed)
     positions = {
         f"o{i}": Point(rng.random(), rng.random()) for i in range(n)
     }
     server = DatabaseServer(
         lambda oid: positions[oid],
-        ServerConfig(grid_m=10, kernel_backend=backend, max_speed=0.05),
+        ServerConfig(grid_m=10, max_speed=0.05),
         metrics=metrics,
     )
     server.load_objects(positions.items())
@@ -95,35 +106,34 @@ def _drive(backend, seed, ticks=200, n=100, movers=15, batch_every=4,
     return log, snapshots, _stats_tuple(server)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="backend A/B needs NumPy")
 class TestBackendEquivalence:
-    """NumPy and scalar backends are bit-identical (the tentpole pin)."""
+    """NumPy and scalar paths are bit-identical."""
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_numpy_run_identical_to_python(self, seed):
-        vectorised = _drive("numpy", seed)
-        scalar = _drive("python", seed)
+        vectorised = _drive(VECTOR, seed)
+        scalar = _drive(SCALAR, seed)
         assert vectorised[0] == scalar[0]    # every outcome, every message
         assert vectorised[1] == scalar[1]    # final result snapshots
         assert vectorised[2] == scalar[2]    # ServerStats minus cpu_seconds
 
     def test_numpy_backend_actually_vectorises(self):
         registry = MetricsRegistry()
-        _drive("numpy", 7, ticks=60, metrics=registry)
+        _drive(VECTOR, 7, ticks=60, metrics=registry)
         counters = registry.to_dict()["counters"]
         assert counters.get("kernels.batch_calls", 0) > 0
         assert counters.get("kernels.rows_scanned", 0) > 0
 
     def test_python_backend_never_vectorises(self):
         registry = MetricsRegistry()
-        _drive("python", 7, ticks=60, metrics=registry)
+        _drive(SCALAR, 7, ticks=60, metrics=registry)
         counters = registry.to_dict()["counters"]
         assert counters.get("kernels.batch_calls", 0) == 0
         assert counters.get("kernels.fallback_calls", 0) > 0
 
     def test_index_gauges_exported(self):
         registry = MetricsRegistry()
-        _drive("numpy", 7, ticks=20, metrics=registry)
+        _drive(VECTOR, 7, ticks=20, metrics=registry)
         gauges = registry.to_dict()["gauges"]
         # No object is degraded, so no region lies outside its home cell.
         assert gauges["object_index.wide"] == 0

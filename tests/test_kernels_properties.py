@@ -1,28 +1,55 @@
 """Property-based cross-checks for the columnar kernels (repro.kernels).
 
-Every kernel runs twice — once on the NumPy batch path (forced via
-``min_rows=1``) and once on the pure-Python scalar path — and the outputs
-must be *exactly* equal: same booleans, same float bit patterns, same
-selected rows.  The strategies deliberately include the nasty inputs the
-equivalence guarantee hinges on: points lying exactly on rectangle edges,
-duplicated points producing exact distance ties, and degenerate
-(zero-area) rectangles.
+Every kernel runs twice — once on the NumPy batch path (forced by
+patching ``ops.MIN_ROWS`` to 1) and once on the pure-Python scalar path
+(``ops.MIN_ROWS`` patched to 10**9) — and the outputs must be *exactly*
+equal: same booleans, same float bit patterns, same selected rows.  The
+strategies deliberately include the nasty inputs the equivalence
+guarantee hinges on: points lying exactly on rectangle edges, duplicated
+points producing exact distance ties, and degenerate (zero-area)
+rectangles.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DatabaseServer, KNNQuery, ServerConfig
+from repro.core.batch import batch_range_safe_region
+from repro.core.evaluation import evaluate_knn
 from repro.geometry import Point, Rect
-from repro.kernels import HAS_NUMPY, Kernels, resolve_backend
+from repro.index.brute import BruteForceIndex
+from repro.kernels import Kernels, ops
+from repro.obs import MetricsRegistry
 
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="backend cross-check needs NumPy"
-)
 
-#: NumPy path with the batch cutoff disabled so every call vectorises.
-NP_K = Kernels("numpy", min_rows=1)
-PY_K = Kernels("python")
+class _Forced:
+    """A :class:`Kernels` whose every call runs with ``ops.MIN_ROWS`` patched.
+
+    ``MIN_ROWS`` is a module constant, so the two paths are chosen per
+    call rather than per instance.
+    """
+
+    def __init__(self, min_rows):
+        self._min_rows = min_rows
+        self._kernels = Kernels()
+
+    def __getattr__(self, name):
+        op = getattr(self._kernels, name)
+
+        def call(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ops, "MIN_ROWS", self._min_rows)
+                return op(*args)
+
+        return call
+
+
+#: Every call vectorises.
+NP_K = _Forced(1)
+#: Every call runs the scalar loop.
+PY_K = _Forced(10**9)
 
 coord = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -67,29 +94,45 @@ def _with_boundary_points(xs, ys, rect):
     return xs + [e[0] for e in extra], ys + [e[1] for e in extra]
 
 
+def _d2(xs, ys, qx, qy):
+    """Squared distances the way both kernel paths compute them."""
+    return [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
+
+
+def _one_rect(rect):
+    """A single rect as the four one-row columns the grouped kernel takes."""
+    return [rect.min_x], [rect.min_y], [rect.max_x], [rect.max_y]
+
+
 class TestPointKernels:
     @settings(max_examples=120)
     @given(point_columns(), rects())
     def test_points_in_rect_backends_agree(self, columns, rect):
         xs, ys = _with_boundary_points(*columns, rect)
-        assert NP_K.points_in_rect(xs, ys, rect) == PY_K.points_in_rect(xs, ys, rect)
+        assert NP_K.grouped_points_in_rects(xs, ys, *_one_rect(rect)) == \
+            PY_K.grouped_points_in_rects(xs, ys, *_one_rect(rect))
 
     @settings(max_examples=120)
     @given(point_columns(), rects())
     def test_boundary_points_count_as_inside(self, columns, rect):
         xs, ys = _with_boundary_points(*columns, rect)
-        mask = NP_K.points_in_rect(xs, ys, rect)
+        [mask] = NP_K.grouped_points_in_rects(xs, ys, *_one_rect(rect))
         # The eight appended rows sit exactly on the closed boundary.
         assert all(mask[-8:])
 
     @settings(max_examples=120)
     @given(point_columns(), coord, coord)
     def test_squared_dists_bit_identical(self, columns, qx, qy):
+        # A full ranking (k = n) orders every row by its squared
+        # distance, so both paths must compute each ``dx*dx + dy*dy``
+        # to the same bits as the reference below.
         xs, ys = columns
-        a = NP_K.squared_dists(xs, ys, qx, qy)
-        b = PY_K.squared_dists(xs, ys, qx, qy)
-        assert a == b
-        assert all(type(v) is float for v in a)
+        n = len(xs)
+        a = NP_K.top_k_rows(xs, ys, qx, qy, n)
+        assert a == PY_K.top_k_rows(xs, ys, qx, qy, n)
+        d2 = _d2(xs, ys, qx, qy)
+        assert a == sorted(range(n), key=lambda i: (d2[i], i))
+        assert all(type(row) is int for row in a)
 
     @settings(max_examples=120)
     @given(point_columns(), coord, coord, st.integers(min_value=0, max_value=50))
@@ -105,7 +148,7 @@ class TestPointKernels:
         xs, ys = xs + xs, ys + ys
         top = NP_K.top_k_rows(xs, ys, qx, qy, k)
         assert top == PY_K.top_k_rows(xs, ys, qx, qy, k)
-        d2 = PY_K.squared_dists(xs, ys, qx, qy)
+        d2 = _d2(xs, ys, qx, qy)
         keys = [(d2[row], row) for row in top]
         assert keys == sorted(keys)  # ordered by (d2, row)
         assert keys == sorted((d, i) for i, d in enumerate(d2))[: len(top)]
@@ -137,10 +180,16 @@ class TestRectKernels:
     @settings(max_examples=120)
     @given(rect_columns(), rects())
     def test_intersecting_and_contained_agree(self, columns, rect):
-        assert NP_K.rects_intersecting(*columns, rect) == \
-            PY_K.rects_intersecting(*columns, rect)
         assert NP_K.rects_contained_in(*columns, rect) == \
             PY_K.rects_contained_in(*columns, rect)
+        stored = [Rect(*row) for row in zip(*columns)]
+        index = BruteForceIndex()
+        for oid, region in enumerate(stored):
+            index.insert(oid, region)
+        assert list(index.search_entries(rect)) == [
+            (oid, region) for oid, region in enumerate(stored)
+            if region.intersects(rect)
+        ]
 
     @settings(max_examples=120)
     @given(rect_columns(), st.tuples(coord, coord),
@@ -152,69 +201,97 @@ class TestRectKernels:
             PY_K.range_affected(*columns, point, previous)
 
     @settings(max_examples=120)
-    @given(
-        rect_columns(),
-        st.tuples(unit, unit),
-        st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
-        st.tuples(unit, unit),
-    )
-    def test_quadrant_corners_agree(self, columns, p, signs, size):
-        px, py = p
-        sx, sy = signs
-        width, height = 0.05 + size[0], 0.05 + size[1]
-        assert NP_K.quadrant_corners(px, py, *columns, sx, sy, width, height) == \
-            PY_K.quadrant_corners(px, py, *columns, sx, sy, width, height)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=8, max_value=20))
+    def test_quadrant_corners_agree(self, seed, count):
+        # The batch safe region (Section 5.3) over as many obstacles as
+        # ``MIN_ROWS`` once vectorised: it contains ``p``, stays in the
+        # cell and overlaps no open obstacle.
+        rng = random.Random(seed)
+        cell = Rect(0.0, 0.0, 1.0, 1.0)
+        p = Point(rng.random(), rng.random())
+        obstacles = []
+        while len(obstacles) < count:
+            x, y = rng.uniform(-0.1, 1.0), rng.uniform(-0.1, 1.0)
+            w, h = rng.uniform(0.01, 0.3), rng.uniform(0.01, 0.3)
+            obstacle = Rect(x, y, x + w, y + h)
+            if not (x < p.x < x + w and y < p.y < y + h):
+                obstacles.append(obstacle)
+        region = batch_range_safe_region(p, cell, obstacles)
+        assert region.contains_point(p, eps=1e-12)
+        assert cell.contains_rect(region)
+        for obstacle in obstacles:
+            assert region.overlap_area(obstacle) <= 1e-12
 
-    @settings(max_examples=120)
-    @given(st.lists(coord, min_size=1, max_size=40), coord)
-    def test_mask_leq_agrees(self, values, bound):
-        assert NP_K.mask_leq(values, bound) == PY_K.mask_leq(values, bound)
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=8, max_value=12))
+    def test_mask_leq_agrees(self, seed, k):
+        # Unordered kNN holds up to k candidates at once; its held-set
+        # partition must still return the brute-force k nearest.
+        rng = random.Random(seed)
+        q = Point(rng.random(), rng.random())
+        positions = {}
+        index = BruteForceIndex()
+        for oid in range(40):
+            p = Point(rng.random(), rng.random())
+            positions[oid] = p
+            rx, ry = rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1)
+            index.insert(oid, Rect(
+                p.x - rng.uniform(0.0, rx), p.y - rng.uniform(0.0, ry),
+                p.x + rng.uniform(0.0, rx), p.y + rng.uniform(0.0, ry),
+            ))
+        outcome = evaluate_knn(
+            index, q, k, positions.__getitem__, order_sensitive=False
+        )
+        got = sorted(q.distance_to(positions[oid]) for oid in outcome.results)
+        want = sorted(q.distance_to(p) for p in positions.values())[:k]
+        assert got == want
+
+
+UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
+
+
+def _contained_columns(n):
+    """``n`` stored rects, alternately inside and outside the unit square."""
+    rs = [
+        Rect(0.1, 0.1, 0.2, 0.2) if i % 2 else Rect(0.5, 0.5, 1.5, 0.9)
+        for i in range(n)
+    ]
+    columns = (
+        [r.min_x for r in rs], [r.min_y for r in rs],
+        [r.max_x for r in rs], [r.max_y for r in rs],
+    )
+    return columns, [UNIT_SQUARE.contains_rect(r) for r in rs]
 
 
 class TestBackendPlumbing:
-    def test_resolve_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-
-    def test_min_rows_cutoff_falls_back(self):
-        from repro.obs import MetricsRegistry
-
+    def test_min_rows_cutoff_falls_back(self, monkeypatch):
+        monkeypatch.setattr(ops, "MIN_ROWS", 8)
         registry = MetricsRegistry()
-        kernels = Kernels("numpy", metrics=registry, min_rows=8)
-        kernels.mask_leq([1.0, 2.0], 1.5)          # 2 rows < cutoff
-        kernels.mask_leq([0.0] * 8, 1.0)           # 8 rows >= cutoff
+        kernels = Kernels(metrics=registry)
+        for n in (2, 8):                           # below, then at cutoff
+            columns, _ = _contained_columns(n)
+            kernels.rects_contained_in(*columns, UNIT_SQUARE)
         counters = registry.to_dict()["counters"]
         assert counters["kernels.fallback_calls"] == 1
         assert counters["kernels.batch_calls"] == 1
         assert counters["kernels.rows_scanned"] == 8
 
-    def test_python_backend_only_counts_fallbacks(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        kernels = Kernels("python", metrics=registry)
-        kernels.mask_leq([0.0] * 32, 1.0)
-        counters = registry.to_dict()["counters"]
-        assert counters["kernels.fallback_calls"] == 1
-        assert counters.get("kernels.batch_calls", 0) == 0
-
     @pytest.mark.parametrize("min_rows", [1, 2, 8, 17])
-    def test_min_rows_exact_cutoff_vectorises(self, min_rows):
-        """The cutoff is inclusive: exactly ``min_rows`` rows vectorise.
+    def test_min_rows_exact_cutoff_vectorises(self, min_rows, monkeypatch):
+        """The cutoff is inclusive: exactly ``MIN_ROWS`` rows vectorise.
 
-        Pins the comparison in ``Kernels._batch`` (``n >= min_rows``) on
+        Pins the comparison in ``Kernels._batch`` (``n >= MIN_ROWS``) on
         both sides of the boundary, with the per-call row counters —
-        ``n == min_rows`` must batch, ``n == min_rows - 1`` must fall
+        ``n == MIN_ROWS`` must batch, ``n == MIN_ROWS - 1`` must fall
         back, and the results must be identical either way.
         """
-        from repro.obs import MetricsRegistry
-
+        monkeypatch.setattr(ops, "MIN_ROWS", min_rows)
         registry = MetricsRegistry()
-        kernels = Kernels("numpy", metrics=registry, min_rows=min_rows)
-        at = [float(i) for i in range(min_rows)]
-        assert kernels.mask_leq(at, float(min_rows)) == PY_K.mask_leq(
-            at, float(min_rows)
-        )
+        kernels = Kernels(metrics=registry)
+        columns, want = _contained_columns(min_rows)
+        assert kernels.rects_contained_in(*columns, UNIT_SQUARE) == want
         counters = registry.to_dict()["counters"]
         assert counters["kernels.batch_calls"] == 1
         assert counters["kernels.rows_scanned"] == min_rows
@@ -222,21 +299,20 @@ class TestBackendPlumbing:
         assert counters.get("kernels.fallback_rows", 0) == 0
 
         if min_rows > 1:
-            below = at[:-1]
-            assert kernels.mask_leq(below, 1.0) == PY_K.mask_leq(below, 1.0)
+            columns, want = _contained_columns(min_rows - 1)
+            assert kernels.rects_contained_in(*columns, UNIT_SQUARE) == want
             counters = registry.to_dict()["counters"]
             assert counters["kernels.batch_calls"] == 1  # unchanged
             assert counters["kernels.fallback_calls"] == 1
             assert counters["kernels.fallback_rows"] == min_rows - 1
 
-    def test_fallback_rows_accumulate_per_call(self):
-        from repro.obs import MetricsRegistry
-
+    def test_fallback_rows_accumulate_per_call(self, monkeypatch):
+        monkeypatch.setattr(ops, "MIN_ROWS", 8)
         registry = MetricsRegistry()
-        kernels = Kernels("numpy", metrics=registry, min_rows=8)
-        for n in (2, 3):  # two scalar calls, 5 rows total
-            kernels.mask_leq([0.0] * n, 1.0)
-        kernels.mask_leq([0.0] * 9, 1.0)  # one vectorised call
+        kernels = Kernels(metrics=registry)
+        for n in (2, 3, 9):  # two scalar calls (5 rows), one vectorised
+            columns, _ = _contained_columns(n)
+            kernels.rects_contained_in(*columns, UNIT_SQUARE)
         counters = registry.to_dict()["counters"]
         assert counters["kernels.fallback_calls"] == 2
         assert counters["kernels.fallback_rows"] == 5

@@ -175,7 +175,7 @@ class TestEnhancedModes:
         with pytest.raises(ValueError):
             ServerConfig(max_speed=0.0)
         with pytest.raises(ValueError):
-            ServerConfig(kernel_min_rows=0)
+            ServerConfig(probe_timeout=0.0)
 
 
 class TestDynamicObjects:

@@ -9,6 +9,7 @@ import pytest
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.faults import ProbeTimeout
 from repro.geometry import Point, Rect
+from repro.kernels import ops
 from repro.obs import EventLog
 
 
@@ -270,8 +271,11 @@ class TestTimeRegression:
 
 
 class TestDuplicateBatches:
-    @pytest.mark.parametrize("enable_caches", [True, False])
-    def test_dup_heavy_batch_identical_to_sequential(self, enable_caches):
+    @pytest.mark.parametrize("vectorised", [True, False])
+    def test_dup_heavy_batch_identical_to_sequential(
+        self, vectorised, monkeypatch
+    ):
+        monkeypatch.setattr(ops, "MIN_ROWS", 1 if vectorised else 10**9)
         rng = random.Random(17)
         positions = {
             oid: Point(rng.random(), rng.random()) for oid in range(60)
@@ -280,7 +284,7 @@ class TestDuplicateBatches:
         def make_server(store):
             server = DatabaseServer(
                 position_oracle=lambda oid: store[oid],
-                config=ServerConfig(enable_caches=enable_caches),
+                config=ServerConfig(),
             )
             server.load_objects(store.items())
             for i in range(5):

@@ -45,7 +45,7 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(client_poll_interval=0)
         with pytest.raises(ValueError):
-            Scenario(kernel_min_rows=0)
+            Scenario(shards=-1)
 
     def test_sample_times(self):
         scenario = Scenario(duration=1.0, sample_interval=0.25)

@@ -17,6 +17,7 @@ from repro.core.snapshot import (
 )
 from repro.geometry import Point, Rect
 from repro.obs import EventLog, read_events
+from repro.sharding import ShardedServer, restore_shards, snapshot_shards
 
 
 def build_server(seed=0, n=120):
@@ -79,23 +80,49 @@ class TestSnapshotShape:
         restored.validate()
 
     def test_kernel_min_rows_round_trips(self):
-        """``kernel_min_rows`` survives the round trip; snapshots written
-        before the knob existed restore to its default."""
+        """Snapshots written while ``ServerConfig`` carried the kernel
+        switches (``kernel_backend``, ``kernel_min_rows``) restore on the
+        single-server and the sharded path, and re-snapshot without
+        either key."""
         positions = {oid: Point(0.1 * oid + 0.05, 0.5) for oid in range(5)}
         server = DatabaseServer(
             position_oracle=lambda oid: positions[oid],
-            config=ServerConfig(kernel_min_rows=17),
+            config=ServerConfig(grid_m=4),
         )
         server.load_objects(positions.items())
+        server.register_query(KNNQuery(Point(0.5, 0.5), 2, query_id="k"))
         payload = json.loads(json.dumps(snapshot_server(server)))
-        assert payload["config"]["kernel_min_rows"] == 17
-        restored = restore_server(payload, lambda oid: positions[oid])
-        assert restored.config.kernel_min_rows == 17
-        assert restored.kernels.min_rows == 17
+        assert "kernel_backend" not in payload["config"]
+        assert "kernel_min_rows" not in payload["config"]
+        legacy = json.loads(json.dumps(payload))
+        legacy["config"]["kernel_backend"] = "python"
+        legacy["config"]["kernel_min_rows"] = 3
 
-        del payload["config"]["kernel_min_rows"]
-        legacy = restore_server(payload, lambda oid: positions[oid])
-        assert legacy.config.kernel_min_rows == 8
+        restored = restore_server(legacy, lambda oid: positions[oid])
+        assert restored.config == server.config
+        restored.validate()
+        assert snapshot_server(restored) == payload
+
+        cluster = ShardedServer(
+            lambda oid: positions[oid], ServerConfig(grid_m=4), n_shards=2
+        )
+        try:
+            cluster.load_objects(sorted(positions.items()), 0.0)
+            envelope = json.loads(json.dumps(snapshot_shards(cluster)))
+        finally:
+            cluster.close()
+        for shard in envelope["shards"]:
+            shard["config"]["kernel_backend"] = "python"
+            shard["config"]["kernel_min_rows"] = 3
+        sharded = restore_shards(envelope, lambda oid: positions[oid])
+        try:
+            assert sharded.config == server.config
+            sharded.validate()
+            for shard in snapshot_shards(sharded)["shards"]:
+                assert "kernel_backend" not in shard["config"]
+                assert "kernel_min_rows" not in shard["config"]
+        finally:
+            sharded.close()
 
     def test_relief_flag_of_older_snapshots_is_dropped(self):
         """Snapshots written while ``ServerConfig`` had an

@@ -1,15 +1,16 @@
 """The safe-region certificate, case by case (docs/PERFORMANCE.md).
 
 One table: the kind of cell the object lives in x the move it reports,
-each driven through every entry point with the grid caches on and off.
+each driven through every entry point with the kernels forced onto the
+NumPy pass and onto the scalar loop.
 Per case the table states which exit the report must take — the
 query-free no-op, the covered-cell (clearance) no-op, or the slow path —
 and the test checks that outcome, installed region and the
 ``server.update.fastpath`` / ``server.update.certified`` /
-``server.sr_recompute.skipped`` counts are identical across all six
-(entry point, cache setting) runs: the certificate is a policy, so
-neither how a report arrives nor ``enable_caches`` may change the exit
-it takes.
+``server.sr_recompute.skipped`` counts are identical across all four
+(entry point, kernel path) runs: the certificate is a policy, so
+neither how a report arrives nor which kernel path runs may change the
+exit it takes.
 """
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.extensions import CircleRangeQuery
 from repro.geometry import Point, Rect
+from repro.kernels import ops
 from repro.obs import MetricsRegistry
 
 # 4 x 4 grid, cells 0.25 wide.  The object under test, ``o``, lives in
@@ -95,13 +97,19 @@ def _report(server, entry, position, time):
     )
 
 
-def _run(kind, move, entry, enable_caches):
+def _run(kind, move, entry, vectorised):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "MIN_ROWS", 1 if vectorised else 10**9)
+        return _run_forced(kind, move, entry)
+
+
+def _run_forced(kind, move, entry):
     make_queries, start, other, clearances = KINDS[kind]
     positions = {"o": start, "n": other, "far": Point(0.9, 0.9)}
     registry = MetricsRegistry()
     server = DatabaseServer(
         lambda oid: positions[oid],
-        ServerConfig(grid_m=4, enable_caches=enable_caches),
+        ServerConfig(grid_m=4),
         metrics=registry,
     )
     server.load_objects(positions.items())
@@ -196,9 +204,9 @@ def _run(kind, move, entry, enable_caches):
 def test_certificate_exit(kind, move):
     expected = MOVES[move][list(KINDS).index(kind)]
     runs = {
-        (entry, caches): _run(kind, move, entry, caches)
+        (entry, vectorised): _run(kind, move, entry, vectorised)
         for entry in ENTRY_POINTS
-        for caches in (True, False)
+        for vectorised in (True, False)
     }
     reference = runs["single", True]
     for key, run in runs.items():
