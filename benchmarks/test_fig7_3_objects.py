@@ -2,8 +2,9 @@
 
 Paper shapes verified (Section 7.3), at bench scale:
 * (a) SRB server CPU grows sublinearly with N (incrementally maintained
-  R*-tree); PRD CPU grows ~linearly (per-period index rebuild over all N
-  points plus evaluation).
+  cell index); PRD CPU grows steeply (per-period cell-index rebuild
+  over all N points plus evaluation; the kNN browse's flat share keeps
+  it below linear at bench scale).
 * (b) communication: OPT < SRB everywhere, and SRB below PRD(0.1) from
   the base density upwards.  At bench scale SRB's *per-client* cost
   decreases with N: the maintained kNN result population is fixed by W,
@@ -14,9 +15,27 @@ Paper shapes verified (Section 7.3), at bench scale:
 
 from conftest import run_figure
 
+from repro.baselines import PRDSimulation
 from repro.experiments import figures
+from repro.experiments.runner import build_truth
 
 OBJECT_COUNTS = (300, 600, 1200, 2400)
+
+
+def least_prd_cpu(n, figure_reading, reruns=2):
+    """PRD(0.1) CPU per time unit at ``n`` objects, least of three runs.
+
+    One wall-time reading per point wobbles ~2x on a loaded host, so the
+    figure's reading is joined by ``reruns`` more over the same world.
+    """
+    scenario = figures.BENCH_BASE.with_overrides(num_objects=n)
+    truth = build_truth(scenario)
+    readings = [figure_reading] + [
+        PRDSimulation(scenario, t_prd=0.1, truth=truth).run()
+        .cpu_seconds_per_time
+        for _ in range(reruns)
+    ]
+    return min(readings)
 
 
 def test_fig7_3_objects(benchmark):
@@ -36,7 +55,10 @@ def test_fig7_3_objects(benchmark):
     assert srb_cpu[-1] < 0.75 * growth * srb_cpu[0]
 
     # (a) PRD CPU grows steeply with N (rebuild per period).
-    prd_cpu = series("PRD(0.1)", "cpu_seconds_per_time")
+    prd_cpu = [
+        least_prd_cpu(n, reading) for n, reading in
+        zip(OBJECT_COUNTS, series("PRD(0.1)", "cpu_seconds_per_time"))
+    ]
     assert prd_cpu[-1] > 3.0 * prd_cpu[0]
     # ... and much faster than SRB's.
     assert prd_cpu[-1] / prd_cpu[0] > srb_cpu[-1] / srb_cpu[0]

@@ -4,10 +4,10 @@ A from-scratch reproduction of Hu, Xu & Lee, *"A Generic Framework for
 Monitoring Continuous Spatial Queries over Moving Objects"* (SIGMOD 2005):
 the safe-region framework (server, query evaluation/reevaluation with lazy
 probes, safe-region geometry), its substrates (a grid query index whose
-cells also index the objects' safe regions, an R*-tree with bottom-up
-updates for the baselines, random-waypoint mobility, a discrete event
-simulator), the paper's baselines (periodic and optimal monitoring), and a
-benchmark harness regenerating every figure of the evaluation.
+cells also index the objects' safe regions, random-waypoint mobility, a
+discrete event simulator), the paper's baselines (periodic and optimal
+monitoring) and the related-work Q-index, and a benchmark harness
+regenerating every figure of the evaluation.
 
 Quick start::
 
@@ -33,7 +33,7 @@ from repro.core import (
     UpdateOutcome,
 )
 from repro.geometry import Circle, Point, Rect, Ring
-from repro.index import BruteForceIndex, GridIndex, RStarTree
+from repro.index import BruteForceIndex, GridIndex
 from repro.mobility import MobileClient, RandomWaypointModel, Trajectory
 from repro.simulation import (
     GroundTruth,
@@ -57,7 +57,6 @@ __all__ = [
     "Rect",
     "Circle",
     "Ring",
-    "RStarTree",
     "GridIndex",
     "BruteForceIndex",
     "MobileClient",

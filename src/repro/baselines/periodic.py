@@ -2,10 +2,12 @@
 
 Every ``t_prd`` time units all clients simultaneously send their current
 positions; the server rebuilds its object index over the received points
-and reevaluates every registered query from scratch.  The results become
-visible ``tau`` after the synchronised send (communication delay), so the
-monitored answer is always somewhat stale — the accuracy cost the paper
-quantifies in Figure 7.1(a).
+and reevaluates every registered query from scratch.  The index is the
+cell index the SRB server keeps (``CellObjectIndex`` over the scenario's
+``M x M`` grid), not the paper's disk R*-tree (DESIGN.md).  The results
+become visible ``tau`` after the synchronised send (communication delay),
+so the monitored answer is always somewhat stale — the accuracy cost the
+paper quantifies in Figure 7.1(a).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import Hashable
 
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.geometry.rect import Rect
-from repro.index.bulk import bulk_load
+from repro.index.cells import CellObjectIndex
+from repro.index.grid import GridIndex
 from repro.mobility.waypoint import (
     RandomWaypointModel,
     total_distance_travelled,
@@ -115,9 +118,10 @@ class PRDSimulation:
     def _evaluate_batch(self, t: float) -> dict[str, Snapshot]:
         """Rebuild the object index and reevaluate every query at time ``t``.
 
-        Mirrors the paper's PRD server: a fresh R*-tree over the reported
-        points per update instant, then a from-scratch evaluation of each
-        query against it.  Wall time is charged to the scheme's CPU cost.
+        Mirrors the paper's PRD server: a fresh object index over the
+        reported points per update instant, then a from-scratch evaluation
+        of each query against it.  Wall time is charged to the scheme's
+        CPU cost.
         """
         positions = {
             oid: self.trajectories[oid].position_at(t)
@@ -125,9 +129,12 @@ class PRDSimulation:
         }
         with self._trace.span("prd.evaluate_batch"):
             with self._trace.span("rebuild_index"):
-                index = bulk_load(
-                    (oid, Rect.from_point(p)) for oid, p in positions.items()
+                scenario = self.scenario
+                index = CellObjectIndex(
+                    GridIndex(scenario.grid_m, scenario.space)
                 )
+                for oid, p in positions.items():
+                    index.insert(oid, Rect.from_point(p))
             results: dict[str, Snapshot] = {}
             with self._trace.span("reevaluate"):
                 for query in self.queries:

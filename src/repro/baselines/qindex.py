@@ -1,13 +1,17 @@
 """The Q-index baseline (Prabhakar et al., IEEE ToC 2002).
 
 The paper's related work: periodic monitoring where the *queries* are
-indexed instead of the objects.  Every period each moved object's new
-position is probed against an R-tree over the query rectangles, flipping
-memberships incrementally — cheaper than PRD's rebuild-everything server
-when objects outnumber queries.  Q-index supports range queries only; for
-the mixed workload the kNN queries are evaluated per period against an
-*incrementally maintained* object index (no per-period rebuild), which is
-the natural extension and keeps the comparison fair.
+indexed instead of the objects.  Every period each moved object's old and
+new positions are looked up in an index over the query rectangles,
+flipping memberships incrementally — cheaper than PRD's rebuild-everything
+server when objects outnumber queries.  Prabhakar et al. index the queries
+in an R-tree; here the index is the SRB server's ``M x M`` query grid
+(``GridIndex``), whose two cells hold every query that can contain either
+position.  Q-index supports range queries only; for the mixed workload the
+kNN queries are evaluated per period against an *incrementally
+maintained* object index on the same grid (``CellObjectIndex``, no
+per-period rebuild), which is the natural extension and keeps the
+comparison fair.
 
 Communication behaviour is identical to PRD (synchronised client updates
 every ``t_prd``), so accuracy matches PRD's; the scheme exists to compare
@@ -20,7 +24,8 @@ from typing import Hashable
 
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.geometry.rect import Rect
-from repro.index.bulk import bulk_load
+from repro.index.cells import CellObjectIndex
+from repro.index.grid import GridIndex
 from repro.mobility.waypoint import (
     RandomWaypointModel,
     total_distance_travelled,
@@ -88,23 +93,22 @@ class QIndexSimulation:
     # ------------------------------------------------------------------
     def run(self) -> SchemeReport:
         scenario = self.scenario
-        # One-off setup: the query R-tree and the initial object index.
-        query_index = bulk_load(
-            (q.query_id, q.rect) for q in self.range_queries
-        )
-        by_id = {q.query_id: q for q in self.range_queries}
+        # One-off setup: the query grid and the initial object index.
+        query_index = GridIndex(scenario.grid_m, scenario.space)
+        for query in self.range_queries:
+            query_index.insert(query)
         positions = {
             oid: tr.position_at(0.0) for oid, tr in self.trajectories.items()
         }
-        object_index = bulk_load(
-            (oid, Rect.from_point(p)) for oid, p in positions.items()
-        )
+        object_index = CellObjectIndex(query_index)
         memberships: dict[str, set[ObjectId]] = {
             q.query_id: set() for q in self.range_queries
         }
         for oid, p in positions.items():
-            for qid in query_index.search(Rect.from_point(p)):
-                memberships[qid].add(oid)
+            object_index.insert(oid, Rect.from_point(p))
+            for query in query_index.queries_at(p):
+                if query.rect.contains_point(p):
+                    memberships[query.query_id].add(oid)
 
         events: list[tuple[float, int, float | None]] = []
         t = 0.0
@@ -122,7 +126,7 @@ class QIndexSimulation:
                 self.costs.updates += scenario.num_objects
                 results = self._evaluate_batch(
                     batch_time, positions, object_index, query_index,
-                    by_id, memberships,
+                    memberships,
                 )
                 pending.append((batch_time + scenario.delay, results))
             else:
@@ -146,27 +150,30 @@ class QIndexSimulation:
         )
 
     def _evaluate_batch(
-        self, t, positions, object_index, query_index, by_id, memberships
+        self, t, positions, object_index, query_index, memberships
     ) -> dict[str, Snapshot]:
         new_positions = {
             oid: self.trajectories[oid].position_at(t)
             for oid in self.trajectories
         }
         with self._trace.span("qidx.evaluate_batch"):
-            # Range queries: probe each *moved* object against the query
-            # index.
+            # Range queries: look each *moved* object up in the query
+            # grid; the cells of its old and new positions hold every
+            # query that can contain either.
             with self._trace.span("probe_moved"):
                 for oid, new in new_positions.items():
                     old = positions[oid]
                     if new == old:
                         continue
-                    affected = set(query_index.search(Rect.from_point(old)))
-                    affected |= set(query_index.search(Rect.from_point(new)))
-                    for qid in affected:
-                        if by_id[qid].rect.contains_point(new):
-                            memberships[qid].add(oid)
+                    affected = (
+                        query_index.queries_at(old)
+                        | query_index.queries_at(new)
+                    )
+                    for query in affected:
+                        if query.rect.contains_point(new):
+                            memberships[query.query_id].add(oid)
                         else:
-                            memberships[qid].discard(oid)
+                            memberships[query.query_id].discard(oid)
                     # The object index is maintained incrementally (no
                     # rebuild).
                     object_index.update(oid, Rect.from_point(new))

@@ -1,4 +1,4 @@
-"""Axis-aligned rectangles (the paper's safe regions, query ranges, MBRs)."""
+"""Axis-aligned rectangles (the paper's safe regions, query ranges, cells)."""
 
 from __future__ import annotations
 
@@ -56,13 +56,6 @@ class Rect:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_points(cls, a: Point, b: Point) -> "Rect":
-        """Smallest rectangle containing both points."""
-        return cls(
-            min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
-        )
-
-    @classmethod
     def from_point(cls, p: Point) -> "Rect":
         """Degenerate (point-sized) rectangle."""
         return cls(p.x, p.y, p.x, p.y)
@@ -91,18 +84,9 @@ class Rect:
         return self.max_y - self.min_y
 
     @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def perimeter(self) -> float:
         """Perimeter — the quantity Theorem 5.1 says to maximise."""
         return 2.0 * (self.width + self.height)
-
-    @property
-    def margin(self) -> float:
-        """Half perimeter (R*-tree literature calls this the margin)."""
-        return self.width + self.height
 
     @property
     def center(self) -> Point:
@@ -112,15 +96,6 @@ class Rect:
     def is_degenerate(self) -> bool:
         """True if the rectangle has zero area."""
         return self.width == 0.0 or self.height == 0.0
-
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """The four corners, counter-clockwise from the lower-left."""
-        return (
-            Point(self.min_x, self.min_y),
-            Point(self.max_x, self.min_y),
-            Point(self.max_x, self.max_y),
-            Point(self.min_x, self.max_y),
-        )
 
     # ------------------------------------------------------------------
     # Predicates
@@ -150,15 +125,6 @@ class Rect:
             and other.min_y <= self.max_y
         )
 
-    def intersects_open(self, other: "Rect") -> bool:
-        """Whether the rectangles overlap with positive area."""
-        return (
-            self.min_x < other.max_x
-            and other.min_x < self.max_x
-            and self.min_y < other.max_y
-            and other.min_y < self.max_y
-        )
-
     # ------------------------------------------------------------------
     # Combinators
     # ------------------------------------------------------------------
@@ -171,15 +137,6 @@ class Rect:
         if min_x > max_x or min_y > max_y:
             return None
         return Rect(min_x, min_y, max_x, max_y)
-
-    def union(self, other: "Rect") -> "Rect":
-        """Smallest rectangle covering both (MBR union)."""
-        return Rect(
-            self.min_x if self.min_x <= other.min_x else other.min_x,
-            self.min_y if self.min_y <= other.min_y else other.min_y,
-            self.max_x if self.max_x >= other.max_x else other.max_x,
-            self.max_y if self.max_y >= other.max_y else other.max_y,
-        )
 
     def expanded(self, amount: float) -> "Rect":
         """Rectangle grown by ``amount`` on every side (clamped to valid)."""
@@ -198,18 +155,6 @@ class Rect:
             self.max_x + amount,
             self.max_y + amount,
         )
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase needed for this MBR to also cover ``other``."""
-        return self.union(other).area - self.area
-
-    def overlap_area(self, other: "Rect") -> float:
-        """Area of the intersection (0 when disjoint)."""
-        w = min(self.max_x, other.max_x) - max(self.min_x, other.min_x)
-        h = min(self.max_y, other.max_y) - max(self.min_y, other.min_y)
-        if w <= 0.0 or h <= 0.0:
-            return 0.0
-        return w * h
 
     # ------------------------------------------------------------------
     # Distances (delta / Delta of the paper for point-vs-rect)
@@ -244,7 +189,3 @@ class Rect:
             min(max(p.x, self.min_x), self.max_x),
             min(max(p.y, self.min_y), self.max_y),
         )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        """Return ``(min_x, min_y, max_x, max_y)``."""
-        return (self.min_x, self.min_y, self.max_x, self.max_y)

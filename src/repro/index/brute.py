@@ -1,20 +1,22 @@
-"""A brute-force spatial index with the same API surface as the R*-tree.
+"""A brute-force spatial index with the object index's API.
 
-Used as the correctness oracle in tests and for the baseline schemes at
-small scale, where asymptotics do not matter but trustworthiness does.
+The correctness oracle the tests check ``CellObjectIndex`` and the
+evaluation algorithms against: asymptotics do not matter there, but
+trustworthiness does.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.node import ObjectId
+
+ObjectId = Hashable
 
 
 class BruteForceIndex:
-    """Dictionary-backed stand-in for :class:`~repro.index.rstar.RStarTree`."""
+    """Dictionary-backed stand-in for :class:`~repro.index.cells.CellObjectIndex`."""
 
     def __init__(self) -> None:
         self._rects: dict[ObjectId, Rect] = {}

@@ -1,12 +1,13 @@
-"""The server's object index: safe regions bucketed by query-grid cell.
+"""The object index: safe regions bucketed by query-grid cell.
 
 Every region the server grants lies inside one cell of the ``M x M``
 grid it keeps for queries (Section 3.3): a query-free grant *is* the
 cell, and every query-shaped region is clipped to it.  So the object
 index needs no tree of its own — it hangs each region off the cell it
 lies in, on the grid's own arithmetic, and Algorithm 2's best-first
-browse walks cells outward from the query point instead of R*-tree
-nodes (docs/PERFORMANCE.md, "Algorithm 2 over cells").
+browse walks cells outward from the query point instead of tree nodes
+(docs/PERFORMANCE.md, "Algorithm 2 over cells").  The PRD and Q-index
+baselines index their reported points the same way, as point regions.
 
 An object's *home* is the cell of its region's centre, provided the
 region lies inside that cell's closed rectangle.  Any other region —
@@ -20,16 +21,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.grid import CellId, GridIndex
-from repro.index.node import ObjectId
+
+ObjectId = Hashable
 
 
 class CellObjectIndex:
-    """Safe regions bucketed by the cells of ``grid``; the server's object index."""
+    """Safe regions bucketed by the cells of ``grid``; the object index."""
 
     def __init__(self, grid: GridIndex) -> None:
         self._grid = grid

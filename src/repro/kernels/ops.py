@@ -229,97 +229,3 @@ class Kernels:
             )
             out.append(inside_new != inside_old)
         return out
-
-    # ------------------------------------------------------------------
-    # Grouped kernels (one dispatch over many queries, query-id keyed)
-    # ------------------------------------------------------------------
-    def grouped_points_in_rects(
-        self,
-        xs: Sequence[float],
-        ys: Sequence[float],
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-    ) -> list[list[bool]]:
-        """Containment of every point against every query rect.
-
-        One dispatch answers ``Q`` range queries over the same ``N``
-        point columns; ``out[q][i]`` is whether point ``i`` lies in the
-        closed rect ``q``.  Counts ``Q * N`` rows.  Pure comparisons.
-        """
-        q = len(minxs)
-        n = len(xs)
-        if q == 0 or n == 0:
-            return [[False] * n for _ in range(q)]
-        if self._batch(q * n):
-            x = np.asarray(xs, dtype=np.float64)[None, :]
-            y = np.asarray(ys, dtype=np.float64)[None, :]
-            lox = np.asarray(minxs, dtype=np.float64)[:, None]
-            loy = np.asarray(minys, dtype=np.float64)[:, None]
-            hix = np.asarray(maxxs, dtype=np.float64)[:, None]
-            hiy = np.asarray(maxys, dtype=np.float64)[:, None]
-            mask = (x >= lox) & (x <= hix) & (y >= loy) & (y <= hiy)
-            return [row.tolist() for row in mask]
-        return [
-            [
-                minxs[j] <= xs[i] <= maxxs[j]
-                and minys[j] <= ys[i] <= maxys[j]
-                for i in range(n)
-            ]
-            for j in range(q)
-        ]
-
-    def grouped_top_k(
-        self,
-        xs: Sequence[float],
-        ys: Sequence[float],
-        qxs: Sequence[float],
-        qys: Sequence[float],
-        ks: Sequence[int],
-    ) -> list[list[int]]:
-        """Segment-reduced :meth:`top_k_rows` for many centres at once.
-
-        ``out[q]`` lists the rows of the ``ks[q]`` nearest points to
-        ``(qxs[q], qys[q])`` ordered by ``(d2, row)`` — identical to a
-        per-centre ``top_k_rows`` call.  The distance matrix uses the
-        same elementwise ``dx*dx + dy*dy`` arithmetic, and a stable
-        argsort reproduces the ``(d2, row)`` tie order exactly.  Counts
-        ``Q * N`` rows.
-        """
-        q = len(qxs)
-        n = len(xs)
-        if q == 0:
-            return []
-        if n == 0:
-            return [[] for _ in range(q)]
-        if self._batch(q * n):
-            dx = np.asarray(xs, dtype=np.float64)[None, :] - np.asarray(
-                qxs, dtype=np.float64
-            )[:, None]
-            dy = np.asarray(ys, dtype=np.float64)[None, :] - np.asarray(
-                qys, dtype=np.float64
-            )[:, None]
-            d2 = dx * dx + dy * dy
-            order = np.argsort(d2, axis=1, kind="stable")
-            return [
-                order[j, : min(ks[j], n)].tolist() if ks[j] > 0 else []
-                for j in range(q)
-            ]
-        out = []
-        for j in range(q):
-            if ks[j] <= 0:
-                out.append([])
-                continue
-            cx, cy = qxs[j], qys[j]
-            d2 = []
-            for i in range(n):
-                dx = xs[i] - cx
-                dy = ys[i] - cy
-                d2.append(dx * dx + dy * dy)
-            out.append(
-                heapq.nsmallest(
-                    min(ks[j], n), range(n), key=lambda i: (d2[i], i)
-                )
-            )
-        return out

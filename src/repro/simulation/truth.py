@@ -24,23 +24,22 @@ Snapshot = frozenset | tuple
 class GroundTruth:
     """Exact evaluation of a fixed query set over exact positions.
 
-    Checkpoint evaluation runs on the shared batch kernels
-    (``repro.kernels``): one containment pass per range query, one
-    deterministic top-k selection per kNN query.  kNN distance ties
-    break by object registration order (the kernels' ``(d2, row)`` rule),
-    so the truth series is identical under either kernel backend.
+    Each checkpoint answers one query at a time over the position
+    columns: a range query is one closed-rectangle mask, a kNN query one
+    ``Kernels.top_k_rows`` selection, whose ``(d2, row)`` order breaks
+    distance ties by object registration order.  Memory stays O(N) per
+    query rather than O(W x N) per checkpoint.
     """
 
     def __init__(
         self,
         trajectories: Mapping[ObjectId, Trajectory],
         queries: Sequence[Query],
-        kernels: Kernels | None = None,
     ) -> None:
         self._ids = list(trajectories.keys())
         self._trajectories = [trajectories[oid] for oid in self._ids]
         self.queries = list(queries)
-        self.kernels = kernels if kernels is not None else Kernels()
+        self.kernels = Kernels()
         self._memo: dict[float, dict[str, Snapshot]] = {}
 
     def trajectories(self) -> dict[ObjectId, Trajectory]:
@@ -72,47 +71,30 @@ class GroundTruth:
         if cached is not None:
             return cached
         xs, ys = self.positions_at(t)
-        ranges = [q for q in self.queries if isinstance(q, RangeQuery)]
-        knns = [q for q in self.queries if isinstance(q, KNNQuery)]
-        unsupported = len(ranges) + len(knns) - len(self.queries)
-        if unsupported:  # pragma: no cover
-            bad = next(
-                q for q in self.queries
-                if not isinstance(q, (RangeQuery, KNNQuery))
-            )
-            raise TypeError(f"unsupported query type: {type(bad).__name__}")
+        ids = self._ids
         results: dict[str, Snapshot] = {}
-        # One grouped containment dispatch answers every range query and
-        # one grouped top-k dispatch every kNN query — the checkpoint
-        # cost no longer scales kernel-call overhead with query count.
-        if ranges:
-            masks = self.kernels.grouped_points_in_rects(
-                xs, ys,
-                [q.rect.min_x for q in ranges],
-                [q.rect.min_y for q in ranges],
-                [q.rect.max_x for q in ranges],
-                [q.rect.max_y for q in ranges],
-            )
-            for query, mask in zip(ranges, masks):
-                results[query.query_id] = frozenset(
-                    oid for oid, inside in zip(self._ids, mask) if inside
+        for query in self.queries:
+            if isinstance(query, RangeQuery):
+                r = query.rect
+                rows = np.flatnonzero(
+                    (xs >= r.min_x) & (xs <= r.max_x)
+                    & (ys >= r.min_y) & (ys <= r.max_y)
                 )
-        if knns:
-            tops = self.kernels.grouped_top_k(
-                xs, ys,
-                [q.center.x for q in knns],
-                [q.center.y for q in knns],
-                [q.k for q in knns],
-            )
-            for query, top in zip(knns, tops):
-                if not top:
-                    results[query.query_id] = (
-                        () if query.order_sensitive else frozenset()
+                results[query.query_id] = frozenset(
+                    ids[row] for row in rows.tolist()
+                )
+            elif isinstance(query, KNNQuery):
+                found = tuple(
+                    ids[row] for row in self.kernels.top_k_rows(
+                        xs, ys, query.center.x, query.center.y, query.k
                     )
-                    continue
-                ids = tuple(self._ids[row] for row in top)
+                )
                 results[query.query_id] = (
-                    ids if query.order_sensitive else frozenset(ids)
+                    found if query.order_sensitive else frozenset(found)
+                )
+            else:  # pragma: no cover
+                raise TypeError(
+                    f"unsupported query type: {type(query).__name__}"
                 )
         self._memo[t] = results
         return results

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.batch import batch_range_safe_region
 from repro.geometry import Point, Rect
+from tests.test_geometry import overlap_area
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -22,7 +23,7 @@ def small_rects():
 
 def overlaps_open(a: Rect, b: Rect, eps: float = 1e-12) -> bool:
     """Open overlap deeper than float round-trip noise."""
-    return a.overlap_area(b) > eps
+    return overlap_area(a, b) > eps
 
 
 class TestNoObstacles:
@@ -91,7 +92,8 @@ class TestManyObstacles:
         for _ in range(50):
             p = Point(rng.random(), rng.random())
             if any(
-                o.contains_point(p) and o.intersects_open(Rect.from_point(p).expanded(1e-12))
+                o.contains_point(p)
+                and overlaps_open(o, Rect.from_point(p).expanded(1e-12), eps=0.0)
                 and o.min_x < p.x < o.max_x and o.min_y < p.y < o.max_y
                 for o in obstacles
             ):

@@ -36,6 +36,24 @@ OIDS = st.integers(min_value=0, max_value=24)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def cell_index(m: int = 8) -> CellObjectIndex:
+    """An empty object index over an ``m x m`` grid of the unit square."""
+    return CellObjectIndex(GridIndex(m))
+
+
+def load(pairs, m: int = 8) -> CellObjectIndex:
+    """A fresh index over ``(oid, rect)`` pairs, as PRD's per-period rebuild."""
+    index = cell_index(m)
+    for oid, rect in pairs:
+        index.insert(oid, rect)
+    return index
+
+
+def bounding(a: Point, b: Point) -> Rect:
+    """The smallest rectangle holding both points."""
+    return Rect(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
+
+
 class CellIndexMachine(RuleBasedStateMachine):
     @initialize(m=st.integers(min_value=1, max_value=7),
                 space=st.sampled_from(SPACES))
@@ -82,7 +100,7 @@ class CellIndexMachine(RuleBasedStateMachine):
             return Rect.from_point(p)
         a = self._point(data)
         if kind == "wide":
-            return Rect.from_points(p, a)
+            return bounding(p, a)
         # Clipped into p's cell, as the server's regions are.
         cell = grid.cell_rect(grid.cell_of(p))
 
@@ -90,7 +108,7 @@ class CellIndexMachine(RuleBasedStateMachine):
             return Point(min(max(c.x, cell.min_x), cell.max_x),
                          min(max(c.y, cell.min_y), cell.max_y))
 
-        return Rect.from_points(clip(p), clip(a))
+        return bounding(clip(p), clip(a))
 
     # -- mutations -------------------------------------------------------
     @rule(oid=OIDS, data=st.data())
@@ -131,8 +149,8 @@ class CellIndexMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def search(self, data):
-        rect = Rect.from_points(self._point(data, margin=0.3),
-                                self._point(data, margin=0.3))
+        rect = bounding(self._point(data, margin=0.3),
+                        self._point(data, margin=0.3))
         got = list(self.index.search_entries(rect))
         assert len(got) == len(set(got))
         assert set(got) == set(self.oracle.search_entries(rect))

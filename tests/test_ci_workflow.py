@@ -132,6 +132,13 @@ def test_bench_smoke_uploads_metrics_artifact(workflow):
     job = workflow["jobs"]["bench-smoke"]
     runs = _runs(job)
     assert any("benchmarks/test_scale_smoke.py" in run for run in runs)
+    # Figures 7.2 and 7.3 are the only checks on the PRD baseline's CPU
+    # and cost shapes; no other job runs them.
+    assert any(
+        "benchmarks/test_fig7_2_queries.py" in run
+        and "benchmarks/test_fig7_3_objects.py" in run
+        for run in runs
+    )
     uploads = _primary_uploads(job)
     assert len(uploads) == 1
     # The metrics land in the gitignored scratch dir — bench runs never

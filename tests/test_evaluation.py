@@ -7,13 +7,14 @@ import pytest
 
 from repro.core.evaluation import evaluate_knn, evaluate_range
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex, RStarTree
+from repro.index import BruteForceIndex
+from tests.test_cell_object_index import cell_index
 
 
 class World:
     """Objects with exact positions, indexed by conservative safe regions."""
 
-    def __init__(self, seed=0, n=60, region_half=0.04, index_cls=RStarTree):
+    def __init__(self, seed=0, n=60, region_half=0.04, index_cls=cell_index):
         rng = random.Random(seed)
         self.positions = {}
         self.index = index_cls()
@@ -133,13 +134,13 @@ class TestEvaluateKNNOrdered:
             evaluate_knn(world.index, Point(0, 0), 0, world.probe)
 
     def test_empty_index(self):
-        index = RStarTree()
+        index = cell_index()
         outcome = evaluate_knn(index, Point(0.5, 0.5), 3, lambda o: None)
         assert outcome.results == []
 
     def test_point_regions_need_no_probes(self):
         """Degenerate safe regions are exact: zero probes necessary."""
-        index = RStarTree()
+        index = cell_index()
         positions = {}
         rng = random.Random(11)
         for oid in range(40):
@@ -224,7 +225,7 @@ class TestWithBruteForceIndex:
 class TestReachabilityConstrain:
     def test_constrain_reduces_probes(self):
         """A tight reachability box resolves ambiguity without probing."""
-        index = RStarTree()
+        index = cell_index()
         positions = {}
         rng = random.Random(16)
         for oid in range(80):
@@ -263,7 +264,7 @@ class TestReachabilityConstrain:
         assert tight_outcome.shrunk or len(tight_probes) == len(plain_probes)
 
     def test_range_constrain_decides_membership(self):
-        index = RStarTree()
+        index = cell_index()
         p = Point(0.5, 0.5)
         index.insert("x", Rect(0.3, 0.3, 0.9, 0.9))
         rect = Rect(0.4, 0.4, 0.6, 0.6)

@@ -7,7 +7,7 @@ from repro.geometry import Point, Rect
 
 
 def region_stream(entries, q):
-    """Mimic ``RStarTree.nearest_iter`` output for given (oid, rect) pairs."""
+    """Mimic an object index's ``nearest_iter`` output for (oid, rect) pairs."""
     ranked = sorted(
         (rect.min_dist_to_point(q), oid, rect) for oid, rect in entries
     )

@@ -36,7 +36,9 @@ class TestCellArithmetic:
 
     def test_cell_rect(self):
         rect = self.grid.cell_rect((2, 3))
-        assert rect.as_tuple() == pytest.approx((0.2, 0.3, 0.3, 0.4))
+        assert (rect.min_x, rect.min_y, rect.max_x, rect.max_y) == pytest.approx(
+            (0.2, 0.3, 0.3, 0.4)
+        )
         with pytest.raises(IndexError):
             self.grid.cell_rect((10, 0))
 

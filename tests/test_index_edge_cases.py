@@ -1,10 +1,10 @@
-"""Edge-case and stress tests for the index substrates."""
+"""Edge-case and stress tests for the object index (``CellObjectIndex``)."""
 
 import random
 
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex, RStarTree
-from repro.index.bulk import bulk_load
+from repro.index import BruteForceIndex
+from tests.test_cell_object_index import cell_index, load
 
 
 class TestDegenerateRectangles:
@@ -12,45 +12,45 @@ class TestDegenerateRectangles:
 
     def test_all_points_tree(self):
         rng = random.Random(0)
-        tree = RStarTree(max_entries=6)
+        index = cell_index()
         points = {}
         for oid in range(300):
             p = Point(rng.random(), rng.random())
             points[oid] = p
-            tree.insert(oid, Rect.from_point(p))
-        tree.validate()
+            index.insert(oid, Rect.from_point(p))
+        index.validate()
         probe = Rect(0.25, 0.25, 0.75, 0.75)
         expected = sorted(
             oid for oid, p in points.items() if probe.contains_point(p)
         )
-        assert sorted(tree.search(probe)) == expected
+        assert sorted(index.search(probe)) == expected
 
     def test_identical_rectangles(self):
-        tree = RStarTree(max_entries=4)
+        index = cell_index()
         same = Rect(0.5, 0.5, 0.5, 0.5)
         for oid in range(50):
-            tree.insert(oid, same)
-        tree.validate()
-        assert sorted(tree.search(same)) == list(range(50))
+            index.insert(oid, same)
+        index.validate()
+        assert sorted(index.search(same)) == list(range(50))
         for oid in range(0, 50, 2):
-            tree.delete(oid)
-        tree.validate()
-        assert len(tree) == 25
+            index.delete(oid)
+        index.validate()
+        assert len(index) == 25
 
     def test_collinear_rectangles(self):
-        tree = RStarTree(max_entries=5)
+        index = cell_index()
         for oid in range(100):
             x = oid / 100
-            tree.insert(oid, Rect(x, 0.5, x, 0.5))
-        tree.validate()
-        found = tree.search(Rect(0.25, 0.4, 0.5, 0.6))
+            index.insert(oid, Rect(x, 0.5, x, 0.5))
+        index.validate()
+        found = index.search(Rect(0.25, 0.4, 0.5, 0.6))
         assert sorted(found) == list(range(25, 51))
 
 
 class TestExtremeShapes:
     def test_long_thin_rectangles(self):
         rng = random.Random(1)
-        tree = RStarTree(max_entries=8)
+        index = cell_index()
         oracle = BruteForceIndex()
         for oid in range(200):
             if oid % 2:
@@ -59,72 +59,61 @@ class TestExtremeShapes:
             else:
                 x = rng.random() * 0.999
                 rect = Rect(x, 0.0, x + 1e-4, 1.0)  # tall
-            tree.insert(oid, rect)
+            index.insert(oid, rect)
             oracle.insert(oid, rect)
-        tree.validate()
+        index.validate()
         probe = Rect(0.4, 0.4, 0.6, 0.6)
-        assert sorted(tree.search(probe)) == sorted(oracle.search(probe))
+        assert sorted(index.search(probe)) == sorted(oracle.search(probe))
 
     def test_nested_rectangles(self):
-        tree = RStarTree(max_entries=4)
+        index = cell_index()
         for oid in range(60):
             margin = oid / 130
-            tree.insert(oid, Rect(margin, margin, 1 - margin, 1 - margin))
-        tree.validate()
+            index.insert(oid, Rect(margin, margin, 1 - margin, 1 - margin))
+        index.validate()
         inner_probe = Rect.from_point(Point(0.5, 0.5))
-        assert len(tree.search(inner_probe)) == 60
+        assert len(index.search(inner_probe)) == 60
 
 
 class TestUpdateChurn:
     def test_oscillating_updates(self):
         """Objects bouncing between two spots — the monitoring hot path."""
-        tree = RStarTree(max_entries=6)
+        index = cell_index()
         a = Rect(0.1, 0.1, 0.12, 0.12)
         b = Rect(0.8, 0.8, 0.82, 0.82)
         for oid in range(40):
-            tree.insert(oid, a)
+            index.insert(oid, a)
         for round_ in range(10):
             target = b if round_ % 2 == 0 else a
             for oid in range(40):
-                tree.update(oid, target)
-            tree.validate()
+                index.update(oid, target)
+            index.validate()
         # Ten rounds: the final round (index 9) moved everything back to a.
-        assert sorted(tree.search(a)) == list(range(40))
-        assert sorted(tree.search(b)) == []
+        assert sorted(index.search(a)) == list(range(40))
+        assert sorted(index.search(b)) == []
 
     def test_grow_shrink_cycles(self):
-        tree = RStarTree(max_entries=5)
+        index = cell_index()
         rng = random.Random(2)
         live = set()
         for cycle in range(6):
             for oid in range(cycle * 50, cycle * 50 + 50):
                 x, y = rng.random() * 0.9, rng.random() * 0.9
-                tree.insert(oid, Rect(x, y, x + 0.05, y + 0.05))
+                index.insert(oid, Rect(x, y, x + 0.05, y + 0.05))
                 live.add(oid)
             victims = rng.sample(sorted(live), 30)
             for oid in victims:
-                tree.delete(oid)
+                index.delete(oid)
                 live.discard(oid)
-            tree.validate()
-        assert len(tree) == len(live)
+            index.validate()
+        assert len(index) == len(live)
 
 
 class TestBulkLoadEdges:
     def test_single_item(self):
-        tree = bulk_load([("only", Rect(0.5, 0.5, 0.6, 0.6))])
-        assert len(tree) == 1
-        tree.validate()
-
-    def test_exact_capacity_boundary(self):
-        """Sizes around node-capacity multiples exercise the rebalancer."""
-        for n in (28, 29, 30, 31, 32, 57, 58, 59):
-            pairs = [
-                (i, Rect(i / 100, i / 100, i / 100 + 0.01, i / 100 + 0.01))
-                for i in range(n)
-            ]
-            tree = bulk_load(pairs, max_entries=8)
-            tree.validate()
-            assert len(tree) == n
+        index = load([("only", Rect(0.5, 0.5, 0.6, 0.6))])
+        assert len(index) == 1
+        index.validate()
 
     def test_large_load_and_query(self):
         rng = random.Random(3)
@@ -132,9 +121,9 @@ class TestBulkLoadEdges:
             (i, Rect.from_point(Point(rng.random(), rng.random())))
             for i in range(5000)
         ]
-        tree = bulk_load(pairs, max_entries=32)
-        tree.validate()
-        found = tree.search(Rect(0.0, 0.0, 0.1, 0.1))
+        index = load(pairs, m=32)
+        index.validate()
+        found = index.search(Rect(0.0, 0.0, 0.1, 0.1))
         oracle = [
             oid for oid, rect in pairs
             if Rect(0.0, 0.0, 0.1, 0.1).contains_point(rect.center)
@@ -147,9 +136,9 @@ class TestBulkLoadEdges:
             (i, Rect.from_point(Point(rng.random(), rng.random())))
             for i in range(800)
         ]
-        tree = bulk_load(pairs, max_entries=16)
+        index = load(pairs, m=16)
         q = Point(0.37, 0.62)
-        got = [oid for oid, _, _ in tree.nearest_iter(q)][:10]
+        got = [oid for oid, _, _ in index.nearest_iter(q)][:10]
         expected = sorted(
             (q.distance_to(rect.center), oid) for oid, rect in pairs
         )[:10]

@@ -7,7 +7,9 @@ equal: same booleans, same float bit patterns, same selected rows.  The
 strategies deliberately include the nasty inputs the equivalence
 guarantee hinges on: points lying exactly on rectangle edges, duplicated
 points producing exact distance ties, and degenerate (zero-area)
-rectangles.
+rectangles.  Point-in-rect containment has no kernel: its checks run
+``GroundTruth``'s closed-rect range answer over parked points against a
+scalar ``Rect.contains_point`` scan.
 """
 
 import random
@@ -15,13 +17,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DatabaseServer, KNNQuery, ServerConfig
+from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.batch import batch_range_safe_region
 from repro.core.evaluation import evaluate_knn
 from repro.geometry import Point, Rect
 from repro.index.brute import BruteForceIndex
 from repro.kernels import Kernels, ops
 from repro.obs import MetricsRegistry
+from repro.simulation import GroundTruth
+from tests.test_geometry import overlap_area
+from tests.test_simulation import Parked
 
 
 class _Forced:
@@ -99,9 +104,11 @@ def _d2(xs, ys, qx, qy):
     return [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
 
 
-def _one_rect(rect):
-    """A single rect as the four one-row columns the grouped kernel takes."""
-    return [rect.min_x], [rect.min_y], [rect.max_x], [rect.max_y]
+def _truth_range(xs, ys, rect):
+    """The truth's answer to one range query over points parked at rows."""
+    world = {row: Parked(Point(x, y)) for row, (x, y) in enumerate(zip(xs, ys))}
+    truth = GroundTruth(world, [RangeQuery(rect, query_id="r")])
+    return truth.evaluate_at(0.0)["r"]
 
 
 class TestPointKernels:
@@ -109,16 +116,17 @@ class TestPointKernels:
     @given(point_columns(), rects())
     def test_points_in_rect_backends_agree(self, columns, rect):
         xs, ys = _with_boundary_points(*columns, rect)
-        assert NP_K.grouped_points_in_rects(xs, ys, *_one_rect(rect)) == \
-            PY_K.grouped_points_in_rects(xs, ys, *_one_rect(rect))
+        assert _truth_range(xs, ys, rect) == frozenset(
+            row for row, (x, y) in enumerate(zip(xs, ys))
+            if rect.contains_point(Point(x, y))
+        )
 
     @settings(max_examples=120)
     @given(point_columns(), rects())
     def test_boundary_points_count_as_inside(self, columns, rect):
         xs, ys = _with_boundary_points(*columns, rect)
-        [mask] = NP_K.grouped_points_in_rects(xs, ys, *_one_rect(rect))
         # The eight appended rows sit exactly on the closed boundary.
-        assert all(mask[-8:])
+        assert set(range(len(xs) - 8, len(xs))) <= _truth_range(xs, ys, rect)
 
     @settings(max_examples=120)
     @given(point_columns(), coord, coord)
@@ -221,7 +229,7 @@ class TestRectKernels:
         assert region.contains_point(p, eps=1e-12)
         assert cell.contains_rect(region)
         for obstacle in obstacles:
-            assert region.overlap_area(obstacle) <= 1e-12
+            assert overlap_area(region, obstacle) <= 1e-12
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1),

@@ -49,18 +49,49 @@ class TestQIndexSimulation:
         assert qidx.accuracy == pytest.approx(prd.accuracy, abs=1e-9)
 
     def test_incremental_membership_is_correct(self):
-        """The incremental range maintenance equals from-scratch results.
+        """Every batch answer equals PRD's and the truth at that instant.
 
-        Accuracy equality with PRD across several periods is the
-        behavioural proof; this test makes it explicit at a fine period.
+        Accuracy alone cannot tell two different wrong answers apart, so
+        each ``_evaluate_batch`` snapshot of both schemes is recorded and
+        compared query by query, with and without communication delay.
+        At ``TINY``'s speed no object enters or leaves a range query, so
+        the objects move ten times faster here.
         """
-        scenario = TINY.with_overrides(duration=0.9)
-        qidx = QIndexSimulation(scenario, t_prd=0.1).run()
-        prd = PRDSimulation(scenario, t_prd=0.1).run()
-        assert qidx.accuracy == pytest.approx(prd.accuracy, abs=1e-9)
+        for delay in (0.0, 0.05):
+            scenario = TINY.with_overrides(delay=delay, mean_speed=0.2)
+            qidx = QIndexSimulation(scenario, t_prd=0.1)
+            prd = PRDSimulation(scenario, t_prd=0.1, truth=qidx.truth)
+            qidx_log = _record_batches(qidx)
+            prd_log = _record_batches(prd)
+            qidx.run()
+            prd.run()
+            assert len(qidx_log) == 13
+            assert [t for t, _ in qidx_log] == [t for t, _ in prd_log]
+            for (t, got), (_, prd_got) in zip(qidx_log, prd_log):
+                assert got == prd_got == qidx.truth.evaluate_at(t), (delay, t)
+            left = sum(
+                len(before[q.query_id] - after[q.query_id])
+                for (_, before), (_, after) in zip(qidx_log, qidx_log[1:])
+                for q in qidx.range_queries
+            )
+            assert left > 0  # memberships were dropped, not only added
 
     def test_runner_integration(self):
         from repro.experiments.runner import run_schemes
 
         reports = run_schemes(TINY, schemes=("QIDX(0.2)",))
         assert "QIDX(0.2)" in reports
+
+
+def _record_batches(sim):
+    """Wrap ``sim._evaluate_batch`` to log each ``(t, snapshot)`` it returns."""
+    log = []
+    evaluate = sim._evaluate_batch
+
+    def recorded(t, *args):
+        results = evaluate(t, *args)
+        log.append((t, results))
+        return results
+
+    sim._evaluate_batch = recorded
+    return log

@@ -8,7 +8,7 @@ from repro.core.evaluation import evaluate_knn
 from repro.core.queries import KNNQuery, RangeQuery
 from repro.core.reevaluation import reevaluate_knn, reevaluate_range
 from repro.geometry import Point, Rect
-from repro.index import RStarTree
+from tests.test_cell_object_index import cell_index
 
 
 class TestReevaluateRange:
@@ -49,7 +49,7 @@ class KNNWorld:
         self.positions = {
             oid: Point(rng.random(), rng.random()) for oid in range(n)
         }
-        self.index = RStarTree()
+        self.index = cell_index()
         for oid, p in self.positions.items():
             self.index.insert(oid, Rect.from_point(p))
         self.query = KNNQuery(Point(0.5, 0.5), k, order_sensitive=order_sensitive)
@@ -162,7 +162,7 @@ class TestCaseTwo:
         past the old radius, over an outsider nobody probed.
         """
         q = Point(0.5, 0.5)
-        index = RStarTree()
+        index = cell_index()
         index.insert("a", Rect.from_point(Point(0.52, 0.5)))       # d = 0.02
         index.insert("b", Rect(0.54, 0.5, 0.56, 0.5))       # d in [0.04, 0.06]
         index.insert("outsider", Rect.from_point(Point(0.572, 0.5)))  # 0.072

@@ -1,4 +1,10 @@
-"""Unit, integration, and property tests for the R*-tree substrate."""
+"""Unit, integration, and property tests for the object index.
+
+``CellObjectIndex`` is checked against the brute-force oracle over an
+8 x 8 grid, so random regions up to 0.05 wide land both in home cells
+and in ``wide``.  The loading cases build an index the way PRD rebuilds
+one each period: a fresh index, one insert per reported object.
+"""
 
 import random
 
@@ -6,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex, RStarTree
-from repro.index.bulk import bulk_load
+from repro.index import BruteForceIndex, CellObjectIndex, GridIndex
+from tests.test_cell_object_index import cell_index, load
 
 
 def random_rect(rng: random.Random, size: float = 0.05) -> Rect:
@@ -18,117 +24,111 @@ def random_rect(rng: random.Random, size: float = 0.05) -> Rect:
     return Rect(x, y, x + w, y + h)
 
 
-def build_pair(n: int, seed: int = 7, max_entries: int = 8):
-    """An R*-tree and a brute-force oracle over the same data."""
+def build_pair(n: int, seed: int = 7):
+    """A cell index and a brute-force oracle over the same data."""
     rng = random.Random(seed)
-    tree = RStarTree(max_entries=max_entries)
+    index = cell_index()
     oracle = BruteForceIndex()
     for oid in range(n):
         rect = random_rect(rng)
-        tree.insert(oid, rect)
+        index.insert(oid, rect)
         oracle.insert(oid, rect)
-    return tree, oracle, rng
+    return index, oracle, rng
 
 
 class TestConstruction:
     def test_parameter_validation(self):
+        """The index's only parameters are its grid's, checked there."""
         with pytest.raises(ValueError):
-            RStarTree(max_entries=3)
+            cell_index(0)
         with pytest.raises(ValueError):
-            RStarTree(min_fill=0.9)
-        with pytest.raises(ValueError):
-            RStarTree(min_fill=0.0)
+            CellObjectIndex(GridIndex(4, Rect(0, 0, 0, 1)))
 
     def test_empty_tree(self):
-        tree = RStarTree()
-        assert len(tree) == 0
-        assert tree.height == 1
-        assert tree.search(Rect(0, 0, 1, 1)) == []
-        assert list(tree.nearest_iter(Point(0, 0))) == []
-        tree.validate()
+        index = cell_index()
+        assert len(index) == 0
+        assert index.search(Rect(0, 0, 1, 1)) == []
+        assert list(index.nearest_iter(Point(0, 0))) == []
+        index.validate()
 
     def test_duplicate_insert_rejected(self):
-        tree = RStarTree()
-        tree.insert("a", Rect(0, 0, 1, 1))
+        index = cell_index()
+        index.insert("a", Rect(0, 0, 1, 1))
         with pytest.raises(KeyError):
-            tree.insert("a", Rect(0, 0, 1, 1))
+            index.insert("a", Rect(0, 0, 1, 1))
 
     def test_missing_delete_raises(self):
         with pytest.raises(KeyError):
-            RStarTree().delete("ghost")
+            cell_index().delete("ghost")
 
     def test_contains_and_rect_of(self):
-        tree = RStarTree()
+        index = cell_index()
         r = Rect(0.1, 0.1, 0.2, 0.2)
-        tree.insert(42, r)
-        assert 42 in tree
-        assert tree.rect_of(42) == r
-        assert 43 not in tree
+        index.insert(42, r)
+        assert index.rect_of(42) == r
+        with pytest.raises(KeyError):
+            index.rect_of(43)
 
 
 class TestStructuralInvariants:
     @pytest.mark.parametrize("n", [1, 5, 33, 200, 800])
     def test_validate_after_inserts(self, n):
-        tree, _, _ = build_pair(n)
-        assert len(tree) == n
-        tree.validate()
-
-    def test_grows_in_height(self):
-        tree, _, _ = build_pair(800)
-        assert tree.height >= 3
+        index, _, _ = build_pair(n)
+        assert len(index) == n
+        index.validate()
 
     def test_validate_after_heavy_deletes(self):
-        tree, oracle, rng = build_pair(300)
+        index, oracle, rng = build_pair(300)
         ids = list(range(300))
         rng.shuffle(ids)
         for oid in ids[:250]:
-            tree.delete(oid)
+            index.delete(oid)
             oracle.delete(oid)
-        tree.validate()
-        assert len(tree) == 50
-        survivors = {oid for oid, _ in tree.all_entries()}
+        index.validate()
+        assert len(index) == 50
+        survivors = {oid for oid, _ in index.all_entries()}
         assert survivors == set(ids[250:])
 
     def test_delete_everything(self):
-        tree, _, _ = build_pair(120)
+        index, _, _ = build_pair(120)
         for oid in range(120):
-            tree.delete(oid)
-        assert len(tree) == 0
-        tree.validate()
-        # Tree is reusable after emptying.
-        tree.insert("again", Rect(0, 0, 0.1, 0.1))
-        tree.validate()
+            index.delete(oid)
+        assert len(index) == 0
+        index.validate()
+        # The index is reusable after emptying.
+        index.insert("again", Rect(0, 0, 0.1, 0.1))
+        index.validate()
 
 
 class TestSearch:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_range_search_matches_oracle(self, seed):
-        tree, oracle, rng = build_pair(400, seed=seed)
+        index, oracle, rng = build_pair(400, seed=seed)
         for _ in range(30):
             probe = random_rect(rng, size=0.3)
-            assert sorted(tree.search(probe)) == sorted(oracle.search(probe))
+            assert sorted(index.search(probe)) == sorted(oracle.search(probe))
 
     def test_search_entries_returns_stored_rects(self):
-        tree, oracle, rng = build_pair(100)
+        index, oracle, rng = build_pair(100)
         probe = Rect(0, 0, 1, 1)
-        got = dict(tree.search_entries(probe))
+        got = dict(index.search_entries(probe))
         expected = dict(oracle.search_entries(probe))
         assert got == expected
 
     def test_point_probe(self):
-        tree = RStarTree(max_entries=4)
-        tree.insert("hit", Rect(0.4, 0.4, 0.6, 0.6))
-        tree.insert("miss", Rect(0.8, 0.8, 0.9, 0.9))
-        found = tree.search(Rect.from_point(Point(0.5, 0.5)))
+        index = cell_index(4)
+        index.insert("hit", Rect(0.4, 0.4, 0.6, 0.6))
+        index.insert("miss", Rect(0.8, 0.8, 0.9, 0.9))
+        found = index.search(Rect.from_point(Point(0.5, 0.5)))
         assert found == ["hit"]
 
 
 class TestNearestIter:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_order_matches_oracle(self, seed):
-        tree, oracle, rng = build_pair(300, seed=seed)
+        index, oracle, rng = build_pair(300, seed=seed)
         q = Point(rng.random(), rng.random())
-        got = [(oid, d) for oid, _, d in tree.nearest_iter(q)]
+        got = [(oid, d) for oid, _, d in index.nearest_iter(q)]
         expected = [(oid, d) for oid, _, d in oracle.nearest_iter(q)]
         assert len(got) == len(expected)
         # Distances must be identical and non-decreasing; ids may permute
@@ -138,95 +138,71 @@ class TestNearestIter:
         assert [d for _, d in got] == sorted(d for _, d in got)
 
     def test_exclude_filter(self):
-        tree, _, _ = build_pair(50)
+        index, _, _ = build_pair(50)
         banned = {0, 1, 2, 3, 4}
-        seen = [oid for oid, _, _ in tree.nearest_iter(
+        seen = [oid for oid, _, _ in index.nearest_iter(
             Point(0.5, 0.5), exclude=lambda oid: oid in banned
         )]
         assert banned.isdisjoint(seen)
         assert len(seen) == 45
 
     def test_lazy_iteration_is_incremental(self):
-        tree, oracle, _ = build_pair(500)
-        it = tree.nearest_iter(Point(0.5, 0.5))
+        index, oracle, _ = build_pair(500)
+        it = index.nearest_iter(Point(0.5, 0.5))
         first = next(it)
         expected_first = next(iter(oracle.nearest_iter(Point(0.5, 0.5))))
         assert first[2] == pytest.approx(expected_first[2])
 
 
 class TestUpdate:
-    def test_fast_path_in_root_leaf(self):
-        tree = RStarTree()
-        tree.insert("a", Rect(0, 0, 0.1, 0.1))
-        assert tree.update("a", Rect(0.5, 0.5, 0.6, 0.6)) is True
-        assert tree.rect_of("a") == Rect(0.5, 0.5, 0.6, 0.6)
-        tree.validate()
-
-    def test_small_moves_use_fast_path(self):
-        tree, _, rng = build_pair(400)
-        fast = 0
-        for oid in range(400):
-            rect = tree.rect_of(oid)
-            nudged = Rect(
-                rect.min_x, rect.min_y,
-                min(rect.max_x + 1e-6, 1.0), min(rect.max_y + 1e-6, 1.0),
-            )
-            # Shrinks always stay inside the recorded leaf MBR.
-            shrunk = Rect(rect.min_x, rect.min_y, rect.min_x, rect.min_y)
-            if tree.update(oid, shrunk):
-                fast += 1
-            tree.update(oid, nudged)
-        assert fast == 400
-        tree.validate()
-
     def test_large_moves_relocate(self):
-        tree, oracle, rng = build_pair(300)
+        index, oracle, rng = build_pair(300)
         for oid in range(300):
             rect = random_rect(rng)
-            tree.update(oid, rect)
+            index.update(oid, rect)
             oracle.update(oid, rect)
-        tree.validate()
+        index.validate()
         probe = Rect(0.25, 0.25, 0.75, 0.75)
-        assert sorted(tree.search(probe)) == sorted(oracle.search(probe))
+        assert sorted(index.search(probe)) == sorted(oracle.search(probe))
 
     def test_update_missing_raises(self):
         with pytest.raises(KeyError):
-            RStarTree().update("ghost", Rect(0, 0, 1, 1))
+            cell_index().update("ghost", Rect(0, 0, 1, 1))
 
 
 class TestBulkLoad:
     def test_empty(self):
-        tree = bulk_load([])
-        assert len(tree) == 0
-        tree.validate()
+        index = load([])
+        assert len(index) == 0
+        index.validate()
 
     @pytest.mark.parametrize("n", [1, 10, 100, 1000])
     def test_matches_oracle(self, n):
         rng = random.Random(11)
         pairs = [(i, random_rect(rng)) for i in range(n)]
-        tree = bulk_load(pairs, max_entries=16)
+        index = load(pairs, m=16)
         oracle = BruteForceIndex()
         for oid, rect in pairs:
             oracle.insert(oid, rect)
-        tree.validate()
-        assert len(tree) == n
+        index.validate()
+        assert len(index) == n
         probe = Rect(0.2, 0.2, 0.6, 0.6)
-        assert sorted(tree.search(probe)) == sorted(oracle.search(probe))
+        assert sorted(index.search(probe)) == sorted(oracle.search(probe))
 
     def test_duplicate_rejected(self):
         with pytest.raises(KeyError):
-            bulk_load([("a", Rect(0, 0, 1, 1)), ("a", Rect(0, 0, 1, 1))])
+            load([("a", Rect(0, 0, 1, 1)), ("a", Rect(0, 0, 1, 1))])
 
     def test_supports_mutation_after_load(self):
         rng = random.Random(3)
         pairs = [(i, random_rect(rng)) for i in range(500)]
-        tree = bulk_load(pairs, max_entries=8)
+        index = load(pairs)
         for oid in range(0, 500, 2):
-            tree.delete(oid)
+            index.delete(oid)
         for oid in range(500, 600):
-            tree.insert(oid, random_rect(rng))
-        tree.validate()
-        assert len(tree) == 350
+            index.insert(oid, random_rect(rng))
+        index.validate()
+        assert len(index) == 350
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,7 +221,7 @@ class TestBulkLoad:
 )
 def test_random_workload_matches_oracle(raw, rng):
     """Interleaved inserts / deletes / updates agree with brute force."""
-    tree = RStarTree(max_entries=5)
+    index = cell_index(5)
     oracle = BruteForceIndex()
     live = []
     for i, (x, y, w, h) in enumerate(raw):
@@ -253,21 +229,21 @@ def test_random_workload_matches_oracle(raw, rng):
         op = rng.random()
         if live and op < 0.25:
             victim = live.pop(rng.randrange(len(live)))
-            tree.delete(victim)
+            index.delete(victim)
             oracle.delete(victim)
         elif live and op < 0.5:
             target = live[rng.randrange(len(live))]
-            tree.update(target, rect)
+            index.update(target, rect)
             oracle.update(target, rect)
         else:
-            tree.insert(i, rect)
+            index.insert(i, rect)
             oracle.insert(i, rect)
             live.append(i)
-    tree.validate()
-    assert sorted(oid for oid, _ in tree.all_entries()) == sorted(live)
+    index.validate()
+    assert sorted(oid for oid, _ in index.all_entries()) == sorted(live)
     probe = Rect(0.25, 0.25, 0.8, 0.8)
-    assert sorted(tree.search(probe)) == sorted(oracle.search(probe))
+    assert sorted(index.search(probe)) == sorted(oracle.search(probe))
     q = Point(0.4, 0.6)
-    got = [d for _, _, d in tree.nearest_iter(q)]
+    got = [d for _, _, d in index.nearest_iter(q)]
     expected = [d for _, _, d in oracle.nearest_iter(q)]
     assert got == pytest.approx(expected)

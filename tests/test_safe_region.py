@@ -17,7 +17,8 @@ from repro.core.safe_region import (
 )
 from repro.geometry import Point, Rect
 from repro.geometry.distances import Delta, delta
-from repro.index import RStarTree
+from tests.test_cell_object_index import cell_index
+from tests.test_geometry import overlap_area
 
 CELL = Rect(0.4, 0.4, 0.6, 0.6)
 
@@ -38,7 +39,7 @@ class TestRangeSafeRegion:
         p = Point(0.45, 0.5)
         region = range_safe_region(query, p, CELL)
         assert region.contains_point(p)
-        assert not region.intersects_open(query.rect)
+        assert overlap_area(region, query.rect) == 0.0
         assert CELL.contains_rect(region)
 
     def test_outside_picks_longest_perimeter(self):
@@ -65,7 +66,7 @@ class TestRangeSafeRegion:
         region = range_safe_region(query, p, CELL)
         assert region.contains_point(p, eps=1e-9)
         if not query.rect.contains_point(p):
-            assert region.overlap_area(query.rect) <= 1e-12
+            assert overlap_area(region, query.rect) <= 1e-12
 
 
 class MaintainedQuery:
@@ -76,7 +77,7 @@ class MaintainedQuery:
         self.positions = {
             oid: Point(rng.random(), rng.random()) for oid in range(n)
         }
-        self.index = RStarTree()
+        self.index = cell_index()
         for oid, p in self.positions.items():
             self.index.insert(oid, Rect.from_point(p))
         self.query = KNNQuery(Point(0.5, 0.5), k, order_sensitive=order_sensitive)
@@ -221,7 +222,7 @@ class TestComputeSafeRegion:
                     assert query.rect.contains_rect(region) or \
                         query.rect.intersection(cell).contains_rect(region)
                 else:
-                    assert region.overlap_area(query.rect) <= 1e-12
+                    assert overlap_area(region, query.rect) <= 1e-12
             if oid not in world.query.results:
                 assert region.min_dist_to_point(world.query.center) >= \
                     world.query.radius - 1e-9

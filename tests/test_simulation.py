@@ -1,6 +1,8 @@
 """Tests for the simulation layer: scenarios, truth, metrics, engines."""
 
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -64,6 +66,39 @@ class TestScenario:
         assert Scenario(mean_speed=0.01).max_speed == 0.02
 
 
+class Parked:
+    """A trajectory stub that stays at one point."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def position_at(self, t):
+        return self.p
+
+
+def _brute_force(positions, queries):
+    """Scalar reference answers: closed rects, kNN by ``(d2, registration)``."""
+    oids = list(positions)
+    out = {}
+    for query in queries:
+        if isinstance(query, RangeQuery):
+            out[query.query_id] = frozenset(
+                o for o in oids if query.rect.contains_point(positions[o])
+            )
+            continue
+        c = query.center
+
+        def key(row):
+            p = positions[oids[row]]
+            dx, dy = p.x - c.x, p.y - c.y
+            return (dx * dx + dy * dy, row)
+
+        found = tuple(oids[r] for r in sorted(range(len(oids)), key=key))
+        found = found[: query.k]
+        out[query.query_id] = found if query.order_sensitive else frozenset(found)
+    return out
+
+
 class TestGroundTruth:
     def build(self):
         model = RandomWaypointModel(0.02, 0.2, seed=1)
@@ -90,6 +125,67 @@ class TestGroundTruth:
             assert snapshot["k"] == expected_knn
             assert isinstance(snapshot["ks"], frozenset)
             assert len(snapshot["ks"]) == 3
+
+        # A parked world with the inputs the answers hinge on.  "east"
+        # and "west" mirror each other about the kNN centre, so their
+        # distances tie exactly and registration order ranks "east"
+        # first; the "edge" objects sit on the range rect's closed
+        # boundary and "out" one ulp beyond it.
+        rect = Rect(0.25, 0.25, 0.75, 0.75)
+        positions = {
+            "east": Point(0.625, 0.5),
+            "west": Point(0.375, 0.5),
+            "corner": Point(0.25, 0.25),
+            "edge": Point(0.75, 0.5),
+            "top": Point(0.5, 0.75),
+            "out": Point(math.nextafter(0.75, 1.0), 0.5),
+            "far": Point(0.0, 1.0),
+        }
+        queries = [
+            RangeQuery(rect, query_id="r"),
+            KNNQuery(Point(0.5, 0.5), 1, query_id="k1"),
+            KNNQuery(Point(0.5, 0.5), 2, query_id="k2"),
+            KNNQuery(Point(0.5, 0.5), 50, query_id="kall"),
+            KNNQuery(
+                Point(0.5, 0.5), 50, order_sensitive=False, query_id="kset"
+            ),
+        ]
+        parked = GroundTruth(
+            {o: Parked(p) for o, p in positions.items()}, queries
+        ).evaluate_at(0.0)
+        assert parked == _brute_force(positions, queries)
+        assert parked["r"] == {"east", "west", "corner", "edge", "top"}
+        assert parked["k1"] == ("east",)
+        assert parked["k2"] == ("east", "west")
+        assert len(parked["kall"]) == len(positions)
+        assert parked["kall"][:2] == ("east", "west")
+        assert parked["kset"] == frozenset(positions)
+
+    def test_checkpoint_memory_is_per_query(self):
+        # One checkpoint holds O(N) temporaries per query, never a
+        # W x N matrix (which is 32 MB of float64 alone at this size).
+        rng = random.Random(3)
+        world = {
+            oid: Parked(Point(rng.random(), rng.random()))
+            for oid in range(20_000)
+        }
+        queries = []
+        for i in range(100):
+            x, y = rng.random() * 0.95, rng.random() * 0.95
+            queries.append(
+                RangeQuery(Rect(x, y, x + 0.05, y + 0.05), query_id=f"r{i}")
+            )
+            queries.append(
+                KNNQuery(Point(rng.random(), rng.random()), 5, query_id=f"k{i}")
+            )
+        truth = GroundTruth(world, queries)
+        tracemalloc.start()
+        try:
+            truth.evaluate_at(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_memoised(self):
         truth, _ = self.build()
