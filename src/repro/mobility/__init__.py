@@ -1,6 +1,6 @@
 """Mobility substrate: the random waypoint model and client-side logic."""
 
-from repro.mobility.client import MobileClient
-from repro.mobility.waypoint import RandomWaypointModel, Segment, Trajectory
+from repro.mobility.client import Clients, MobileClient
+from repro.mobility.waypoint import Fleet, RandomWaypointModel, Segment, Trajectory
 
-__all__ = ["RandomWaypointModel", "Trajectory", "Segment", "MobileClient"]
+__all__ = ["RandomWaypointModel", "Fleet", "Trajectory", "Segment", "Clients", "MobileClient"]

@@ -10,8 +10,10 @@ the exact moment a safe region is exited — can be computed analytically.
 Legs are float columns, not objects.  :meth:`RandomWaypointModel.build`
 draws every leg up to a horizon for a block of objects at a time,
 vectorised across the block, into one ``(legs, 6)`` float array per block
-— start time, end time, start point and velocity, 48 bytes a leg — and
-each :class:`Trajectory` is a run of rows in its block.  The variates are
+— start time, end time, start point and velocity, 48 bytes a leg.  Movers
+are rows too: a :class:`Fleet` keeps each one's block, first and last leg
+and lookup cursor in per-row columns, and a :class:`Trajectory` is a
+``(fleet, row)`` view of one, made on access.  The variates are
 each object's ``default_rng((seed, oid))`` stream, bit for bit, drawn as
 columns (:class:`~repro.mobility.streams.Streams`): no generator is ever
 made.  A trajectory asked about a time past its last leg re-seeds its
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -96,82 +100,92 @@ class LegBlock:
         self.flat = memoryview(rows.reshape(-1))
 
 
+class Rows(Mapping):
+    """An oid-keyed table: ``table[oid]`` is a ``_View`` of the oid's row,
+    made on access.  Tables over the same oids share one int object per
+    oid; a range of oids answers its O(1) ``index``, holding no dict."""
+
+    __slots__ = ("_oids", "_row")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, oids: Iterable) -> None:
+        if isinstance(oids, Rows):
+            self._oids, self._row = oids._oids, oids._row
+        elif isinstance(oids, range):
+            self._oids, self._row = list(oids), oids.index
+        else:
+            rows = {oid: row for row, oid in enumerate(dict.fromkeys(oids))}
+            self._oids, self._row = list(rows), rows.__getitem__
+
+    def __getitem__(self, oid):
+        try:
+            return self._View(self, self._row(oid))
+        except ValueError:  # ``range.index``
+            raise KeyError(oid) from None
+
+    def __iter__(self):
+        return iter(self._oids)
+
+    def __len__(self) -> int:
+        return len(self._oids)
+
+
 class Trajectory:
-    """A piecewise-linear random-waypoint trajectory: legs ``lo:hi`` of a
-    :class:`LegBlock`, extended on demand past its last leg.
+    """A piecewise-linear random-waypoint trajectory: a view of row
+    ``row`` of a :class:`Fleet`, extended on demand past its last leg."""
 
-    ``_lo``, ``_hi`` and ``_at`` are offsets into the block's flat view,
-    ``6 × leg``: the run's first leg, one past its last, and the leg the
-    last lookup landed on.
-    """
+    __slots__ = ("_fleet", "_row")
 
-    __slots__ = ("_model", "_oid", "_legs", "_lo", "_hi", "_at")
-
-    def __init__(
-        self,
-        model: RandomWaypointModel,
-        oid,
-        legs: LegBlock,
-        lo: int,
-        hi: int,
-    ) -> None:
-        self._model = model
-        self._oid = oid
-        self._legs = legs
-        self._lo = _W * lo
-        self._hi = _W * hi
-        # Lookups run (almost always) forward in time: the next scan
-        # starts where the last one landed.
-        self._at = self._lo
+    def __init__(self, fleet: Fleet, row: int) -> None:
+        self._fleet = fleet
+        self._row = row
 
     @property
     def max_speed(self) -> float:
         """Upper bound on this trajectory's speed (``2 v_mean``)."""
-        return 2.0 * self._model.mean_speed
+        return 2.0 * self._fleet._model.mean_speed
 
-    def _cover(self, t: float) -> None:
-        """Build legs on until the last one ends after ``t``."""
-        end = self._legs.flat[self._hi - _W + _T1]
-        if t >= end:
-            # Doubling keeps a trajectory read ever later to a few builds.
-            self._model._extend((self,), max(t, 2.0 * end))
-
-    def _leg(self, t: float) -> int:
-        """Offset of the leg active at ``t``.
+    def _leg(self, t: float) -> tuple[memoryview, int]:
+        """The flat leg view and the offset of the leg active at ``t``.
 
         At a leg boundary both legs are active; the cursor decides, and
         exit walks from there differ in the last ulp, so every reader
-        goes through here — before it reads ``_legs``, which building on
-        moves to a new block.
+        goes through here — and reads the view it returns, as building
+        on moves the row to a new block.
         """
         if t < 0:
             raise ValueError(f"time must be non-negative: {t}")
-        legs = self._legs.flat
-        b = self._at
+        fleet, row = self._fleet, self._row
+        legs = fleet._legs[row].flat
+        # Lookups run (almost always) forward in time: the scan starts
+        # where the last one landed.
+        b = fleet._at[row]
         if legs[b] > t:
-            b = self._lo
+            b = fleet._lo[row]
         while legs[b + 1] < t:
             b += _W
-            if b == self._hi:
-                # Past the last leg: build on, then resume at the same
+            if b == fleet._hi[row]:
+                # Past the last leg: build on — doubling keeps a row read
+                # ever later to a few builds — then resume at the same
                 # leg's new offset.
-                self._at = b - _W
-                self._cover(t)
-                legs = self._legs.flat
-                b = self._at + _W
-        self._at = b
-        return b
+                fleet._at[row] = b - _W
+                fleet._extend((row,), max(t, 2.0 * legs[b - _W + _T1]))
+                legs = fleet._legs[row].flat
+                b = fleet._at[row] + _W
+        fleet._at[row] = b
+        return legs, b
 
     def segment_at(self, t: float) -> Segment:
         """The leg active at time ``t``."""
-        b = self._leg(t)
-        start, end, x, y, vx, vy = _unpack_leg(self._legs.flat, 8 * b)
+        legs, b = self._leg(t)
+        start, end, x, y, vx, vy = _unpack_leg(legs, 8 * b)
         return Segment(start, end, Point(x, y), vx, vy)
 
     def position_at(self, t: float) -> Point:
         """Exact position at time ``t``."""
-        b = self._leg(t)
-        start, end, x, y, vx, vy = _unpack_leg(self._legs.flat, 8 * b)
+        legs, b = self._leg(t)
+        start, end, x, y, vx, vy = _unpack_leg(legs, 8 * b)
         # ``Segment.position_at``: ``min(max(t, start), end) - start``,
         # comparison for comparison, without two builtin calls.
         clamped = start if start > t else t
@@ -180,20 +194,7 @@ class Trajectory:
 
     def distance_travelled(self, t0: float, t1: float) -> float:
         """Path length covered between ``t0`` and ``t1``."""
-        if t1 <= t0:
-            return 0.0
-        self._cover(t1)
-        legs = self._legs.flat
-        total = 0.0
-        for b in range(self._lo, self._hi, _W):
-            start, end = legs[b], legs[b + 1]
-            if end <= t0:
-                continue
-            if start >= t1:
-                break
-            overlap = min(end, t1) - max(start, t0)
-            total += math.hypot(legs[b + 4], legs[b + 5]) * overlap
-        return total
+        return total_distance_travelled((self,), t0, t1)
 
     def exit_time_from_rect(self, rect: Rect, t: float, horizon: float) -> float:
         """First time in ``[t, horizon]`` the trajectory leaves ``rect``.
@@ -204,8 +205,8 @@ class Trajectory:
         _check_horizon(horizon)
         current = t
         while current <= horizon:
-            b = self._leg(current)
-            start, end, x, y, vx, vy = _unpack_leg(self._legs.flat, 8 * b)
+            legs, b = self._leg(current)
+            start, end, x, y, vx, vy = _unpack_leg(legs, 8 * b)
             # ``min(max(current, start), end) - start``, as in
             # :meth:`position_at`.
             clamped = start if start > current else current
@@ -230,6 +231,63 @@ class Trajectory:
         return math.inf
 
 
+class Fleet(Rows):
+    """Trajectories keyed by oid, a row each, in columns: its
+    :class:`LegBlock`, and its first leg, one past its last and lookup
+    cursor as offsets (``6 × leg``) into the block's flat view."""
+
+    __slots__ = ("_model", "_legs", "_lo", "_hi", "_at")
+    _View = Trajectory
+
+    def __init__(self, model: RandomWaypointModel, oids: Iterable) -> None:
+        super().__init__(oids)
+        self._model = model
+        self._legs: list[LegBlock] = []
+        self._lo, self._hi, self._at = array("q"), array("q"), array("q")
+
+    def _append(self, legs: LegBlock, lo: np.ndarray, count: np.ndarray) -> None:
+        """Rows for the next ``len(lo)`` oids: runs ``lo:lo + count`` of ``legs``."""
+        self._legs += [legs] * len(lo)
+        self._lo.extend((_W * lo).tolist())
+        self._hi.extend((_W * (lo + count)).tolist())
+        self._at.extend((_W * lo).tolist())
+
+    def _extend(self, rows: Sequence[int], horizon: float) -> None:
+        """Build legs on until each row's last ends past ``horizon``.
+
+        Each stream is re-seeded and jumped past the variates the built
+        legs used (two for the start, four a leg) with
+        :meth:`Streams.advance`, which continues it exactly; the old legs
+        and the new move to a fresh block.
+        """
+        _check_horizon(horizon)
+        blocks, lo, hi, at = self._legs, self._lo, self._hi, self._at
+        x, y, t, keep = [], [], [], []
+        for row in rows:
+            # The cursor: ``Segment.position_at(end_time)`` of the last leg.
+            start, end, lx, ly, vx, vy = _unpack_leg(
+                blocks[row].flat, 8 * (hi[row] - _W)
+            )
+            x.append(lx + vx * (end - start))
+            y.append(ly + vy * (end - start))
+            t.append(end)
+            keep.append((hi[row] - lo[row]) // _W)
+        keep = np.array(keep, dtype=np.intp)
+        streams = Streams(self._model._seed, [self._oids[row] for row in rows])
+        streams.advance(np.arange(len(keep)), 2 + 4 * keep)
+        steps = self._model._walk(
+            streams, np.array(x), np.array(y), np.array(t), horizon, None
+        )
+        legs, first, count = _lay_out(steps, keep)
+        for row, new, n, kept in zip(rows, first.tolist(), count.tolist(), keep.tolist()):
+            old = lo[row] // _W
+            legs.rows[new:new + kept] = blocks[row].rows[old:old + kept]
+            at[row] += _W * new - lo[row]
+            blocks[row] = legs
+            lo[row] = _W * new
+            hi[row] = _W * (new + n)
+
+
 def _leg_exit(x: float, y: float, vx: float, vy: float, rect: Rect) -> float:
     """Time (relative) until motion from ``(x, y)`` leaves ``rect``.
 
@@ -252,90 +310,109 @@ def _leg_exit(x: float, y: float, vx: float, vy: float, rect: Rect) -> float:
     return 0.0 if 0.0 > t_exit else t_exit
 
 
-def _stacked(
-    trajectories: Sequence[Trajectory],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(legs, lo, hi)``: one leg array over the trajectories' blocks —
-    the block itself when they share one — and each one's legs in it."""
+def _groups(trajectories: Iterable[Trajectory]) -> list[tuple]:
+    """``(fleet, rows, places)`` per fleet: its trajectories' rows and their
+    places in ``trajectories``; a fleet's ``values()`` read as its rows."""
+    fleet = getattr(trajectories, "_mapping", None)
+    if type(trajectories) is ValuesView and isinstance(fleet, Fleet):
+        return [(fleet, np.arange(len(fleet)), np.arange(len(fleet)))]
+    groups: dict[Fleet, tuple[list, list]] = {}  # tables hash by identity
+    for place, trajectory in enumerate(trajectories):
+        rows, places = groups.setdefault(trajectory._fleet, ([], []))
+        rows.append(trajectory._row)
+        places.append(place)
+    return [(fleet, np.array(rows), np.array(places, np.intp))
+            for fleet, (rows, places) in groups.items()]
+
+
+def _stacked(fleet: Fleet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(legs, lo, hi, at)``: one leg array over the rows' blocks — the
+    block itself when they share one — and each row's first leg, one
+    past its last and cursor leg in it."""
     blocks: dict[LegBlock, int] = {}
-    index, lo, hi = [], [], []
-    for trajectory in trajectories:
-        index.append(blocks.setdefault(trajectory._legs, len(blocks)))
-        lo.append(trajectory._lo)
-        hi.append(trajectory._hi)
-    lo = np.array(lo, dtype=np.intp) // _W
-    hi = np.array(hi, dtype=np.intp) // _W
+    refs = fleet._legs
+    block = [blocks.setdefault(refs[row], len(blocks)) for row in rows.tolist()]
+    lo, hi, at = (
+        np.frombuffer(column, np.int64)[rows] // _W
+        for column in (fleet._lo, fleet._hi, fleet._at)
+    )
     if len(blocks) == 1:
-        return next(iter(blocks)).rows, lo, hi
+        return next(iter(blocks)).rows, lo, hi, at
     arrays = [legs.rows for legs in blocks]
-    sizes = [len(array) for array in arrays]
-    base = (np.cumsum(sizes) - sizes)[np.array(index, dtype=np.intp)]
-    return np.concatenate(arrays), lo + base, hi + base
+    sizes = [len(rows) for rows in arrays]
+    base = (np.cumsum(sizes) - sizes)[block]
+    return np.concatenate(arrays), lo + base, hi + base, at + base
 
 
-def _covered(
-    trajectories: Sequence[Trajectory], t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_stacked`, once every trajectory's legs run past ``t``."""
-    legs, lo, hi = stacked = _stacked(trajectories)
-    short = np.flatnonzero(legs[hi - 1, _T1] <= t).tolist()
-    if not short:
+def _covered(fleet: Fleet, rows: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+    """:func:`_stacked`, once every row's legs run past ``t``."""
+    stacked = _stacked(fleet, rows)
+    legs, _, hi, _ = stacked
+    short = rows[legs[hi - 1, _T1] <= t]
+    if not short.size:
         return stacked
-    by_model: dict[RandomWaypointModel, list[Trajectory]] = {}
-    for i in short:
-        trajectory = trajectories[i]
-        by_model.setdefault(trajectory._model, []).append(trajectory)
-    for model, group in by_model.items():
-        model._extend(group, t)
-    return _stacked(trajectories)
+    fleet._extend(np.unique(short).tolist(), t)
+    return _stacked(fleet, rows)
 
 
 def exit_times_from_rects(
-    trajectories: Sequence[Trajectory],
+    trajectories: Iterable[Trajectory],
     rects: Sequence[Rect],
     t: float,
     horizon: float,
 ) -> list[float]:
     """:meth:`Trajectory.exit_time_from_rect` for many pairs, bit for bit.
 
-    A columnar walk over the (active leg, rect) columns: each step
-    answers every row its leg decides — already outside, exit inside the
-    leg, or the hop past the leg's end lands past ``horizon`` — with the
-    same IEEE operations in the same order as the scalar walk, and moves
-    the rest on to their next leg.  Each trajectory's lookup cursor ends
-    where the scalar walk leaves it.
+    A columnar walk over the (active leg, rect) columns, a leg block's
+    worth of a fleet's rows at a time: each step answers every row its
+    leg decides — already outside, exit inside the leg, or the hop past
+    the leg's end lands past ``horizon`` — with the same IEEE operations
+    in the same order as the scalar walk, and moves the rest on to their
+    next leg.  Each row's cursor ends where the scalar walk leaves it.
     """
     _check_horizon(horizon)
-    n = len(trajectories)
-    if t > horizon:
+    n = len(rects)
+    if t > horizon or not n:
         return [math.inf] * n
-    if not n:
-        return []
-    legs, lo, _ = _covered(trajectories, horizon)
-    leg = lo + np.array(
-        [trajectory._leg(t) - trajectory._lo for trajectory in trajectories],
-        dtype=np.intp,
-    ) // _W
-    first = leg.copy()
+    if t < 0:
+        raise ValueError(f"time must be non-negative: {t}")
+    bounds = np.fromiter(
+        (v for r in rects for v in (r.min_x, r.min_y, r.max_x, r.max_y)),
+        np.float64, 4 * n,
+    ).reshape(n, 4)
+    out = np.empty(n)
+    for fleet, rows, places in _groups(trajectories):
+        for i in range(0, len(rows), BLOCK):
+            part = places[i:i + BLOCK]
+            out[part] = _exit_times(
+                fleet, rows[i:i + BLOCK], bounds[part], t, horizon
+            )
+    return out.tolist()
+
+
+def _exit_times(fleet, rows, bounds, t, horizon) -> np.ndarray:
+    """:func:`exit_times_from_rects` for one block of a fleet's rows."""
+    n = len(rows)
+    legs, lo, _, at = _covered(fleet, rows, horizon)
+    # ``Trajectory._leg(t)``, row by row: from the cursor, or from the
+    # first leg when the cursor's leg starts after ``t``.
+    leg = np.where(legs[at, 0] > t, lo, at)
+    behind = legs[leg, _T1] < t
+    while behind.any():
+        leg[behind] += 1
+        behind = legs[leg, _T1] < t
     last = leg.copy()
-
-    def column(values) -> np.ndarray:
-        return np.fromiter(values, np.float64, n)
-
-    min_x = column(rect.min_x for rect in rects)
-    min_y = column(rect.min_y for rect in rects)
-    max_x = column(rect.max_x for rect in rects)
-    max_y = column(rect.max_y for rect in rects)
+    min_x, min_y, max_x, max_y = bounds.T
     out = np.full(n, math.inf)
-    rows = np.arange(n)
+    live = np.arange(n)
     current = np.full(n, float(t))
-    while rows.size:
+    while live.size:
         start, end, x, y, vx, vy = legs[leg].T
         # ``Segment.position_at(current)``.
         dt = np.minimum(np.maximum(current, start), end) - start
         px = x + vx * dt
         py = y + vy * dt
-        lx, ly, hx, hy = min_x[rows], min_y[rows], max_x[rows], max_y[rows]
+        lx, ly, hx, hy = min_x[live], min_y[live], max_x[live], max_y[live]
         inside = (
             (lx - 1e-12 <= px) & (px <= hx + 1e-12)
             & (ly - 1e-12 <= py) & (py <= hy + 1e-12)
@@ -348,35 +425,35 @@ def exit_times_from_rects(
         exit_y[vy == 0.0] = math.inf
         exit_at = current + np.maximum(np.minimum(exit_x, exit_y), 0.0)
         in_leg = inside & (exit_at <= end)
-        out[rows[~inside]] = current[~inside]
+        out[live[~inside]] = current[~inside]
         found = in_leg & (exit_at <= horizon)
-        out[rows[found]] = exit_at[found]
-        last[rows] = leg
+        out[live[found]] = exit_at[found]
+        last[live] = leg
         # The rest hop just past their leg's end, while within the horizon.
         hop = np.nextafter(np.maximum(end, current), math.inf)
         on = inside & ~in_leg & (hop <= horizon)
-        rows, leg, current = rows[on], leg[on], hop[on]
+        live, leg, current = live[on], leg[on], hop[on]
         behind = legs[leg, _T1] < current
         while behind.any():
             leg[behind] += 1
             behind = legs[leg, _T1] < current
-    for row in np.flatnonzero(last != first).tolist():
-        trajectory = trajectories[row]
-        trajectory._at = trajectory._lo + _W * int(last[row] - lo[row])
-    return out.tolist()
+    np.frombuffer(fleet._at, np.int64)[rows] = (
+        np.frombuffer(fleet._lo, np.int64)[rows] + _W * (last - lo)
+    )
+    return out
 
 
 def total_distance_travelled(
     trajectories: Iterable[Trajectory], t0: float, t1: float
 ) -> float:
-    """``sum(tr.distance_travelled(t0, t1) for tr in trajectories)``, bit
-    for bit, in one pass over the leg columns: step ``k`` adds every
-    trajectory's ``k``-th leg, so each sum runs in leg order."""
-    trajectories = list(trajectories)
-    n = len(trajectories)
-    totals = np.zeros(n)
-    if t1 > t0 and n:
-        legs, lo, hi = _covered(trajectories, t1)
+    """Path length covered between ``t0`` and ``t1``, summed over the
+    trajectories in order, in one pass over the leg columns: step ``k``
+    adds every row's ``k``-th leg, so each row's sum runs in leg order,
+    as :meth:`Trajectory.distance_travelled` (this, for one row) reads."""
+    groups = _groups(trajectories)
+    totals = np.zeros(sum(len(rows) for _, rows, _ in groups))
+    for fleet, rows, places in groups if t1 > t0 else ():
+        legs, lo, hi, _ = _covered(fleet, rows, t1)
         start, end, _, _, vx, vy = legs.T
         speed = np.fromiter(
             map(math.hypot, vx.tolist(), vy.tolist()), np.float64, vx.size
@@ -387,7 +464,7 @@ def total_distance_travelled(
         count = hi - lo
         for k in range(int(count.max())):
             live = np.flatnonzero(count > k)
-            totals[live] += travelled[lo[live] + k]
+            totals[places[live]] += travelled[lo[live] + k]
     return sum(totals.tolist())
 
 
@@ -410,7 +487,7 @@ class RandomWaypointModel:
         """Trajectory for object ``oid`` (reproducible per (seed, oid))."""
         return self.build((oid,), 0.0)[oid]
 
-    def build(self, oids: Iterable, horizon: float) -> dict:
+    def build(self, oids: Iterable, horizon: float) -> Fleet:
         """Trajectories for ``oids``, keyed by oid, every leg drawn until
         each passes ``horizon``: a block of objects at a time, each from
         its own ``default_rng((seed, oid))`` stream, seeded and drawn
@@ -422,9 +499,9 @@ class RandomWaypointModel:
         _check_horizon(horizon)
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative: {horizon}")
-        oids = list(oids)
+        fleet = Fleet(self, oids)
+        oids = fleet._oids
         space = self.space
-        built = {}
         for first in range(0, len(oids), BLOCK):
             block = oids[first:first + BLOCK]
             streams = Streams(self._seed, block)
@@ -436,48 +513,10 @@ class RandomWaypointModel:
             steps = self._walk(
                 streams, x, y, np.zeros(len(block)), horizon, u[:, 2:]
             )
-            legs, lo, count = _lay_out(steps, np.zeros(len(block), np.intp))
-            for oid, row, n in zip(block, lo.tolist(), count.tolist()):
-                built[oid] = Trajectory(self, oid, legs, row, row + n)
-        return built
-
-    def _extend(self, trajectories: Sequence[Trajectory], horizon: float) -> None:
-        """Build legs on until each trajectory's last ends past ``horizon``.
-
-        Each stream is re-seeded and jumped past the variates the built
-        legs used (two for the start, four a leg) with
-        :meth:`Streams.advance`, which continues it exactly; the old legs
-        and the new move to a fresh block.
-        """
-        _check_horizon(horizon)
-        x, y, t, keep = [], [], [], []
-        for trajectory in trajectories:
-            n = (trajectory._hi - trajectory._lo) // _W
-            # The cursor: ``Segment.position_at(end_time)`` of the last leg.
-            old = trajectory._legs.flat
-            start, end, lx, ly, vx, vy = old[trajectory._hi - _W:trajectory._hi]
-            x.append(lx + vx * (end - start))
-            y.append(ly + vy * (end - start))
-            t.append(end)
-            keep.append(n)
-        keep = np.array(keep, dtype=np.intp)
-        streams = Streams(
-            self._seed, [trajectory._oid for trajectory in trajectories]
-        )
-        streams.advance(np.arange(len(keep)), 2 + 4 * keep)
-        steps = self._walk(
-            streams, np.array(x), np.array(y), np.array(t), horizon, None
-        )
-        legs, lo, count = _lay_out(steps, keep)
-        for trajectory, row, n, kept in zip(
-            trajectories, lo.tolist(), count.tolist(), keep.tolist()
-        ):
-            first = trajectory._lo // _W
-            legs.rows[row:row + kept] = trajectory._legs.rows[first:first + kept]
-            trajectory._at += _W * row - trajectory._lo
-            trajectory._legs = legs
-            trajectory._lo = _W * row
-            trajectory._hi = _W * (row + n)
+            fleet._append(
+                *_lay_out(steps, np.zeros(len(block), np.intp))
+            )
+        return fleet
 
     def _walk(
         self,

@@ -35,9 +35,8 @@ import math
 from repro.core.queries import Query
 from repro.core.server import DatabaseServer, ServerConfig
 from repro.faults import ProbeTimeout
-from repro.mobility.client import MobileClient
+from repro.mobility.client import Clients, MobileClient
 from repro.mobility.waypoint import (
-    BLOCK,
     RandomWaypointModel,
     exit_times_from_rects,
     total_distance_travelled,
@@ -92,38 +91,29 @@ class SRBSimulation:
         self._m_poll_floored = self.metrics.counter(
             "sim.installs.poll_floored"
         )
-        if truth is not None:
-            if queries is None:
-                queries = truth.queries
-            self.queries = queries
-            self.truth = truth
-            self.clients = {
-                oid: MobileClient(oid, trajectory)
-                for oid, trajectory in truth.trajectories().items()
-            }
-        else:
+        if truth is None:
             model = RandomWaypointModel(
                 scenario.mean_speed,
                 scenario.mean_period,
                 scenario.space,
                 seed=scenario.seed,
             )
-            # Every leg to the end of the run, in columns.
-            self.clients = {
-                oid: MobileClient(oid, trajectory)
-                for oid, trajectory in model.build(
-                    range(scenario.num_objects), scenario.duration
-                ).items()
-            }
             if queries is None:
                 queries = generate_queries(
                     scenario.workload(), seed=scenario.seed
                 )
-            self.queries = queries
-            self.truth = GroundTruth(
-                {oid: client.trajectory for oid, client in self.clients.items()},
+            # Every leg to the end of the run, in columns.
+            truth = GroundTruth(
+                model.build(range(scenario.num_objects), scenario.duration),
                 queries,
             )
+        elif queries is None:
+            queries = truth.queries
+        self.queries = queries
+        self.truth = truth
+        #: Client state in columns this simulation owns, over the truth's
+        #: trajectories; the per-event path reads it through ``clients``.
+        self._clients = self.clients = Clients(truth.trajectories())
         #: Fault injection (docs/ROBUSTNESS.md).  ``None`` reproduces the
         #: paper's perfectly reliable channel bit-for-bit; otherwise both
         #: protocol directions and the probe channel are independently
@@ -251,37 +241,30 @@ class SRBSimulation:
         the server sets up in one pass (``bootstrap``) and probes nobody.
         """
         self._now = 0.0
+        clients = self._clients
+        trajectories = clients.trajectories
         granted = self.server.bootstrap(
             (
-                (oid, client.position_at(0.0))
-                for oid, client in self.clients.items()
+                (oid, trajectory.position_at(0.0))
+                for oid, trajectory in trajectories.items()
             ),
             self.queries,
             0.0,
         )
         horizon = self.scenario.duration
         poll = self.scenario.client_poll_interval
-        # First exits, a columnar block of clients at a time (client
-        # order, so ``seq`` tie-breaks are those of a per-client loop;
-        # a leg block's worth, so each pass reads one leg array).
-        members = iter(self.clients.items())
-        while block := list(itertools.islice(members, BLOCK)):
-            regions = [granted[oid] for oid, _ in block]
-            first_exits = exit_times_from_rects(
-                [client.trajectory for _, client in block],
-                regions,
-                0.0,
-                horizon,
-            )
-            for (oid, client), region, exit_at in zip(
-                block, regions, first_exits
-            ):
-                client.adopt_safe_region(region)
-                exit_at = max(exit_at, poll)
-                if exit_at <= horizon:
-                    self._schedule(
-                        exit_at, _PRIO_EXIT, "exit", (oid, client.epoch)
-                    )
+        # Each client of the fresh table adopts its region (column-wise)
+        # and schedules its first exit in client order, for ``seq`` ties.
+        clients.regions[:] = regions = [granted[oid] for oid in clients]
+        first_exits = exit_times_from_rects(
+            trajectories.values(), regions, 0.0, horizon
+        )
+        epochs = clients.epochs
+        for row, (oid, exit_at) in enumerate(zip(clients, first_exits)):
+            epochs[row] += 1
+            exit_at = max(exit_at, poll)
+            if exit_at <= horizon:
+                self._schedule(exit_at, _PRIO_EXIT, "exit", (oid, epochs[row]))
         for t in self.scenario.sample_times():
             self._schedule(t, _PRIO_SAMPLE, "sample", None)
         if self.scenario.kill_shard is not None:
@@ -326,9 +309,7 @@ class SRBSimulation:
                     self._on_sample()
         self.server.refresh_index_gauges()
         total_distance = total_distance_travelled(
-            (client.trajectory for client in self.clients.values()),
-            0.0,
-            scenario.duration,
+            self._clients.trajectories.values(), 0.0, scenario.duration
         )
         self.costs = CommunicationCosts.from_server_stats(
             self.server.stats, updates=self.costs.updates

@@ -29,6 +29,9 @@ class GroundTruth:
     ``Kernels.top_k_rows`` selection, whose ``(d2, row)`` order breaks
     distance ties by object registration order.  Memory stays O(N) per
     query rather than O(W x N) per checkpoint.
+
+    ``trajectories`` is kept as given: a ``Fleet`` or any mapping of
+    objects with ``position_at``, iterated in object-id order.
     """
 
     def __init__(
@@ -36,22 +39,21 @@ class GroundTruth:
         trajectories: Mapping[ObjectId, Trajectory],
         queries: Sequence[Query],
     ) -> None:
-        self._ids = list(trajectories.keys())
-        self._trajectories = [trajectories[oid] for oid in self._ids]
+        self._trajectories = trajectories
         self.queries = list(queries)
         self.kernels = Kernels()
         self._memo: dict[float, dict[str, Snapshot]] = {}
 
-    def trajectories(self) -> dict[ObjectId, Trajectory]:
-        """The object trajectories this truth was built over."""
-        return dict(zip(self._ids, self._trajectories))
+    def trajectories(self) -> Mapping[ObjectId, Trajectory]:
+        """The mapping of object trajectories this truth was built over."""
+        return self._trajectories
 
     def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays (xs, ys) aligned with the object-id order."""
         n = len(self._trajectories)
         xs = np.empty(n)
         ys = np.empty(n)
-        for i, trajectory in enumerate(self._trajectories):
+        for i, trajectory in enumerate(self._trajectories.values()):
             p = trajectory.position_at(t)
             xs[i] = p.x
             ys[i] = p.y
@@ -71,7 +73,7 @@ class GroundTruth:
         if cached is not None:
             return cached
         xs, ys = self.positions_at(t)
-        ids = self._ids
+        ids = list(self._trajectories)
         results: dict[str, Snapshot] = {}
         for query in self.queries:
             if isinstance(query, RangeQuery):

@@ -181,6 +181,11 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     # scalar reference generator's, and no generator outlives a build.
     assert "tests/test_mobility.py::TestColumnarLegs" in runs[tests[0]]
     assert "tests/test_mobility.py::TestLegMemory" in runs[tests[0]]
+    # ... and the movers as rows: no per-mover object after construction,
+    # and the closed loop's exact counts pinned, whole file.
+    assert "tests/test_mobility.py::TestMoverMemory" in runs[tests[0]]
+    assert "tests/test_loop_fingerprint.py" in runs[tests[0]]
+    assert "tests/test_loop_fingerprint.py::" not in runs[tests[0]]
     # ... and the streams those legs are drawn from: equal to NumPy's
     # generators, and the built worlds pinned by digest.
     assert "tests/test_streams.py" in runs[tests[0]]
@@ -196,8 +201,13 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "class TestLegMemory:",
         "def test_built_trajectories_keep_no_generator(",
         "def test_a_leg_takes_at_most_64_bytes(",
+        "class TestMoverMemory:",
+        "def test_construction_keeps_no_per_mover_object(",
     ):
         assert name in mobility
+    fingerprint = (ROOT / "tests" / "test_loop_fingerprint.py").read_text()
+    assert "def test_loop_counts_do_not_move(" in fingerprint
+    assert "def test_engine_and_truth_share_each_cursor(" in fingerprint
     start_up = (ROOT / "tests" / "test_bootstrap.py").read_text()
     assert "def test_start_up_restores_the_collector_state(" in start_up
     # ... and the monitoring loop's probes: a dense kNN world probes

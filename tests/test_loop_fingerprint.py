@@ -1,0 +1,117 @@
+"""Closed-loop fingerprint: a small SRB loop's exact counts do not move.
+
+The benchmark ladder's loops are judged on five exact counts and the
+travelled distance, which must stay bit-identical across refactors of
+the mobility, client and engine layers.  This pins them for a loop small
+enough for tier-1 (N = 2,000, W = 20, one time unit), seeds 1–3, on a
+single server and on two in-process shards.  A change that means to
+alter the loop's behaviour updates the table and says so.
+
+The loop never reads a trajectory exactly at a leg boundary, where both
+legs are active and the row's one lookup cursor decides which answers,
+so the counts cannot see that rule.  The second test reads there on
+purpose, through the engine's clients after the truth moved the cursor.
+"""
+
+import hashlib
+import math
+
+import pytest
+
+from repro.experiments.figures import BENCH_BASE
+from repro.geometry import Rect
+from repro.simulation.engine import SRBSimulation
+
+#: ``(shards, seed)`` → ``(comm.updates, comm.probes, accuracy.hex(),
+#: comm_cost.hex(), server.update_calls, total_distance.hex())``.
+FINGERPRINTS = {
+    (0, 1): (
+        1254, 135, '0x1.fd70a3d70a3d7p-1', '0x1.74dd2f1a9fbe7p-1',
+        1254, '0x1.3f40c53968b3ap+4',
+    ),
+    (0, 2): (
+        1332, 174, '0x1.feb851eb851ecp-1', '0x1.97ced916872b0p-1',
+        1332, '0x1.3de0f94dba3f3p+4',
+    ),
+    (0, 3): (
+        1507, 280, '0x1.feb851eb851ecp-1', '0x1.ed4fdf3b645a2p-1',
+        1507, '0x1.419e49e9e6a45p+4',
+    ),
+    (2, 1): (
+        1496, 190, '0x1.d99999999999ap-1', '0x1.c7ef9db22d0e5p-1',
+        1496, '0x1.3f40c53968b3ap+4',
+    ),
+    (2, 2): (
+        1362, 179, '0x1.feb851eb851ecp-1', '0x1.a16872b020c4ap-1',
+        1362, '0x1.3de0f94dba3f3p+4',
+    ),
+    (2, 3): (
+        1594, 313, '0x1.f5c28f5c28f5cp-1', '0x1.0820c49ba5e35p+0',
+        1594, '0x1.419e49e9e6a45p+4',
+    ),
+}
+
+
+class CountingServer:
+    """Counts the server's report entry point, as the benchmark does."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.update_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def handle_location_update(self, *args):
+        self.update_calls += 1
+        return self.inner.handle_location_update(*args)
+
+
+@pytest.mark.parametrize("shards, seed", sorted(FINGERPRINTS))
+def test_loop_counts_do_not_move(shards, seed):
+    scenario = BENCH_BASE.with_overrides(
+        num_objects=2_000, num_queries=20, duration=1.0, seed=seed,
+        shards=shards,
+    )
+    sim = SRBSimulation(scenario)
+    sim.server = server = CountingServer(sim.server)
+    report = sim.run()
+    got = (
+        report.costs.updates,
+        report.costs.probes,
+        report.accuracy.hex(),
+        report.comm_cost.hex(),
+        server.update_calls,
+        report.total_distance.hex(),
+    )
+    assert got == FINGERPRINTS[shards, seed]
+
+
+#: sha256 over the exit times of ``test_engine_and_truth_share_each_cursor``.
+BOUNDARY_EXITS = (
+    "be2d1126dd62aacf2b161cfb3f6f4fa676c81c06163fac4eecbf6ab3862d25f0"
+)
+
+
+def test_engine_and_truth_share_each_cursor():
+    """The truth reads just past a row's first leg end, moving the row's
+    cursor to its second leg; the engine's client then walks its exit
+    from exactly that boundary, from the leg the cursor is on.  From the
+    first leg the walk hops the boundary and many exits differ in the
+    last ulp."""
+    scenario = BENCH_BASE.with_overrides(
+        num_objects=2_000, num_queries=20, duration=1.0, seed=1
+    )
+    sim = SRBSimulation(scenario)
+    trajectories = sim.truth.trajectories()
+    digest = hashlib.sha256()
+    for oid in range(0, 2_000, 10):
+        boundary = trajectories[oid].segment_at(0.0).end_time
+        trajectories[oid].position_at(math.nextafter(boundary, math.inf))
+        client = sim.clients[oid]
+        p = client.position_at(boundary)
+        client.adopt_safe_region(
+            Rect(p.x - 1e-4, p.y - 1e-4, p.x + 1e-4, p.y + 1e-4)
+        )
+        digest.update(client.next_exit_time(boundary, 1.0).hex().encode())
+    assert digest.hexdigest() == BOUNDARY_EXITS

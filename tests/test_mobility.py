@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.figures import BENCH_BASE
 from repro.geometry import Point, Rect
-from repro.mobility import MobileClient, RandomWaypointModel, Segment, Trajectory
+from repro.mobility import Clients, Fleet, MobileClient, RandomWaypointModel, Segment, Trajectory
 from repro.mobility.waypoint import (
     LegBlock,
     exit_times_from_rects,
     total_distance_travelled,
 )
+from repro.simulation.engine import SRBSimulation
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -30,10 +32,12 @@ def built_legs(trajectory: Trajectory) -> list[Segment]:
 
     Legs are a run of rows in a float block shared by the trajectories
     built with it, not a list of ``Segment`` objects, so asserts about
-    the built legs read that run of rows (``_lo`` / ``_hi`` are offsets
-    into the block's flat view, six floats a leg).
+    the built legs read that run of rows.  A trajectory is a view of a
+    fleet row, whose ``_legs`` / ``_lo`` / ``_hi`` columns hold the block
+    and the run's offsets into its flat view (six floats a leg).
     """
-    rows = trajectory._legs.rows[trajectory._lo // 6:trajectory._hi // 6]
+    fleet, row = trajectory._fleet, trajectory._row
+    rows = fleet._legs[row].rows[fleet._lo[row] // 6:fleet._hi[row] // 6]
     return [
         Segment(start, end, Point(x, y), vx, vy)
         for start, end, x, y, vx, vy in rows.tolist()
@@ -359,7 +363,8 @@ def scripted(first: Segment, seed: int) -> Trajectory:
     """A trajectory whose first leg is ``first``; the model draws the rest.
 
     A trajectory is a run of rows in a leg block and keeps no generator,
-    so the scripted leg is a one-row block, and the legs after it come
+    so the scripted leg is a one-row block laid out as a one-row fleet,
+    and the legs after it come
     from object 0's ``(seed, 0)`` stream advanced past one leg's
     variates, as for any trajectory extended past its last leg.
     """
@@ -368,7 +373,9 @@ def scripted(first: Segment, seed: int) -> Trajectory:
         first.velocity_x, first.velocity_y,
     ]])
     model = RandomWaypointModel(0.05, 0.3, UNIT, seed=seed)
-    return Trajectory(model, 0, LegBlock(leg), 0, 1)
+    fleet = Fleet(model, [0])
+    fleet._append(LegBlock(leg), np.array([0]), np.array([1]))
+    return fleet[0]
 
 
 class TestColumnarExitTimes:
@@ -378,12 +385,13 @@ class TestColumnarExitTimes:
     @staticmethod
     def check(make, rects, t, horizon):
         """``make()``: fresh trajectories, one per rect; returns the times."""
-        clients = []
-        for trajectory, rect in zip(make(), rects):
-            client = MobileClient(len(clients), trajectory)
-            client.adopt_safe_region(rect)
-            clients.append(client)
-        want = [client.next_exit_time(t, horizon) for client in clients]
+        clients = Clients(dict(enumerate(make())))
+        for oid, rect in enumerate(rects):
+            clients[oid].adopt_safe_region(rect)
+        want = [
+            clients[oid].next_exit_time(t, horizon)
+            for oid in range(len(rects))
+        ]
         got = exit_times_from_rects(make(), rects, t, horizon)
         assert [x.hex() for x in got] == [x.hex() for x in want]
         return got
@@ -641,7 +649,7 @@ class TestLegMemory:
         built[7].position_at(4.0)
         assert len(built_legs(built[7])) > before
         monkeypatch.undo()
-        reference = ScalarReference(built[7]._model, 7)
+        reference = ScalarReference(built._model, 7)
         reference.extend_to(4.0)
         want = [leg_hex(leg) for leg in reference.segments]
         assert [leg_hex(leg) for leg in built_legs(built[7])][:len(want)] == want
@@ -669,9 +677,41 @@ class TestLegMemory:
         assert (long - short) / (many - few) <= 64
 
 
+class TestMoverMemory:
+    """Movers are rows of columns, not objects, once a loop is built."""
+
+    def test_construction_keeps_no_per_mover_object(self):
+        """After ``SRBSimulation(scenario)`` at N = 2,000 no ``Trajectory``
+        or ``MobileClient`` is alive, and the bytes retained per mover
+        beyond its legs (tracemalloc, after a warm-up construction) are
+        at most half of 312.6 B — the figure when each mover was a
+        ``Trajectory`` with its own offset ints and a ``MobileClient``,
+        held in three N-long containers.  As rows they are ~103 B."""
+        n = 2_000
+        scenario = BENCH_BASE.with_overrides(
+            num_objects=n, num_queries=20, duration=1.0, seed=1
+        )
+        SRBSimulation(scenario)  # imports and first-use caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = SRBSimulation(scenario)
+            gc.collect()
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, (Trajectory, MobileClient))
+        ]
+        blocks = {id(legs): legs for legs in sim.truth.trajectories()._legs}
+        legs = sum(block.rows.nbytes for block in blocks.values())
+        assert (size - legs) / n <= 312.6 / 2
+
+
 class TestMobileClient:
     def make_client(self):
-        return MobileClient("c1", make_trajectory(seed=20))
+        return Clients({"c1": make_trajectory(seed=20)})["c1"]
 
     def test_install_inside_schedules_monitoring(self):
         client = self.make_client()

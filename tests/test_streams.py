@@ -146,7 +146,8 @@ def test_built_worlds_do_not_move(seed):
         seed=seed,
     )
     digest = hashlib.sha256()
-    for trajectory in model.build(range(2_000), 1.0).values():
-        rows = trajectory._legs.rows[trajectory._lo // 6:trajectory._hi // 6]
+    fleet = model.build(range(2_000), 1.0)
+    for row in range(len(fleet)):
+        rows = fleet._legs[row].rows[fleet._lo[row] // 6:fleet._hi[row] // 6]
         digest.update(rows.astype("<f8").tobytes())
     assert digest.hexdigest() == WORLD_DIGESTS[seed]
