@@ -94,3 +94,9 @@ class Clients(Rows):
         self.regions: list[Rect | None] = [None] * n
         self.epochs = array("q", bytes(8 * n))
         self.awaiting = bytearray(n)
+
+    def current(self, oid, epoch: int, awaiting: bool = False) -> bool:
+        """Whether an event stamped ``epoch`` still holds for ``oid``: no
+        newer region has come, and the client is (or is not) awaiting one."""
+        row = self._row(oid)
+        return epoch == self.epochs[row] and self.awaiting[row] == awaiting

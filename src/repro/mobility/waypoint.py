@@ -203,9 +203,16 @@ class Trajectory:
         Returns ``inf`` when the object stays inside until ``horizon``.
         """
         _check_horizon(horizon)
-        current = t
+        fleet, row = self._fleet, self._row
+        current, b = t, None
         while current <= horizon:
-            legs, b = self._leg(current)
+            if b is None or b + _W == fleet._hi[row] or legs[b + _W + _T1] < current:
+                # The walk's first leg, the run's end, or a leg to skip:
+                # ``_leg`` walks on (and builds on) from the cursor.
+                legs, b = self._leg(current)
+            else:
+                b += _W
+                fleet._at[row] = b
             start, end, x, y, vx, vy = _unpack_leg(legs, 8 * b)
             # ``min(max(current, start), end) - start``, as in
             # :meth:`position_at`.
@@ -310,19 +317,23 @@ def _leg_exit(x: float, y: float, vx: float, vy: float, rect: Rect) -> float:
     return 0.0 if 0.0 > t_exit else t_exit
 
 
-def _groups(trajectories: Iterable[Trajectory]) -> list[tuple]:
-    """``(fleet, rows, places)`` per fleet: its trajectories' rows and their
-    places in ``trajectories``; a fleet's ``values()`` read as its rows."""
+def _blocks(trajectories: Iterable[Trajectory]) -> list[tuple]:
+    """``(fleet, rows, places)``: up to ``BLOCK`` of one fleet's rows in
+    ``trajectories``, and their places; a fleet's ``values()`` as its rows."""
     fleet = getattr(trajectories, "_mapping", None)
     if type(trajectories) is ValuesView and isinstance(fleet, Fleet):
-        return [(fleet, np.arange(len(fleet)), np.arange(len(fleet)))]
-    groups: dict[Fleet, tuple[list, list]] = {}  # tables hash by identity
-    for place, trajectory in enumerate(trajectories):
-        rows, places = groups.setdefault(trajectory._fleet, ([], []))
-        rows.append(trajectory._row)
-        places.append(place)
-    return [(fleet, np.array(rows), np.array(places, np.intp))
-            for fleet, (rows, places) in groups.items()]
+        groups = {fleet: (np.arange(len(fleet)),) * 2}
+    else:
+        groups = {}  # tables hash by identity
+        for place, trajectory in enumerate(trajectories):
+            rows, places = groups.setdefault(trajectory._fleet, ([], []))
+            rows.append(trajectory._row)
+            places.append(place)
+    return [
+        (fleet, np.array(rows[i:i + BLOCK]), np.array(places[i:i + BLOCK], np.intp))
+        for fleet, (rows, places) in groups.items()
+        for i in range(0, len(rows), BLOCK)
+    ]
 
 
 def _stacked(fleet: Fleet, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -381,26 +392,27 @@ def exit_times_from_rects(
         np.float64, 4 * n,
     ).reshape(n, 4)
     out = np.empty(n)
-    for fleet, rows, places in _groups(trajectories):
-        for i in range(0, len(rows), BLOCK):
-            part = places[i:i + BLOCK]
-            out[part] = _exit_times(
-                fleet, rows[i:i + BLOCK], bounds[part], t, horizon
-            )
+    for fleet, rows, places in _blocks(trajectories):
+        out[places] = _exit_times(fleet, rows, bounds[places], t, horizon)
     return out.tolist()
+
+
+def _legs_at(legs, lo, at, t) -> np.ndarray:
+    """``Trajectory._leg(t)``, row by row (``t`` a scalar or a column): from
+    the cursor ``at``, or the first leg ``lo`` if that starts after ``t``."""
+    leg = np.where(legs[at, 0] > t, lo, at)
+    behind = legs[leg, _T1] < t
+    while behind.any():
+        leg[behind] += 1
+        behind = legs[leg, _T1] < t
+    return leg
 
 
 def _exit_times(fleet, rows, bounds, t, horizon) -> np.ndarray:
     """:func:`exit_times_from_rects` for one block of a fleet's rows."""
     n = len(rows)
     legs, lo, _, at = _covered(fleet, rows, horizon)
-    # ``Trajectory._leg(t)``, row by row: from the cursor, or from the
-    # first leg when the cursor's leg starts after ``t``.
-    leg = np.where(legs[at, 0] > t, lo, at)
-    behind = legs[leg, _T1] < t
-    while behind.any():
-        leg[behind] += 1
-        behind = legs[leg, _T1] < t
+    leg = _legs_at(legs, lo, at, t)
     last = leg.copy()
     min_x, min_y, max_x, max_y = bounds.T
     out = np.full(n, math.inf)
@@ -433,39 +445,64 @@ def _exit_times(fleet, rows, bounds, t, horizon) -> np.ndarray:
         hop = np.nextafter(np.maximum(end, current), math.inf)
         on = inside & ~in_leg & (hop <= horizon)
         live, leg, current = live[on], leg[on], hop[on]
-        behind = legs[leg, _T1] < current
-        while behind.any():
-            leg[behind] += 1
-            behind = legs[leg, _T1] < current
+        leg = _legs_at(legs, leg, leg, current)
+    # Each cursor on the last leg its walk read.
     np.frombuffer(fleet._at, np.int64)[rows] = (
         np.frombuffer(fleet._lo, np.int64)[rows] + _W * (last - lo)
     )
     return out
 
 
+def positions_at(
+    trajectories: Iterable[Trajectory], t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Trajectory.position_at` for many trajectories, bit for bit,
+    as coordinate columns ``(xs, ys)`` in their order, a leg block's
+    worth of a fleet's rows at a time; each cursor ends where
+    ``position_at`` leaves it."""
+    if t < 0:
+        raise ValueError(f"time must be non-negative: {t}")
+    blocks = _blocks(trajectories)
+    xs = np.empty(sum(len(rows) for _, rows, _ in blocks))
+    ys = np.empty_like(xs)
+    for fleet, rows, places in blocks:
+        legs, lo, _, at = _covered(fleet, rows, t)
+        leg = _legs_at(legs, lo, at, t)
+        start, end, x, y, vx, vy = legs[leg].T
+        dt = np.minimum(np.maximum(t, start), end) - start
+        xs[places] = x + vx * dt
+        ys[places] = y + vy * dt
+        np.frombuffer(fleet._at, np.int64)[rows] = (
+            np.frombuffer(fleet._lo, np.int64)[rows] + _W * (leg - lo)
+        )
+    return xs, ys
+
+
 def total_distance_travelled(
     trajectories: Iterable[Trajectory], t0: float, t1: float
 ) -> float:
     """Path length covered between ``t0`` and ``t1``, summed over the
-    trajectories in order, in one pass over the leg columns: step ``k``
-    adds every row's ``k``-th leg, so each row's sum runs in leg order,
-    as :meth:`Trajectory.distance_travelled` (this, for one row) reads."""
-    groups = _groups(trajectories)
-    totals = np.zeros(sum(len(rows) for _, rows, _ in groups))
-    for fleet, rows, places in groups if t1 > t0 else ():
+    trajectories in order, a leg block's worth of a fleet's rows at a
+    time: step ``k`` adds every row's ``k``-th leg, so each row's sum
+    runs in leg order, as :meth:`Trajectory.distance_travelled` (this,
+    for one row) reads."""
+    blocks = _blocks(trajectories)
+    totals = np.zeros(sum(len(rows) for _, rows, _ in blocks))
+    for fleet, rows, places in blocks if t1 > t0 else ():
         legs, lo, hi, _ = _covered(fleet, rows, t1)
-        start, end, _, _, vx, vy = legs.T
-        speed = np.fromiter(
-            map(math.hypot, vx.tolist(), vy.tolist()), np.float64, vx.size
-        )
-        overlap = np.minimum(end, t1) - np.maximum(start, t0)
-        # A leg outside ``(t0, t1)`` adds an exact zero.
-        travelled = np.where((end > t0) & (start < t1), speed * overlap, 0.0)
         count = hi - lo
         for k in range(int(count.max())):
             live = np.flatnonzero(count > k)
-            totals[places[live]] += travelled[lo[live] + k]
-    return sum(totals.tolist())
+            start, end, _, _, vx, vy = legs[lo[live] + k].T
+            speed = np.fromiter(
+                map(math.hypot, vx.tolist(), vy.tolist()), np.float64, live.size
+            )
+            overlap = np.minimum(end, t1) - np.maximum(start, t0)
+            # A leg outside ``(t0, t1)`` adds an exact zero.
+            totals[places[live]] += np.where(
+                (end > t0) & (start < t1), speed * overlap, 0.0
+            )
+    return sum(map(float, totals))
 
 
 class RandomWaypointModel:

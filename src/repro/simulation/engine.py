@@ -210,6 +210,18 @@ class SRBSimulation:
     def _schedule(self, t: float, priority: int, kind: str, payload) -> None:
         heapq.heappush(self._heap, (t, priority, next(self._seq), kind, payload))
 
+    def _post(self, t: float, priority: int, kind: str, payload) -> None:
+        """Schedule a message, or handle it at once when it is due now and
+        nothing pending precedes it (τ = 0): it would pop next, as its
+        ``seq`` exceeds every pending one, and its handler schedules
+        nothing before ``now + client_poll_interval``."""
+        heap = self._heap
+        if t == self._now and (not heap or heap[0][:2] > (t, priority)):
+            self._counters[kind].inc()
+            self._handlers[kind](*payload)
+        else:
+            self._schedule(t, priority, kind, payload)
+
     def _probe_oracle(self, oid):
         """Server-initiated probe: the client's exact current position.
 
@@ -266,22 +278,21 @@ class SRBSimulation:
             if exit_at <= horizon:
                 self._schedule(exit_at, _PRIO_EXIT, "exit", (oid, epochs[row]))
         for t in self.scenario.sample_times():
-            self._schedule(t, _PRIO_SAMPLE, "sample", None)
+            self._schedule(t, _PRIO_SAMPLE, "sample", ())
         if self.scenario.kill_shard is not None:
             shard_id, kill_at = self.scenario.parsed_kill_shard()
-            self._schedule(kill_at, _PRIO_EXIT, "kill_shard", shard_id)
+            self._schedule(kill_at, _PRIO_EXIT, "kill_shard", (shard_id,))
         if self.scenario.reshard is not None:
             for action, shard_id, at in self.scenario.parsed_reshard():
                 self._schedule(at, _PRIO_EXIT, "reshard", (action, shard_id))
 
     def run(self) -> SchemeReport:
         """Execute the full scenario and return the report."""
-        event_counter = self.metrics.counter
-        counters = {
-            kind: event_counter(f"sim.events.{kind}")
-            for kind in ("exit", "retry", "recv_update", "recv_region",
-                         "sample", "client_timeout", "kill_shard", "reshard")
-        }
+        kinds = ("exit", "retry", "recv_update", "recv_region", "sample",
+                 "client_timeout", "kill_shard", "reshard")
+        counter = self.metrics.counter
+        self._counters = counters = {k: counter(f"sim.events.{k}") for k in kinds}
+        self._handlers = handlers = {k: getattr(self, f"_on_{k}") for k in kinds}
         with self._trace.span("sim.run"):
             self._bootstrap()
             scenario = self.scenario
@@ -291,22 +302,7 @@ class SRBSimulation:
                     break
                 self._now = t
                 counters[kind].inc()
-                if kind == "exit":
-                    self._on_exit(*payload)
-                elif kind == "retry":
-                    self._on_retry(*payload)
-                elif kind == "recv_update":
-                    self._on_recv_update(*payload)
-                elif kind == "recv_region":
-                    self._on_recv_region(*payload)
-                elif kind == "client_timeout":
-                    self._on_client_timeout(*payload)
-                elif kind == "kill_shard":
-                    self.server.kill_shard(payload, time=t)
-                elif kind == "reshard":
-                    self._on_reshard(*payload)
-                else:
-                    self._on_sample()
+                handlers[kind](*payload)
         self.server.refresh_index_gauges()
         total_distance = total_distance_travelled(
             self._clients.trajectories.values(), 0.0, scenario.duration
@@ -408,7 +404,7 @@ class SRBSimulation:
         self.costs.updates += 1
         base = self._now + self.scenario.delay
         if self._up is None:
-            self._schedule(
+            self._post(
                 base, _PRIO_RECV_UPDATE, "recv_update", (client.oid, position)
             )
         else:
@@ -431,15 +427,12 @@ class SRBSimulation:
 
     def _on_client_timeout(self, oid, epoch: int) -> None:
         """Retransmit a report whose round trip evidently got lost."""
-        client = self.clients[oid]
-        if client.awaiting and epoch == client.epoch:
-            self._transmit(client)
+        if self._clients.current(oid, epoch, awaiting=True):
+            self._transmit(self.clients[oid])
 
     def _on_exit(self, oid, epoch: int) -> None:
-        client = self.clients[oid]
-        if epoch != client.epoch or client.awaiting:
-            return  # a newer safe region superseded this crossing
-        self._send_update(client)
+        if self._clients.current(oid, epoch):
+            self._send_update(self.clients[oid])
 
     def _on_retry(self, oid, epoch: int) -> None:
         """Poll-paced recheck after installing an already-left region.
@@ -447,9 +440,9 @@ class SRBSimulation:
         If the client wandered back inside in the meantime, monitoring
         resumes without a message; otherwise it reports now.
         """
-        client = self.clients[oid]
-        if epoch != client.epoch or client.awaiting:
+        if not self._clients.current(oid, epoch):
             return
+        client = self.clients[oid]
         position = client.position_at(self._now)
         region = client.safe_region
         if region is not None and region.contains_point(position, eps=1e-12):
@@ -463,11 +456,13 @@ class SRBSimulation:
             return
         self._send_update(client)
 
-    def _deliver_region(self, target, region) -> None:
-        """Send one safe region down to a client, through the faults."""
+    def _deliver_region(self, target, region, at_once=True) -> None:
+        """Send one safe region down to a client, through the faults;
+        ``at_once=False`` keeps it in the heap even at τ = 0."""
         base = self._now + self.scenario.delay
         if self._down is None:
-            self._schedule(base, _PRIO_RECV_REGION, "recv_region", (target, region))
+            post = self._post if at_once else self._schedule
+            post(base, _PRIO_RECV_REGION, "recv_region", (target, region))
             return
         for lag in self._down.deliveries():
             self._schedule(
@@ -511,6 +506,9 @@ class SRBSimulation:
                     retry_at, _PRIO_EXIT, "retry", (oid, client.epoch)
                 )
 
+    def _on_kill_shard(self, shard_id) -> None:
+        self.server.kill_shard(shard_id, time=self._now)
+
     def _on_reshard(self, action: str, shard_id) -> None:
         """Apply one scheduled elastic topology change, live.
 
@@ -530,8 +528,10 @@ class SRBSimulation:
             self._rebalance_policy, self._now
         )
         if outcome is not None:
+            # The sample that rebalances reads the metrics next, so its
+            # regions wait their turn in the heap.
             for target, region in outcome.probed.items():
-                self._deliver_region(target, region)
+                self._deliver_region(target, region, at_once=False)
 
     def _on_sample(self) -> None:
         if self._rebalance_policy is not None:

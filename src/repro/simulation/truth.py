@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.kernels import Kernels
-from repro.mobility.waypoint import Trajectory
+from repro.mobility.waypoint import Fleet, Trajectory, positions_at
 
 ObjectId = Hashable
 Snapshot = frozenset | tuple
@@ -49,15 +49,12 @@ class GroundTruth:
         return self._trajectories
 
     def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate arrays (xs, ys) aligned with the object-id order."""
-        n = len(self._trajectories)
-        xs = np.empty(n)
-        ys = np.empty(n)
-        for i, trajectory in enumerate(self._trajectories.values()):
-            p = trajectory.position_at(t)
-            xs[i] = p.x
-            ys[i] = p.y
-        return xs, ys
+        """Coordinate arrays (xs, ys) aligned with the object-id order:
+        one columnar pass over a ``Fleet``, else one read per object."""
+        if isinstance(self._trajectories, Fleet):
+            return positions_at(self._trajectories.values(), t)
+        points = [item.position_at(t) for item in self._trajectories.values()]
+        return np.array([p.x for p in points]), np.array([p.y for p in points])
 
     def evaluate_at(self, t: float) -> dict[str, Snapshot]:
         """True result snapshot of every query at time ``t``.

@@ -185,6 +185,9 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     # and the closed loop's exact counts pinned, whole file.
     assert "tests/test_mobility.py::TestMoverMemory" in runs[tests[0]]
     assert "tests/test_loop_fingerprint.py" in runs[tests[0]]
+    # ... and the blockwise fleet reads: positions equal the per-row
+    # reads, and the distance pass stays within its memory bound.
+    assert "tests/test_mobility.py::TestBlockReads" in runs[tests[0]]
     assert "tests/test_loop_fingerprint.py::" not in runs[tests[0]]
     # ... and the streams those legs are drawn from: equal to NumPy's
     # generators, and the built worlds pinned by digest.
@@ -203,11 +206,16 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "def test_a_leg_takes_at_most_64_bytes(",
         "class TestMoverMemory:",
         "def test_construction_keeps_no_per_mover_object(",
+        "class TestBlockReads:",
+        "def test_leg_boundaries_after_the_truth_moved_the_cursor(",
+        "def test_the_distance_pass_reads_a_block_at_a_time(",
     ):
         assert name in mobility
     fingerprint = (ROOT / "tests" / "test_loop_fingerprint.py").read_text()
     assert "def test_loop_counts_do_not_move(" in fingerprint
     assert "def test_engine_and_truth_share_each_cursor(" in fingerprint
+    assert "def test_heap_path_counts_do_not_move(" in fingerprint
+    assert "def test_immediate_messages_are_counted_events(" in fingerprint
     start_up = (ROOT / "tests" / "test_bootstrap.py").read_text()
     assert "def test_start_up_restores_the_collector_state(" in start_up
     # ... and the monitoring loop's probes: a dense kNN world probes

@@ -7,6 +7,11 @@ enough for tier-1 (N = 2,000, W = 20, one time unit), seeds 1–3, on a
 single server and on two in-process shards.  A change that means to
 alter the loop's behaviour updates the table and says so.
 
+With no propagation delay and no faulty channel a report and the
+region it earns are handled as they are sent, without the event heap;
+the delayed and faulted rows pin the loops whose messages still wait in
+it, and the event counts show the immediate ones are still counted.
+
 The loop never reads a trajectory exactly at a leg boundary, where both
 legs are active and the row's one lookup cursor decides which answers,
 so the counts cannot see that rule.  The second test reads there on
@@ -20,6 +25,7 @@ import pytest
 
 from repro.experiments.figures import BENCH_BASE
 from repro.geometry import Rect
+from repro.obs import MetricsRegistry
 from repro.simulation.engine import SRBSimulation
 
 #: ``(shards, seed)`` → ``(comm.updates, comm.probes, accuracy.hex(),
@@ -67,16 +73,54 @@ class CountingServer:
         return self.inner.handle_location_update(*args)
 
 
-@pytest.mark.parametrize("shards, seed", sorted(FINGERPRINTS))
-def test_loop_counts_do_not_move(shards, seed):
+#: ``(channel, seed)`` → the same six values, single server, for loops
+#: whose reports and regions travel through the event heap.
+HEAP_FINGERPRINTS = {
+    ("delay=0.05", 1): (
+        706, 44, '0x1.b0a3d70a3d70ap-1', '0x1.8b4395810624ep-2',
+        669, '0x1.3f40c53968b3ap+4',
+    ),
+    ("delay=0.05", 2): (
+        627, 67, '0x1.b0a3d70a3d70ap-1', '0x1.747ae147ae148p-2',
+        589, '0x1.3de0f94dba3f3p+4',
+    ),
+    ("faults", 1): (
+        738, 44, '0x1.a51eb851eb852p-1', '0x1.9ba5e353f7ceep-2',
+        666, '0x1.3f40c53968b3ap+4',
+    ),
+    ("faults", 2): (
+        649, 65, '0x1.a51eb851eb852p-1', '0x1.7e353f7ced917p-2',
+        587, '0x1.3de0f94dba3f3p+4',
+    ),
+}
+
+CHANNELS = {
+    "delay=0.05": {"delay": 0.05},
+    "faults": {"fault_spec": "drop=0.05,dup=0.02,delay=2"},
+}
+
+#: ``(shards, seed)`` → ``sim.events.exit``, ``recv_update``,
+#: ``recv_region``, ``sample`` and ``sim.installs.poll_floored`` at τ = 0.
+EVENT_COUNTS = {
+    (0, 1): (1351, 1254, 1389, 20, 496),
+    (0, 2): (1470, 1332, 1506, 20, 584),
+    (0, 3): (1690, 1507, 1787, 20, 705),
+    (2, 1): (1600, 1496, 1686, 20, 612),
+    (2, 2): (1505, 1362, 1541, 20, 591),
+    (2, 3): (1785, 1594, 1907, 20, 752),
+}
+
+
+def fingerprint(seed, **overrides) -> tuple:
+    """The six pinned values of a small loop's run."""
     scenario = BENCH_BASE.with_overrides(
         num_objects=2_000, num_queries=20, duration=1.0, seed=seed,
-        shards=shards,
+        **overrides,
     )
     sim = SRBSimulation(scenario)
     sim.server = server = CountingServer(sim.server)
     report = sim.run()
-    got = (
+    return (
         report.costs.updates,
         report.costs.probes,
         report.accuracy.hex(),
@@ -84,7 +128,42 @@ def test_loop_counts_do_not_move(shards, seed):
         server.update_calls,
         report.total_distance.hex(),
     )
-    assert got == FINGERPRINTS[shards, seed]
+
+
+@pytest.mark.parametrize("shards, seed", sorted(FINGERPRINTS))
+def test_loop_counts_do_not_move(shards, seed):
+    assert fingerprint(seed, shards=shards) == FINGERPRINTS[shards, seed]
+
+
+@pytest.mark.parametrize("channel, seed", sorted(HEAP_FINGERPRINTS))
+def test_heap_path_counts_do_not_move(channel, seed):
+    assert (
+        fingerprint(seed, **CHANNELS[channel])
+        == HEAP_FINGERPRINTS[channel, seed]
+    )
+
+
+@pytest.mark.parametrize("shards, seed", sorted(EVENT_COUNTS))
+def test_immediate_messages_are_counted_events(shards, seed):
+    """At τ = 0 the reports and regions handled without the heap count
+    as the events they were: every count equals the heap-only loop's,
+    and no retry or timeout appears."""
+    registry = MetricsRegistry()
+    scenario = BENCH_BASE.with_overrides(
+        num_objects=2_000, num_queries=20, duration=1.0, seed=seed,
+        shards=shards,
+    )
+    SRBSimulation(scenario, metrics=registry).run()
+    counters = registry.to_dict()["counters"]
+    assert tuple(
+        counters[name] for name in (
+            "sim.events.exit", "sim.events.recv_update",
+            "sim.events.recv_region", "sim.events.sample",
+            "sim.installs.poll_floored",
+        )
+    ) == EVENT_COUNTS[shards, seed]
+    assert counters["sim.events.retry"] == 0
+    assert counters["sim.events.client_timeout"] == 0
 
 
 #: sha256 over the exit times of ``test_engine_and_truth_share_each_cursor``.

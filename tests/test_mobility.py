@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import types
+from array import array
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from repro.experiments.figures import BENCH_BASE
 from repro.geometry import Point, Rect
 from repro.mobility import Clients, Fleet, MobileClient, RandomWaypointModel, Segment, Trajectory
 from repro.mobility.waypoint import (
+    BLOCK,
     LegBlock,
     exit_times_from_rects,
+    positions_at,
     total_distance_travelled,
 )
 from repro.simulation.engine import SRBSimulation
+from repro.simulation.truth import GroundTruth
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -481,6 +485,32 @@ class TestColumnarExitTimes:
         assert exit_times_from_rects([], [], 0.0, 1.0) == []
 
 
+    def test_the_walk_skips_an_empty_leg(self):
+        """A hop past a leg's end lands on the first leg that ends at or
+        after it, as ``_leg`` picks: a zero-length leg at the boundary is
+        skipped, by the scalar walk and by the columnar one alike (its
+        start here lies outside the box, so reading it would exit)."""
+        legs = np.array([
+            [0.0, 0.5, 0.5, 0.5, 0.25, 0.0],
+            [0.5, 0.5, 0.9, 0.5, 0.0, 0.0],
+            [0.5, 2.0, 0.625, 0.5, 0.125, 0.0],
+        ])
+        box = Rect(0.25, 0.25, 0.75, 0.75)
+
+        def make():
+            fleet = Fleet(RandomWaypointModel(0.05, 0.3, UNIT), [0])
+            fleet._append(LegBlock(legs.copy()), np.array([0]), np.array([3]))
+            return fleet
+
+        scalar, columnar = make(), make()
+        got = scalar[0].exit_time_from_rect(box, 0.0, 2.0)
+        assert 1.49 < got < 1.51
+        assert exit_times_from_rects(
+            columnar.values(), [box], 0.0, 2.0
+        ) == [got]
+        assert scalar._at == columnar._at == array("q", [12])
+
+
 class TestColumnarLegs:
     """The leg columns are :class:`ScalarReference`'s legs, and every
     read off them is the reference's read, bit for bit."""
@@ -707,6 +737,143 @@ class TestMoverMemory:
         blocks = {id(legs): legs for legs in sim.truth.trajectories()._legs}
         legs = sum(block.rows.nbytes for block in blocks.values())
         assert (size - legs) / n <= 312.6 / 2
+
+
+class TestBlockReads:
+    """Whole-fleet reads walk the leg columns a block of rows at a time:
+    ``positions_at`` is ``position_at`` row by row, cursors included, and
+    the distance pass holds no fleet-long list of floats."""
+
+    @staticmethod
+    def cursor_legs(fleet: Fleet) -> list[int]:
+        """Each row's cursor as a leg ordinal in its run, whatever block
+        the run sits in."""
+        return [(at - lo) // 6 for at, lo in zip(fleet._at, fleet._lo)]
+
+    def read_both(self, scalar: Fleet, columnar: Fleet, t: float) -> None:
+        """``t`` read off two fleets with equal histories, row by row and
+        in columns: hex-equal coordinates, cursors on the same legs."""
+        want = [trajectory.position_at(t) for trajectory in scalar.values()]
+        xs, ys = positions_at(columnar.values(), t)
+        assert [x.hex() for x in xs.tolist()] == [p.x.hex() for p in want]
+        assert [y.hex() for y in ys.tolist()] == [p.y.hex() for p in want]
+        assert self.cursor_legs(columnar) == self.cursor_legs(scalar)
+
+    def test_positions_are_position_at_row_by_row(self):
+        rng = random.Random(3)
+        for seed in range(6):
+            model = RandomWaypointModel(0.05, 0.3, UNIT, seed=seed)
+            scalar, columnar = (model.build(range(300), 2.0) for _ in "ab")
+            # Forward, then rewinds past the cursors, then time zero.
+            times = sorted(rng.uniform(0.0, 2.0) for _ in range(6))
+            for t in times + [rng.uniform(0.0, 1.0) for _ in range(3)] + [0.0]:
+                self.read_both(scalar, columnar, t)
+                # Within the built legs the layouts match: the very
+                # cursor column is equal.
+                assert columnar._at == scalar._at
+        with pytest.raises(ValueError):
+            positions_at(columnar.values(), -1e-9)
+
+    def test_leg_boundaries_after_the_truth_moved_the_cursor(self):
+        """At a leg's end both legs are active and the cursor decides.
+        The truth reads a ulp past a row's boundary, moving every cursor
+        on; the boundary itself then reads from the later leg, and a ulp
+        before it rewinds to the earlier one, as ``position_at`` does."""
+        model = RandomWaypointModel(0.05, 0.3, UNIT, seed=9)
+        scalar, columnar = (model.build(range(200), 2.0) for _ in "ab")
+        truth = GroundTruth(columnar, [])
+        for oid in range(0, 200, 5):
+            legs = built_legs(scalar[oid])
+            for leg in legs[:3]:
+                boundary = leg.end_time
+                past = math.nextafter(boundary, math.inf)
+                for trajectory in scalar.values():
+                    trajectory.position_at(past)
+                truth.positions_at(past)
+                assert self.cursor_legs(columnar) == self.cursor_legs(scalar)
+                assert self.cursor_legs(columnar)[oid] == legs.index(leg) + 1
+                self.read_both(scalar, columnar, boundary)
+                self.read_both(
+                    scalar, columnar, math.nextafter(boundary, -math.inf)
+                )
+        assert columnar._at == scalar._at
+
+    def test_a_fleet_over_several_leg_blocks(self):
+        """More rows than ``BLOCK`` are two leg blocks from the start; rows
+        read past their last leg move on to blocks of their own."""
+        model = RandomWaypointModel(0.05, 0.3, UNIT, seed=2)
+        n = BLOCK + 300
+        scalar, columnar = (model.build(range(n), 1.0) for _ in "ab")
+        for fleet in (scalar, columnar):
+            assert len({id(legs) for legs in fleet._legs}) == 2
+            for oid in range(BLOCK - 40, BLOCK + 40, 3):
+                fleet[oid].position_at(1.5)
+            assert len({id(legs) for legs in fleet._legs}) > 2
+        for t in (0.1, 0.9, 0.05, 0.7):
+            self.read_both(scalar, columnar, t)
+            assert columnar._at == scalar._at
+
+    def test_a_time_past_the_built_horizon(self):
+        """Both reads build on: row by row to a block each, in columns a
+        block of rows at once; the legs, and so the answers, agree."""
+        model = RandomWaypointModel(0.05, 0.3, UNIT, seed=4)
+        scalar, columnar = (model.build(range(120), 0.5) for _ in "ab")
+        for t in (0.3, 3.0, 1.0, 4.5):
+            self.read_both(scalar, columnar, t)
+        for trajectory, reference in zip(
+            columnar.values(), (ScalarReference(model, oid) for oid in range(120))
+        ):
+            reference.extend_to(4.5)
+            got = [leg_hex(leg) for leg in built_legs(trajectory)]
+            assert got[:len(reference.segments)] == [
+                leg_hex(leg) for leg in reference.segments
+            ]
+
+    def test_ground_truth_reads_any_mapping(self):
+        """A ``Fleet`` is read in columns; any other mapping of objects
+        with ``position_at`` one object at a time, to the same floats."""
+
+        class Parked:
+            def __init__(self, point):
+                self.point = point
+
+            def position_at(self, t):
+                return self.point
+
+        model = RandomWaypointModel(0.05, 0.3, UNIT, seed=6)
+        fleet = model.build(range(150), 1.0)
+        views = dict(model.build(range(150), 1.0))
+        parked = {oid: Parked(Point(oid / 150, 0.5)) for oid in range(150)}
+        for t in (0.4, 0.9):
+            xs, ys = GroundTruth(fleet, []).positions_at(t)
+            vx, vy = GroundTruth(views, []).positions_at(t)
+            assert xs.tolist() == vx.tolist() and ys.tolist() == vy.tolist()
+        xs, ys = GroundTruth(parked, []).positions_at(0.4)
+        assert xs.tolist() == [oid / 150 for oid in range(150)]
+        assert ys.tolist() == [0.5] * 150
+
+    def test_the_distance_pass_reads_a_block_at_a_time(self):
+        """At N = 20,000 (``BENCH_BASE`` model, built to 1.0) the pass
+        allocates at most 4 MB at its peak (tracemalloc); reading every
+        leg's velocity as Python floats at once peaked at ~25 MB.  The
+        total is the per-row distances summed in row order, bit for bit."""
+        model = RandomWaypointModel(
+            BENCH_BASE.mean_speed, BENCH_BASE.mean_period, BENCH_BASE.space,
+            seed=1,
+        )
+        fleet = model.build(range(20_000), 1.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            total = total_distance_travelled(fleet.values(), 0.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert total.hex() == sum(
+            trajectory.distance_travelled(0.0, 1.0)
+            for trajectory in fleet.values()
+        ).hex()
 
 
 class TestMobileClient:
