@@ -131,10 +131,12 @@ class PRDSimulation:
             with self._trace.span("rebuild_index"):
                 scenario = self.scenario
                 index = CellObjectIndex(
-                    GridIndex(scenario.grid_m, scenario.space)
+                    GridIndex(scenario.grid_m, scenario.space),
+                    self.trajectories,
                 )
-                for oid, p in positions.items():
-                    index.insert(oid, Rect.from_point(p))
+                index.load(
+                    (oid, Rect.from_point(p)) for oid, p in positions.items()
+                )
             results: dict[str, Snapshot] = {}
             with self._trace.span("reevaluate"):
                 for query in self.queries:

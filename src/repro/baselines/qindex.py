@@ -100,7 +100,7 @@ class QIndexSimulation:
         positions = {
             oid: tr.position_at(0.0) for oid, tr in self.trajectories.items()
         }
-        object_index = CellObjectIndex(query_index)
+        object_index = CellObjectIndex(query_index, self.trajectories)
         memberships: dict[str, set[ObjectId]] = {
             q.query_id: set() for q in self.range_queries
         }

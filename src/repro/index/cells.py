@@ -15,6 +15,12 @@ a degraded object's reachability box, or a point one rounding step
 outside the cell its coordinates truncate to — is kept in ``wide`` and
 visited by every search.  Buckets and ``wide`` are insertion-ordered
 dicts, so every iteration order is a function of the update history.
+
+The index keeps no per-object dict of its own: each row of the table it
+indexes (``rows``, a :class:`~repro.rows.Rows`) has its home — the
+bucket or ``wide`` dict holding its region — in the index's ``_home``
+column.  The server indexes its object table, PRD and Q-index their
+fleet; an index made without a table keys its own.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Callable, Hashable, Iterator
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.grid import CellId, GridIndex
+from repro.rows import GrowingRows, Rows
 
 ObjectId = Hashable
 
@@ -33,7 +40,7 @@ ObjectId = Hashable
 class CellObjectIndex:
     """Safe regions bucketed by the cells of ``grid``; the object index."""
 
-    def __init__(self, grid: GridIndex) -> None:
+    def __init__(self, grid: GridIndex, rows: Rows | None = None) -> None:
         self._grid = grid
         # The grid's cell arithmetic, held locally for the per-report
         # home computation (``_home_of`` spells out ``cell_of`` and
@@ -43,16 +50,28 @@ class CellObjectIndex:
         self._w = grid._cell_w
         self._h = grid._cell_h
         self._hi = grid.m - 1
+        self._ids = grid._cell_ids
         #: Buckets by cell: cell -> {oid: region}.  A bucket is kept once
         #: made, empty or not (at most ``M * M`` of them).
         self._cells: dict[CellId, dict[ObjectId, Rect]] = {}
         #: Regions that lie inside no single home cell.
         self.wide: dict[ObjectId, Rect] = {}
-        #: oid -> the dict holding its region: its home bucket, or ``wide``.
-        self._bucket_of: dict[ObjectId, dict[ObjectId, Rect]] = {}
+        #: The table whose rows are indexed (any other mapping is keyed
+        #: as one); without one, the index adds and frees its own rows on
+        #: insert and delete.
+        self._owns = rows is None
+        if rows is None:
+            rows = GrowingRows()
+        elif not isinstance(rows, Rows):
+            rows = Rows(rows)
+        self._rows = rows
+        #: Row -> the dict holding its region (its home bucket, or
+        #: ``wide``), ``None`` while the row is not indexed.
+        self._home: list[dict | None] = [None] * len(self._rows)
+        self._n = 0
 
     def __len__(self) -> int:
-        return len(self._bucket_of)
+        return self._n
 
     def _home_of(self, rect: Rect) -> CellId | None:
         """``cell_of(rect.center)`` if ``cell_rect`` of it holds ``rect``."""
@@ -73,7 +92,7 @@ class CellObjectIndex:
             and y0 + j * h <= rect.min_y
             and rect.max_y <= y0 + (j + 1) * h
         ):
-            return (i, j)
+            return self._ids[i][j]
         return None
 
     def _target(self, rect: Rect) -> dict[ObjectId, Rect]:
@@ -88,18 +107,46 @@ class CellObjectIndex:
 
     def rect_of(self, oid: ObjectId) -> Rect:
         """Current region stored for ``oid`` (KeyError when absent)."""
-        return self._bucket_of[oid][oid]
+        try:
+            return self._home[self._rows._row(oid)][oid]
+        except (ValueError, IndexError, TypeError):
+            raise KeyError(oid) from None
 
     def insert(self, oid: ObjectId, rect: Rect) -> None:
         """Insert a new object.  Raises ``KeyError`` if already present."""
-        if oid in self._bucket_of:
-            raise KeyError(f"object {oid!r} already indexed")
-        target = self._bucket_of[oid] = self._target(rect)
-        target[oid] = rect
+        self.load(((oid, rect),))
+
+    def load(self, entries) -> None:
+        """:meth:`insert` of every ``(oid, rect)`` of ``entries``, in order."""
+        rows, home, target_of = self._rows, self._home, self._target
+        add = rows.add if self._owns else rows._row
+        for oid, rect in entries:
+            try:
+                row = add(oid)
+            except ValueError:  # ``range.index``
+                raise KeyError(f"object {oid!r} is not a row") from None
+            if row >= len(home):
+                home.extend([None] * (row + 1 - len(home)))
+            elif home[row] is not None:
+                raise KeyError(f"object {oid!r} already indexed")
+            target = home[row] = target_of(rect)
+            target[oid] = rect
+            self._n += 1
 
     def delete(self, oid: ObjectId) -> None:
         """Remove an object.  Raises ``KeyError`` when absent."""
-        del self._bucket_of.pop(oid)[oid]
+        try:
+            row = self._rows._row(oid)
+            bucket = self._home[row]
+        except (ValueError, IndexError):  # ``range.index``, unindexed row
+            raise KeyError(oid) from None
+        if bucket is None:
+            raise KeyError(f"object {oid!r} is not indexed")
+        del bucket[oid]
+        self._home[row] = None
+        self._n -= 1
+        if self._owns:
+            self._rows.discard(oid)
 
     def update(self, oid: ObjectId, rect: Rect) -> None:
         """Move ``oid`` to a new region.  Raises ``KeyError`` when absent.
@@ -107,11 +154,17 @@ class CellObjectIndex:
         A region that keeps its home (or stays wide) is patched in place,
         so the object keeps its position in the iteration order.
         """
-        bucket = self._bucket_of[oid]
+        try:
+            row = self._rows._row(oid)
+            bucket = self._home[row]
+        except (ValueError, IndexError):  # ``range.index``, unindexed row
+            raise KeyError(oid) from None
         target = self._target(rect)
         if target is not bucket:
+            if bucket is None:
+                raise KeyError(f"object {oid!r} is not indexed")
             del bucket[oid]
-            self._bucket_of[oid] = target
+            self._home[row] = target
         target[oid] = rect
 
     def search(self, rect: Rect) -> list[ObjectId]:
@@ -180,7 +233,7 @@ class CellObjectIndex:
         seen = {start}
         # Residents not yet pushed: once every bucket is expanded, the
         # empty remainder of the grid needs no walk.
-        unpushed = len(self._bucket_of) - len(self.wide)
+        unpushed = self._n - len(self.wide)
         cells = self._cells
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -220,10 +273,11 @@ class CellObjectIndex:
     def validate(self) -> None:
         """Check the home / wide invariant; raises ``AssertionError``."""
         grid = self._grid
+        row_of, home = self._rows._row, self._home
         counted = len(self.wide)
         for cell, bucket in self._cells.items():
             for oid, region in bucket.items():
-                assert self._bucket_of.get(oid) is bucket, (
+                assert home[row_of(oid)] is bucket, (
                     f"{oid!r} is listed in a bucket that is not its own"
                 )
                 assert grid.cell_of(region.center) == cell, (
@@ -234,13 +288,15 @@ class CellObjectIndex:
                 )
             counted += len(bucket)
         for oid, region in self.wide.items():
-            assert self._bucket_of.get(oid) is self.wide, (
+            assert home[row_of(oid)] is self.wide, (
                 f"{oid!r} is listed as wide but homed"
             )
             assert self._home_of(region) is None, (
                 f"wide region of {oid!r} fits its home cell"
             )
-        assert counted == len(self._bucket_of), "bucket table out of sync"
+        assert counted == self._n == len(home) - home.count(None), (
+            "home column out of sync"
+        )
 
 
 def _span(lo: float, hi: float, origin: float, step: float, m: int) -> tuple[int, int]:

@@ -13,12 +13,13 @@ frozenset plus the deterministically sorted relevant-query tuple the
 location manager consumes — validated against the generation, so the
 common no-churn lookup costs two dict probes instead of a set copy and a
 sort.  The generations are also the server's invalidation signal for its
-safe-region certificate (``ObjectState.sr_cert``).
+safe-region certificate (``ObjectState.sr_cert``, the object table's
+``cert_gen`` column).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Protocol
+from typing import Hashable, Iterable, Protocol, Sequence
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -147,7 +148,11 @@ class GridIndex:
         return self.cell_rect(self.cell_of(p))
 
     def cells_of_points(self, points: list[Point]) -> list[CellId]:
-        """Batch :meth:`cell_of` over a list of points, interned alike.
+        """Batch :meth:`cell_of` over a list of points, interned alike."""
+        return self.cells_of_xy([p.x for p in points], [p.y for p in points])
+
+    def cells_of_xy(self, xs: Sequence[float], ys: Sequence[float]) -> list[CellId]:
+        """Batch :meth:`cell_of` over coordinate columns, interned alike.
 
         With kernels attached the whole batch runs as one array pass
         (``Kernels.cells_of`` truncates and clamps exactly like the
@@ -156,8 +161,8 @@ class GridIndex:
         """
         if self.kernels is not None:
             cells = self.kernels.cells_of(
-                [p.x for p in points],
-                [p.y for p in points],
+                xs,
+                ys,
                 self.space.min_x,
                 self.space.min_y,
                 self._cell_w,
@@ -166,7 +171,7 @@ class GridIndex:
             )
             ids = self._cell_ids
             return [ids[i][j] for i, j in cells]
-        return [self.cell_of(p) for p in points]
+        return [self.cell_of(Point(x, y)) for x, y in zip(xs, ys)]
 
     def cells_overlapping(self, rect: Rect) -> Iterable[CellId]:
         """All cell ids whose rectangle intersects ``rect``."""

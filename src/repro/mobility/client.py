@@ -16,7 +16,8 @@ from array import array
 from collections.abc import Mapping
 
 from repro.geometry.rect import Rect
-from repro.mobility.waypoint import Fleet, Rows, Trajectory
+from repro.mobility.waypoint import Fleet, Trajectory
+from repro.rows import Rows
 
 
 class MobileClient(Trajectory):

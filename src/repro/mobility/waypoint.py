@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from collections.abc import Mapping, ValuesView
+from collections.abc import ValuesView
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +35,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.streams import Streams
+from repro.rows import Rows
 
 _MIN_SEGMENT = 1e-9
 
@@ -98,37 +99,6 @@ class LegBlock:
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
         self.flat = memoryview(rows.reshape(-1))
-
-
-class Rows(Mapping):
-    """An oid-keyed table: ``table[oid]`` is a ``_View`` of the oid's row,
-    made on access.  Tables over the same oids share one int object per
-    oid; a range of oids answers its O(1) ``index``, holding no dict."""
-
-    __slots__ = ("_oids", "_row")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, oids: Iterable) -> None:
-        if isinstance(oids, Rows):
-            self._oids, self._row = oids._oids, oids._row
-        elif isinstance(oids, range):
-            self._oids, self._row = list(oids), oids.index
-        else:
-            rows = {oid: row for row, oid in enumerate(dict.fromkeys(oids))}
-            self._oids, self._row = list(rows), rows.__getitem__
-
-    def __getitem__(self, oid):
-        try:
-            return self._View(self, self._row(oid))
-        except ValueError:  # ``range.index``
-            raise KeyError(oid) from None
-
-    def __iter__(self):
-        return iter(self._oids)
-
-    def __len__(self) -> int:
-        return len(self._oids)
 
 
 class Trajectory:

@@ -35,7 +35,7 @@ shrink_push         a §6.1 reachability shrink is installed and pushed
 reevaluation        one affected query is incrementally reevaluated
 result_change       a reevaluation changed a query's result set
 safe_region         a safe region is computed and installed
-sr_skip             a recomputation is skipped via a valid ``sr_cert``
+sr_skip             a recomputation is skipped via a valid certificate
 cache_invalidation  a grid cell's membership generation is bumped
 kernel_fallback     a kernel call is served by the scalar path
 query_registered    a query enters monitoring

@@ -119,16 +119,13 @@ def render_world(
     ids = set(objects) if objects is not None else None
     # Registration order, so the picture does not depend on how the
     # object index happens to lay its buckets out.
-    states = [
-        state
-        for oid, state in server._objects.items()
-        if ids is None or oid in ids
-    ]
+    table = server._objects
+    rows = [row for oid, row in table.row_items() if ids is None or oid in ids]
     if show_regions:
-        for state in states:
-            canvas.rect_outline(state.safe_region, _REGION)
-    for state in states:
-        canvas.point(state.p_lst, _OBJECT)
+        for row in rows:
+            canvas.rect_outline(table.region[row], _REGION)
+    for row in rows:
+        canvas.point(Point(table.x[row], table.y[row]), _OBJECT)
     return canvas.render()
 
 

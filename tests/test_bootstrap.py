@@ -20,7 +20,6 @@ import pytest
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.extensions import CircleRangeQuery
-from repro.core.server import ObjectState
 from repro.geometry import Point, Rect
 from repro.index.cells import CellObjectIndex
 from repro.mobility import RandomWaypointModel
@@ -303,26 +302,27 @@ def test_engine_bootstrap_sends_no_probe(shards):
 def _per_object_bootstrap(server, objects, queries, time=0.0):
     """Start-up one object at a time — the reference for the bulk pass.
 
-    One ``GridIndex.cell_of`` per object (not the batch
-    ``cells_of_points``), and every first region — a query-free cell's
-    too — through ``_compute_full_safe_region``.
+    One ``GridIndex.cell_of`` and one table row (``Objects.put``) per
+    object (not the batch ``cells_of_xy`` and ``Objects.load``), and
+    every first region — a query-free cell's too — through
+    ``_compute_full_safe_region``.
     """
-    states, grid = server._objects, server.query_index
+    table, grid = server._objects, server.query_index
     for oid, position in objects:
         cell = grid.cell_of(position)
-        states[oid] = ObjectState(
-            grid.cell_rect(cell), position, cell, time
-        )
-    order = server._bootstrap_queries(queries, time) if queries else states
-    pairs = []
+        table.put(oid, grid.cell_rect(cell), position.x, position.y, cell, time)
+    oids = list(table)
+    order = server._bootstrap_queries(queries, oids, time) if queries else oids
+    regions = {}
     for oid in order:
-        region = server._compute_full_safe_region(oid, None)
-        states[oid].safe_region = region
-        pairs.append((oid, region))
-    server.object_index = CellObjectIndex(grid)
-    for oid, region in pairs:
+        row = table._row(oid)
+        region = server._compute_full_safe_region(oid, row, None)
+        table.region[row] = region
+        regions[oid] = region
+    server.object_index = CellObjectIndex(grid, table)
+    for oid, region in regions.items():
         server.object_index.insert(oid, region)
-    return dict(pairs)
+    return regions
 
 
 def _fingerprint(server):

@@ -238,6 +238,12 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     assert (
         "tests/test_server.py::TestBatchEqualsSequential" in runs[tests[0]]
     )
+    # ... and the server's object table: no per-object ObjectState after
+    # bootstrap, and the bytes per object and bootstrap peak pinned.
+    assert "tests/test_server.py::TestObjectMemory" in runs[tests[0]]
+    server_tests = (ROOT / "tests" / "test_server.py").read_text()
+    assert "class TestObjectMemory:" in server_tests
+    assert "def test_bootstrap_keeps_rows_not_objects(" in server_tests
     sharded = (ROOT / "tests" / "test_sharded_reports.py").read_text()
     for name in (
         "test_partial_lookup_equals_the_membership_scan",

@@ -147,7 +147,8 @@ class TestCandidateQueries:
 
 class TestInternedCellIds:
     """``cell_of`` hands out one shared tuple per cell, never a fresh one,
-    so each object's held cell (``ObjectState.cell``) costs a pointer."""
+    so each object's held cell (the object table's ``cell`` column) costs
+    a pointer."""
 
     def setup_method(self):
         self.grid = GridIndex(10)
@@ -200,11 +201,12 @@ class TestInternedCellIds:
         ])
 
         def check():
-            grid = server.query_index
-            held = [state.cell for state in server._objects.values()]
+            grid, table = server.query_index, server._objects
+            held = [table.cell[row] for _, row in table.row_items()]
             assert len({id(cell) for cell in held}) <= m * m
-            for state in server._objects.values():
-                assert state.cell is grid.cell_of(state.p_lst)
+            for _, row in table.row_items():
+                position = Point(table.x[row], table.y[row])
+                assert table.cell[row] is grid.cell_of(position)
 
         check()
         # Reports through the batch loop (certified no-ops included,

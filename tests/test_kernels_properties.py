@@ -331,8 +331,8 @@ class TestPositionStore:
     """The held positions that replaced the columnar position store.
 
     ``DatabaseServer.positions`` answers ``(x, y)`` from the object
-    table itself, and each ``ObjectState`` holds its position's cell;
-    both must follow add / update / remove exactly like a dict.
+    table itself, and each row holds its position's cell; both must
+    follow add / update / remove exactly like a dict.
     """
 
     @staticmethod

@@ -1,9 +1,10 @@
 """Property tests: the object table × evictions and shard migrations.
 
-The server keeps one record per object, its ``ObjectState``: the held
-position ``p_lst`` and that position's grid cell ``cell`` (the grid's
-interned id).  Every site that moves an object writes both, so the cell
-must stay ``GridIndex.cell_of(p_lst)`` through any interleaving of adds,
+The server keeps one row per object in its object table: the held
+position (the ``x`` and ``y`` columns, ``p_lst`` of the row view) and
+that position's grid cell ``cell`` (the grid's interned id).  Every site
+that moves an object writes both, so the cell must stay
+``GridIndex.cell_of(p_lst)`` through any interleaving of adds,
 moves and evictions — including the probe ingests that ``evict_object``
 triggers while refilling kNN results that referenced the evicted object
 — and through shard migrations, which evict an object on one shard and
