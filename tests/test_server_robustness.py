@@ -66,6 +66,32 @@ class TestUnknownObject:
         assert outcome.safe_region is None
         assert server.stats.unknown_updates == 1
 
+    def test_drop_mode_answers_a_foreign_id_without_a_scan(self):
+        """The ids 0..n-1 are held as a range; an id that is not an int
+        is unknown at once, not after a comparison with every row
+        (``range.index`` scans for such a key), in a single report, a
+        batch, ``in`` and ``positions.get`` alike."""
+        compared = []
+
+        class Foreign:
+            def __eq__(self, other):
+                compared.append(other)
+                return False
+
+            __hash__ = object.__hash__
+
+        positions = line_positions()
+        server = build(lambda oid: positions[oid], on_unknown_object="drop")
+        server.load_objects(positions.items())
+        assert server._objects._dict is None  # the range form
+        outcome = server.handle_location_update(Foreign(), Point(0.5, 0.5), 1.0)
+        assert outcome.safe_region is None
+        server.handle_location_updates([(Foreign(), Point(0.5, 0.5))], 2.0)
+        assert Foreign() not in server
+        assert server.positions.get(Foreign()) is None
+        assert server.stats.unknown_updates == 2
+        assert compared == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServerConfig(on_unknown_object="explode")
