@@ -182,10 +182,12 @@ def _component_corners(
     """Opposite corners of the component rectangles in one quadrant.
 
     Works in quadrant-local coordinates (``p`` at the origin, the quadrant
-    mapped onto the first): a component rectangle ``[0, X] x [0, Y]``
-    avoids an obstacle with local lower-left corner ``(ax, ay)`` iff
+    mapped onto the first): a closed component rectangle ``[0, X] x [0, Y]``
+    avoids an open obstacle with local lower-left corner ``(ax, ay)`` iff
     ``X <= ax`` or ``Y <= ay``.  The maximal ``(X, Y)`` pairs form the
-    staircase of Proposition 5.6.
+    staircase of Proposition 5.6.  An obstacle straddling one of the
+    quadrant's axes has a negative coordinate there: no component, not
+    even a degenerate one along that axis, may pass it.
     """
     width = (cell.max_x - p.x) if sx > 0 else (p.x - cell.min_x)
     height = (cell.max_y - p.y) if sy > 0 else (p.y - cell.min_y)
@@ -205,9 +207,11 @@ def _component_corners(
     for ax, ay in blockers:
         if ay >= y_cap:
             continue
-        if not corners or corners[-1][0] != ax:
+        if ax >= 0.0 and (not corners or corners[-1][0] != ax):
             corners.append((ax, y_cap))
         y_cap = ay
+        if y_cap < 0.0:
+            return corners
     corners.append((width, y_cap))
     return corners
 
@@ -231,7 +235,7 @@ def _local_min_corner(
 
     if lx2 <= 0.0 or ly2 <= 0.0 or lx1 >= width or ly1 >= height:
         return None
-    return (max(lx1, 0.0), max(ly1, 0.0))
+    return (lx1, ly1)
 
 
 def _component_rect(

@@ -18,14 +18,13 @@ downlink.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
-from math import hypot
 from typing import Callable, Hashable, Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.ties import ranks_before
 
 ObjectId = Hashable
 ProbeFn = Callable[[ObjectId], Point]
@@ -133,15 +132,14 @@ def _resolve_partial_overlap(
 class _Candidate:
     """A queue element: an object known by region or by exact point.
 
-    One instance per queue element on the kNN hot path, so the bounds
-    and the point/region flag are computed once here rather than behind
-    property or method calls (``hypot`` matches ``Point.distance_to``
-    bit-for-bit — same call, no dispatch).
+    One instance per queue element on the kNN hot path, so the key
+    bounds and the point/region flag are computed once here.  ``lo`` and
+    ``hi`` bound the squared distance: the candidate enters the queue at
+    key ``(lo, oid)`` and is confirmed on ``(hi, oid)``
+    (:mod:`repro.geometry.ties`); a point has ``lo == hi``.
     """
 
-    __slots__ = (
-        "oid", "geometry", "min_dist", "max_dist", "constrained", "is_point",
-    )
+    __slots__ = ("oid", "geometry", "lo", "hi", "constrained", "is_point")
 
     def __init__(
         self, oid: ObjectId, geometry: Geometry, q: Point, constrained: bool
@@ -152,23 +150,31 @@ class _Candidate:
         is_point = isinstance(geometry, Point)
         self.is_point = is_point
         if is_point:
-            d = hypot(q.x - geometry.x, q.y - geometry.y)
-            self.min_dist = d
-            self.max_dist = d
+            d2 = q.squared_distance_to(geometry)
+            self.lo = d2
+            self.hi = d2
         else:
-            self.min_dist = geometry.min_dist_to_point(q)
-            self.max_dist = geometry.max_dist_to_point(q)
+            self.lo = geometry.min_d2_to_point(q)
+            self.hi = geometry.max_d2_to_point(q)
+
+    def before(self, other: "_Candidate") -> bool:
+        """Whether this candidate surely ranks before ``other``: its upper
+        key ``(hi, oid)`` is below the other's lower key ``(lo, oid)``."""
+        return ranks_before(self.hi, self.oid, other.lo, other.oid)
 
 
 class _MergedQueue:
-    """Min-queue merging the index's best-first stream with re-pushed items."""
+    """Min-queue merging the index's best-first stream with re-pushed items.
+
+    Both are ordered by the lower key ``(lo, oid)``; ids are unique in
+    the queue, so no two entries tie.
+    """
 
     def __init__(self, stream: Iterator[tuple[ObjectId, Rect, float]], q: Point):
         self._stream = stream
         self._q = q
-        self._heap: list[tuple[float, int, _Candidate]] = []
-        self._counter = itertools.count()
-        self._buffered: _Candidate | None = None
+        self._heap: list[tuple[float, ObjectId, _Candidate]] = []
+        self._buffered: tuple[float, ObjectId, _Candidate] | None = None
         self._advance_stream()
 
     def _advance_stream(self) -> None:
@@ -177,25 +183,21 @@ class _MergedQueue:
             self._buffered = None
         else:
             oid, rect, _ = nxt
-            self._buffered = _Candidate(oid, rect, self._q, constrained=False)
+            candidate = _Candidate(oid, rect, self._q, constrained=False)
+            self._buffered = (candidate.lo, oid, candidate)
 
     def push(self, candidate: _Candidate) -> None:
-        heapq.heappush(
-            self._heap, (candidate.min_dist, next(self._counter), candidate)
-        )
+        heapq.heappush(self._heap, (candidate.lo, candidate.oid, candidate))
 
     def pop(self) -> _Candidate | None:
-        """Pop the global minimum-``min_dist`` candidate, or ``None``."""
-        if self._buffered is None and not self._heap:
+        """Pop the candidate of least lower key, or ``None``."""
+        heap, buffered = self._heap, self._buffered
+        if heap and (buffered is None or heap[0] < buffered):
+            return heapq.heappop(heap)[2]
+        if buffered is None:
             return None
-        take_stream = self._buffered is not None and (
-            not self._heap or self._buffered.min_dist <= self._heap[0][0]
-        )
-        if take_stream:
-            candidate = self._buffered
-            self._advance_stream()
-            return candidate
-        return heapq.heappop(self._heap)[2]
+        self._advance_stream()
+        return buffered[2]
 
 
 def evaluate_knn(
@@ -209,12 +211,14 @@ def evaluate_knn(
 ) -> EvaluationResult:
     """Evaluate a new kNN query over safe regions (Algorithm 2).
 
-    Returns the k nearest objects (strictly ordered for the
-    order-sensitive variant), the quarantine radius — the midpoint of
-    ``Delta(q, o_k)`` and ``delta(q, o_{k+1})`` over the geometries the
-    evaluation ended with — and the probes issued.  ``exclude`` omits
-    objects from the search (used by reevaluation case 1).
-
+    Returns the k objects of least key ``(squared distance, oid)``
+    (:mod:`repro.geometry.ties`; in key order for the order-sensitive
+    variant), the quarantine radius — the midpoint of ``Delta(q, o_k)``
+    and ``delta(q, o_{k+1})`` over the geometries the evaluation ended
+    with — and the probes issued.  A region is confirmed only when its
+    upper key is below the next candidate's lower key, so equal
+    distances are probed and settled by id.  ``exclude`` omits objects
+    from the search (used by reevaluation case 1).
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -235,29 +239,29 @@ def _evaluate_knn_ordered(
     outcome = EvaluationResult(results=[])
     confirmed: list[_Candidate] = []
     held: _Candidate | None = None
-    next_min_dist: float | None = None
+    follower: _Candidate | None = None
 
     while len(confirmed) < k:
         current = queue.pop()
         if current is None:
             break
         if held is not None:
-            if held.max_dist > current.min_dist and constrain is not None:
+            if not held.before(current) and constrain is not None:
                 # Maximum-speed enhancement: tighten before probing.
                 if not held.constrained and not held.is_point:
                     held = _constrain_candidate(held, q, constrain, outcome)
                 if (
-                    held.max_dist > current.min_dist
+                    not held.before(current)
                     and not current.constrained
                     and not current.is_point
                 ):
                     tightened = _constrain_candidate(current, q, constrain, outcome)
-                    if tightened.min_dist > current.min_dist + 1e-15:
+                    if tightened.lo > current.lo:
                         # Its lower bound rose: re-queue under the new key.
                         queue.push(tightened)
                         continue
                     current = tightened
-            if held.max_dist > current.min_dist:
+            if not held.before(current):
                 # Still ambiguous: probe the held object (lazy probe) and
                 # feed both contenders back through the queue.
                 position = probe(held.oid)
@@ -270,7 +274,7 @@ def _evaluate_knn_ordered(
             confirmed.append(held)
             held = None
             if len(confirmed) == k:
-                next_min_dist = current.min_dist
+                follower = current
                 break
         if current.is_point:
             confirmed.append(current)
@@ -283,9 +287,7 @@ def _evaluate_knn_ordered(
         held = None
 
     outcome.results = [candidate.oid for candidate in confirmed]
-    outcome.radius = _quarantine_radius(
-        confirmed, held, queue, next_min_dist, k
-    )
+    outcome.radius = _quarantine_radius(confirmed, follower, queue, k)
     return outcome
 
 
@@ -305,30 +307,25 @@ def _constrain_candidate(
 
 def _quarantine_radius(
     confirmed: list[_Candidate],
-    held: _Candidate | None,
+    follower: _Candidate | None,
     queue: _MergedQueue,
-    next_min_dist: float | None,
     k: int,
 ) -> float:
     """Midpoint radius between the k-th NN and the next candidate.
 
-    When fewer than ``k`` objects exist the quarantine area covers the
-    whole workspace so that any newly appearing candidate is noticed.
+    ``follower`` is the next candidate if the evaluation already popped
+    it, else the queue's next.  When fewer than ``k`` objects exist the
+    quarantine area covers the whole workspace so that any newly
+    appearing candidate is noticed.
     """
-    if not confirmed:
-        return _WORKSPACE_DIAMETER
     if len(confirmed) < k:
         return _WORKSPACE_DIAMETER
-    kth_max = confirmed[-1].max_dist
-    if next_min_dist is None:
-        if held is not None:
-            next_min_dist = held.min_dist
-        else:
-            follower = queue.pop()
-            next_min_dist = follower.min_dist if follower is not None else None
-    if next_min_dist is None:
-        return kth_max
-    return (kth_max + max(next_min_dist, kth_max)) / 2.0
+    kth = confirmed[-1].hi
+    if follower is None:
+        follower = queue.pop()
+        if follower is None:
+            return math.sqrt(kth)
+    return (math.sqrt(kth) + math.sqrt(max(follower.lo, kth))) / 2.0
 
 
 def _evaluate_knn_unordered(
@@ -342,13 +339,14 @@ def _evaluate_knn_unordered(
     """Order-insensitive variant: up to ``k`` objects may be held at once.
 
     Soundness rests on the invariant ``|confirmed| + |held| <= k``: a held
-    candidate ``c`` with ``Delta(q, c) <= delta(q, incoming)`` is then
-    surely a member of the k-nearest *set* — at most ``k - 1`` other
-    candidates (the rest of confirmed + held) can possibly beat it, and
-    everything still queued is provably no closer.  When the invariant
-    would be violated by holding one more candidate, the first held object
-    is probed (after the optional reachability tightening) — fewer probes
-    than the order-sensitive variant, which must also fix the ordering.
+    candidate ``c`` whose upper key is below the incoming candidate's
+    lower key is then surely a member of the k-nearest *set* — at most
+    ``k - 1`` other candidates (the rest of confirmed + held) can
+    possibly beat it, and everything still queued ranks after it.  When
+    the invariant would be violated by holding one more candidate, the
+    first held object is probed (after the optional reachability
+    tightening) — fewer probes than the order-sensitive variant, which
+    must also fix the ordering.
     """
     queue = _MergedQueue(index.nearest_iter(q, exclude=exclude), q)
     outcome = EvaluationResult(results=[])
@@ -361,7 +359,7 @@ def _evaluate_knn_unordered(
             break
         still_held = []
         for candidate in held:
-            if len(confirmed) < k and candidate.max_dist <= current.min_dist:
+            if len(confirmed) < k and candidate.before(current):
                 confirmed.append(candidate)
             else:
                 still_held.append(candidate)
@@ -392,15 +390,7 @@ def _evaluate_knn_unordered(
     while held and len(confirmed) < k:
         confirmed.append(held.pop(0))
 
-    confirmed.sort(key=lambda c: c.max_dist)
+    confirmed.sort(key=lambda c: (c.hi, c.oid))
     outcome.results = [candidate.oid for candidate in confirmed]
-    if len(confirmed) < k:
-        outcome.radius = _WORKSPACE_DIAMETER
-    else:
-        kth_max = confirmed[-1].max_dist
-        follower = queue.pop()
-        if follower is None:
-            outcome.radius = kth_max
-        else:
-            outcome.radius = (kth_max + max(follower.min_dist, kth_max)) / 2.0
+    outcome.radius = _quarantine_radius(confirmed, None, queue, k)
     return outcome

@@ -12,9 +12,12 @@ module adds one such type end to end:
   rectangles of the circle (Proposition 5.2) and non-member regions avoid
   it (Proposition 5.4) — the same Ir-lp geometry kNN queries use.
 
-The server dispatches on the :class:`~repro.core.queries.Query` interface
-plus two optional hooks (``evaluate_over`` / ``reevaluate_for`` /
-``safe_region_for``), so extension types live outside the core modules.
+The server calls every query through the :class:`~repro.core.queries.Query`
+interface — ``is_affected_by`` and the ``evaluate_over`` /
+``reevaluate_for`` / ``evict`` hooks, as the range and kNN queries do —
+plus the optional ``safe_region_for``, so extension types live outside
+the core modules.  Each judges reports by the shared boundary rules of
+:mod:`repro.geometry.ties`.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
-from repro.core.evaluation import ConstrainFn, EvaluationResult, ProbeFn
+from repro.core.evaluation import ConstrainFn, EvaluationResult, ProbeFn, evaluate_range
 from repro.core.irlp import Objective, irlp_circle, irlp_circle_complement
 from repro.core.queries import Query
 from repro.core.reevaluation import ReevaluationOutcome
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.ties import flips, reaches
 
 ObjectId = Hashable
 
@@ -62,10 +66,8 @@ class CircleRangeQuery(Query):
     def quarantine_contains(self, p: Point) -> bool:
         return self.circle().contains_point(p)
 
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.quarantine_contains(p)
-        inside_old = p_lst is not None and self.quarantine_contains(p_lst)
-        return inside_new != inside_old
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        return flips(self.quarantine_contains(p), oid in self.results)
 
     def result_snapshot(self) -> frozenset[ObjectId]:
         return frozenset(self.results)
@@ -76,6 +78,7 @@ class CircleRangeQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
+        kernels=None,
     ) -> EvaluationResult:
         """Evaluate from scratch over safe regions (lazy probes).
 
@@ -106,6 +109,7 @@ class CircleRangeQuery(Query):
             outcome.probed[oid] = position
             if circle.contains_point(position):
                 outcome.results.append(oid)
+        self.results = set(outcome.results)
         return outcome
 
     def reevaluate_for(
@@ -194,10 +198,8 @@ class ThresholdRangeQuery(Query):
     def quarantine_contains(self, p: Point) -> bool:
         return self.rect.contains_point(p)
 
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.rect.contains_point(p)
-        inside_old = p_lst is not None and self.rect.contains_point(p_lst)
-        return inside_new != inside_old
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        return flips(self.rect.contains_point(p), oid in self.members)
 
     def result_snapshot(self) -> tuple[bool, int]:
         """What application servers monitor: (alert state, count)."""
@@ -209,11 +211,12 @@ class ThresholdRangeQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
+        kernels=None,
     ) -> EvaluationResult:
         """Same lazy-probe evaluation as a rectangle range query."""
-        from repro.core.evaluation import evaluate_range
-
-        return evaluate_range(index, self.rect, probe, constrain)
+        evaluation = evaluate_range(index, self.rect, probe, constrain, kernels)
+        self.members = set(evaluation.results)
+        return evaluation
 
     def reevaluate_for(
         self,
@@ -337,10 +340,10 @@ class ProximityPairQuery(Query):
     def quarantine_contains(self, p: Point) -> bool:
         return self.quarantine_bounding_rect().contains_point(p)
 
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.quarantine_contains(p)
-        inside_old = p_lst is not None and self.quarantine_contains(p_lst)
-        return inside_new or inside_old
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        return oid == self.focal or reaches(
+            self.quarantine_contains(p), oid in self.results
+        )
 
     def result_snapshot(self) -> frozenset[ObjectId]:
         return frozenset(self.results)
@@ -351,6 +354,7 @@ class ProximityPairQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
+        kernels=None,
     ) -> EvaluationResult:
         """Probe the focal, then run a circular range around its position."""
         outcome = EvaluationResult(results=[])
@@ -370,6 +374,7 @@ class ProximityPairQuery(Query):
             outcome.probed[oid] = position
             if circle.contains_point(position):
                 outcome.results.append(oid)
+        self.results = set(outcome.results)
         return outcome
 
     def reevaluate_for(
@@ -580,10 +585,10 @@ class MovingKNNQuery(Query):
     def quarantine_contains(self, p: Point) -> bool:
         return self.quarantine_bounding_rect().contains_point(p)
 
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.quarantine_contains(p)
-        inside_old = p_lst is not None and self.quarantine_contains(p_lst)
-        return inside_new or inside_old
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        return oid == self.focal or reaches(
+            self.quarantine_contains(p), oid in self.results
+        )
 
     def result_snapshot(self) -> frozenset[ObjectId]:
         return frozenset(self.results)
@@ -594,6 +599,7 @@ class MovingKNNQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
+        kernels=None,
     ) -> EvaluationResult:
         outcome = EvaluationResult(results=[])
         focal_position = probe(self.focal)
@@ -604,8 +610,8 @@ class MovingKNNQuery(Query):
             outcome.probed[target] = position
             return position
 
-        members = self._refresh(focal_position, index, counting_probe)
-        outcome.results = list(members)
+        self.results = self._refresh(focal_position, index, counting_probe)
+        outcome.results = list(self.results)
         outcome.radius = self.radius
         return outcome
 

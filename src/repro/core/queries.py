@@ -5,8 +5,14 @@ current result set, and (3) the *quarantine area*: a region such that while
 every result object stays inside it and every non-result object stays
 outside it, the result cannot change.  For a range query the quarantine
 area is the query rectangle itself; for a kNN query it is a circle centred
-at the query point whose radius lies strictly between ``Delta(q, o_k.sr)``
+at the query point whose radius is the midpoint of ``Delta(q, o_k.sr)``
 and ``delta(q, o_{k+1}.sr)``.
+
+A midpoint can tie; every kind ranks and judges by the one key and the
+one closed boundary of :mod:`repro.geometry.ties`.  Each kind brings the
+hooks the server calls without looking at its type: ``is_affected_by``,
+``evaluate_over`` (evaluate from scratch and store the result),
+``reevaluate_for`` (one report) and ``evict`` (one result gone).
 """
 
 from __future__ import annotations
@@ -14,9 +20,12 @@ from __future__ import annotations
 import itertools
 from typing import Hashable
 
+from repro.core.evaluation import ConstrainFn, ProbeFn, evaluate_knn, evaluate_range
+from repro.core.reevaluation import ReevaluationOutcome, reevaluate_knn, reevaluate_range
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.ties import flips, reaches
 
 ObjectId = Hashable
 
@@ -50,13 +59,19 @@ class Query:
         raise NotImplementedError
 
     # -- update filtering (Section 3.3) ---------------------------------------
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        """Whether an update moving from ``p_lst`` to ``p`` may change results.
-
-        ``p_lst`` is ``None`` for an object the server sees for the first
-        time (treated as coming from outside every quarantine area).
-        """
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        """Whether a report of ``oid`` at ``p`` may change the result,
+        judged by ``p`` and by whether ``oid`` is a result now."""
         raise NotImplementedError
+
+    def evict(
+        self, oid: ObjectId, index, probe: ProbeFn,
+        constrain: ConstrainFn | None = None,
+    ) -> ReevaluationOutcome:
+        """Repair the result after member ``oid`` left ``index``: a
+        set-style discard unless the kind overrides it."""
+        self.results.discard(oid)
+        return ReevaluationOutcome(changed=True, case="evict")
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
         return f"{type(self).__name__}({self.query_id})"
@@ -94,10 +109,16 @@ class RangeQuery(Query):
     def quarantine_contains(self, p: Point) -> bool:
         return self.rect.contains_point(p)
 
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.rect.contains_point(p)
-        inside_old = p_lst is not None and self.rect.contains_point(p_lst)
-        return inside_new != inside_old
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        return flips(self.rect.contains_point(p), oid in self.results)
+
+    def evaluate_over(self, index, probe, constrain=None, kernels=None):
+        evaluation = evaluate_range(index, self.rect, probe, constrain, kernels)
+        self.results = set(evaluation.results)
+        return evaluation
+
+    def reevaluate_for(self, oid, p, index=None, probe=None, constrain=None):
+        return reevaluate_range(self, oid, p)
 
     def result_snapshot(self) -> frozenset[ObjectId]:
         """Immutable copy of the current result set."""
@@ -155,8 +176,7 @@ class KNNQuery(Query):
         """The quarantine area (a circle centred at the query point).
 
         The circle (and its bounding rectangle below) is memoised until the
-        radius changes: the grid index probes it once per covered cell and
-        every ``is_affected_by`` check needs it twice.
+        radius changes: the grid index probes it once per covered cell.
         """
         circle = self._circle_memo
         if circle is None:
@@ -175,14 +195,38 @@ class KNNQuery(Query):
     def quarantine_contains(self, p: Point) -> bool:
         return self.quarantine_circle().contains_point(p)
 
-    def is_affected_by(self, p: Point, p_lst: Point | None) -> bool:
-        inside_new = self.quarantine_contains(p)
-        inside_old = p_lst is not None and self.quarantine_contains(p_lst)
+    def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
+        # ``quarantine_circle().contains_point(p)``, kept three-way: the
+        # order-insensitive rule must tell "on" from "inside".
+        d = self.center.distance_to(p)
+        r = self._radius
         if self.order_sensitive:
-            # Order may change from movement *within* the quarantine area:
-            # unaffected only when both endpoints lie outside (Section 3.3).
-            return inside_new or inside_old
-        return inside_new != inside_old
+            # Order may change from movement *within* the quarantine
+            # area: a member's report always matters (Section 3.3).
+            return reaches(d <= r, oid in self.results)
+        # On the circle the report may tie the k-th member (or, for a
+        # member, the next non-member): let the key decide.
+        return d == r or flips(d < r, oid in self.results)
+
+    def evaluate_over(self, index, probe, constrain=None, kernels=None):
+        evaluation = evaluate_knn(
+            index, self.center, self.k, probe,
+            order_sensitive=self.order_sensitive, constrain=constrain,
+        )
+        self.results = list(evaluation.results)
+        self.radius = evaluation.radius
+        return evaluation
+
+    def reevaluate_for(self, oid, p, index=None, probe=None, constrain=None):
+        return reevaluate_knn(self, oid, p, index, probe, index.rect_of, constrain)
+
+    def evict(self, oid, index, probe, constrain=None):
+        """A member left: refill from scratch over the remaining objects."""
+        evaluation = self.evaluate_over(index, probe, constrain)
+        return ReevaluationOutcome(
+            changed=True, shrunk=evaluation.shrunk, quarantine_changed=True,
+            case="evict",
+        )
 
     def result_snapshot(self) -> tuple[ObjectId, ...] | frozenset[ObjectId]:
         """Immutable copy of the current result.

@@ -1,17 +1,18 @@
 """Incremental reevaluation of affected queries (Section 4.3).
 
 Range queries flip the updated object's membership directly.  An
-order-sensitive kNN query distinguishes three cases by where the updated
-location ``p`` and the previously reported location ``p_lst`` fall with
-respect to the quarantine circle; each case needs at most one probe.
-Order-insensitive kNN queries are reevaluated from scratch (no strict
-ordering exists to patch incrementally).
+order-sensitive kNN query distinguishes three cases by whether the
+updated object is a result and where its location ``p`` falls with
+respect to the quarantine circle; each case needs at most one probe, and
+ranks by the key of :mod:`repro.geometry.ties`.  Order-insensitive kNN
+queries are reevaluated from scratch (no strict ordering exists to patch
+incrementally), as is an ordered member that lands on the circle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.evaluation import (
     ConstrainFn,
@@ -19,10 +20,13 @@ from repro.core.evaluation import (
     ProbeFn,
     evaluate_knn,
 )
-from repro.core.queries import KNNQuery, RangeQuery
 from repro.geometry.distances import Delta, delta
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.ties import ranks_before
+
+if TYPE_CHECKING:  # the query classes call in here
+    from repro.core.queries import KNNQuery, RangeQuery
 
 ObjectId = Hashable
 SrLookup = Callable[[ObjectId], Rect]
@@ -60,7 +64,6 @@ def reevaluate_knn(
     query: KNNQuery,
     oid: ObjectId,
     p: Point,
-    p_lst: Point | None,
     index,
     probe: ProbeFn,
     sr_of: SrLookup,
@@ -73,19 +76,24 @@ def reevaluate_knn(
     so ``sr_of(oid)`` is point-sized and distance bounds are exact.
     """
     if not query.order_sensitive:
-        return _reevaluate_unordered(query, index, probe, constrain)
+        return _reevaluate_all(query, index, probe, constrain, "knn_unordered")
 
-    in_new = query.quarantine_contains(p)
-    was_result = oid in query.results
-
-    if was_result and not in_new:
-        return _case_leaves(query, oid, index, probe, constrain)
-    if in_new and not was_result:
-        return _case_enters(query, oid, p, probe, sr_of, constrain)
-    if in_new and was_result:
+    d = query.center.distance_to(p)
+    r = query.radius
+    if oid in query.results:
+        if d > r:
+            return _case_leaves(query, oid, index, probe, constrain)
+        if d == r:
+            # Case 3 on the circle: the member may tie the next
+            # non-member, whose rank case 3 never reads, so rank all.
+            return _reevaluate_all(
+                query, index, probe, constrain, "knn_moves_within"
+            )
         return _case_moves_within(query, oid, p, probe, sr_of, constrain)
-    # p and p_lst both outside and oid is not a result: nothing to do
-    # (possible when the grid buckets over-approximate the affected set).
+    if d <= r:
+        return _case_enters(query, oid, p, probe, sr_of, constrain)
+    # p outside and oid is not a result: ``is_affected_by`` is false, so
+    # only a caller that skips it lands here.
     return ReevaluationOutcome(changed=False, case="knn_noop")
 
 
@@ -212,51 +220,55 @@ def _locate_rank(
     constrain: ConstrainFn | None,
     outcome: ReevaluationOutcome,
 ) -> int:
-    """Index at which ``oid`` (at exact distance ``d(q, p)``) ranks.
+    """Index at which ``oid`` (key ``(d2(q, p), oid)``) ranks.
 
-    Walks the strictly ordered distance intervals of the current results;
-    when ``d`` falls inside some interval ``[delta_i, Delta_i]`` the owner
-    is probed (after the optional reachability tightening) to break the
-    tie — at most one probe, because intervals are pairwise disjoint.
+    Walks the ordered key intervals of the current results; when the key
+    falls inside some interval ``[(lo_i, o_i), (hi_i, o_i)]`` the owner is
+    probed (after the optional reachability tightening) to break the tie
+    — at most one probe, because intervals are pairwise disjoint.
     """
     q = query.center
-    d = q.distance_to(p)
+    d2 = q.squared_distance_to(p)
     for rank, other in enumerate(query.results):
         region = sr_of(other)
-        lo = delta(q, region)
-        hi = Delta(q, region)
-        if constrain is not None and lo <= d <= hi:
+        lo = region.min_d2_to_point(q)
+        hi = region.max_d2_to_point(q)
+        if constrain is not None and not (
+            ranks_before(d2, oid, lo, other) or ranks_before(hi, other, d2, oid)
+        ):
             tightened = constrain(other, region)
             if tightened != region:
                 outcome.shrunk[other] = tightened
-                region = tightened
-                lo = delta(q, region)
-                hi = Delta(q, region)
-        if d < lo:
+                lo = tightened.min_d2_to_point(q)
+                hi = tightened.max_d2_to_point(q)
+        if ranks_before(d2, oid, lo, other):
             return rank
-        if d <= hi:
+        if not ranks_before(hi, other, d2, oid):
             position = probe(other)
             outcome.probed[other] = position
             outcome.shrunk.pop(other, None)
-            if d < q.distance_to(position):
+            if ranks_before(d2, oid, q.squared_distance_to(position), other):
                 return rank
     return len(query.results)
 
 
-def _reevaluate_unordered(
+def _reevaluate_all(
     query: KNNQuery,
     index,
     probe: ProbeFn,
     constrain: ConstrainFn | None,
+    case: str,
 ) -> ReevaluationOutcome:
-    """Order-insensitive kNN queries are reevaluated as new (Section 4.3)."""
+    """Reevaluate as new: every report of an order-insensitive query (no
+    strict ordering exists to patch incrementally, Section 4.3), and an
+    ordered member landing on the circle."""
     old_snapshot = query.result_snapshot()
     fresh = evaluate_knn(
         index,
         query.center,
         query.k,
         probe,
-        order_sensitive=False,
+        order_sensitive=query.order_sensitive,
         constrain=constrain,
     )
     query.results = fresh.results
@@ -266,7 +278,7 @@ def _reevaluate_unordered(
         probed=fresh.probed,
         shrunk=fresh.shrunk,
         quarantine_changed=True,
-        case="knn_unordered",
+        case=case,
     )
 
 

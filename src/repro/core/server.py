@@ -22,10 +22,8 @@ from time import perf_counter
 from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.core.enhancements import ReachabilityModel, weighted_perimeter_objective
-from repro.core.evaluation import evaluate_knn, evaluate_range
 from repro.core.objects import HeldPositions, Objects, Regions
 from repro.core.queries import KNNQuery, Query, RangeQuery
-from repro.core.reevaluation import reevaluate_knn, reevaluate_range
 from repro.core.results import BatchOutcome, ResultChange, UpdateOutcome
 from repro.core.safe_region import compute_safe_region
 from repro.faults import ProbeTimeout
@@ -34,7 +32,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.cells import CellObjectIndex
 from repro.index.grid import CellId, GridIndex
-from repro.kernels import Kernels, ops as kernel_ops
+from repro.kernels import Kernels
 from repro.obs import (
     COUNT_BUCKETS,
     NULL_EVENT_LOG,
@@ -496,7 +494,9 @@ class DatabaseServer:
         for query in queries:
             if events.enabled:
                 events.emit("query_registered", query=query.query_id)
-            self._evaluate_query(query, held_position, None)
+            query.evaluate_over(
+                self.object_index, held_position, None, self.kernels
+            )
             self.query_index.insert(query)
             self.stats.queries_registered += 1
         return list(asked) + [oid for oid in oids if oid not in asked]
@@ -594,37 +594,15 @@ class DatabaseServer:
                     query=query.query_id, oid=oid,
                 )
             try:
-                if isinstance(query, RangeQuery):
-                    query.results.discard(oid)
-                    shrunk: dict[ObjectId, Rect] = {}
-                    quarantine_changed = False
-                elif isinstance(query, KNNQuery):
-                    evaluation = evaluate_knn(
-                        self.object_index,
-                        query.center,
-                        query.k,
-                        probe,
-                        order_sensitive=query.order_sensitive,
-                        constrain=constrain,
-                    )
-                    query.results = list(evaluation.results)
-                    query.radius = evaluation.radius
-                    shrunk = evaluation.shrunk
-                    quarantine_changed = True
-                else:
-                    # Extension queries own their membership semantics; a
-                    # set-style discard is the only generic repair.
-                    query.results.discard(oid)
-                    shrunk = {}
-                    quarantine_changed = False
+                repair = query.evict(oid, self.object_index, probe, constrain)
                 fresh = {
                     target: pos
                     for target, pos in probed.items()
                     if target not in probes_before
                 }
                 previous_positions.update(self._apply_probes(fresh, time))
-                shrunk_only.update(self._apply_shrinks(shrunk, probed))
-                if quarantine_changed:
+                shrunk_only.update(self._apply_shrinks(repair.shrunk, probed))
+                if repair.quarantine_changed:
                     self.query_index.update(query)
                 after = _snapshot(query)
                 degraded_members: tuple = ()
@@ -706,7 +684,11 @@ class DatabaseServer:
         probe = self._make_probe(probed, time)
         constrain = self._make_constrain(time)
 
-        evaluation = self._evaluate_query(query, probe, constrain)
+        if not isinstance(query, Query):
+            raise TypeError(f"unsupported query type: {type(query).__name__}")
+        evaluation = query.evaluate_over(
+            self.object_index, probe, constrain, self.kernels
+        )
         self._census("registration", len(probed))
         previous_positions.update(self._apply_probes(probed, time))
         shrunk_only.update(self._apply_shrinks(evaluation.shrunk, probed))
@@ -726,34 +708,6 @@ class DatabaseServer:
             updater=None,
         )
         return outcome
-
-    def _evaluate_query(self, query: Query, probe, constrain):
-        """Evaluate ``query`` over the object index; set its results."""
-        if hasattr(query, "evaluate_over"):
-            # Extension query types (repro.core.extensions) bring their own
-            # evaluation routine over safe regions.
-            evaluation = query.evaluate_over(self.object_index, probe, constrain)
-            query.results = set(evaluation.results)
-        elif isinstance(query, RangeQuery):
-            evaluation = evaluate_range(
-                self.object_index, query.rect, probe, constrain,
-                kernels=self.kernels,
-            )
-            query.results = set(evaluation.results)
-        elif isinstance(query, KNNQuery):
-            evaluation = evaluate_knn(
-                self.object_index,
-                query.center,
-                query.k,
-                probe,
-                order_sensitive=query.order_sensitive,
-                constrain=constrain,
-            )
-            query.results = list(evaluation.results)
-            query.radius = evaluation.radius
-        else:
-            raise TypeError(f"unsupported query type: {type(query).__name__}")
-        return evaluation
 
     def deregister_query(self, query: Query) -> None:
         """Stop monitoring ``query`` (Algorithm 1, lines 6-7).
@@ -963,8 +917,8 @@ class DatabaseServer:
         # Flat: query, clearance, query, clearance, ...
         k, end = 0, len(clearances)
         while k < end:
-            if clearances[k].radius > clearances[k + 1]:
-                return False  # the circle grew past the region's slack
+            if clearances[k].radius >= clearances[k + 1]:
+                return False  # the closed circle grew onto the region
             k += 2
         return True
 
@@ -1279,36 +1233,7 @@ class DatabaseServer:
         outcome.queries_checked += len(ordered)
         self.stats.queries_checked += len(ordered)
         self._m_checked.observe(len(ordered))
-        # Range flips come from one batch pass over the rect columns
-        # (``Kernels.range_affected`` is exactly
-        # ``RangeQuery.is_affected_by``); everything else stays scalar.
-        # ``type`` not ``isinstance``: a subclass may override
-        # ``is_affected_by``.
-        range_rows = [
-            i for i, q in enumerate(ordered) if type(q) is RangeQuery
-        ]
-        flags: list[bool | None] = [None] * len(ordered)
-        if len(range_rows) >= kernel_ops.MIN_ROWS:
-            rects = [ordered[i].rect for i in range_rows]
-            mask = self.kernels.range_affected(
-                [r.min_x for r in rects],
-                [r.min_y for r in rects],
-                [r.max_x for r in rects],
-                [r.max_y for r in rects],
-                position,
-                previous,
-            )
-            for i, flag in zip(range_rows, mask):
-                flags[i] = flag
-        affected = [
-            q
-            for i, q in enumerate(ordered)
-            if (
-                flags[i]
-                if flags[i] is not None
-                else q.is_affected_by(position, previous)
-            )
-        ]
+        affected = [q for q in ordered if q.is_affected_by(oid, position)]
         if affected and self._pending_pointify is not None:
             # Flush the deferred pointify before any reevaluation that
             # can read the index (kNN evaluation, extension hooks).
@@ -1345,29 +1270,15 @@ class DatabaseServer:
                     query=query.query_id, oid=oid,
                 )
             try:
-                if hasattr(query, "reevaluate_for"):
-                    reevaluation = query.reevaluate_for(
-                        oid, position, self.object_index, probe, constrain
-                    )
-                elif isinstance(query, RangeQuery):
-                    reevaluation = reevaluate_range(query, oid, position)
-                else:
-                    reevaluation = reevaluate_knn(
-                        query,
-                        oid,
-                        position,
-                        previous,
-                        self.object_index,
-                        probe,
-                        self.object_index.rect_of,
-                        constrain,
-                    )
+                reevaluation = query.reevaluate_for(
+                    oid, position, self.object_index, probe, constrain
+                )
                 fresh = {
                     target: pos
                     for target, pos in probed.items()
                     if target not in probes_before
                 }
-                case = getattr(reevaluation, "case", "")
+                case = reevaluation.case
                 self._census(case, len(fresh))
                 if case == "knn_leaves" and oid in query.results:
                     # Case 1 re-elected the leaver as the k-th neighbour.
@@ -1764,11 +1675,12 @@ class DatabaseServer:
                 d = region.min_dist_to_point(q.center)
                 if (
                     d <= 0.0
-                    or q.radius > d
-                    or q.quarantine_contains(position)
+                    or q.radius >= d
+                    or q.is_affected_by(oid, position)
                 ):
-                    # Quarantine holding the object or the region, or a
-                    # degenerate zero-clearance region: no certificate.
+                    # Closed quarantine reaching the region, a report
+                    # here that would reach the query, or a degenerate
+                    # zero-clearance region: no certificate.
                     break
                 clearances += (q, d)
                 continue

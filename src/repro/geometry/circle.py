@@ -23,18 +23,11 @@ class Circle:
     def contains_point(self, p: Point, eps: float = 0.0) -> bool:
         """Whether ``p`` lies in the closed disk (within ``eps``).
 
-        The exact (``eps == 0``) test compares squared distances — no
-        square root, and the arithmetic (``dx*dx + dy*dy`` against
-        ``r*r``) is elementwise-reproducible by the batch kernels
-        (``math.hypot`` is not: CPython's correctly-rounded hypot and
-        NumPy's differ in the last ulp).  The tolerant form keeps the
-        distance metric so ``eps`` stays a length, not an area.
+        ``d(center, p) <= radius``, with ``d`` the square root of
+        ``dx*dx + dy*dy`` like every length in ``repro.geometry``: a
+        radius taken from a distance counts the point it came from as
+        on the circle, never outside it (``repro.geometry.ties``).
         """
-        if eps == 0.0:
-            return (
-                self.center.squared_distance_to(p)
-                <= self.radius * self.radius
-            )
         return self.center.distance_to(p) <= self.radius + eps
 
     def contains_rect(self, rect: Rect) -> bool:

@@ -29,14 +29,14 @@ def min_dist_rect_rect(a: Rect, b: Rect) -> float:
     """Minimum distance between two rectangles (0 when they intersect)."""
     dx = max(a.min_x - b.max_x, 0.0, b.min_x - a.max_x)
     dy = max(a.min_y - b.max_y, 0.0, b.min_y - a.max_y)
-    return math.hypot(dx, dy)
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def max_dist_rect_rect(a: Rect, b: Rect) -> float:
     """Maximum distance between two rectangles (farthest corner pair)."""
     dx = max(a.max_x - b.min_x, b.max_x - a.min_x)
     dy = max(a.max_y - b.min_y, b.max_y - a.min_y)
-    return math.hypot(dx, dy)
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def delta(s: Geometry, t: Geometry) -> float:

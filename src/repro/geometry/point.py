@@ -35,8 +35,12 @@ class Point:
         return hash((self.x, self.y))
 
     def distance_to(self, other: "Point") -> float:
-        """Euclidean distance ``d(self, other)``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
+        """Euclidean distance ``d(self, other)``: the square root of
+        :meth:`squared_distance_to`, so lengths order exactly as the
+        ranking key does (``repro.geometry.ties``)."""
+        dx = self.x - other.x
+        dy = self.y - other.y
+        return math.sqrt(dx * dx + dy * dy)
 
     def squared_distance_to(self, other: "Point") -> float:
         """Squared Euclidean distance (avoids the sqrt when comparing)."""

@@ -161,6 +161,15 @@ class Rect:
     # ------------------------------------------------------------------
     def min_dist_to_point(self, p: Point) -> float:
         """``delta(p, self)``: 0 when ``p`` is inside."""
+        return math.sqrt(self.min_d2_to_point(p))
+
+    def max_dist_to_point(self, p: Point) -> float:
+        """``Delta(p, self)``: distance to the farthest corner."""
+        return math.sqrt(self.max_d2_to_point(p))
+
+    def min_d2_to_point(self, p: Point) -> float:
+        """Squared ``delta(p, self)``: the ranking key's lower bound, and
+        ``p.squared_distance_to(s)`` exactly for a point-sized rect at ``s``."""
         x = p.x
         if x < self.min_x:
             dx = self.min_x - x
@@ -175,13 +184,13 @@ class Rect:
             dy = y - self.max_y
         else:
             dy = 0.0
-        return math.hypot(dx, dy)
+        return dx * dx + dy * dy
 
-    def max_dist_to_point(self, p: Point) -> float:
-        """``Delta(p, self)``: distance to the farthest corner."""
+    def max_d2_to_point(self, p: Point) -> float:
+        """Squared ``Delta(p, self)``: the ranking key's upper bound."""
         dx = max(p.x - self.min_x, self.max_x - p.x)
         dy = max(p.y - self.min_y, self.max_y - p.y)
-        return math.hypot(dx, dy)
+        return dx * dx + dy * dy
 
     def clamp_point(self, p: Point) -> Point:
         """Closest point of the rectangle to ``p``."""

@@ -58,15 +58,12 @@ class BruteForceIndex:
         exclude: Callable[[ObjectId], bool] | None = None,
     ) -> Iterator[tuple[ObjectId, Rect, float]]:
         ranked = sorted(
-            (
-                (rect.min_dist_to_point(q), oid, rect)
-                for oid, rect in self._rects.items()
-                if exclude is None or not exclude(oid)
-            ),
-            key=lambda item: item[0],
+            (rect.min_d2_to_point(q), oid, rect)
+            for oid, rect in self._rects.items()
+            if exclude is None or not exclude(oid)
         )
-        for dist, oid, rect in ranked:
-            yield oid, rect, dist
+        for d2, oid, rect in ranked:
+            yield oid, rect, d2
 
     def all_entries(self) -> Iterator[tuple[ObjectId, Rect]]:
         yield from self._rects.items()

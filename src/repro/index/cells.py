@@ -26,7 +26,6 @@ fleet; an index made without a table keys its own.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, Hashable, Iterator
 
 from repro.geometry.point import Point
@@ -202,34 +201,34 @@ class CellObjectIndex:
     ) -> Iterator[tuple[ObjectId, Rect, float]]:
         """Incremental best-first nearest-neighbour iterator over cells.
 
-        Yields ``(oid, region, delta(q, region))`` in non-decreasing
-        distance; ``exclude`` filters objects (reevaluation case 1).  One
-        heap holds regions and cells: ``wide`` first, then the cell
-        holding ``q`` keyed by its distance.  Expanding a cell pushes
-        each resident's region distance, then each unseen 4-neighbour
-        keyed by that cell's distance.  A resident lies inside its cell,
-        and along a straight row-then-column path back to ``q``'s cell
-        cell distance never increases, so every cell is pushed before
-        anything farther than it pops.  The start cell is the one whose
-        closed rectangle holds ``q`` (truncation can land one cell off
-        on a boundary), which keeps that path monotone from its first
-        step.  Equal distances pop in push order.
+        Yields ``(oid, region, d2)`` in key order ``(d2, oid)``, ``d2``
+        the squared ``delta(q, region)`` (:mod:`repro.geometry.ties`), so
+        the sequence depends on the regions alone, never on the order
+        they were inserted in; ``exclude`` filters objects (reevaluation
+        case 1).  One heap holds regions and cells: ``wide`` first, then
+        the cell holding ``q`` keyed by its squared distance.  Expanding
+        a cell pushes each resident's region, then each unseen
+        4-neighbour.  A resident lies inside its cell, and along a
+        straight row-then-column path back to ``q``'s cell cell distance
+        never increases, so every cell is pushed before anything farther
+        than it pops; at an equal distance a cell (``(d2, 0, cell)``)
+        pops before any region (``(d2, 1, oid, region)``), so a resident
+        it holds is ranked against the regions already pushed.  The
+        start cell is the one whose closed rectangle holds ``q``
+        (truncation can land one cell off on a boundary), which keeps
+        that path monotone from its first step.
         """
         grid = self._grid
         cell_rect = grid.cell_rect
         m = grid.m
-        counter = itertools.count()
         heap = [
-            (region.min_dist_to_point(q), next(counter), oid, region)
+            (region.min_d2_to_point(q), 1, oid, region)
             for oid, region in self.wide.items()
             if exclude is None or not exclude(oid)
         ]
         heapq.heapify(heap)
         start = _start_cell(grid, q)
-        heapq.heappush(
-            heap,
-            (cell_rect(start).min_dist_to_point(q), next(counter), start, None),
-        )
+        heapq.heappush(heap, (cell_rect(start).min_d2_to_point(q), 0, start))
         seen = {start}
         # Residents not yet pushed: once every bucket is expanded, the
         # empty remainder of the grid needs no walk.
@@ -238,19 +237,18 @@ class CellObjectIndex:
         heappush = heapq.heappush
         heappop = heapq.heappop
         while heap:
-            dist, _, key, region = heappop(heap)
-            if region is not None:
-                yield key, region, dist
+            entry = heappop(heap)
+            if entry[1]:
+                yield entry[2], entry[3], entry[0]
                 continue
+            key = entry[2]
             bucket = cells.get(key)
             if bucket:
                 unpushed -= len(bucket)
                 for oid, resident in bucket.items():
                     if exclude is None or not exclude(oid):
                         heappush(
-                            heap,
-                            (resident.min_dist_to_point(q), next(counter),
-                             oid, resident),
+                            heap, (resident.min_d2_to_point(q), 1, oid, resident)
                         )
             if unpushed <= 0:
                 continue
@@ -258,11 +256,7 @@ class CellObjectIndex:
             for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
                 if cell not in seen and 0 <= cell[0] < m and 0 <= cell[1] < m:
                     seen.add(cell)
-                    heappush(
-                        heap,
-                        (cell_rect(cell).min_dist_to_point(q), next(counter),
-                         cell, None),
-                    )
+                    heappush(heap, (cell_rect(cell).min_d2_to_point(q), 0, cell))
 
     def all_entries(self) -> Iterator[tuple[ObjectId, Rect]]:
         """Yield every ``(oid, region)`` pair: bucket by bucket, then ``wide``."""

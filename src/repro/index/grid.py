@@ -69,6 +69,8 @@ class GridIndex:
         self._cell_ids = tuple(
             tuple((i, j) for j in range(m)) for i in range(m)
         )
+        #: The same ids by flat cell number ``i * m + j``.
+        self._flat_ids = tuple(cell for row in self._cell_ids for cell in row)
         self._buckets: dict[CellId, set] = {}
         self._cells_of: dict[Hashable, frozenset[CellId]] = {}
         #: Per-cell membership generation; bumped whenever a query starts
@@ -156,8 +158,8 @@ class GridIndex:
 
         With kernels attached the whole batch runs as one array pass
         (``Kernels.cells_of`` truncates and clamps exactly like the
-        scalar arithmetic above); otherwise it falls back to a per-point
-        loop.
+        scalar arithmetic above, into flat cell numbers); otherwise it
+        falls back to a per-point loop.
         """
         if self.kernels is not None:
             cells = self.kernels.cells_of(
@@ -169,8 +171,7 @@ class GridIndex:
                 self._cell_h,
                 self.m,
             )
-            ids = self._cell_ids
-            return [ids[i][j] for i, j in cells]
+            return list(map(self._flat_ids.__getitem__, cells))
         return [self.cell_of(Point(x, y)) for x, y in zip(xs, ys)]
 
     def cells_overlapping(self, rect: Rect) -> Iterable[CellId]:

@@ -141,8 +141,9 @@ class Kernels:
         cell_w: float,
         cell_h: float,
         m: int,
-    ) -> list[tuple[int, int]]:
-        """Per-row grid cell ids, clamped exactly like ``GridIndex.cell_of``."""
+    ) -> list[int]:
+        """Per-row flat cell numbers ``i * m + j``, the cell ``(i, j)``
+        truncated and clamped exactly like ``GridIndex.cell_of``."""
         n = len(xs)
         if self._batch(n):
             i = ((np.asarray(xs, dtype=np.float64) - min_x) / cell_w)
@@ -150,12 +151,12 @@ class Kernels:
             # astype truncates toward zero, matching int().
             ci = np.minimum(np.maximum(i.astype(np.int64), 0), m - 1)
             cj = np.minimum(np.maximum(j.astype(np.int64), 0), m - 1)
-            return list(zip(ci.tolist(), cj.tolist()))
+            return (ci * m + cj).tolist()
         out = []
         for r in range(n):
             i = int((xs[r] - min_x) / cell_w)
             j = int((ys[r] - min_y) / cell_h)
-            out.append((min(max(i, 0), m - 1), min(max(j, 0), m - 1)))
+            out.append(min(max(i, 0), m - 1) * m + min(max(j, 0), m - 1))
         return out
 
     # ------------------------------------------------------------------
@@ -186,46 +187,3 @@ class Kernels:
             and rect.max_y >= maxys[i]
             for i in range(n)
         ]
-
-    def range_affected(
-        self,
-        minxs: Sequence[float],
-        minys: Sequence[float],
-        maxxs: Sequence[float],
-        maxys: Sequence[float],
-        p,
-        p_lst,
-    ) -> list[bool]:
-        """Per-row ``RangeQuery.is_affected_by`` over query-rect columns.
-
-        Row ``i`` is affected iff membership of ``p`` in rect ``i``
-        differs from membership of ``p_lst`` (``p_lst is None`` counts as
-        outside every rectangle).
-        """
-        n = len(minxs)
-        if self._batch(n):
-            lox = np.asarray(minxs, dtype=np.float64)
-            loy = np.asarray(minys, dtype=np.float64)
-            hix = np.asarray(maxxs, dtype=np.float64)
-            hiy = np.asarray(maxys, dtype=np.float64)
-            inside_new = (
-                (lox <= p.x) & (p.x <= hix) & (loy <= p.y) & (p.y <= hiy)
-            )
-            if p_lst is None:
-                return inside_new.tolist()
-            inside_old = (
-                (lox <= p_lst.x) & (p_lst.x <= hix)
-                & (loy <= p_lst.y) & (p_lst.y <= hiy)
-            )
-            return (inside_new != inside_old).tolist()
-        out = []
-        for i in range(n):
-            inside_new = (
-                minxs[i] <= p.x <= maxxs[i] and minys[i] <= p.y <= maxys[i]
-            )
-            inside_old = p_lst is not None and (
-                minxs[i] <= p_lst.x <= maxxs[i]
-                and minys[i] <= p_lst.y <= maxys[i]
-            )
-            out.append(inside_new != inside_old)
-        return out

@@ -540,9 +540,9 @@ class RandomWaypointModel:
 
         ``u`` holds leg variates already drawn, four a leg, a row per
         stream; more are drawn from ``streams`` as rows run out.  Every
-        operation is the scalar leg's, in its order —
-        ``Point.distance_to`` included, whose CPython ``hypot`` NumPy's
-        differs from in the last ulp.
+        operation is the scalar leg's, in its order — the leg length's
+        CPython ``math.hypot`` included, which NumPy's differs from in
+        the last ulp.
         """
         space = self.space
         width = space.max_x - space.min_x

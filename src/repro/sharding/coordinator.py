@@ -13,7 +13,8 @@
   partial results.  Range results are the union of the holders'
   partials; kNN pools each holder's local members (with their
   safe-region distance bounds) and re-ranks them with
-  ``kernels.top_k_rows``, exact distances first, object id on ties;
+  ``kernels.top_k_rows`` in id order — the ranking key
+  ``(squared distance, oid)`` of ``repro.geometry.ties``;
 * the **fan-out ledger** (query → holder shards).  A kNN view's merged
   radius is the conservative bound ``max_dist`` of its k-th pooled
   candidate; whenever the bound's circle reaches cells of a non-holder,
@@ -448,7 +449,9 @@ class ShardedServer:
         self._begin_op()
         start = _time.process_time()
         excluding = frozenset(self._dead)
-        objects = list(objects)
+        # In id order: ``_first_bound`` ranks rows by ``(d2, row)``,
+        # which is then the ranking key ``(d2, oid)``.
+        objects = sorted(objects, key=lambda item: item[0])
         points = [position for _, position in objects]
         xs = array("d", [p.x for p in points])
         ys = array("d", [p.y for p in points])
@@ -533,9 +536,7 @@ class ShardedServer:
         top = self.kernels.top_k_rows(xs, ys, center.x, center.y, depth)
         if len(top) < k:
             return self._diameter
-        dists = [
-            math.hypot(xs[row] - center.x, ys[row] - center.y) for row in top
-        ]
+        dists = [center.distance_to(Point(xs[row], ys[row])) for row in top]
         ranked: dict[int, list[float]] = {}
         for row, dist in zip(top, dists):
             ranked.setdefault(shards[row], []).append(dist)
@@ -1283,10 +1284,9 @@ class ShardedServer:
                     continue
                 pool[oid] = row
                 flagged_src[oid] = dead or oid in flagged
-        try:
-            rows = sorted(pool.values())
-        except TypeError:  # unorderable object ids
-            rows = sorted(pool.values(), key=lambda r: repr(r[0]))
+        # Rows in id order, so ``top_k_rows``'s ``(d2, row)`` is the
+        # ranking key ``(d2, oid)`` (repro.geometry.ties).
+        rows = [pool[oid] for oid in sorted(pool)]
         bounds = sorted(r[3] for r in rows)
         if len(bounds) >= view.k:
             bound = bounds[view.k - 1]

@@ -26,12 +26,14 @@ class GroundTruth:
 
     Each checkpoint answers one query at a time over the position
     columns: a range query is one closed-rectangle mask, a kNN query one
-    ``Kernels.top_k_rows`` selection, whose ``(d2, row)`` order breaks
-    distance ties by object registration order.  Memory stays O(N) per
-    query rather than O(W x N) per checkpoint.
+    ``Kernels.top_k_rows`` selection over the rows in object-id order, so
+    its ``(d2, row)`` order is the ranking key ``(d2, oid)`` of
+    :mod:`repro.geometry.ties`.  Memory stays O(N) per query rather than
+    O(W x N) per checkpoint.
 
     ``trajectories`` is kept as given: a ``Fleet`` or any mapping of
-    objects with ``position_at``, iterated in object-id order.
+    objects with ``position_at``.  A ``Fleet`` (ids ``0..N-1``) is in id
+    order already; any other mapping is read in id order.
     """
 
     def __init__(
@@ -40,6 +42,11 @@ class GroundTruth:
         queries: Sequence[Query],
     ) -> None:
         self._trajectories = trajectories
+        ids = list(trajectories)
+        #: Rows in object-id order, or ``None`` when they already are.
+        self._order = None if ids == sorted(ids) else np.array(
+            sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp
+        )
         self.queries = list(queries)
         self.kernels = Kernels()
         self._memo: dict[float, dict[str, Snapshot]] = {}
@@ -71,6 +78,10 @@ class GroundTruth:
             return cached
         xs, ys = self.positions_at(t)
         ids = list(self._trajectories)
+        order = self._order
+        if order is not None:
+            xs, ys = xs[order], ys[order]
+            ids = [ids[row] for row in order.tolist()]
         results: dict[str, Snapshot] = {}
         for query in self.queries:
             if isinstance(query, RangeQuery):

@@ -36,6 +36,17 @@ class TestNoObstacles:
 
 
 class TestSingleObstacle:
+    def test_p_on_cell_edge_gets_no_strip_through_the_obstacle(self):
+        # The obstacle straddles p's horizontal line: a zero-height strip
+        # along that line has no area yet lies in the open obstacle.
+        cell = Rect(0.0, 1 / 3, 1 / 3, 2 / 3)
+        obstacle = Rect(0.1, 0.4, 0.45, 0.75)
+        rect = batch_range_safe_region(Point(0.0, 0.5), cell, [obstacle])
+        assert rect.contains_point(Point(0.0, 0.5))
+        assert rect.max_x <= obstacle.min_x or not (
+            rect.min_y < obstacle.max_y and obstacle.min_y < rect.max_y
+        )
+
     def test_avoids_and_contains(self):
         obstacle = Rect(0.4, 0.4, 0.6, 0.6)
         p = Point(0.2, 0.2)

@@ -276,6 +276,23 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
         "test_sharded_migrations_keep_cell_residency_exact",
     ):
         assert f"def {name}(" in table
+    # ... and the one tie rule, whole files: an exact tie at every site
+    # falls to the id under closed boundaries, and random worlds (with
+    # the tie world as an explicit example) stay exact.
+    for path in ("tests/test_ties.py", "tests/test_end_to_end.py"):
+        assert path in runs[tests[0]]
+        assert f"{path}::" not in runs[tests[0]]
+    ties = (ROOT / "tests" / "test_ties.py").read_text()
+    for name in (
+        "test_nearest_iter_ignores_insertion_order",
+        "test_ids_registered_out_of_order",
+        "test_tied_rows_on_two_shards_rank_by_id",
+        "test_radius_onto_the_region_ends_the_certificate",
+    ):
+        assert f"def {name}(" in ties
+    end_to_end = (ROOT / "tests" / "test_end_to_end.py").read_text()
+    assert "@example(" in end_to_end
+    assert "def test_monitoring_never_misses_a_change(" in end_to_end
 
 
 def test_bench_hotpath_runs_smoke_and_uploads_baseline(workflow):

@@ -7,8 +7,7 @@ brute-force ground truth.  This is the strongest single statement about
 the system: the safe-region machinery never misses a result change.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.extensions import CircleRangeQuery
@@ -62,6 +61,9 @@ def worlds(draw):
 
 
 def check_exact(queries, positions):
+    """Every result equals brute force under the one key and boundary:
+    kNN ranks by ``(squared distance, oid)`` (a tuple when ordered, a
+    set when not), and rectangles and circles are closed."""
     for query in queries:
         if isinstance(query, RangeQuery):
             expected = {
@@ -69,26 +71,43 @@ def check_exact(queries, positions):
             }
             assert query.results == expected, query.query_id
         elif isinstance(query, KNNQuery):
+            center = query.center
             ranked = sorted(
-                positions, key=lambda o: query.center.distance_to(positions[o])
+                positions,
+                key=lambda o: (center.squared_distance_to(positions[o]), o),
             )[: query.k]
-            # Distance ties permit any tied subset/order; compare distances.
-            got = [query.center.distance_to(positions[o]) for o in query.results]
-            want = [query.center.distance_to(positions[o]) for o in ranked]
-            if not query.order_sensitive:
-                got, want = sorted(got), sorted(want)
-                assert len(set(query.results)) == len(query.results), query.query_id
-            assert got == pytest.approx(want), query.query_id
+            if query.order_sensitive:
+                assert query.results == ranked, query.query_id
+            else:
+                assert len(set(query.results)) == len(query.results)
+                assert set(query.results) == set(ranked), query.query_id
         else:  # CircleRangeQuery
             expected = {
                 o for o, p in positions.items()
-                if query.center.distance_to(p) <= query.radius
+                if query.circle().contains_point(p)
             }
             assert query.results == expected, query.query_id
 
 
 @settings(max_examples=60, deadline=None)
 @given(worlds())
+@example((
+    # Objects 0 and 1 tie for the 1NN: the id picks 0, and both sit on
+    # the midpoint quarantine circle.  Object 0 then moves inside it.
+    {0: Point(0.5, 0.5), 1: Point(0.5, 0.5), 2: Point(0.9, 0.9)},
+    [KNNQuery(Point(0.2, 0.2), k=1, order_sensitive=False, query_id="k0")],
+    [(0, 0.3, 0.3)],
+    3,
+))
+@example((
+    # Object 0 reports on its cell's left edge beside range query r0,
+    # whose rectangle straddles the report's horizontal line: no part
+    # of the granted region, not even a zero-height one, may enter r0.
+    {i: Point(0.0, 0.0) for i in range(6)},
+    [RangeQuery(Rect(0.1, 0.4, 0.45, 0.75), query_id="r0")],
+    [(0, 0.0, 0.5), (0, 0.25, 0.5)],
+    3,
+))
 def test_monitoring_never_misses_a_change(world):
     positions, queries, moves, grid_m = world
     positions = dict(positions)

@@ -1,7 +1,5 @@
 """White-box tests for the evaluation machinery's internals."""
 
-import pytest
-
 from repro.core.evaluation import _Candidate, _MergedQueue
 from repro.geometry import Point, Rect
 
@@ -9,24 +7,25 @@ from repro.geometry import Point, Rect
 def region_stream(entries, q):
     """Mimic an object index's ``nearest_iter`` output for (oid, rect) pairs."""
     ranked = sorted(
-        (rect.min_dist_to_point(q), oid, rect) for oid, rect in entries
+        (rect.min_d2_to_point(q), oid, rect) for oid, rect in entries
     )
-    for dist, oid, rect in ranked:
-        yield oid, rect, dist
+    for d2, oid, rect in ranked:
+        yield oid, rect, d2
 
 
 class TestCandidate:
     def test_region_bounds(self):
         q = Point(0.0, 0.0)
         candidate = _Candidate("a", Rect(3.0, 0.0, 4.0, 0.0), q, False)
-        assert candidate.min_dist == pytest.approx(3.0)
-        assert candidate.max_dist == pytest.approx(4.0)
+        # Squared-distance bounds: the ranking key's, not lengths.
+        assert candidate.lo == 9.0
+        assert candidate.hi == 16.0
         assert not candidate.is_point
 
     def test_point_bounds_collapse(self):
         q = Point(0.0, 0.0)
         candidate = _Candidate("a", Point(3.0, 4.0), q, True)
-        assert candidate.min_dist == candidate.max_dist == pytest.approx(5.0)
+        assert candidate.lo == candidate.hi == 25.0
         assert candidate.is_point
 
 
@@ -78,10 +77,11 @@ class TestMergedQueue:
         assert queue.pop() is None
 
     def test_tie_breaking_is_stable(self):
-        """Equal keys must not raise (heap falls back to the counter)."""
+        """Equal distances pop in id order, whatever the push order."""
         q = Point(0.0, 0.0)
         queue = _MergedQueue(iter(()), q)
-        for i in range(5):
+        for i in (3, 0, 4, 1, 2):
             queue.push(_Candidate(f"o{i}", Point(1.0, 0.0), q, True))
-        seen = {queue.pop().oid for _ in range(5)}
-        assert seen == {f"o{i}" for i in range(5)}
+        assert [queue.pop().oid for _ in range(5)] == [
+            f"o{i}" for i in range(5)
+        ]

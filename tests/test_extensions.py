@@ -24,11 +24,12 @@ class TestCircleRangeQueryUnit:
 
     def test_affected_on_crossing_only(self):
         query = CircleRangeQuery(Point(0.5, 0.5), 0.1)
+        query.results = {"a"}
         inside, outside = Point(0.55, 0.5), Point(0.9, 0.9)
-        assert query.is_affected_by(inside, outside)
-        assert query.is_affected_by(outside, inside)
-        assert not query.is_affected_by(inside, inside)
-        assert not query.is_affected_by(outside, outside)
+        assert query.is_affected_by("x", inside)
+        assert query.is_affected_by("a", outside)
+        assert not query.is_affected_by("a", inside)
+        assert not query.is_affected_by("x", outside)
 
     def test_reevaluate_for(self):
         query = CircleRangeQuery(Point(0.5, 0.5), 0.1)

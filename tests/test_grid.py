@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 
 import pytest
 
@@ -187,6 +188,13 @@ class TestInternedCellIds:
         assert len(cells) == len(points)
         for p, cell in zip(points, cells):
             assert cell is grid.cell_of(p)
+        # The column form, as bootstrap calls it: the flat cell numbers
+        # map back to the very ids ``cell_of`` interns.
+        columns = grid.cells_of_xy(
+            array("d", [p.x for p in points]), array("d", [p.y for p in points])
+        )
+        assert all(a is b for a, b in zip(columns, cells))
+        assert len(columns) == len(cells)
 
     def test_bootstrap_holds_at_most_m_squared_cell_objects(self):
         m = 8

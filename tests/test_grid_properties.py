@@ -65,7 +65,9 @@ def test_candidate_queries_cover_transitions(queries, m, ax, ay, bx, by):
     a, b = Point(ax, ay), Point(bx, by)
     candidates = grid.candidate_queries(b, a)
     for query in queries:
-        if query.is_affected_by(b, a):
+        # The mover is a result iff its last report ``a`` was inside.
+        query.results = {"o"} if query.rect.contains_point(a) else set()
+        if query.is_affected_by("o", b):
             assert query in candidates
 
 

@@ -30,30 +30,44 @@ from repro.simulation.engine import SRBSimulation
 
 #: ``(shards, seed)`` → ``(comm.updates, comm.probes, accuracy.hex(),
 #: comm_cost.hex(), server.update_calls, total_distance.hex())``.
+#:
+#: Seeds 1 and 3 moved (and their event counts below) when the §5.3
+#: batch region stopped granting zero-area strips through a range
+#: query's open rectangle (``repro.core.batch``, closed regions against
+#: open obstacles).  The first such region on seed 1: object 754 at
+#: t = 0.0256, reporting on its cell's left edge (0.1333, 0.9591), was
+#: given the segment y = 0.9591, x in [0.1333, 0.2], through a query
+#: rectangle from x = 0.1550; it now gets [0.1333, 0.1550] x [0.9333, 1].
+#: On seed 3: object 572 at t = 0.0547, at (0.1166, 0.4).  Both are
+#: boundaries, not ties; one report fewer each time, and no probe or
+#: accuracy moves.  Was: (0, 1) 1254 updates and comm_cost
+#: '0x1.74dd2f1a9fbe7p-1'; (0, 3) 1507, '0x1.ed4fdf3b645a2p-1';
+#: (2, 1) 1496, '0x1.c7ef9db22d0e5p-1'; (2, 3) 1594,
+#: '0x1.0820c49ba5e35p+0'.
 FINGERPRINTS = {
     (0, 1): (
-        1254, 135, '0x1.fd70a3d70a3d7p-1', '0x1.74dd2f1a9fbe7p-1',
-        1254, '0x1.3f40c53968b3ap+4',
+        1252, 135, '0x1.fd70a3d70a3d7p-1', '0x1.745a1cac08312p-1',
+        1252, '0x1.3f40c53968b3ap+4',
     ),
     (0, 2): (
         1332, 174, '0x1.feb851eb851ecp-1', '0x1.97ced916872b0p-1',
         1332, '0x1.3de0f94dba3f3p+4',
     ),
     (0, 3): (
-        1507, 280, '0x1.feb851eb851ecp-1', '0x1.ed4fdf3b645a2p-1',
-        1507, '0x1.419e49e9e6a45p+4',
+        1506, 280, '0x1.feb851eb851ecp-1', '0x1.ed0e560418937p-1',
+        1506, '0x1.419e49e9e6a45p+4',
     ),
     (2, 1): (
-        1496, 190, '0x1.d99999999999ap-1', '0x1.c7ef9db22d0e5p-1',
-        1496, '0x1.3f40c53968b3ap+4',
+        1494, 190, '0x1.d99999999999ap-1', '0x1.c76c8b4395810p-1',
+        1494, '0x1.3f40c53968b3ap+4',
     ),
     (2, 2): (
         1362, 179, '0x1.feb851eb851ecp-1', '0x1.a16872b020c4ap-1',
         1362, '0x1.3de0f94dba3f3p+4',
     ),
     (2, 3): (
-        1594, 313, '0x1.f5c28f5c28f5cp-1', '0x1.0820c49ba5e35p+0',
-        1594, '0x1.419e49e9e6a45p+4',
+        1593, 313, '0x1.f5c28f5c28f5cp-1', '0x1.0800000000000p+0',
+        1593, '0x1.419e49e9e6a45p+4',
     ),
 }
 
@@ -75,22 +89,35 @@ class CountingServer:
 
 #: ``(channel, seed)`` → the same six values, single server, for loops
 #: whose reports and regions travel through the event heap.
+#:
+#: Seed 1 moved with the batch-region fix above, first at the same
+#: region of object 754 (t = 0.0756 with the delay, 0.0256 faulted).
+#: Under faults every message after it meets a different drop, so the
+#: faulted row drifts further (was 738, 44, '0x1.a51eb851eb852p-1',
+#: '0x1.9ba5e353f7ceep-2', 666; the delayed row was 706 updates,
+#: '0x1.8b4395810624ep-2', 669 calls).  Faulted seed 2 moved when
+#: reports became judged by membership: at t = 0.7542 object 1201, a
+#: member of the order-sensitive ``knn-3`` whose held and new positions
+#: both lay outside the circle (the faulted channel had let it go
+#: stale), now reaches the query and is replaced; judged by its previous
+#: position it did not (was 649, 65, '0x1.a51eb851eb852p-1',
+#: '0x1.7e353f7ced917p-2', 587).
 HEAP_FINGERPRINTS = {
     ("delay=0.05", 1): (
-        706, 44, '0x1.b0a3d70a3d70ap-1', '0x1.8b4395810624ep-2',
-        669, '0x1.3f40c53968b3ap+4',
+        704, 44, '0x1.b0a3d70a3d70ap-1', '0x1.8a3d70a3d70a4p-2',
+        667, '0x1.3f40c53968b3ap+4',
     ),
     ("delay=0.05", 2): (
         627, 67, '0x1.b0a3d70a3d70ap-1', '0x1.747ae147ae148p-2',
         589, '0x1.3de0f94dba3f3p+4',
     ),
     ("faults", 1): (
-        738, 44, '0x1.a51eb851eb852p-1', '0x1.9ba5e353f7ceep-2',
-        666, '0x1.3f40c53968b3ap+4',
+        714, 26, '0x1.9333333333333p-1', '0x1.8189374bc6a7fp-2',
+        650, '0x1.3f40c53968b3ap+4',
     ),
     ("faults", 2): (
-        649, 65, '0x1.a51eb851eb852p-1', '0x1.7e353f7ced917p-2',
-        587, '0x1.3de0f94dba3f3p+4',
+        651, 69, '0x1.a8f5c28f5c28fp-1', '0x1.824dd2f1a9fbep-2',
+        589, '0x1.3de0f94dba3f3p+4',
     ),
 }
 
@@ -101,13 +128,16 @@ CHANNELS = {
 
 #: ``(shards, seed)`` → ``sim.events.exit``, ``recv_update``,
 #: ``recv_region``, ``sample`` and ``sim.installs.poll_floored`` at τ = 0.
+#: Seeds 1 and 3 moved with the batch-region fix above (was (0, 1)
+#: (1351, 1254, 1389, 20, 496), (0, 3) (1690, 1507, 1787, 20, 705),
+#: (2, 1) (1600, 1496, 1686, 20, 612), (2, 3) (1785, 1594, 1907, 20, 752)).
 EVENT_COUNTS = {
-    (0, 1): (1351, 1254, 1389, 20, 496),
+    (0, 1): (1349, 1252, 1387, 20, 494),
     (0, 2): (1470, 1332, 1506, 20, 584),
-    (0, 3): (1690, 1507, 1787, 20, 705),
-    (2, 1): (1600, 1496, 1686, 20, 612),
+    (0, 3): (1689, 1506, 1786, 20, 704),
+    (2, 1): (1598, 1494, 1684, 20, 610),
     (2, 2): (1505, 1362, 1541, 20, 591),
-    (2, 3): (1785, 1594, 1907, 20, 752),
+    (2, 3): (1784, 1593, 1906, 20, 751),
 }
 
 

@@ -108,7 +108,7 @@ class ScalarReference:
         )
         speed = 2.0 * self._speed * us
         period = max(2.0 * self._period * ut, 1e-9)
-        distance = origin.distance_to(destination)
+        distance = math.hypot(origin.x - destination.x, origin.y - destination.y)
         if speed <= 0.0 or distance == 0.0:
             duration = period
             vx = vy = 0.0

@@ -20,20 +20,24 @@ class TestRangeQuery:
         assert not self.query.quarantine_overlaps(Rect(0.7, 0.7, 0.9, 0.9))
 
     def test_affected_enter(self):
-        assert self.query.is_affected_by(Point(0.5, 0.5), Point(0.3, 0.5))
+        assert self.query.is_affected_by("o", Point(0.5, 0.5))
 
     def test_affected_leave(self):
-        assert self.query.is_affected_by(Point(0.3, 0.5), Point(0.5, 0.5))
+        self.query.results = {"o"}
+        assert self.query.is_affected_by("o", Point(0.3, 0.5))
 
     def test_unaffected_inside(self):
-        assert not self.query.is_affected_by(Point(0.45, 0.5), Point(0.55, 0.5))
+        self.query.results = {"o"}
+        assert not self.query.is_affected_by("o", Point(0.45, 0.5))
 
     def test_unaffected_outside(self):
-        assert not self.query.is_affected_by(Point(0.1, 0.1), Point(0.2, 0.2))
+        assert not self.query.is_affected_by("o", Point(0.1, 0.1))
 
     def test_new_object_affected_only_if_inside(self):
-        assert self.query.is_affected_by(Point(0.5, 0.5), None)
-        assert not self.query.is_affected_by(Point(0.1, 0.1), None)
+        assert self.query.is_affected_by("new", Point(0.5, 0.5))
+        assert not self.query.is_affected_by("new", Point(0.1, 0.1))
+        # Closed: the edge is inside.
+        assert self.query.is_affected_by("new", Point(0.6, 0.5))
 
     def test_snapshot_is_frozen(self):
         self.query.results = {1, 2}
@@ -80,19 +84,28 @@ class TestKNNQuery:
 
     def test_order_sensitive_affected_any_inside(self):
         inside, outside = Point(0.55, 0.5), Point(0.9, 0.9)
-        assert self.query.is_affected_by(inside, outside)
-        assert self.query.is_affected_by(outside, inside)
-        assert self.query.is_affected_by(inside, inside)  # order may change
-        assert not self.query.is_affected_by(outside, outside)
+        assert self.query.is_affected_by("x", inside)  # enters
+        assert self.query.is_affected_by("a", outside)  # leaves
+        assert self.query.is_affected_by("a", inside)  # order may change
+        assert not self.query.is_affected_by("x", outside)
+        # Closed: a non-member landing on the circle may tie the k-th.
+        self.query.radius = 0.125
+        assert self.query.is_affected_by("x", Point(0.625, 0.5))
 
     def test_order_insensitive_affected_only_on_crossing(self):
         query = KNNQuery(Point(0.5, 0.5), k=2, order_sensitive=False)
         query.radius = 0.1
+        query.results = ["a", "b"]
         inside, outside = Point(0.55, 0.5), Point(0.9, 0.9)
-        assert query.is_affected_by(inside, outside)
-        assert query.is_affected_by(outside, inside)
-        assert not query.is_affected_by(inside, inside)
-        assert not query.is_affected_by(outside, outside)
+        assert query.is_affected_by("x", inside)
+        assert query.is_affected_by("a", outside)
+        assert not query.is_affected_by("a", inside)
+        assert not query.is_affected_by("x", outside)
+        # On the circle either side may tie: always affected.
+        query.radius = 0.125
+        on = Point(0.5, 0.375)
+        assert query.is_affected_by("a", on)
+        assert query.is_affected_by("x", on)
 
     def test_snapshot_types(self):
         assert self.query.result_snapshot() == ("a", "b")

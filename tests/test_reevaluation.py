@@ -67,19 +67,18 @@ class KNNWorld:
 
     def move(self, oid, p):
         """Simulate an object's location update arriving at the server."""
-        previous = self.positions[oid]
         self.positions[oid] = p
         self.index.update(oid, Rect.from_point(p))
         outcome = reevaluate_knn(
-            self.query, oid, p, previous, self.index, self.probe,
-            self.index.rect_of,
+            self.query, oid, p, self.index, self.probe, self.index.rect_of,
         )
         return outcome
 
     def true_knn(self):
+        center = self.query.center
         ranked = sorted(
             self.positions,
-            key=lambda o: self.query.center.distance_to(self.positions[o]),
+            key=lambda o: (center.squared_distance_to(self.positions[o]), o),
         )
         return ranked[: self.query.k]
 
@@ -171,7 +170,7 @@ class TestCaseTwo:
         query.results = ["a", "b"]
         query.radius = 0.07
         outcome = reevaluate_knn(
-            query, "n", Point(0.55, 0.5), Point(0.6, 0.5), index,
+            query, "n", Point(0.55, 0.5), index,
             lambda oid: {"b": Point(0.6, 0.5)}[oid],               # d = 0.10
             index.rect_of,
         )
@@ -239,7 +238,7 @@ class TestRandomisedMaintenance:
                 min(max(p.x + rng.uniform(-0.08, 0.08), 0), 1),
                 min(max(p.y + rng.uniform(-0.08, 0.08), 0), 1),
             )
-            if world.query.is_affected_by(new, world.positions[oid]):
+            if world.query.is_affected_by(oid, new):
                 world.move(oid, new)
             else:
                 world.positions[oid] = new
