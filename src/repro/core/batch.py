@@ -68,19 +68,16 @@ def combine_components(
         # Scalar fast path for the default perimeter objective: the same
         # greedy walk without minting a Rect per candidate.  Every
         # comparison reproduces the generic path's arithmetic term for
-        # term (widths via ``(p +/- c) - p`` differences, perimeter as
-        # ``2.0 * (w + h)``, first-maximum tie-breaks), so the chosen
-        # rectangle is bit-identical to the generic path's.
+        # term (widths as ``|g - p|``, perimeter as ``2.0 * (w + h)``,
+        # first-maximum tie-breaks), so the chosen rectangle is
+        # bit-identical to the generic path's.
         px, py = p.x, p.y
 
         start = 0
         best_val = float("-inf")
         for idx in range(4):
-            sx, sy = _QUADRANTS[idx]
             q_best = float("-inf")
-            for cx, cy in component_sets[idx]:
-                gx = px + sx * cx
-                gy = py + sy * cy
+            for gx, gy in component_sets[idx]:
                 w = gx - px if gx >= px else px - gx
                 h = gy - py if gy >= py else py - gy
                 v = 2.0 * (w + h)
@@ -100,9 +97,7 @@ def combine_components(
             sx, sy = _QUADRANTS[idx]
             best_key = None
             best_bounds = None
-            for cx, cy in corners:
-                gx = px + sx * cx
-                gy = py + sy * cy
+            for gx, gy in corners:
                 if sx > 0:
                     tx0, tx1 = ux0, (ux1 if ux1 <= gx else gx)
                 else:
@@ -138,7 +133,7 @@ def combine_components(
     start = max(
         range(4),
         key=lambda idx: max(
-            (score(_component_rect(p, t, *_QUADRANTS[idx])) for t in component_sets[idx]),
+            (score(_component_rect(p, t)) for t in component_sets[idx]),
             default=float("-inf"),
         ),
     )
@@ -188,11 +183,19 @@ def _component_corners(
     staircase of Proposition 5.6.  An obstacle straddling one of the
     quadrant's axes has a negative coordinate there: no component, not
     even a degenerate one along that axis, may pass it.
+
+    Each corner is returned in global coordinates, as the very obstacle
+    or cell edge that bounds it: mapping ``X`` back through ``p`` would
+    round, and could leave the region an ulp inside an open obstacle.
     """
     width = (cell.max_x - p.x) if sx > 0 else (p.x - cell.min_x)
     height = (cell.max_y - p.y) if sy > 0 else (p.y - cell.min_y)
-    width = max(width, 0.0)
-    height = max(height, 0.0)
+    far_x = cell.max_x if sx > 0 else cell.min_x
+    far_y = cell.max_y if sy > 0 else cell.min_y
+    if width <= 0.0:
+        width, far_x = 0.0, p.x
+    if height <= 0.0:
+        height, far_y = 0.0, p.y
 
     blockers = []
     for obstacle in obstacles:
@@ -203,56 +206,57 @@ def _component_corners(
     # running y cap opens a new component, dominated corners add nothing.
     blockers.sort()
     corners: list[tuple[float, float]] = []
-    y_cap = height
-    for ax, ay in blockers:
+    y_cap, cap_y = height, far_y
+    for ax, ay, edge_x, edge_y in blockers:
         if ay >= y_cap:
             continue
-        if ax >= 0.0 and (not corners or corners[-1][0] != ax):
-            corners.append((ax, y_cap))
-        y_cap = ay
+        if ax >= 0.0 and (not corners or corners[-1][0] != edge_x):
+            corners.append((edge_x, cap_y))
+        y_cap, cap_y = ay, edge_y
         if y_cap < 0.0:
             return corners
-    corners.append((width, y_cap))
+    corners.append((far_x, cap_y))
     return corners
 
 
 def _local_min_corner(
     p: Point, obstacle: Rect, sx: float, sy: float, width: float, height: float
-) -> tuple[float, float] | None:
-    """Obstacle's lower-left corner in quadrant-local coordinates.
+) -> tuple[float, float, float, float] | None:
+    """Obstacle's lower-left corner in quadrant-local coordinates, then
+    the global edges it stands for.
 
     Returns ``None`` when the obstacle cannot constrain any component
     rectangle of this quadrant (no positive-area overlap with it).
     """
     if sx > 0:
-        lx1, lx2 = obstacle.min_x - p.x, obstacle.max_x - p.x
+        edge_x = obstacle.min_x
+        lx1, lx2 = edge_x - p.x, obstacle.max_x - p.x
     else:
-        lx1, lx2 = p.x - obstacle.max_x, p.x - obstacle.min_x
+        edge_x = obstacle.max_x
+        lx1, lx2 = p.x - edge_x, p.x - obstacle.min_x
     if sy > 0:
-        ly1, ly2 = obstacle.min_y - p.y, obstacle.max_y - p.y
+        edge_y = obstacle.min_y
+        ly1, ly2 = edge_y - p.y, obstacle.max_y - p.y
     else:
-        ly1, ly2 = p.y - obstacle.max_y, p.y - obstacle.min_y
+        edge_y = obstacle.max_y
+        ly1, ly2 = p.y - edge_y, p.y - obstacle.min_y
 
     if lx2 <= 0.0 or ly2 <= 0.0 or lx1 >= width or ly1 >= height:
         return None
-    return (lx1, ly1)
+    return (lx1, ly1, edge_x, edge_y)
 
 
-def _component_rect(
-    p: Point, corner: tuple[float, float], sx: float, sy: float
-) -> Rect:
-    """Global-coordinate rectangle of a component given its local corner."""
-    xs = sorted((p.x, p.x + sx * corner[0]))
-    ys = sorted((p.y, p.y + sy * corner[1]))
-    return Rect(xs[0], ys[0], xs[1], ys[1])
+def _component_rect(p: Point, corner: tuple[float, float]) -> Rect:
+    """The component rectangle spanned by ``p`` and its opposite corner."""
+    gx, gy = corner
+    return Rect(min(p.x, gx), min(p.y, gy), max(p.x, gx), max(p.y, gy))
 
 
 def _trim(
     union: Rect, p: Point, corner: tuple[float, float], sx: float, sy: float
 ) -> Rect:
     """Trim ``union`` by the lines through a component's opposite corner."""
-    gx = p.x + sx * corner[0]
-    gy = p.y + sy * corner[1]
+    gx, gy = corner
     if sx > 0:
         min_x, max_x = union.min_x, min(union.max_x, gx)
     else:

@@ -15,6 +15,7 @@ from array import array
 from collections.abc import Mapping
 
 from repro.geometry.point import Point
+from repro.geometry.ties import admit_ids
 from repro.rows import GrowingRows
 
 
@@ -27,7 +28,7 @@ class ObjectState:
 
     ``sr_cert`` is the safe-region certificate: ``(cell, cell
     generation, clearances)``, issued with the installed region by
-    ``DatabaseServer._compute_full_safe_region`` and tested only by
+    ``DatabaseServer._full_safe_region`` and tested only by
     ``DatabaseServer._certificate_holds``.  Its cell is always the held
     cell (a held cell that moves without a new region voids it), so the
     table keeps the generation (``cert_gen``, -1 for none) and the
@@ -111,10 +112,14 @@ class Objects(GrowingRows):
     but not an ``array`` one.  A generation is the grid's own int and
     the objects of one bootstrap or one batch share their time, so the
     lists hold pointers; times of separate reports are a float each.
-    A freed row drops its references until it is refilled.
+    A freed row drops its references until it is refilled.  ``kinds``
+    holds one admitted id per id type: a new id must order against them
+    (``repro.geometry.ties.admit_ids``).
     """
 
-    __slots__ = ("region", "x", "y", "cell", "t", "cert_gen", "clearances")
+    __slots__ = (
+        "region", "x", "y", "cell", "t", "cert_gen", "clearances", "kinds",
+    )
     _View = ObjectState
 
     def __init__(self) -> None:
@@ -125,6 +130,7 @@ class Objects(GrowingRows):
         self.t: list = []
         self.cert_gen: list = []
         self.clearances: list = []
+        self.kinds: dict = {}
 
     def _grow(self, n: int) -> None:
         blank = [None] * n
@@ -145,6 +151,8 @@ class Objects(GrowingRows):
     def put(self, oid, region, x: float, y: float, cell, t: float) -> int:
         """A row for new ``oid`` holding a region, a report and its cell,
         with no certificate; returns the row."""
+        if type(oid) not in self.kinds:
+            admit_ids((oid,), self.kinds)
         row = self.add(oid)
         self.region[row], self.cell[row] = region, cell
         self.x[row], self.y[row], self.t[row] = x, y, t
@@ -155,6 +163,7 @@ class Objects(GrowingRows):
              cells: list, t: float) -> int:
         """:meth:`put` of every oid of ``oids`` in one pass over the
         columns; returns the first row."""
+        admit_ids(oids, self.kinds)
         first = self.extend(oids)
         end = first + len(oids)
         self.region[first:end] = regions

@@ -340,6 +340,7 @@ class DatabaseServer:
     def attach_profiler(self, profiler) -> None:
         """Install a tick-phase profiler (``NULL_PROFILER`` detaches)."""
         self.profiler = profiler
+        self._trace.attach_profiler(profiler)
 
     def profile_start(self, max_ticks: int | None = None) -> None:
         """Begin a profiling session (same surface as ``ShardedServer``)."""
@@ -426,7 +427,7 @@ class DatabaseServer:
                 cell = table.cell[row]
                 if not grid.has_queries_in_cell(cell):
                     # No query can shape this region: what
-                    # ``_compute_full_safe_region`` would hand back,
+                    # ``_full_safe_region`` would hand back,
                     # without entering it.
                     grant = grants.get(cell)
                     if grant is None:
@@ -436,9 +437,7 @@ class DatabaseServer:
                     regions[row], table.cert_gen[row] = grant
                     table.clearances[row] = None
                     continue
-                region = regions[row] = self._compute_full_safe_region(
-                    oid, row, None
-                )
+                region = regions[row] = self._full_safe_region(oid, row, None)
                 if events.enabled and (
                     table.cert_gen[row] < 0 or table.clearances[row] is not None
                 ):
@@ -584,6 +583,7 @@ class DatabaseServer:
             key=lambda q: q.query_id,
         )
         events = self.events
+        phase = self._trace.phase
         for query in referencing:
             before = _snapshot(query)
             probes_before = set(probed)
@@ -600,8 +600,13 @@ class DatabaseServer:
                     for target, pos in probed.items()
                     if target not in probes_before
                 }
-                previous_positions.update(self._apply_probes(fresh, time))
-                shrunk_only.update(self._apply_shrinks(repair.shrunk, probed))
+                previous_positions.update(
+                    phase("probe", self._apply_probes, fresh, time)
+                )
+                if self.config.reachability_pushes:
+                    shrunk_only.update(
+                        phase("shrink", self._apply_shrinks, repair.shrunk, probed)
+                    )
                 if repair.quarantine_changed:
                     self.query_index.update(query)
                 after = _snapshot(query)
@@ -635,14 +640,9 @@ class DatabaseServer:
             finally:
                 self._cause = parent_cause
         outcome.queries_reevaluated = len(outcome.changes)
-
-        self._ingest_reports(
-            list(probed.items()), probe, probed, previous_positions,
-            shrunk_only, constrain, outcome, time,
-        )
-        self._location_manager_phase(
-            list(probed), {}, previous_positions, shrunk_only, outcome,
-            updater=None,
+        self._refresh_probed(
+            probe, probed, previous_positions, shrunk_only, constrain,
+            outcome, time,
         )
         return outcome
 
@@ -690,8 +690,12 @@ class DatabaseServer:
             self.object_index, probe, constrain, self.kernels
         )
         self._census("registration", len(probed))
-        previous_positions.update(self._apply_probes(probed, time))
-        shrunk_only.update(self._apply_shrinks(evaluation.shrunk, probed))
+        phase = self._trace.phase
+        previous_positions.update(phase("probe", self._apply_probes, probed, time))
+        if self.config.reachability_pushes:
+            shrunk_only.update(
+                phase("shrink", self._apply_shrinks, evaluation.shrunk, probed)
+            )
         self.query_index.insert(query)
         self.stats.queries_registered += 1
 
@@ -699,15 +703,28 @@ class DatabaseServer:
         outcome.changes.append(
             ResultChange(query.query_id, None, _snapshot(query))
         )
-        self._ingest_reports(
-            list(probed.items()), probe, probed, previous_positions,
-            shrunk_only, constrain, outcome, time,
-        )
-        self._location_manager_phase(
-            list(probed), {}, previous_positions, shrunk_only, outcome,
-            updater=None,
+        self._refresh_probed(
+            probe, probed, previous_positions, shrunk_only, constrain,
+            outcome, time,
         )
         return outcome
+
+    def _refresh_probed(
+        self, probe, probed, previous_positions, shrunk_only, constrain,
+        outcome: UpdateOutcome, time: float,
+    ) -> None:
+        """Ingest every object an eviction or registration probed, then
+        hand each a fresh safe region."""
+        phase = self._trace.phase
+        phase(
+            "ingest", self._ingest_reports, list(probed.items()), probe,
+            probed, previous_positions, shrunk_only, constrain, outcome,
+            time, {},
+        )
+        phase(
+            "location_manager", self._location_manager_phase, list(probed),
+            {}, previous_positions, shrunk_only, outcome, None,
+        )
 
     def deregister_query(self, query: Query) -> None:
         """Stop monitoring ``query`` (Algorithm 1, lines 6-7).
@@ -1031,7 +1048,7 @@ class DatabaseServer:
         self._objects.hold(row, position, cell, time)
         # Defer the pointify: it only matters if some reevaluation
         # actually reads the index before the location manager
-        # reinstalls the entry.  ``_do_reevaluate_affected`` flushes
+        # reinstalls the entry.  ``_reevaluate_affected`` flushes
         # it just in time; otherwise the entry is never touched.
         self._pending_pointify = (oid, position)
 
@@ -1042,43 +1059,25 @@ class DatabaseServer:
         constrain = self._make_constrain(time)
         outcome = UpdateOutcome()
 
+        phase = self._trace.phase
         try:
-            self._ingest_reports(
-                [(oid, position)], probe, probed, previous_positions,
-                shrunk_only, constrain, outcome, time,
-                initial_previous={oid: previous},
+            phase(
+                "ingest", self._ingest_reports, [(oid, position)], probe,
+                probed, previous_positions, shrunk_only, constrain, outcome,
+                time, {oid: previous},
             )
             outcome.queries_reevaluated = len(outcome.changes)
 
             targets = [oid] + [target for target in probed if target != oid]
-            self._location_manager_phase(
-                targets, {oid: previous}, previous_positions, shrunk_only,
-                outcome, updater=oid,
+            phase(
+                "location_manager", self._location_manager_phase, targets,
+                {oid: previous}, previous_positions, shrunk_only, outcome, oid,
             )
         finally:
             self._pending_pointify = None
         return outcome
 
-    def _ingest_reports(self, *args, **kwargs) -> None:
-        # Inline segment clock (``TickProfiler.acc_ingest``): cheaper
-        # than a push/pop pair on a phase entered once per report.
-        profiler = self.profiler
-        timed = profiler.enabled and profiler.tick_open
-        if timed:
-            start = perf_counter()
-        try:
-            # Skip the no-op span scaffolding when tracing is off
-            # (behaviourally identical, measurably cheaper).
-            if self._trace.noop_spans():
-                self._do_ingest_reports(*args, **kwargs)
-                return
-            with self._trace.span("ingest"):
-                self._do_ingest_reports(*args, **kwargs)
-        finally:
-            if timed:
-                profiler.acc_ingest += perf_counter() - start
-
-    def _do_ingest_reports(
+    def _ingest_reports(
         self,
         initial_reports: list[tuple[ObjectId, Point]],
         probe,
@@ -1088,7 +1087,7 @@ class DatabaseServer:
         constrain,
         outcome: UpdateOutcome,
         time: float,
-        initial_previous: dict[ObjectId, Point | None] | None = None,
+        initial_previous: dict[ObjectId, Point | None],
     ) -> None:
         """Reevaluate queries for a cascade of position reports.
 
@@ -1101,41 +1100,25 @@ class DatabaseServer:
         to report again.  Reevaluation may probe further objects, whose
         reports join the queue; each object is ingested at most once.
         """
-        initial_previous = initial_previous or {}
         reports = list(initial_reports)
         reported = {r_oid for r_oid, _ in reports}
+        phase = self._trace.phase
         while reports:
             r_oid, r_pos = reports.pop(0)
             r_prev = initial_previous.get(
                 r_oid, previous_positions.get(r_oid)
             )
-            self._reevaluate_affected(
-                r_oid, r_pos, r_prev, probe, probed, previous_positions,
-                shrunk_only, constrain, outcome, time,
+            phase(
+                "reevaluate", self._reevaluate_affected, r_oid, r_pos, r_prev,
+                probe, probed, previous_positions, shrunk_only, constrain,
+                outcome, time,
             )
             for target, target_pos in probed.items():
                 if target not in reported:
                     reported.add(target)
                     reports.append((target, target_pos))
 
-    def _location_manager_phase(self, *args, **kwargs) -> None:
-        # The phase scatters freshly computed regions back onto reports;
-        # safe-region *construction* is its ``safe_region`` child phase.
-        profiler = self.profiler
-        timed = profiler.enabled and profiler.tick_open
-        if timed:
-            start = perf_counter()
-        try:
-            if self._trace.noop_spans():
-                self._do_location_manager_phase(*args, **kwargs)
-                return
-            with self._trace.span("location_manager"):
-                self._do_location_manager_phase(*args, **kwargs)
-        finally:
-            if timed:
-                profiler.acc_scatter += perf_counter() - start
-
-    def _do_location_manager_phase(
+    def _location_manager_phase(
         self,
         targets: list[ObjectId],
         initial_previous: dict[ObjectId, Point | None],
@@ -1144,11 +1127,16 @@ class DatabaseServer:
         outcome: UpdateOutcome,
         updater: ObjectId | None,
     ) -> None:
-        """Recompute safe regions for every object that reported (§5)."""
+        """Recompute safe regions for every object that reported (§5).
+
+        Scatters the fresh regions back onto the outcome (the profile's
+        ``report.scatter``); construction is its ``safe_region`` site.
+        """
         # Hoisted out of the loop (one lookup per report adds up).
         table = self._objects
         install_safe_region = self._install_safe_region
         failed_probes = self._failed_probes
+        phase = self._trace.phase
 
         for target in targets:
             if target in failed_probes:
@@ -1181,7 +1169,9 @@ class DatabaseServer:
                         "sr_skip", cause=self._cause, oid=target
                     )
             else:
-                region = self._full_safe_region(
+                region = phase(
+                    "safe_region",
+                    self._full_safe_region,
                     target,
                     row,
                     initial_previous[target]
@@ -1197,25 +1187,7 @@ class DatabaseServer:
         for target, region in shrunk_only.items():
             outcome.probed[target] = region
 
-    def _reevaluate_affected(self, *args, **kwargs) -> None:
-        # Called once per report; skip the no-op span scaffolding when
-        # tracing is off (behaviourally identical, measurably cheaper).
-        # The segment lands under ``tick;ingest;reevaluate``.
-        profiler = self.profiler
-        timed = profiler.enabled and profiler.tick_open
-        if timed:
-            start = perf_counter()
-        try:
-            if self._trace.noop_spans():
-                self._do_reevaluate_affected(*args, **kwargs)
-                return
-            with self._trace.span("reevaluate"):
-                self._do_reevaluate_affected(*args, **kwargs)
-        finally:
-            if timed:
-                profiler.acc_reev += perf_counter() - start
-
-    def _do_reevaluate_affected(
+    def _reevaluate_affected(
         self,
         oid: ObjectId,
         position: Point,
@@ -1256,6 +1228,7 @@ class DatabaseServer:
                 len(ordered), len(affected),
             )
         events = self.events
+        phase = self._trace.phase
         for query in affected:
             started = perf_counter() if profile_on else 0.0
             before = _snapshot(query)
@@ -1283,10 +1256,14 @@ class DatabaseServer:
                 if case == "knn_leaves" and oid in query.results:
                     # Case 1 re-elected the leaver as the k-th neighbour.
                     self._m_leaver_reelected.inc()
-                previous_positions.update(self._apply_probes(fresh, time))
-                shrunk_only.update(
-                    self._apply_shrinks(reevaluation.shrunk, probed)
+                previous_positions.update(
+                    phase("probe", self._apply_probes, fresh, time)
                 )
+                if self.config.reachability_pushes:
+                    shrunk_only.update(phase(
+                        "shrink", self._apply_shrinks, reevaluation.shrunk,
+                        probed,
+                    ))
                 if reevaluation.quarantine_changed:
                     self.query_index.update(query)
                 after = _snapshot(query)
@@ -1431,16 +1408,6 @@ class DatabaseServer:
         Returns each probed object's *previous* reported position (needed
         as the movement direction for the weighted-perimeter objective).
         """
-        # Called once per reevaluated query (usually with an empty dict);
-        # skip the no-op span scaffolding when tracing is off.
-        if self._trace.noop_spans():
-            return self._do_apply_probes(probed, time)
-        with self._trace.span("probe"):
-            return self._do_apply_probes(probed, time)
-
-    def _do_apply_probes(
-        self, probed: dict[ObjectId, Point], time: float
-    ) -> dict[ObjectId, Point]:
         previous_positions = {}
         table = self._objects
         for target, position in probed.items():
@@ -1467,21 +1434,10 @@ class DatabaseServer:
         Objects that were eventually probed anyway are skipped — the probe
         supersedes the shrink.  Each installed shrink is pushed to the
         client over the downlink and counted in ``safe_region_pushes``.
-        With ``reachability_pushes`` disabled (the paper's semantics),
-        nothing is installed and constrained decisions may go stale.
+        Callers skip it with ``reachability_pushes`` disabled (the
+        paper's semantics): nothing is installed and constrained
+        decisions may go stale.
         """
-        if not self.config.reachability_pushes:
-            return {}
-        # Same per-reevaluation cadence as ``_apply_probes``: skip the
-        # no-op span scaffolding when tracing is off.
-        if self._trace.noop_spans():
-            return self._do_apply_shrinks(shrunk, probed)
-        with self._trace.span("shrink"):
-            return self._do_apply_shrinks(shrunk, probed)
-
-    def _do_apply_shrinks(
-        self, shrunk: dict[ObjectId, Rect], probed: dict[ObjectId, Point]
-    ) -> dict[ObjectId, Rect]:
         applied = {}
         for target, region in shrunk.items():
             if target in probed:
@@ -1630,22 +1586,6 @@ class DatabaseServer:
         Callers always install the returned region, keeping the
         certificate in step with the installed state.
         """
-        profiler = self.profiler
-        timed = profiler.enabled and profiler.tick_open
-        if timed:
-            start = perf_counter()
-        try:
-            if self._trace.noop_spans():
-                return self._compute_full_safe_region(oid, row, previous)
-            with self._trace.span("safe_region"):
-                return self._compute_full_safe_region(oid, row, previous)
-        finally:
-            if timed:
-                profiler.acc_sr += perf_counter() - start
-
-    def _compute_full_safe_region(
-        self, oid: ObjectId, row: int, previous: Point | None
-    ) -> Rect:
         grid = self.query_index
         table = self._objects
         position = Point(table.x[row], table.y[row])

@@ -29,3 +29,32 @@ def reaches(inside: bool, member: bool) -> bool:
     order-insensitive kNN query is affected on its circle or when
     membership flips.)"""
     return member or inside
+
+
+class UnorderableIds(TypeError):
+    """Two object ids that cannot be ordered against each other.
+
+    An exact tie ranks by oid, so every pair of monitored ids must
+    compare; a mix such as ints and strs is refused where the ids enter,
+    not at the first tie.
+    """
+
+
+def admit_ids(oids, kinds: dict) -> None:
+    """Check that ``oids`` order against each other and against
+    ``kinds`` (type -> one admitted id of it), recording their types.
+
+    One representative per type is compared, so the cost is one pass of
+    ``type`` over the ids.
+    """
+    for kind in set(map(type, oids)).difference(kinds):
+        oid = next(o for o in oids if type(o) is kind)
+        for other in (oid, *kinds.values()):
+            try:
+                oid < other
+            except TypeError:
+                raise UnorderableIds(
+                    f"object ids {oid!r} and {other!r} cannot be ordered "
+                    "against each other (exact kNN ties rank by oid)"
+                ) from None
+        kinds[kind] = oid

@@ -42,6 +42,7 @@ from repro.obs.export import (
 )
 from repro.obs.profile import (
     NULL_PROFILER,
+    PHASES,
     NullProfiler,
     TickProfiler,
     empty_profile,
@@ -62,7 +63,7 @@ from repro.obs.registry import (
     NullRegistry,
 )
 from repro.obs.timeseries import DEFAULT_SERIES, TimeSeries, TimeSeriesSampler
-from repro.obs.trace import SpanRecord, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -71,6 +72,7 @@ __all__ = [
     "NULL_EVENT_LOG",
     "NULL_PROFILER",
     "NULL_REGISTRY",
+    "PHASES",
     "TIME_BUCKETS",
     "Counter",
     "DiagnosticsReport",
@@ -83,7 +85,6 @@ __all__ = [
     "NullEventLog",
     "NullProfiler",
     "NullRegistry",
-    "SpanRecord",
     "TickProfiler",
     "TimeSeries",
     "TimeSeriesSampler",

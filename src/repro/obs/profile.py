@@ -4,18 +4,14 @@ The metrics registry answers *how much* work each subsystem did; spans
 answer *how long* named phases took when metrics are on.  This module
 closes the remaining gap — attributed cost — with three pieces:
 
-* :class:`TickProfiler` — a self-time stack accountant.  The server
-  opens one *tick* per ``handle_location_updates`` batch and times a
-  named phase (``ingest``, …) around each per-tick stage.
-  A child phase pauses its parent's clock, so *the phase times sum to
-  the tick wall time by construction*; the root's own self-time is the orchestration
-  residual (per-report dict bookkeeping, fast-path commits) that no
-  child claims.  The four per-*report* phases (``ingest``,
-  ``reevaluate``, ``report.scatter``, ``safe_region``) bypass the stack
-  entirely: the server accrues their ``perf_counter`` deltas into flat
-  accumulator attributes and ``tick_end`` folds the totals into the
-  same self-time table — identical arithmetic, a fraction of the
-  per-call cost on paths entered tens of thousands of times per run.
+* :class:`TickProfiler` — a self-time accountant.  The server opens
+  one *tick* per ``handle_location_updates`` batch (or per lone
+  report), and ``Tracer.phase`` times each site of :data:`PHASES`
+  inside it, adding the site's total to a profile slot.  ``tick_end``
+  carves each total out of its parent's self time, so *the phase times
+  sum to the tick wall time by construction*; the root's own self-time
+  is the orchestration residual (per-report dict bookkeeping, fast-path
+  commits) that no site claims.
 * Hotspot tables — per-query, per-cell, and per-object attribution
   (reevaluation count, kernel rows, attributed seconds) plus a
   cell-occupancy skew summary reusing the ``shard.objects.imbalance``
@@ -24,13 +20,12 @@ closes the remaining gap — attributed cost — with three pieces:
   integer microseconds) and a JSON phase-budget report, merged across
   shard workers by :func:`merge_profiles`.
 
-The zero-overhead contract matches ``Tracer.noop_spans``: instrumented
-code holds :data:`NULL_PROFILER` by default and every hook site checks
-one ``profiler.enabled`` attribute before doing any work, so the
-disabled path costs a single attribute test and no ``perf_counter``
-calls.  A ``max_ticks`` budget turns a profiler into a sampling
-session: after N completed ticks it disables itself, freezing the
-capture.
+The zero-overhead contract: instrumented code holds
+:data:`NULL_PROFILER` by default and every hook checks one attribute
+before doing any work, so the disabled path costs a single attribute
+test and no ``perf_counter`` calls.  A ``max_ticks`` budget turns a
+profiler into a sampling session: after N completed ticks it disables
+itself, freezing the capture.
 """
 
 from __future__ import annotations
@@ -40,6 +35,30 @@ from time import perf_counter, process_time
 #: Cap on hotspot rows shipped per shard summary — enough for any sane
 #: ``--top-k`` after a cross-shard merge, small enough to pickle cheaply.
 _SHIP_K = 64
+
+
+#: The one site table: every timed server phase, keyed by span name, with
+#: its tick-profile path (``None``: ``probe`` and ``shrink`` stay in
+#: their parent's self time) and its parent phase (``None``: the tick
+#: root).  Parents come before their children.  ``Tracer.phase`` times a
+#: site once and feeds both the ``span.<path>.seconds`` histogram and the
+#: profile slot; ``TickProfiler.tick_end`` folds the slots along the
+#: parent links.
+PHASES: dict[str, tuple[str | None, str | None]] = {
+    "ingest": ("tick;ingest", None),
+    "reevaluate": ("tick;ingest;reevaluate", "ingest"),
+    "probe": (None, "reevaluate"),
+    "shrink": (None, "reevaluate"),
+    "location_manager": ("tick;report.scatter", None),
+    "safe_region": ("tick;report.scatter;safe_region", "location_manager"),
+}
+
+#: ``(path, parent path)`` of each profiled site, in fold order.
+_FOLD = tuple(
+    (path, PHASES[parent][0] if parent else "tick")
+    for path, parent in PHASES.values()
+    if path is not None
+)
 
 
 class NullProfiler:
@@ -61,19 +80,7 @@ class NullProfiler:
     def tick_end(self, reports: int = 0) -> None:
         pass
 
-    def push(self, name: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
-
     def note_query(self, qid, seconds: float, reevals: int = 1) -> None:
-        pass
-
-    def note_cell(self, cell, rows: int = 0, reports: int = 0) -> None:
-        pass
-
-    def note_object(self, oid, reports: int = 1) -> None:
         pass
 
     def note_report(self, oid, cell, rows: int, affected: int) -> None:
@@ -91,16 +98,15 @@ class TickProfiler:
 
     Phase paths are semicolon-joined from the root (``tick;reevaluate``)
     so the accumulated wall table doubles as collapsed-stack output.
-    ``push``/``pop`` outside an open tick record nothing — bootstrap
-    work (object loads, query registration) never skews a tick budget.
+    Phases timed outside an open tick record nothing — bootstrap work
+    (object loads, query registration) never skews a tick budget.
     """
 
     __slots__ = (
         "enabled", "max_ticks", "ticks", "reports",
-        "wall_seconds", "cpu_seconds", "phase_wall",
+        "wall_seconds", "cpu_seconds", "phase_wall", "tick_phases",
         "query_seconds", "query_reevals", "cell_rows", "cell_reports",
-        "object_reports", "_stack", "_tick_start", "_cpu_start",
-        "tick_open", "acc_ingest", "acc_reev", "acc_scatter", "acc_sr",
+        "object_reports", "_tick_start", "_cpu_start", "tick_open",
     )
 
     def __init__(self, max_ticks: int | None = None) -> None:
@@ -112,27 +118,18 @@ class TickProfiler:
         self.cpu_seconds = 0.0
         #: path -> accumulated *self* time (children excluded).
         self.phase_wall: dict[str, float] = {}
+        #: path -> the open tick's *total* time per profiled site, fed
+        #: by ``Tracer.phase`` and folded into :attr:`phase_wall` (then
+        #: zeroed) by :meth:`tick_end`.
+        self.tick_phases = {path: 0.0 for path, _ in _FOLD}
         self.query_seconds: dict[str, float] = {}
         self.query_reevals: dict[str, int] = {}
         self.cell_rows: dict = {}
         self.cell_reports: dict = {}
         self.object_reports: dict = {}
-        self._stack: list[list] = []  # [path, self-segment start]
         self._tick_start = 0.0
         self._cpu_start = 0.0
-        #: Inline segment clocks for the four hottest per-report phases
-        #: (ingest, reevaluate, report.scatter, safe_region).  The
-        #: server accrues ``perf_counter`` deltas straight into these
-        #: attributes — no method call, no stack frame — and
-        #: ``tick_end`` folds the totals into :attr:`phase_wall` with
-        #: the containment layout fixed by the server's call graph
-        #: (reevaluate under ingest, safe_region under scatter).  The
-        #: generic push/pop stack serves any other phase a caller opens.
         self.tick_open = False
-        self.acc_ingest = 0.0
-        self.acc_reev = 0.0
-        self.acc_scatter = 0.0
-        self.acc_sr = 0.0
 
     # -- tick lifecycle ------------------------------------------------
     def tick_begin(self) -> bool:
@@ -142,103 +139,39 @@ class TickProfiler:
         the tick closes it, so an outer batch wrapper and an inner
         per-update auto-root cannot double-count.
         """
-        if not self.enabled or self._stack:
+        if not self.enabled or self.tick_open:
             return False
-        now = perf_counter()
-        self._tick_start = now
+        self._tick_start = perf_counter()
         self._cpu_start = process_time()
-        self._stack.append(["tick", now])
         self.tick_open = True
-        self.acc_ingest = 0.0
-        self.acc_reev = 0.0
-        self.acc_scatter = 0.0
-        self.acc_sr = 0.0
         return True
 
     def tick_end(self, reports: int = 0) -> None:
-        """Close the tick, folding any still-open phases into the total."""
-        stack = self._stack
-        if not stack:
+        """Close the tick, billing each phase its self time.
+
+        The sites ran inside the tick, so a site's total is carved out
+        of its parent's (or the root's) self time: the phase sum stays
+        exactly the tick wall.
+        """
+        if not self.tick_open:
             return
-        now = perf_counter()
+        elapsed = perf_counter() - self._tick_start
         wall = self.phase_wall
-        # Exception safety: close unpopped phases too.  Only the
-        # innermost frame was running — every ancestor's self-clock was
-        # paused when its child was pushed — so the unaccounted tail
-        # belongs to the top frame alone.
-        path, start = stack.pop()
-        wall[path] = wall.get(path, 0.0) + (now - start)
-        while stack:
-            path, _ = stack.pop()
-            wall.setdefault(path, 0.0)
-        # Fold the inline segment clocks.  They accrued while the root
-        # frame's self-clock was running (the per-report phases never
-        # overlap a stack child), so their totals are carved out of the
-        # root's self-time — the phase sum stays exactly the tick wall.
-        ingest = self.acc_ingest
-        scatter = self.acc_scatter
-        if ingest or scatter:
-            wall["tick"] = wall.get("tick", 0.0) - ingest - scatter
-            if ingest:
-                reev = self.acc_reev
-                wall["tick;ingest"] = (
-                    wall.get("tick;ingest", 0.0) + ingest - reev
-                )
-                if reev:
-                    wall["tick;ingest;reevaluate"] = (
-                        wall.get("tick;ingest;reevaluate", 0.0) + reev
-                    )
-            if scatter:
-                sr = self.acc_sr
-                wall["tick;report.scatter"] = (
-                    wall.get("tick;report.scatter", 0.0) + scatter - sr
-                )
-                if sr:
-                    wall["tick;report.scatter;safe_region"] = (
-                        wall.get("tick;report.scatter;safe_region", 0.0)
-                        + sr
-                    )
+        wall["tick"] = wall.get("tick", 0.0) + elapsed
+        totals = self.tick_phases
+        for path, parent in _FOLD:
+            total = totals[path]
+            if total:
+                totals[path] = 0.0
+                wall[path] = wall.get(path, 0.0) + total
+                wall[parent] = wall.get(parent, 0.0) - total
         self.tick_open = False
-        self.wall_seconds += now - self._tick_start
+        self.wall_seconds += elapsed
         self.cpu_seconds += process_time() - self._cpu_start
         self.ticks += 1
         self.reports += reports
         if self.max_ticks is not None and self.ticks >= self.max_ticks:
             self.enabled = False  # sampling session complete
-
-    # -- phase hooks ---------------------------------------------------
-    def push(self, name: str) -> None:
-        """Enter a phase: pause the parent's self-clock, start ours."""
-        stack = self._stack
-        if not stack:
-            return
-        now = perf_counter()
-        top = stack[-1]
-        path = top[0]
-        # try/except accumulate: after the first tick every hot path key
-        # exists, so the common case is one dict store, no ``.get``.
-        try:
-            self.phase_wall[path] += now - top[1]
-        except KeyError:
-            self.phase_wall[path] = now - top[1]
-        # Reset the parent's segment clock: its pending self-time is now
-        # zero, so an exception-unwound ``tick_end`` fold cannot bill
-        # the child's duration to the parent twice.
-        top[1] = now
-        stack.append([path + ";" + name, now])
-
-    def pop(self) -> None:
-        """Leave the current phase and restart the parent's self-clock."""
-        stack = self._stack
-        if len(stack) < 2:  # the root is only closed by tick_end
-            return
-        now = perf_counter()
-        path, start = stack.pop()
-        try:
-            self.phase_wall[path] += now - start
-        except KeyError:
-            self.phase_wall[path] = now - start
-        stack[-1][1] = now
 
     # -- hotspot attribution -------------------------------------------
     def note_query(self, qid, seconds: float, reevals: int = 1) -> None:
@@ -251,32 +184,9 @@ class TickProfiler:
         except KeyError:
             self.query_reevals[qid] = reevals
 
-    def note_cell(self, cell, rows: int = 0, reports: int = 0) -> None:
-        if rows:
-            try:
-                self.cell_rows[cell] += rows
-            except KeyError:
-                self.cell_rows[cell] = rows
-        if reports:
-            try:
-                self.cell_reports[cell] += reports
-            except KeyError:
-                self.cell_reports[cell] = reports
-
-    def note_object(self, oid, reports: int = 1) -> None:
-        try:
-            self.object_reports[oid] += reports
-        except KeyError:
-            self.object_reports[oid] = reports
-
     def note_report(self, oid, cell, rows: int, affected: int) -> None:
-        """One fused attribution call for the per-report hot path.
-
-        Equivalent to ``note_object(oid, affected or 1)`` +
-        ``note_cell(cell, rows, 1)`` with a single method dispatch —
-        the difference is measurable at tens of thousands of reports
-        per profiled run.
-        """
+        """Attribute one report to its object (weighted by the queries
+        it affected) and to its landing cell (with its candidate rows)."""
         weight = affected or 1
         try:
             self.object_reports[oid] += weight

@@ -8,6 +8,12 @@ histogram.  Root spans (depth 0) additionally accumulate into
 ``Tracer.cpu_seconds`` — the single source the server's CPU accounting is
 derived from.
 
+:meth:`Tracer.phase` is the server's one timing seam: it runs one site of
+:data:`~repro.obs.profile.PHASES` and feeds one ``perf_counter`` pair to
+both the site's span histogram (metrics on) and the attached profiler's
+slot (tick open).  With both off it is one attribute test and a direct
+call.
+
 The disabled path is engineered to cost what the pre-observability code
 paid: with a :class:`~repro.obs.registry.NullRegistry` attached, root
 spans still time themselves (two ``perf_counter`` calls, exactly the old
@@ -17,30 +23,13 @@ record nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
+from repro.obs.profile import NULL_PROFILER, PHASES
 from repro.obs.registry import NULL_REGISTRY, TIME_BUCKETS, Histogram
 
-
-@dataclass(slots=True)
-class SpanRecord:
-    """One completed span in a flat trace log."""
-
-    name: str
-    path: str
-    depth: int
-    start: float
-    duration: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "depth": self.depth,
-            "start": self.start,
-            "duration": self.duration,
-        }
+#: Site name -> its tick-profile path (``None``: not split out).
+_PROFILE_PATH = {name: path for name, (path, _) in PHASES.items()}
 
 
 class _NoopSpan:
@@ -84,59 +73,47 @@ class _RootTick:
 class _Span:
     """A live span under an enabled registry."""
 
-    __slots__ = ("_tracer", "name", "path", "depth", "_start")
+    __slots__ = ("_tracer", "_name", "_path", "_start")
 
     def __init__(self, tracer: "Tracer", name: str) -> None:
         self._tracer = tracer
-        self.name = name
-        self.path = name
-        self.depth = 0
-        self._start = 0.0
+        self._name = name
 
     def __enter__(self) -> "_Span":
-        tracer = self._tracer
-        stack = tracer._stack
-        if stack:
-            self.path = f"{stack[-1].path}.{self.name}"
-        self.depth = len(stack)
-        stack.append(self)
-        tracer._depth += 1
+        self._path = self._tracer._open(self._name)
         self._start = perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        duration = perf_counter() - self._start
-        tracer = self._tracer
-        tracer._stack.pop()
-        tracer._depth -= 1
-        if self.depth == 0:
-            tracer.cpu_seconds += duration
-        tracer._histogram_for(self.path).observe(duration)
-        if tracer._records is not None:
-            tracer._records.append(
-                SpanRecord(self.name, self.path, self.depth,
-                           self._start, duration)
-            )
+        self._tracer._close(self._path, perf_counter() - self._start)
 
 
 class Tracer:
     """Produces nested spans and aggregates them into a registry.
 
-    * ``registry`` — where span timings land (``span.<path>.seconds``
-      histograms).  The default :data:`~repro.obs.registry.NULL_REGISTRY`
-      keeps only root-span wall time (``cpu_seconds``).
-    * ``keep_records`` — also retain a flat trace log of every completed
-      span (:attr:`records`), exportable as JSON lines.
+    ``registry`` is where span timings land (``span.<path>.seconds``
+    histograms); the default :data:`~repro.obs.registry.NULL_REGISTRY`
+    keeps only root-span wall time (``cpu_seconds``).
     """
 
-    def __init__(self, registry=NULL_REGISTRY, keep_records: bool = False):
+    def __init__(self, registry=NULL_REGISTRY):
         self.registry = registry
         self.cpu_seconds = 0.0
-        self._depth = 0
-        self._stack: list[_Span] = []
+        #: The tick profiler :meth:`phase` feeds (see :meth:`attach_profiler`).
+        self.profiler = NULL_PROFILER
+        #: Whether :meth:`phase` times at all: metrics on or a profiler
+        #: attached.  The one attribute the disabled hook tests.
+        self.timing = registry.enabled
+        self._depth = 0  # open spans under a disabled registry
+        self._paths: list[str] = []  # open span paths under an enabled one
         self._span_histograms: dict[str, Histogram] = {}
-        self._records: list[SpanRecord] | None = [] if keep_records else None
         self._root_tick = _RootTick(self)
+
+    def attach_profiler(self, profiler) -> None:
+        """Feed :meth:`phase` timings to ``profiler`` (``NULL_PROFILER``
+        detaches)."""
+        self.profiler = profiler
+        self.timing = self.registry.enabled or profiler.enabled
 
     # ------------------------------------------------------------------
     def span(self, name: str):
@@ -147,40 +124,46 @@ class Tracer:
             return self._root_tick
         return _Span(self, name)
 
-    def noop_spans(self) -> bool:
-        """True when :meth:`span` would return the shared no-op span.
+    def phase(self, name: str, fn, *args):
+        """Run ``fn(*args)`` as the site ``name`` of ``PHASES``.
 
-        Per-report hot paths consult this to skip the span scaffolding
-        entirely (one call instead of the context-manager protocol) —
-        behaviourally identical, because the span they skip does nothing.
+        One clock pair feeds the span (nested under the open spans) and,
+        inside a profiled tick, the site's profile slot.
         """
-        return self._depth > 0 and not self.registry.enabled
-
-    def traced(self, name: str):
-        """Decorator form of :meth:`span`."""
-
-        def decorate(fn):
-            def wrapper(*args, **kwargs):
-                with self.span(name):
-                    return fn(*args, **kwargs)
-
-            wrapper.__name__ = fn.__name__
-            wrapper.__doc__ = fn.__doc__
-            return wrapper
-
-        return decorate
+        if not self.timing:
+            return fn(*args)
+        profiler = self.profiler
+        slot = _PROFILE_PATH[name] if profiler.tick_open else None
+        traced = self.registry.enabled
+        if traced:
+            path = self._open(name)
+        elif slot is None:
+            return fn(*args)
+        start = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            elapsed = perf_counter() - start
+            if traced:
+                self._close(path, elapsed)
+            if slot is not None:
+                profiler.tick_phases[slot] += elapsed
 
     # ------------------------------------------------------------------
-    @property
-    def records(self) -> list[SpanRecord]:
-        """The flat trace log (empty unless ``keep_records=True``)."""
-        return list(self._records or ())
+    def _open(self, name: str) -> str:
+        paths = self._paths
+        path = f"{paths[-1]}.{name}" if paths else name
+        paths.append(path)
+        return path
 
-    def _histogram_for(self, path: str) -> Histogram:
+    def _close(self, path: str, duration: float) -> None:
+        paths = self._paths
+        paths.pop()
+        if not paths:
+            self.cpu_seconds += duration
         histogram = self._span_histograms.get(path)
         if histogram is None:
-            histogram = self.registry.histogram(
+            histogram = self._span_histograms[path] = self.registry.histogram(
                 f"span.{path}.seconds", TIME_BUCKETS
             )
-            self._span_histograms[path] = histogram
-        return histogram
+        histogram.observe(duration)

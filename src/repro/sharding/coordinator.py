@@ -47,6 +47,7 @@ from repro.faults import ProbeTimeout
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.geometry.ties import admit_ids
 from repro.kernels import Kernels
 from repro.obs import (
     NULL_EVENT_LOG,
@@ -451,7 +452,9 @@ class ShardedServer:
         excluding = frozenset(self._dead)
         # In id order: ``_first_bound`` ranks rows by ``(d2, row)``,
         # which is then the ranking key ``(d2, oid)``.
-        objects = sorted(objects, key=lambda item: item[0])
+        objects = list(objects)
+        admit_ids([oid for oid, _ in objects], {})
+        objects.sort(key=lambda item: item[0])
         points = [position for _, position in objects]
         xs = array("d", [p.x for p in points])
         ys = array("d", [p.y for p in points])

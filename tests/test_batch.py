@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.batch import batch_range_safe_region
 from repro.geometry import Point, Rect
-from tests.test_geometry import overlap_area
+from tests.test_geometry import overlap_area, overlaps_open
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -21,9 +21,15 @@ def small_rects():
     )
 
 
-def overlaps_open(a: Rect, b: Rect, eps: float = 1e-12) -> bool:
-    """Open overlap deeper than float round-trip noise."""
-    return overlap_area(a, b) > eps
+def test_open_overlap_sees_a_zero_area_strip():
+    obstacle = Rect(0.4, 0.4, 0.6, 0.6)
+    strip = Rect(0.5, 0.0, 0.5, 1.0)  # through the open interior
+    assert overlap_area(strip, obstacle) == 0.0
+    assert overlaps_open(strip, obstacle)
+    # The closed boundary is not the interior.
+    assert not overlaps_open(Rect(0.4, 0.0, 0.4, 1.0), obstacle)
+    assert not overlaps_open(Rect(0.0, 0.0, 0.4, 1.0), obstacle)
+    assert not overlaps_open(Rect(0.0, 0.6, 1.0, 1.0), obstacle)
 
 
 class TestNoObstacles:
@@ -103,9 +109,7 @@ class TestManyObstacles:
         for _ in range(50):
             p = Point(rng.random(), rng.random())
             if any(
-                o.contains_point(p)
-                and overlaps_open(o, Rect.from_point(p).expanded(1e-12), eps=0.0)
-                and o.min_x < p.x < o.max_x and o.min_y < p.y < o.max_y
+                o.min_x < p.x < o.max_x and o.min_y < p.y < o.max_y
                 for o in obstacles
             ):
                 continue  # p strictly inside an obstacle: precondition fails

@@ -305,7 +305,7 @@ def _per_object_bootstrap(server, objects, queries, time=0.0):
     One ``GridIndex.cell_of`` and one table row (``Objects.put``) per
     object (not the batch ``cells_of_xy`` and ``Objects.load``), and
     every first region — a query-free cell's too — through
-    ``_compute_full_safe_region``.
+    ``_full_safe_region``.
     """
     table, grid = server._objects, server.query_index
     for oid, position in objects:
@@ -316,7 +316,7 @@ def _per_object_bootstrap(server, objects, queries, time=0.0):
     regions = {}
     for oid in order:
         row = table._row(oid)
-        region = server._compute_full_safe_region(oid, row, None)
+        region = server._full_safe_region(oid, row, None)
         table.region[row] = region
         regions[oid] = region
     server.object_index = CellObjectIndex(grid, table)

@@ -357,8 +357,9 @@ def test_profile_smoke_covers_both_deployments_and_gates(workflow):
     """The profile-smoke job runs ``repro profile`` single-server *and*
     sharded (exercising cross-process aggregation), verifies both phase
     budgets close via ``benchmarks/profile_gate.py``, gates bit-identity
-    plus enabled-mode overhead, and archives the folded-stack artifacts
-    unconditionally (docs/OBSERVABILITY.md)."""
+    plus enabled-mode overhead, runs the timing seam's tests, and
+    archives the folded-stack artifacts unconditionally
+    (docs/OBSERVABILITY.md)."""
     job = workflow["jobs"]["profile-smoke"]
     runs = _runs(job)
     profile_runs = [run for run in runs if "repro profile" in run]
@@ -374,6 +375,18 @@ def test_profile_smoke_covers_both_deployments_and_gates(workflow):
     # enabled-mode CPU overhead on the same scenario.
     assert any(
         "profile_gate.py gate" in run and "--threshold 0.05" in run
+        for run in runs
+    )
+    # The seam's own tests: site table, tracer, server spans.
+    assert any(
+        "pytest" in run
+        and all(
+            test in run for test in (
+                "tests/test_obs_profile.py",
+                "tests/test_obs_trace.py",
+                "tests/test_obs_server_integration.py",
+            )
+        )
         for run in runs
     )
     uploads = _primary_uploads(job)

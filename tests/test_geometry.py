@@ -33,6 +33,23 @@ def overlap_area(a: Rect, b: Rect) -> float:
     return 0.0 if inter is None else inter.width * inter.height
 
 
+def overlaps_open(region: Rect, obstacle: Rect) -> bool:
+    """Whether the closed ``region`` meets the open interior of ``obstacle``.
+
+    Per axis, closed ``[a, b]`` meets open ``(c, d)`` iff ``a < d``,
+    ``c < b`` and ``c < d``: a zero-area strip through the interior
+    meets it, though it shares no area.
+    """
+    return (
+        region.min_x < obstacle.max_x
+        and obstacle.min_x < region.max_x
+        and obstacle.min_x < obstacle.max_x
+        and region.min_y < obstacle.max_y
+        and obstacle.min_y < region.max_y
+        and obstacle.min_y < obstacle.max_y
+    )
+
+
 def corners(r: Rect) -> tuple[Point, Point, Point, Point]:
     """The four corners, counter-clockwise from the lower-left."""
     return (

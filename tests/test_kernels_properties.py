@@ -25,7 +25,7 @@ from repro.index.brute import BruteForceIndex
 from repro.kernels import Kernels, ops
 from repro.obs import MetricsRegistry
 from repro.simulation import GroundTruth
-from tests.test_geometry import overlap_area
+from tests.test_geometry import overlaps_open
 from tests.test_simulation import Parked
 
 
@@ -220,7 +220,7 @@ class TestRectKernels:
         assert region.contains_point(p, eps=1e-12)
         assert cell.contains_rect(region)
         for obstacle in obstacles:
-            assert overlap_area(region, obstacle) <= 1e-12
+            assert not overlaps_open(region, obstacle)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1),

@@ -1,9 +1,10 @@
-"""Tick-phase profiler: stack accounting, hotspots, merge, zero overhead.
+"""Tick-phase profiler: self-time accounting, hotspots, merge, zero overhead.
 
 Three layers under test:
 
-* :class:`repro.obs.TickProfiler` itself — the self-time invariant
-  (phase times sum to the tick wall time by construction), the tick
+* :class:`repro.obs.TickProfiler` fed through the timing seam
+  (``Tracer.phase``) — the self-time invariant (phase times sum to the
+  tick wall time by construction), the site table, the tick
   ownership token, the ``max_ticks`` sampling budget, and the export
   shapes (``to_dict`` / ``phase_budget`` / ``folded_lines``).
 * The server integration — ``DatabaseServer.profile_start`` /
@@ -24,8 +25,11 @@ from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.geometry import Point, Rect
 from repro.obs import (
     NULL_PROFILER,
+    PHASES,
+    MetricsRegistry,
     NullProfiler,
     TickProfiler,
+    Tracer,
     empty_profile,
     folded_lines,
     merge_profiles,
@@ -40,18 +44,22 @@ from repro.sharding import ShardedServer
 # TickProfiler accounting
 
 
+def _seam():
+    """A tracer feeding a fresh profiler: the server's timing seam."""
+    profiler = TickProfiler()
+    tracer = Tracer()
+    tracer.attach_profiler(profiler)
+    return tracer, profiler
+
+
 class TestTickAccounting:
     def test_phase_self_times_sum_to_tick_wall(self):
-        profiler = TickProfiler()
+        tracer, profiler = _seam()
         assert profiler.tick_begin()
-        profiler.push("ingest")
-        profiler.push("reevaluate")
-        sum(range(500))
-        profiler.pop()
-        profiler.pop()
-        profiler.push("report.scatter")
-        sum(range(500))
-        profiler.pop()
+        tracer.phase(
+            "ingest", tracer.phase, "reevaluate", sum, range(500)
+        )
+        tracer.phase("location_manager", sum, range(500))
         profiler.tick_end(reports=3)
         assert profiler.ticks == 1
         assert profiler.reports == 3
@@ -64,31 +72,38 @@ class TestTickAccounting:
         }
 
     def test_child_time_is_excluded_from_parent(self):
-        profiler = TickProfiler()
+        tracer, profiler = _seam()
         profiler.tick_begin()
-        profiler.push("parent")
-        profiler.push("child")
-        sum(range(20000))  # all of this belongs to the child
-        profiler.pop()
-        profiler.pop()
+        # All of the work belongs to the child.
+        tracer.phase(
+            "location_manager", tracer.phase, "safe_region", sum,
+            range(20000),
+        )
         profiler.tick_end()
         assert (
-            profiler.phase_wall["tick;parent;child"]
-            > profiler.phase_wall["tick;parent"]
+            profiler.phase_wall["tick;report.scatter;safe_region"]
+            > profiler.phase_wall["tick;report.scatter"]
         )
 
     def test_tick_end_folds_unclosed_phases(self):
-        # Exception safety: a phase left open (an exception unwound past
-        # its pop) is closed by tick_end, and the invariant still holds.
-        profiler = TickProfiler()
+        # Exception safety: a phase an exception unwound out of is still
+        # billed, and the invariant still holds.
+        tracer, profiler = _seam()
         profiler.tick_begin()
-        profiler.push("ingest")
+
+        def boom():
+            raise RuntimeError("x")
+
+        with pytest.raises(RuntimeError):
+            tracer.phase("ingest", boom)
         profiler.tick_end()
         assert set(profiler.phase_wall) == {"tick", "tick;ingest"}
         assert sum(profiler.phase_wall.values()) == pytest.approx(
             profiler.wall_seconds, rel=1e-9
         )
-        assert not profiler._stack  # fully unwound: next tick is fresh
+        # Fully folded: the next tick starts from empty slots.
+        assert not profiler.tick_open
+        assert not any(profiler.tick_phases.values())
 
     def test_ownership_token_prevents_double_counting(self):
         # An outer wrapper holds the tick; an inner auto-root must not
@@ -102,12 +117,12 @@ class TestTickAccounting:
     def test_hooks_outside_a_tick_record_nothing(self):
         # Bootstrap work (loads, query registration) happens outside any
         # tick; it must not pollute the budget.
-        profiler = TickProfiler()
-        profiler.push("ingest")
-        profiler.pop()
+        tracer, profiler = _seam()
+        assert tracer.phase("ingest", sum, range(10)) == 45
         profiler.tick_end()
         assert profiler.ticks == 0
         assert profiler.phase_wall == {}
+        assert not any(profiler.tick_phases.values())
 
     def test_max_ticks_freezes_the_sampling_session(self):
         profiler = TickProfiler(max_ticks=2)
@@ -122,18 +137,19 @@ class TestTickAccounting:
         profiler = TickProfiler()
         profiler.note_query("q-slow", 0.5, reevals=3)
         profiler.note_query("q-fast", 0.1)
-        profiler.note_cell((3, 4), rows=10, reports=2)
-        profiler.note_cell((0, 0), rows=25)
-        profiler.note_object("o1", 2)
-        profiler.note_object("o1", 1)
+        profiler.note_report("o1", (3, 4), rows=10, affected=2)
+        profiler.note_report("o1", (3, 4), rows=0, affected=0)
+        profiler.note_report("o2", (0, 0), rows=25, affected=2)
         summary = profiler.to_dict()
         queries = summary["hotspots"]["queries"]
         assert [row["id"] for row in queries] == ["q-slow", "q-fast"]
         assert queries[0]["reevaluations"] == 3
         cells = summary["hotspots"]["cells"]
         assert [row["id"] for row in cells] == ["0,0", "3,4"]  # by rows
+        assert cells[1] == {"id": "3,4", "rows": 10, "reports": 2}
+        # Reports weigh by the queries they affected (at least one).
         assert summary["hotspots"]["objects"] == [
-            {"id": "o1", "reports": 3}
+            {"id": "o1", "reports": 3}, {"id": "o2", "reports": 2}
         ]
 
     def test_null_profiler_is_inert(self):
@@ -141,11 +157,8 @@ class TestTickAccounting:
         assert isinstance(NULL_PROFILER, NullProfiler)
         assert NULL_PROFILER.tick_begin() is False
         # Every stub is callable and harmless even without the gate.
-        NULL_PROFILER.push("x")
-        NULL_PROFILER.pop()
         NULL_PROFILER.note_query("q", 1.0)
-        NULL_PROFILER.note_cell((0, 0), rows=1)
-        NULL_PROFILER.note_object("o")
+        NULL_PROFILER.note_report("o", (0, 0), rows=1, affected=1)
         NULL_PROFILER.tick_end(5)
         assert NULL_PROFILER.to_dict() == empty_profile()
 
@@ -335,6 +348,46 @@ class TestServerIntegration:
         _drive(server, oracle, world, _stream(33, world, ticks=6,
                                               movers=10), 33)
         assert server.profile_snapshot()["ticks"] == 2
+
+
+class TestSiteTable:
+    def test_one_slow_path_report_feeds_every_listed_site(self):
+        """The site table pins the timing seam: with metrics and a
+        profiler attached, one slow-path report produces exactly the
+        span histogram of every listed site (nested along the parent
+        links under ``server.update``) and every listed profile path."""
+        registry = MetricsRegistry()
+        world = {0: Point(0.1, 0.1), 1: Point(0.9, 0.9)}
+        server = DatabaseServer(
+            world.__getitem__, ServerConfig(grid_m=4), metrics=registry
+        )
+        server.load_objects(world.items())
+        server.register_query(
+            RangeQuery(Rect(0.4, 0.4, 0.6, 0.6), query_id="r"), 0.0
+        )
+        server.profile_start()
+        world[0] = Point(0.5, 0.5)  # into the range: a reevaluation
+        outcome = server.handle_location_update(0, world[0], 1.0)
+        assert outcome.changes and outcome.safe_region is not None
+
+        def dotted(name):
+            parent = PHASES[name][1]
+            return f"{dotted(parent)}.{name}" if parent else name
+
+        spans = {
+            name for name in registry.to_dict()["histograms"]
+            if name.startswith("span.server.update.")
+        }
+        assert spans == {"span.server.update.seconds"} | {
+            f"span.server.update.{dotted(name)}.seconds" for name in PHASES
+        }
+        phases = server.profile_snapshot()["phases"]
+        assert set(phases) == {"tick"} | {
+            path for path, _ in PHASES.values() if path is not None
+        }
+        assert sum(phases.values()) == pytest.approx(
+            server.profiler.wall_seconds, rel=1e-9
+        )
 
 
 class TestShardedReconciliation:

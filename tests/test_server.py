@@ -189,9 +189,12 @@ class TestDynamicObjects:
         world = MovingWorld(n=20, seed=31)
         query = RangeQuery(Rect(0.4, 0.4, 0.6, 0.6))
         world.server.register_query(query)
-        world.positions["new"] = Point(0.5, 0.5)
-        outcome = world.server.add_object("new", Point(0.5, 0.5), time=1.0)
-        assert "new" in query.results
+        # Ids must order against the world's int ids (exact ties rank
+        # by oid), so the newcomer is an int too.
+        new = 1000
+        world.positions[new] = Point(0.5, 0.5)
+        outcome = world.server.add_object(new, Point(0.5, 0.5), time=1.0)
+        assert new in query.results
         assert outcome.safe_region.contains_point(Point(0.5, 0.5), eps=1e-9)
         world.server.validate()
 
@@ -199,9 +202,10 @@ class TestDynamicObjects:
         world = MovingWorld(n=30, seed=32)
         query = KNNQuery(Point(0.5, 0.5), 3)
         world.server.register_query(query)
-        world.positions["close"] = Point(0.5001, 0.5)
-        world.server.add_object("close", Point(0.5001, 0.5), time=1.0)
-        assert query.results[0] == "close"
+        close = 1000
+        world.positions[close] = Point(0.5001, 0.5)
+        world.server.add_object(close, Point(0.5001, 0.5), time=1.0)
+        assert query.results[0] == close
         world.assert_exact([query])
 
     def test_add_duplicate_rejected(self):

@@ -16,6 +16,7 @@ from repro.core.evaluation import evaluate_knn
 from repro.core.extensions import CircleRangeQuery
 from repro.core.reevaluation import reevaluate_knn
 from repro.geometry import Point, Rect
+from repro.geometry.ties import UnorderableIds
 from repro.index.cells import CellObjectIndex
 from repro.index.grid import GridIndex
 from repro.obs import MetricsRegistry
@@ -259,3 +260,44 @@ class TestCertificate:
         # Closed circle: a radius equal to the clearance touches the
         # region, so the report must be judged, not certified.
         assert after - before == (0 if on_boundary else 1)
+
+
+class TestIdOrder:
+    """Ids that cannot be ordered against each other are refused where
+    they enter, by name, not with a ``TypeError`` at the first tie."""
+
+    MIXED = [(1, Point(0.25, 0.5)), ("b", Point(0.75, 0.5))]
+
+    def _server(self):
+        return DatabaseServer(lambda oid: None, ServerConfig(grid_m=4))
+
+    def test_load_objects_refuses_mixed_ids(self):
+        server = self._server()
+        with pytest.raises(UnorderableIds, match="'b'"):
+            server.load_objects(self.MIXED)
+        assert server.object_count == 0  # nothing half-loaded
+
+    def test_bootstrap_refuses_mixed_ids(self):
+        server = self._server()
+        with pytest.raises(UnorderableIds):
+            server.bootstrap(self.MIXED, [KNNQuery(Q, 1, query_id="k")])
+
+    def test_add_object_refuses_an_id_of_another_kind(self):
+        server = self._server()
+        server.load_objects([(1, Point(0.25, 0.5)), (2, Point(0.3, 0.5))])
+        server.add_object(3, Point(0.6, 0.6))  # same kind: admitted
+        with pytest.raises(UnorderableIds):
+            server.add_object("b", Point(0.75, 0.5))
+        assert "b" not in server and server.object_count == 3
+
+    def test_sharded_bootstrap_refuses_mixed_ids(self):
+        server = ShardedServer(
+            lambda oid: None, ServerConfig(grid_m=4), n_shards=2
+        )
+        with pytest.raises(UnorderableIds):
+            server.bootstrap(self.MIXED)
+
+    def test_orderable_mixed_number_types_are_admitted(self):
+        server = self._server()
+        server.load_objects([(1, Point(0.25, 0.5)), (2.5, Point(0.75, 0.5))])
+        assert server.object_count == 2
