@@ -14,7 +14,7 @@ coordinator's serial CPU time.  That quotient is the replay's wall time
 on a host with one core per shard — the quantity sharding exists to
 scale — and is reproducible enough to gate in CI.
 
-Three pins ride along:
+Two pins ride along:
 
 * ``equivalent`` — the in-process mode (``n_workers=0``) must end
   bit-identical to a single unsharded ``DatabaseServer`` fed the same
@@ -26,18 +26,17 @@ Three pins ride along:
   near 1 / (serial share + parallel share / 4) regardless of replay
   size, and absolute throughput is gated by the tracked trajectory
   (``check_regression.py --trajectory``) instead;
-* an untimed metrics replay records per-shard kernel counters
-  (``shard_kernels`` in the document) and at least one shard must have
-  produced a tick plan — the columnar pipeline stays live under
-  sharding;
 * ``merge_exactness`` — a closed-loop accuracy pair (refresh probes
   off/on) showing the held-position cross-shard kNN merge drifting
   below 0.99 and the probed merge recovering it, with the probe count
   and its communication-cost premium recorded alongside.
 
-Emits ``benchmarks/results/BENCH_shards.json`` — the tracked baseline
-gated by ``benchmarks/check_regression.py``.  ``SHARDS_SMOKE=1``
-shrinks the scenario for CI; the committed JSON comes from a full run.
+Writes its document to the gitignored
+``benchmarks/results/scratch/BENCH_shards.json``, so a run leaves the
+tree clean; ``benchmarks/check_regression.py`` gates it against the
+tracked baseline ``benchmarks/results/BENCH_shards.json``, which is
+refreshed by copying a full run's document over it.  ``SHARDS_SMOKE=1``
+shrinks the scenario for CI.
 """
 
 from __future__ import annotations
@@ -48,25 +47,15 @@ import os
 import random
 import time
 
-from conftest import RESULTS_DIR, append_trajectory
+from conftest import SCRATCH_DIR, append_trajectory
 
 from repro.core.queries import KNNQuery, RangeQuery
 from repro.core.server import DatabaseServer, ServerConfig
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.obs import MetricsRegistry
 from repro.sharding import ShardedServer
 from repro.simulation.engine import SRBSimulation
 from repro.simulation.scenario import Scenario
-
-#: Per-shard kernel counters copied into the emitted document: how
-#: much columnar kernel work each shard's slice of the routed stream did.
-KERNEL_COUNTERS = (
-    "kernels.batch_calls",
-    "kernels.rows_scanned",
-    "kernels.fallback_calls",
-    "kernels.fallback_rows",
-)
 
 SMOKE = os.environ.get("SHARDS_SMOKE") == "1"
 
@@ -172,7 +161,7 @@ def _run_single():
     return _final_state(server, queries)
 
 
-def _run_sharded(n_shards: int, n_workers: int, metrics=None):
+def _run_sharded(n_shards: int, n_workers: int):
     """Replay the plan against a fresh cluster; score the critical path."""
     positions, queries, plan = _build()
     live = dict(positions)
@@ -181,7 +170,6 @@ def _run_sharded(n_shards: int, n_workers: int, metrics=None):
         ServerConfig(grid_m=GRID_M),
         n_shards=n_shards,
         n_workers=n_workers,
-        metrics=metrics,
     )
     cluster.load_objects(sorted(live.items()), 0.0)
     for query in queries:
@@ -213,22 +201,8 @@ def _run_sharded(n_shards: int, n_workers: int, metrics=None):
         "wall_seconds": wall,
         "snapshots": snapshots,
     }
-    if metrics is not None:
-        run["shard_metrics"] = cluster.shard_metrics_snapshots()
     cluster.close()
     return run
-
-
-def _shard_kernel_counters(run: dict) -> dict[str, dict]:
-    """Selected kernel counters per shard, from a metrics-enabled run."""
-    out = {}
-    for shard, snapshot in sorted(run["shard_metrics"].items()):
-        counters = snapshot.get("counters", {})
-        out[shard] = {
-            name.removeprefix("kernels."): counters.get(name, 0)
-            for name in KERNEL_COUNTERS
-        }
-    return out
 
 
 def _run_accuracy() -> dict:
@@ -293,15 +267,6 @@ def test_shards_benchmark():
             ):
                 best[n] = run
 
-    # Kernel-counter replay (untimed, in-process so one pass collects
-    # every shard's registry).
-    shard_kernels = _shard_kernel_counters(
-        _run_sharded(
-            n_shards=SHARD_COUNTS[-1], n_workers=0,
-            metrics=MetricsRegistry(),
-        )
-    )
-
     # Merge exactness: the same closed loop, with the cross-shard kNN
     # merge re-ranking boundary candidates at held vs probed positions.
     merge_exactness = _run_accuracy()
@@ -341,22 +306,21 @@ def test_shards_benchmark():
         "shards": {str(n): _timing(best[n]) for n in SHARD_COUNTS},
         "scaling_vs_one_shard": scaling,
         "busy_scaling_vs_one_shard": busy_scaling,
-        "shard_kernels": shard_kernels,
         "equivalent": equivalent,
         "merge_exactness": {
             "scenario": ACC_SCENARIO,
             **merge_exactness,
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_shards.json"
+    SCRATCH_DIR.mkdir(parents=True, exist_ok=True)
+    out = SCRATCH_DIR / "BENCH_shards.json"
     out.write_text(json.dumps(document, indent=2) + "\n")
     print()
     print(json.dumps(document, indent=2))
 
     assert equivalent, (
         "in-process sharded replay diverged from the single-server "
-        "baseline — see BENCH_shards.json"
+        f"baseline — see {out}"
     )
     probed = merge_exactness["probed"]
     held = merge_exactness["held"]

@@ -33,7 +33,7 @@ from repro.core import (
     UpdateOutcome,
 )
 from repro.geometry import Circle, Point, Rect, Ring
-from repro.index import BruteForceIndex, GridIndex
+from repro.index import GridIndex
 from repro.mobility import MobileClient, RandomWaypointModel, Trajectory
 from repro.simulation import (
     GroundTruth,
@@ -58,7 +58,6 @@ __all__ = [
     "Circle",
     "Ring",
     "GridIndex",
-    "BruteForceIndex",
     "MobileClient",
     "RandomWaypointModel",
     "Trajectory",

@@ -59,41 +59,16 @@ def evaluate_range(
     rect: Rect,
     probe: ProbeFn,
     constrain: ConstrainFn | None = None,
-    kernels=None,
 ) -> EvaluationResult:
     """Evaluate a new range query over safe regions.
 
-    A safe region fully inside the query rectangle makes its object a
-    result outright; a partial overlap requires a probe (possibly avoided
-    by the reachability constraint).
-
-    With ``kernels``, the candidate entries are materialized once and the
-    containment test (result outright vs. needs a closer look) runs as a
-    single batch pass over the region columns; the per-object probe /
-    constrain logic is untouched.  Safe because probes never mutate the
-    index mid-evaluation — the server applies probe results afterwards.
+    A safe region fully inside the (closed) query rectangle makes its
+    object a result outright; a partial overlap requires a probe
+    (possibly avoided by the reachability constraint).  The candidates
+    are materialized once, before any probe runs.
     """
     outcome = EvaluationResult(results=[])
-    if kernels is not None:
-        entries = list(index.search_entries(rect))
-        if not entries:
-            return outcome
-        contained = kernels.rects_contained_in(
-            [region.min_x for _, region in entries],
-            [region.min_y for _, region in entries],
-            [region.max_x for _, region in entries],
-            [region.max_y for _, region in entries],
-            rect,
-        )
-        for (oid, region), inside in zip(entries, contained):
-            if inside:
-                outcome.results.append(oid)
-            else:
-                _resolve_partial_overlap(
-                    rect, oid, region, probe, constrain, outcome
-                )
-        return outcome
-    for oid, region in index.search_entries(rect):
+    for oid, region in list(index.search_entries(rect)):
         if rect.contains_rect(region):
             outcome.results.append(oid)
         else:

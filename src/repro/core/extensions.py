@@ -78,7 +78,6 @@ class CircleRangeQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
-        kernels=None,
     ) -> EvaluationResult:
         """Evaluate from scratch over safe regions (lazy probes).
 
@@ -211,10 +210,9 @@ class ThresholdRangeQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
-        kernels=None,
     ) -> EvaluationResult:
         """Same lazy-probe evaluation as a rectangle range query."""
-        evaluation = evaluate_range(index, self.rect, probe, constrain, kernels)
+        evaluation = evaluate_range(index, self.rect, probe, constrain)
         self.members = set(evaluation.results)
         return evaluation
 
@@ -354,7 +352,6 @@ class ProximityPairQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
-        kernels=None,
     ) -> EvaluationResult:
         """Probe the focal, then run a circular range around its position."""
         outcome = EvaluationResult(results=[])
@@ -599,7 +596,6 @@ class MovingKNNQuery(Query):
         index,
         probe: ProbeFn,
         constrain: ConstrainFn | None = None,
-        kernels=None,
     ) -> EvaluationResult:
         outcome = EvaluationResult(results=[])
         focal_position = probe(self.focal)

@@ -267,8 +267,7 @@ def irlp_circle_complement(
     generic θ clamps are identities here because the containment ratios
     already lie in ``[0, 1]``).  This is the hottest Ir-lp family (every
     non-result object of every kNN query lands here) and intrinsically
-    scalar work, so it is tuned inline rather than routed through the
-    kernel dispatcher (docs/PERFORMANCE.md).
+    scalar work, so it is tuned inline.
     """
     if objective is not None:
         return _irlp_circle_complement_generic(circle, p, cell, objective, room)

@@ -112,8 +112,8 @@ class RangeQuery(Query):
     def is_affected_by(self, oid: ObjectId, p: Point) -> bool:
         return flips(self.rect.contains_point(p), oid in self.results)
 
-    def evaluate_over(self, index, probe, constrain=None, kernels=None):
-        evaluation = evaluate_range(index, self.rect, probe, constrain, kernels)
+    def evaluate_over(self, index, probe, constrain=None):
+        evaluation = evaluate_range(index, self.rect, probe, constrain)
         self.results = set(evaluation.results)
         return evaluation
 
@@ -208,7 +208,7 @@ class KNNQuery(Query):
         # member, the next non-member): let the key decide.
         return d == r or flips(d < r, oid in self.results)
 
-    def evaluate_over(self, index, probe, constrain=None, kernels=None):
+    def evaluate_over(self, index, probe, constrain=None):
         evaluation = evaluate_knn(
             index, self.center, self.k, probe,
             order_sensitive=self.order_sensitive, constrain=constrain,

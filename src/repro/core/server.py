@@ -32,7 +32,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.cells import CellObjectIndex
 from repro.index.grid import CellId, GridIndex
-from repro.kernels import Kernels
 from repro.obs import (
     COUNT_BUCKETS,
     NULL_EVENT_LOG,
@@ -212,13 +211,11 @@ class DatabaseServer:
             "server.updates.time_regression"
         )
         self._g_degraded = self.metrics.gauge("server.objects.degraded")
-        self.kernels = Kernels(metrics=self.metrics, events=self.events)
         self._g_wide = self.metrics.gauge("object_index.wide")
         self.query_index = GridIndex(
             self.config.grid_m,
             self.config.space,
             metrics=self.metrics,
-            kernels=self.kernels,
             events=self.events,
         )
         #: The object table: one row per object, state in columns.
@@ -493,9 +490,7 @@ class DatabaseServer:
         for query in queries:
             if events.enabled:
                 events.emit("query_registered", query=query.query_id)
-            query.evaluate_over(
-                self.object_index, held_position, None, self.kernels
-            )
+            query.evaluate_over(self.object_index, held_position)
             self.query_index.insert(query)
             self.stats.queries_registered += 1
         return list(asked) + [oid for oid in oids if oid not in asked]
@@ -686,9 +681,7 @@ class DatabaseServer:
 
         if not isinstance(query, Query):
             raise TypeError(f"unsupported query type: {type(query).__name__}")
-        evaluation = query.evaluate_over(
-            self.object_index, probe, constrain, self.kernels
-        )
+        evaluation = query.evaluate_over(self.object_index, probe, constrain)
         self._census("registration", len(probed))
         phase = self._trace.phase
         previous_positions.update(phase("probe", self._apply_probes, probed, time))
@@ -1221,7 +1214,7 @@ class DatabaseServer:
         profile_on = profiler.enabled
         if profile_on:
             # Hotspot attribution: the report's object, its landing cell
-            # (candidate rows stand in for kernel rows), and — below —
+            # with its candidate rows, and — below —
             # per-query reevaluation seconds.
             profiler.note_report(
                 oid, self.query_index.cell_of(position),

@@ -12,10 +12,34 @@ and why the midpoint quarantine radius makes ties the paper never has.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def ranks_before(d2, oid, other_d2, other_oid) -> bool:
     """Whether key ``(d2, oid)`` ranks before ``(other_d2, other_oid)``."""
     return d2 < other_d2 or (d2 == other_d2 and oid < other_oid)
+
+
+def top_k_rows(xs, ys, qx: float, qy: float, k: int) -> list[int]:
+    """Rows of the ``k`` points nearest ``(qx, qy)``, ordered by
+    ``(d2, row)`` — the column form of the key, for rows in oid order.
+
+    ``d2`` is ``dx*dx + dy*dy`` per row, the same bits as the scalar key;
+    the row breaks exact ties, so the selection never depends on how
+    ``argpartition`` splits them.
+    """
+    n = len(xs)
+    if k <= 0 or n == 0:
+        return []
+    k = min(k, n)
+    dx = np.asarray(xs, dtype=np.float64) - qx
+    dy = np.asarray(ys, dtype=np.float64) - qy
+    d2 = dx * dx + dy * dy
+    if k < n:
+        cand = np.flatnonzero(d2 <= d2[np.argpartition(d2, k - 1)[k - 1]])
+    else:
+        cand = np.arange(n)
+    return cand[np.lexsort((cand, d2[cand]))][:k].tolist()
 
 
 def flips(inside: bool, member: bool) -> bool:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Protocol, Sequence
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import COUNT_BUCKETS, NULL_EVENT_LOG, NULL_REGISTRY
@@ -53,7 +55,6 @@ class GridIndex:
         m: int,
         space: Rect | None = None,
         metrics=None,
-        kernels=None,
         events=None,
     ) -> None:
         if m < 1:
@@ -83,7 +84,6 @@ class GridIndex:
         #: Interned cell rectangles, filled on first use.
         self._cell_rects: dict[CellId, Rect] = {}
         self._total_slots = 0
-        self.kernels = kernels
         self.events = NULL_EVENT_LOG if events is None else events
         self.metrics = NULL_REGISTRY if metrics is None else metrics
         self._m_lookups = self.metrics.counter("grid.lookups")
@@ -154,25 +154,15 @@ class GridIndex:
         return self.cells_of_xy([p.x for p in points], [p.y for p in points])
 
     def cells_of_xy(self, xs: Sequence[float], ys: Sequence[float]) -> list[CellId]:
-        """Batch :meth:`cell_of` over coordinate columns, interned alike.
-
-        With kernels attached the whole batch runs as one array pass
-        (``Kernels.cells_of`` truncates and clamps exactly like the
-        scalar arithmetic above, into flat cell numbers); otherwise it
-        falls back to a per-point loop.
-        """
-        if self.kernels is not None:
-            cells = self.kernels.cells_of(
-                xs,
-                ys,
-                self.space.min_x,
-                self.space.min_y,
-                self._cell_w,
-                self._cell_h,
-                self.m,
-            )
-            return list(map(self._flat_ids.__getitem__, cells))
-        return [self.cell_of(Point(x, y)) for x, y in zip(xs, ys)]
+        """Batch :meth:`cell_of` over coordinate columns, interned alike:
+        one array pass that truncates toward zero (``astype`` as ``int()``)
+        and clamps exactly like :meth:`cell_of`, into flat cell numbers."""
+        m = self.m
+        i = (np.asarray(xs, dtype=np.float64) - self.space.min_x) / self._cell_w
+        j = (np.asarray(ys, dtype=np.float64) - self.space.min_y) / self._cell_h
+        ci = np.minimum(np.maximum(i.astype(np.int64), 0), m - 1)
+        cj = np.minimum(np.maximum(j.astype(np.int64), 0), m - 1)
+        return list(map(self._flat_ids.__getitem__, (ci * m + cj).tolist()))
 
     def cells_overlapping(self, rect: Rect) -> Iterable[CellId]:
         """All cell ids whose rectangle intersects ``rect``."""

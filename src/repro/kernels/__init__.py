@@ -1,14 +1,11 @@
-"""Vectorized columnar kernels for the evaluation hot path.
+"""An alias kept only for the frozen harness in ``benchmarks/e2e/``.
 
-Public surface: :class:`~repro.kernels.ops.Kernels` — batch geometry
-kernels that run as NumPy passes at ``ops.MIN_ROWS`` rows or more and as
-bit-identical scalar loops below it.
-
-The server keeps no second copy of object positions: an object's held
-position and its grid cell are columns of its object table
-(:class:`~repro.core.objects.Objects`).
+``measure.py`` calls ``Kernels().top_k_rows`` and ``tracing.py`` reads
+``GroundTruth.kernels``; both go with ``oracle.py`` at the re-baseline.
 """
 
-from repro.kernels.ops import Kernels
+from repro.geometry import ties
 
-__all__ = ["Kernels"]
+
+class Kernels:
+    top_k_rows = staticmethod(ties.top_k_rows)

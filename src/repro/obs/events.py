@@ -2,8 +2,8 @@
 
 Where the metrics registry answers *how much* (counters, histograms),
 the event stream answers *why*: every update, probe, shrink push,
-reevaluation, cache invalidation, and kernel fallback is emitted as one
-:class:`Event` carrying the simulation time, the object/query ids
+reevaluation and cache invalidation is emitted as one :class:`Event`
+carrying the simulation time, the object/query ids
 involved, and a ``cause`` link — the sequence number of the event that
 triggered it.  Following the cause links reconstructs full causal
 chains (triggering update → affected query's reevaluation → probe →
@@ -37,7 +37,6 @@ result_change       a reevaluation changed a query's result set
 safe_region         a safe region is computed and installed
 sr_skip             a recomputation is skipped via a valid certificate
 cache_invalidation  a grid cell's membership generation is bumped
-kernel_fallback     a kernel call is served by the scalar path
 query_registered    a query enters monitoring
 sample              the simulator takes an accuracy checkpoint
 degraded_enter      an unreachable object enters degraded mode
@@ -69,7 +68,6 @@ EVENT_KINDS = frozenset({
     "safe_region",
     "sr_skip",
     "cache_invalidation",
-    "kernel_fallback",
     "query_registered",
     "sample",
     "probe_timeout",
@@ -116,8 +114,8 @@ class EventLog:
       it as one JSON line at emission time, so a crash loses nothing.
 
     The log carries its own clock (:meth:`set_time`): emitters that
-    know the simulation time set it, emitters that don't (grid, kernel
-    internals) inherit the last value.
+    know the simulation time set it, emitters that don't (the grid)
+    inherit the last value.
     """
 
     enabled = True

@@ -13,7 +13,7 @@ closes the remaining gap — attributed cost — with three pieces:
   is the orchestration residual (per-report dict bookkeeping, fast-path
   commits) that no site claims.
 * Hotspot tables — per-query, per-cell, and per-object attribution
-  (reevaluation count, kernel rows, attributed seconds) plus a
+  (reevaluation count, candidate rows, attributed seconds) plus a
   cell-occupancy skew summary reusing the ``shard.objects.imbalance``
   formula, so the rebalancing roadmap item reads the same signal here.
 * Renderers — a flamegraph-folded text export (semicolon paths,
@@ -453,7 +453,7 @@ def render_profile(summary: dict, top_k: int = 10) -> str:
     rows = hotspots.get("cells", [])[:top_k]
     if rows:
         out.append("")
-        out.append(f"top cells by kernel rows (k={top_k}):")
+        out.append(f"top cells by candidate rows (k={top_k}):")
         out.append(f"  {'cell':<16} {'rows':>10} {'reports':>10}")
         for row in rows:
             out.append(

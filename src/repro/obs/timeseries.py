@@ -25,9 +25,6 @@ DEFAULT_SERIES: tuple[str, ...] = (
     "grid.lookups",
     "grid.cache.hits",
     "grid.cache.misses",
-    "kernels.batch_calls",
-    "kernels.fallback_calls",
-    "kernels.fallback_rows",
     "grid.occupied_cells",
     "object_index.wide",
 )

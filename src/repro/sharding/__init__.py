@@ -6,7 +6,7 @@ router (:mod:`repro.sharding.router`) sends each location update to its
 cell's owner and fans queries out to every shard their quarantine area
 overlaps; the coordinator (:mod:`repro.sharding.coordinator`) merges
 per-shard partial results — range by union, kNN by a
-``kernels.top_k_rows`` re-rank — behind the single-server API.
+``ties.top_k_rows`` re-rank — behind the single-server API.
 
 Shards run in-process (``n_workers=0``, result-equivalent to the
 single-server baseline) or as one ``multiprocessing`` worker each.

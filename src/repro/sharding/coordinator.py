@@ -13,7 +13,7 @@
   partial results.  Range results are the union of the holders'
   partials; kNN pools each holder's local members (with their
   safe-region distance bounds) and re-ranks them with
-  ``kernels.top_k_rows`` in id order — the ranking key
+  ``ties.top_k_rows`` in id order — the ranking key
   ``(squared distance, oid)`` of ``repro.geometry.ties``;
 * the **fan-out ledger** (query → holder shards).  A kNN view's merged
   radius is the conservative bound ``max_dist`` of its k-th pooled
@@ -47,8 +47,7 @@ from repro.faults import ProbeTimeout
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.ties import admit_ids
-from repro.kernels import Kernels
+from repro.geometry.ties import admit_ids, top_k_rows
 from repro.obs import (
     NULL_EVENT_LOG,
     NULL_REGISTRY,
@@ -165,7 +164,6 @@ class ShardedServer:
         self._probe_memo: dict[ObjectId, tuple[float, float] | None] = {}
         self.map = ShardMap(live_ids, self.config.grid_m)
         self.router = ShardRouter(self.map, self.config.space)
-        self.kernels = Kernels()
         space = self.config.space
         self._diameter = math.hypot(space.width, space.height)
 
@@ -536,7 +534,7 @@ class ShardedServer:
         # usually in view; a shard they are not found on falls back to
         # the cell-corner bound.
         depth = 2 * (k + 1) * len(self._live())
-        top = self.kernels.top_k_rows(xs, ys, center.x, center.y, depth)
+        top = top_k_rows(xs, ys, center.x, center.y, depth)
         if len(top) < k:
             return self._diameter
         dists = [center.distance_to(Point(xs[row], ys[row])) for row in top]
@@ -1299,9 +1297,7 @@ class ShardedServer:
         ys = [r[2] for r in rows]
         if self.refresh_probes and rows:
             self._refresh_rows(rows, xs, ys, bound)
-        top = self.kernels.top_k_rows(
-            xs, ys, view.center.x, view.center.y, view.k,
-        )
+        top = top_k_rows(xs, ys, view.center.x, view.center.y, view.k)
         view.results = [rows[i][0] for i in top]
         # The merged radius stays the conservative k-th ``max_dist``
         # even when probes tightened the ranking: the fan-out expansion

@@ -14,6 +14,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.core.queries import KNNQuery, Query, RangeQuery
+from repro.geometry.ties import top_k_rows
 from repro.kernels import Kernels
 from repro.mobility.waypoint import Fleet, Trajectory, positions_at
 
@@ -26,7 +27,7 @@ class GroundTruth:
 
     Each checkpoint answers one query at a time over the position
     columns: a range query is one closed-rectangle mask, a kNN query one
-    ``Kernels.top_k_rows`` selection over the rows in object-id order, so
+    ``ties.top_k_rows`` selection over the rows in object-id order, so
     its ``(d2, row)`` order is the ranking key ``(d2, oid)`` of
     :mod:`repro.geometry.ties`.  Memory stays O(N) per query rather than
     O(W x N) per checkpoint.
@@ -48,6 +49,7 @@ class GroundTruth:
             sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp
         )
         self.queries = list(queries)
+        # Read only by benchmarks/e2e/; goes with its oracle.py.
         self.kernels = Kernels()
         self._memo: dict[float, dict[str, Snapshot]] = {}
 
@@ -95,7 +97,7 @@ class GroundTruth:
                 )
             elif isinstance(query, KNNQuery):
                 found = tuple(
-                    ids[row] for row in self.kernels.top_k_rows(
+                    ids[row] for row in top_k_rows(
                         xs, ys, query.center.x, query.center.y, query.k
                     )
                 )

@@ -1,8 +1,8 @@
 """A brute-force spatial index with the object index's API.
 
-The correctness oracle the tests check ``CellObjectIndex`` and the
-evaluation algorithms against: asymptotics do not matter there, but
-trustworthiness does.
+The correctness oracle the tests check ``repro.index.CellObjectIndex``
+and the evaluation algorithms against: asymptotics do not matter there,
+but trustworthiness does.  No code in ``src/`` reads it.
 """
 
 from __future__ import annotations

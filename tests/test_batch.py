@@ -130,6 +130,28 @@ class TestManyObstacles:
         rect = batch_range_safe_region(p, UNIT, obstacles)
         assert rect.perimeter > 0
 
+    @settings(max_examples=120)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=8, max_value=20))
+    def test_quadrant_corners_agree(self, seed, count):
+        # The batch safe region (Section 5.3) over 8-20 obstacles: it
+        # contains ``p``, stays in the cell and overlaps no open obstacle.
+        rng = random.Random(seed)
+        cell = Rect(0.0, 0.0, 1.0, 1.0)
+        p = Point(rng.random(), rng.random())
+        obstacles = []
+        while len(obstacles) < count:
+            x, y = rng.uniform(-0.1, 1.0), rng.uniform(-0.1, 1.0)
+            w, h = rng.uniform(0.01, 0.3), rng.uniform(0.01, 0.3)
+            obstacle = Rect(x, y, x + w, y + h)
+            if not (x < p.x < x + w and y < p.y < y + h):
+                obstacles.append(obstacle)
+        region = batch_range_safe_region(p, cell, obstacles)
+        assert region.contains_point(p, eps=1e-12)
+        assert cell.contains_rect(region)
+        for obstacle in obstacles:
+            assert not overlaps_open(region, obstacle)
+
 
 @settings(max_examples=120)
 @given(

@@ -28,8 +28,9 @@ from hypothesis.stateful import (
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.faults import ProbeTimeout
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex, CellObjectIndex, GridIndex
+from repro.index import CellObjectIndex, GridIndex
 from repro.obs import MetricsRegistry
+from tests.brute_index import BruteForceIndex
 
 SPACES = (Rect(0.0, 0.0, 1.0, 1.0), Rect(-2.0, 1.0, 3.0, 4.5))
 OIDS = st.integers(min_value=0, max_value=24)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.server import quarantine_breaches
+from repro.experiments.figures import BENCH_BASE
 from repro.obs import EventLog, diagnose
 from repro.simulation import Scenario, SRBSimulation
+from tests.test_loop_fingerprint import CHANNELS
 
 LOSSY = "drop=0.05,dup=0.02,delay=2"
 
@@ -122,3 +125,36 @@ class TestFaultedRuns:
         assert plan.drop == 0.05
         assert plan.seed == 4
         assert small_scenario().fault_plan() is None
+
+
+class BreachCheckingServer:
+    """Checks every kNN quarantine invariant after each delivered report."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.checks = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def handle_location_update(self, oid, position, time):
+        outcome = self.inner.handle_location_update(oid, position, time)
+        assert quarantine_breaches(self.inner) == [], (time, oid)
+        self.checks += 1
+        return outcome
+
+
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+def test_quarantine_holds_at_every_report_boundary(channel):
+    """The fingerprint's seed-2 loops whose messages wait in the event
+    heap (a delayed channel, and a dropping / duplicating / delaying
+    one): no member leaves its circle, no ranks overlap and no outsider
+    enters, at the end of any report the server handles."""
+    scenario = BENCH_BASE.with_overrides(
+        num_objects=2_000, num_queries=20, duration=1.0, seed=2,
+        **CHANNELS[channel],
+    )
+    sim = SRBSimulation(scenario)
+    sim.server = server = BreachCheckingServer(sim.server)
+    sim.run()
+    assert server.checks > 500

@@ -4,11 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import evaluate_knn, evaluate_range
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex
+from tests.brute_index import BruteForceIndex
 from tests.test_cell_object_index import cell_index
+from tests.test_geometry import near_unit, rect_columns, rects
 
 
 class World:
@@ -220,6 +222,54 @@ class TestWithBruteForceIndex:
         rect = Rect(0.2, 0.2, 0.8, 0.8)
         outcome = evaluate_range(world.index, rect, world.probe)
         assert set(outcome.results) == world.true_range(rect)
+
+    @settings(max_examples=120)
+    @given(rect_columns(), rects(near_unit))
+    def test_intersecting_and_contained_agree(self, columns, rect):
+        # The index yields exactly the intersecting regions; evaluation
+        # takes the (closed) contained ones outright and probes the rest.
+        stored = [Rect(*row) for row in zip(*columns)]
+        index = BruteForceIndex()
+        for oid, region in enumerate(stored):
+            index.insert(oid, region)
+        assert list(index.search_entries(rect)) == [
+            (oid, region) for oid, region in enumerate(stored)
+            if region.intersects(rect)
+        ]
+        outcome = evaluate_range(index, rect, lambda oid: stored[oid].center)
+        assert set(outcome.probed) == {
+            oid for oid, region in enumerate(stored)
+            if region.intersects(rect) and not rect.contains_rect(region)
+        }
+        assert set(outcome.results) - set(outcome.probed) == {
+            oid for oid, region in enumerate(stored)
+            if rect.contains_rect(region)
+        }
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=8, max_value=12))
+    def test_mask_leq_agrees(self, seed, k):
+        # Unordered kNN holds up to k candidates at once; its held-set
+        # partition must still return the brute-force k nearest.
+        rng = random.Random(seed)
+        q = Point(rng.random(), rng.random())
+        positions = {}
+        index = BruteForceIndex()
+        for oid in range(40):
+            p = Point(rng.random(), rng.random())
+            positions[oid] = p
+            rx, ry = rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.1)
+            index.insert(oid, Rect(
+                p.x - rng.uniform(0.0, rx), p.y - rng.uniform(0.0, ry),
+                p.x + rng.uniform(0.0, rx), p.y + rng.uniform(0.0, ry),
+            ))
+        outcome = evaluate_knn(
+            index, q, k, positions.__getitem__, order_sensitive=False
+        )
+        got = sorted(q.distance_to(positions[oid]) for oid in outcome.results)
+        want = sorted(q.distance_to(p) for p in positions.values())[:k]
+        assert got == want
 
 
 class TestReachabilityConstrain:

@@ -21,6 +21,8 @@ coords = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
 unit_coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+#: A little past the unit square on every side, so clamps and edges show.
+near_unit = st.floats(min_value=-2.0, max_value=3.0, allow_nan=False)
 
 
 def points(coord=coords):
@@ -67,6 +69,23 @@ def rects(coord=coords):
         coord,
         coord,
         coord,
+    )
+
+
+def point_columns(coord=near_unit, min_size=1, max_size=40):
+    """Coordinate columns ``(xs, ys)`` of one list of points."""
+    return st.lists(
+        st.tuples(coord, coord), min_size=min_size, max_size=max_size
+    ).map(lambda points: ([p[0] for p in points], [p[1] for p in points]))
+
+
+def rect_columns(coord=near_unit, min_size=1, max_size=20):
+    """Columns ``(min_xs, min_ys, max_xs, max_ys)`` of one list of rects."""
+    return st.lists(rects(coord), min_size=min_size, max_size=max_size).map(
+        lambda rs: (
+            [r.min_x for r in rs], [r.min_y for r in rs],
+            [r.max_x for r in rs], [r.max_y for r in rs],
+        )
     )
 
 

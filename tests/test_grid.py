@@ -5,12 +5,14 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DatabaseServer, ServerConfig
 from repro.core.queries import KNNQuery, RangeQuery
 from repro.geometry import Point, Rect
 from repro.index import GridIndex
-from repro.kernels import Kernels, ops
+from repro.obs import MetricsRegistry
+from tests.test_geometry import point_columns
 
 
 def make_range(x, y, size=0.1, qid=None):
@@ -168,15 +170,8 @@ class TestInternedCellIds:
         assert cell is cell_of(self.grid.cell_rect(cell).center)
         assert cell_of(Point(edge, 0.05)) is not cell
 
-    @pytest.mark.parametrize("kernels, min_rows", [
-        (None, ops.MIN_ROWS), (Kernels(), 1), (Kernels(), 10**9),
-    ], ids=["no-kernels", "numpy", "python"])
-    def test_cells_of_points_returns_the_cell_of_objects(
-        self, kernels, min_rows, monkeypatch
-    ):
-        # ``MIN_ROWS`` 1 forces the vector pass, 10**9 the scalar loop.
-        monkeypatch.setattr(ops, "MIN_ROWS", min_rows)
-        grid = GridIndex(10, kernels=kernels)
+    def test_cells_of_points_returns_the_cell_of_objects(self):
+        grid = GridIndex(10)
         rng = random.Random(5)
         points = [
             Point(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5))
@@ -195,6 +190,17 @@ class TestInternedCellIds:
         )
         assert all(a is b for a, b in zip(columns, cells))
         assert len(columns) == len(cells)
+
+    @settings(max_examples=120)
+    @given(point_columns(), st.integers(min_value=1, max_value=30))
+    def test_cells_of_backends_agree(self, columns, m):
+        # The array pass truncates and clamps exactly like ``cell_of``.
+        xs, ys = columns
+        grid = GridIndex(m)
+        cells = grid.cells_of_xy(xs, ys)
+        assert len(cells) == len(xs)
+        for x, y, cell in zip(xs, ys, cells):
+            assert cell is grid.cell_of(Point(x, y))
 
     def test_bootstrap_holds_at_most_m_squared_cell_objects(self):
         m = 8
@@ -236,3 +242,48 @@ class TestInternedCellIds:
         server.handle_location_update(oid, world[oid], 4.0)
         check()
         server.validate()
+
+
+class TestGauges:
+    def test_index_gauges_exported(self):
+        # A short seeded stream, batched every fourth tick.
+        rng = random.Random(7)
+        positions = {
+            f"o{i}": Point(rng.random(), rng.random()) for i in range(100)
+        }
+        registry = MetricsRegistry()
+        server = DatabaseServer(
+            lambda oid: positions[oid],
+            ServerConfig(grid_m=10, max_speed=0.05),
+            metrics=registry,
+        )
+        server.load_objects(positions.items())
+        for i in range(8):
+            if i % 2:
+                x, y = rng.random() * 0.85, rng.random() * 0.85
+                query = make_range(x, y, qid=f"r{i}")
+            else:
+                query = KNNQuery(
+                    Point(rng.random(), rng.random()), 3, query_id=f"k{i}"
+                )
+            server.register_query(query, time=0.0)
+        for tick in range(20):
+            batch = []
+            for oid in rng.sample(sorted(positions), 15):
+                p = positions[oid]
+                positions[oid] = Point(
+                    min(max(p.x + rng.gauss(0, 0.01), 0.0), 1.0),
+                    min(max(p.y + rng.gauss(0, 0.01), 0.0), 1.0),
+                )
+                batch.append((oid, positions[oid]))
+            if tick % 4 == 0:
+                server.handle_location_updates(batch, time=tick + 1.0)
+            else:
+                for oid, new in batch:
+                    server.handle_location_update(oid, new, tick + 1.0)
+        server.validate()
+        gauges = registry.to_dict()["gauges"]
+        # No object is degraded, so no region lies outside its home cell.
+        assert gauges["object_index.wide"] == 0
+        # Total (query, cell) slots: each of the 8 queries covers a cell.
+        assert gauges["grid.cells_indexed"] >= 8

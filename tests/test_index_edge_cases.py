@@ -3,7 +3,7 @@
 import random
 
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex
+from tests.brute_index import BruteForceIndex
 from tests.test_cell_object_index import cell_index, load
 
 

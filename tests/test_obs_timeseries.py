@@ -75,7 +75,7 @@ class TestSampler:
             "server.location_updates",
             "server.probes",
             "grid.cache.hits",
-            "kernels.batch_calls",
+            "object_index.wide",
         ):
             assert name in DEFAULT_SERIES
 

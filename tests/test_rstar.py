@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect
-from repro.index import BruteForceIndex, CellObjectIndex, GridIndex
+from repro.index import CellObjectIndex, GridIndex
+from tests.brute_index import BruteForceIndex
 from tests.test_cell_object_index import cell_index, load
 
 

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.objects import ObjectState
@@ -13,6 +14,7 @@ from repro.geometry import Point, Rect
 from repro.obs import EventLog
 from repro.simulation import SRBSimulation
 from repro.simulation.scenario import scaled_q_len
+from tests.test_geometry import unit_coords
 
 
 class MovingWorld:
@@ -415,3 +417,76 @@ class TestObjectMemory:
         ]
         assert size / n <= 380.1 / 2
         assert peak <= 9e6
+
+
+class TestPositionStore:
+    """The held positions that replaced the columnar position store.
+
+    ``DatabaseServer.positions`` answers ``(x, y)`` from the object
+    table itself, and each row holds its position's cell; both must
+    follow add / update / remove exactly like a dict.
+    """
+
+    @staticmethod
+    def _server(model):
+        return DatabaseServer(
+            lambda oid: Point(*model[oid]), ServerConfig(grid_m=4)
+        )
+
+    @staticmethod
+    def _check(server, model):
+        grid = server.query_index
+        assert server.object_count == len(model)
+        assert sorted(server._objects) == sorted(model)
+        for oid, expected in model.items():
+            assert server.positions.get(oid) == expected
+            state = server._objects[oid]
+            assert state.cell is grid.cell_of(Point(*expected))
+        server.validate()
+
+    def test_set_move_discard_swap_remove(self):
+        model = {}
+        server = self._server(model)
+        for i in range(5):
+            model[f"o{i}"] = (i * 0.125, i * 0.25)
+            server.add_object(f"o{i}", Point(*model[f"o{i}"]), time=0.0)
+        self._check(server, model)
+        assert server.positions.get("o3") == (0.375, 0.75)
+
+        model["o3"] = (0.9, 0.9)                   # move across cells
+        server.handle_location_update("o3", Point(0.9, 0.9), time=1.0)
+        assert server.positions.get("o3") == (0.9, 0.9)
+        assert server._objects["o3"].cell == (3, 3)
+        self._check(server, model)
+
+        server.remove_object("o1")                 # remove
+        del model["o1"]
+        assert server.positions.get("o1") is None
+        assert "o1" not in server
+        with pytest.raises(KeyError):              # not idempotent
+            server.remove_object("o1")
+        self._check(server, model)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=9),
+                  st.booleans(), unit_coords, unit_coords),
+        max_size=60,
+    ))
+    def test_store_matches_dict_model(self, ops):
+        model = {}
+        server = self._server(model)
+        server.register_query(KNNQuery(Point(0.5, 0.5), 2), time=0.0)
+        clock = 0.0
+        for oid, insert, x, y in ops:
+            clock += 1.0
+            if insert:
+                model[oid] = (x, y)
+                if oid in server:
+                    server.handle_location_update(oid, Point(x, y), clock)
+                else:
+                    server.add_object(oid, Point(x, y), clock)
+            elif oid in server:
+                server.evict_object(oid, clock)
+                del model[oid]
+            self._check(server, model)

@@ -9,7 +9,6 @@ import pytest
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.faults import ProbeTimeout
 from repro.geometry import Point, Rect
-from repro.kernels import ops
 from repro.obs import EventLog
 
 
@@ -297,11 +296,7 @@ class TestTimeRegression:
 
 
 class TestDuplicateBatches:
-    @pytest.mark.parametrize("vectorised", [True, False])
-    def test_dup_heavy_batch_identical_to_sequential(
-        self, vectorised, monkeypatch
-    ):
-        monkeypatch.setattr(ops, "MIN_ROWS", 1 if vectorised else 10**9)
+    def test_dup_heavy_batch_identical_to_sequential(self):
         rng = random.Random(17)
         positions = {
             oid: Point(rng.random(), rng.random()) for oid in range(60)

@@ -1,7 +1,6 @@
 """Replay equivalence: sharded vs the single-server baseline.
 
-The same pin family as ``tests/test_kernel_equivalence.py`` and
-``tests/test_hotpath_caches.py``: sharding is a deployment change, not
+The same pin family as ``tests/test_hotpath_caches.py``: sharding is a deployment change, not
 a semantic one.  Driving the identical seeded report stream (with
 cross-shard migrations and mid-run query churn) through a
 ``ShardedServer`` and a single ``DatabaseServer`` must produce the same

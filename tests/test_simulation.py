@@ -5,6 +5,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from repro.baselines import PRDSimulation, optimal_report
 from repro.core.queries import KNNQuery, RangeQuery
@@ -19,6 +20,7 @@ from repro.simulation.metrics import (
     CommunicationCosts,
 )
 from repro.simulation.truth import opt_update_count
+from tests.test_geometry import near_unit, point_columns, rects
 
 TINY = Scenario(
     num_objects=120,
@@ -190,6 +192,47 @@ class TestGroundTruth:
     def test_memoised(self):
         truth, _ = self.build()
         assert truth.evaluate_at(0.5) is truth.evaluate_at(0.5)
+
+    @staticmethod
+    def _with_boundary_points(xs, ys, rect):
+        """Append the rect's corners and edge midpoints to the columns."""
+        mx = (rect.min_x + rect.max_x) / 2.0
+        my = (rect.min_y + rect.max_y) / 2.0
+        extra = [
+            (rect.min_x, rect.min_y), (rect.max_x, rect.max_y),
+            (rect.min_x, rect.max_y), (rect.max_x, rect.min_y),
+            (mx, rect.min_y), (mx, rect.max_y),
+            (rect.min_x, my), (rect.max_x, my),
+        ]
+        return xs + [e[0] for e in extra], ys + [e[1] for e in extra]
+
+    @staticmethod
+    def _truth_range(xs, ys, rect):
+        """The truth's answer to one range query over points parked at rows."""
+        world = {
+            row: Parked(Point(x, y)) for row, (x, y) in enumerate(zip(xs, ys))
+        }
+        truth = GroundTruth(world, [RangeQuery(rect, query_id="r")])
+        return truth.evaluate_at(0.0)["r"]
+
+    @settings(max_examples=120)
+    @given(point_columns(), rects(near_unit))
+    def test_points_in_rect_backends_agree(self, columns, rect):
+        # The truth's closed-rectangle mask against a scalar scan.
+        xs, ys = self._with_boundary_points(*columns, rect)
+        assert self._truth_range(xs, ys, rect) == frozenset(
+            row for row, (x, y) in enumerate(zip(xs, ys))
+            if rect.contains_point(Point(x, y))
+        )
+
+    @settings(max_examples=120)
+    @given(point_columns(), rects(near_unit))
+    def test_boundary_points_count_as_inside(self, columns, rect):
+        xs, ys = self._with_boundary_points(*columns, rect)
+        # The eight appended rows sit exactly on the closed boundary.
+        assert set(range(len(xs) - 8, len(xs))) <= self._truth_range(
+            xs, ys, rect
+        )
 
 
 class TestOptCounting:

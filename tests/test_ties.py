@@ -10,18 +10,20 @@ the id, never by insertion, registration, push or shard order.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
 from repro.core.evaluation import evaluate_knn
 from repro.core.extensions import CircleRangeQuery
 from repro.core.reevaluation import reevaluate_knn
 from repro.geometry import Point, Rect
-from repro.geometry.ties import UnorderableIds
+from repro.geometry.ties import UnorderableIds, top_k_rows
 from repro.index.cells import CellObjectIndex
 from repro.index.grid import GridIndex
 from repro.obs import MetricsRegistry
 from repro.sharding import ShardedServer
 from repro.simulation.truth import GroundTruth
+from tests.test_geometry import near_unit, point_columns
 
 Q = Point(0.5, 0.5)
 
@@ -148,6 +150,50 @@ class TestTruth:
         truth = GroundTruth(trajectories, queries).evaluate_at(0.0)
         assert truth["k1"] == ("a",)
         assert truth["k2"] == ("a", "b")
+
+
+def _by_key(xs, ys, qx, qy):
+    """Every row in ``(d2, row)`` order, ``d2`` as the scalar key has it."""
+    d2 = [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
+    return sorted(range(len(d2)), key=lambda row: (d2[row], row))
+
+
+class TestTopKRows:
+    """``top_k_rows``, the column form of the key, against the scalar key."""
+
+    @settings(max_examples=120)
+    @given(point_columns(), near_unit, near_unit)
+    def test_squared_dists_bit_identical(self, columns, qx, qy):
+        # A full ranking (k = n) orders every row by its squared
+        # distance, so each ``dx*dx + dy*dy`` must have the scalar bits.
+        xs, ys = columns
+        top = top_k_rows(xs, ys, qx, qy, len(xs))
+        assert top == _by_key(xs, ys, qx, qy)
+        assert all(type(row) is int for row in top)
+
+    @settings(max_examples=120)
+    @given(point_columns(), near_unit, near_unit,
+           st.integers(min_value=0, max_value=50))
+    def test_top_k_backends_agree(self, columns, qx, qy, k):
+        xs, ys = columns
+        assert top_k_rows(xs, ys, qx, qy, k) == _by_key(xs, ys, qx, qy)[:k]
+
+    @settings(max_examples=120)
+    @given(point_columns(max_size=15), near_unit, near_unit,
+           st.integers(min_value=1, max_value=20))
+    def test_top_k_ties_break_by_row(self, columns, qx, qy, k):
+        # Duplicate every point once: exact distance ties everywhere.
+        xs, ys = columns
+        xs, ys = xs + xs, ys + ys
+        assert top_k_rows(xs, ys, qx, qy, k) == _by_key(xs, ys, qx, qy)[:k]
+
+    def test_top_k_known_tie_case(self):
+        xs, ys = [0.0, 1.0, -1.0, 1.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.5]
+        # d2 from origin: 1, 1, 1, 1, 0.5 — row 4 first, then ties by row.
+        assert top_k_rows(xs, ys, 0.0, 0.0, 3) == [4, 0, 1]
+        assert top_k_rows(xs, ys, 0.0, 0.0, 99) == [4, 0, 1, 2, 3]
+        assert top_k_rows(xs, ys, 0.0, 0.0, 0) == []
+        assert top_k_rows([], [], 0.0, 0.0, 3) == []
 
 
 class TestShardMerge:
