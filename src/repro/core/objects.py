@@ -13,10 +13,35 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.geometry.ties import admit_ids
 from repro.rows import GrowingRows
+
+
+class PositionColumns(NamedTuple):
+    """Positions reported in one instant, as columns: object ``oids[k]``
+    is at ``(xs[k], ys[k])``.  ``xs`` and ``ys`` are float64 columns (a
+    NumPy array or an ``array("d")``), never lists of floats — what
+    ``DatabaseServer.bootstrap`` takes from the engine's fleet read."""
+
+    oids: list
+    xs: object
+    ys: object
+
+    @classmethod
+    def of(cls, objects: Iterable) -> PositionColumns:
+        """The columns of ``(oid, Point)`` pairs, in their order."""
+        oids, xs, ys = [], array("d"), array("d")
+        for oid, position in objects:
+            oids.append(oid)
+            xs.append(position.x)
+            ys.append(position.y)
+        return cls(oids, xs, ys)
 
 
 class ObjectState:
@@ -159,18 +184,75 @@ class Objects(GrowingRows):
         self.cert_gen[row], self.clearances[row] = -1, None
         return row
 
-    def load(self, oids: list, regions: list, xs: array, ys: array,
-             cells: list, t: float) -> int:
+    def load(self, oids: list, regions: list, xs, ys, cells: list,
+             t: float) -> int:
         """:meth:`put` of every oid of ``oids`` in one pass over the
-        columns; returns the first row."""
+        columns (``xs`` and ``ys`` float64 columns); returns the first
+        row."""
         admit_ids(oids, self.kinds)
         first = self.extend(oids)
         end = first + len(oids)
         self.region[first:end] = regions
         self.cell[first:end] = cells
-        self.x[first:end], self.y[first:end] = xs, ys
+        # Written through a transient view: no float object per row.
+        np.frombuffer(self.x, np.float64)[first:end] = xs
+        np.frombuffer(self.y, np.float64)[first:end] = ys
         self.t[first:end] = [t] * len(oids)
         return first
+
+    def held_xy(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the held positions of ``rows`` (a list or a range)."""
+        at = (
+            slice(rows.start, rows.stop) if isinstance(rows, range)
+            else np.array(rows, dtype=np.intp)
+        )
+        return (
+            np.frombuffer(self.x, np.float64)[at].copy(),
+            np.frombuffer(self.y, np.float64)[at].copy(),
+        )
+
+    def points(self, rows, grid) -> tuple[list, list]:
+        """The held position of each of ``rows`` as a point ``Rect`` of
+        one x and one y float, and the point's home in the object index
+        on ``grid``, where ``CellObjectIndex`` puts a point: the row's
+        cell, or ``None`` (``wide``) where that cell's closed rectangle
+        misses the point by a rounding step."""
+        homes = list(map(self.cell.__getitem__, rows))
+        xs, ys = self.held_xy(rows)
+        for k in np.flatnonzero(~grid.cells_hold_xy(xs, ys)).tolist():
+            homes[k] = None
+        del xs, ys
+        return homes, [
+            Rect(x, y, x, y) for x, y in zip(
+                map(self.x.__getitem__, rows), map(self.y.__getitem__, rows)
+            )
+        ]
+
+    def grant_query_free(self, rows, grid) -> np.ndarray:
+        """Give each of ``rows`` whose held cell no query on ``grid``
+        covers that cell's grant — its rectangle and its generation, no
+        clearances: what ``DatabaseServer._full_safe_region`` hands back
+        there — and return the places in ``rows`` of the others.  A
+        range of rows is fresh from :meth:`load`: it holds the full
+        cells and no clearances already, and a covered row's
+        generation is -1 until its region is derived."""
+        xs, ys = self.held_xy(rows)
+        flat = grid.flat_cells_of_xy(xs, ys)
+        del xs, ys
+        covered = grid.flat_has_queries()[flat]
+        occupied = np.flatnonzero(np.bincount(flat[~covered]))
+        gens = np.full(grid.m * grid.m, -1, dtype=np.int64)
+        gens[occupied] = list(
+            map(grid.cell_generation, grid.cells_of_flat(occupied))
+        )
+        if isinstance(rows, range):
+            self.cert_gen[rows.start:rows.stop] = gens[flat].tolist()
+        else:
+            for row, gen in zip(rows, gens[flat].tolist()):
+                if gen >= 0:
+                    self.region[row] = grid.cell_rect(self.cell[row])
+                    self.cert_gen[row], self.clearances[row] = gen, None
+        return np.flatnonzero(covered)
 
     def discard(self, oid) -> int:
         """Free the row of ``oid``, dropping its references."""
@@ -241,3 +323,11 @@ class Regions(Mapping):
         """``(oid, region)`` in table order, one pass over the column."""
         regions = self._objects.region
         return ((oid, regions[row]) for oid, row in self._objects.row_items())
+
+    def values(self) -> list:
+        """Every region in table order: the column itself, copied, while
+        the rows are the oids ``0 .. n-1``."""
+        objects = self._objects
+        if objects._dict is None:
+            return objects.region[:len(objects)]
+        return [objects.region[row] for _, row in objects.row_items()]

@@ -15,14 +15,13 @@ position.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Hashable, Iterable, Mapping
 
 from repro.core.enhancements import ReachabilityModel, weighted_perimeter_objective
-from repro.core.objects import HeldPositions, Objects, Regions
+from repro.core.objects import HeldPositions, Objects, PositionColumns, Regions
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.core.results import BatchOutcome, ResultChange, UpdateOutcome
 from repro.core.safe_region import compute_safe_region
@@ -246,7 +245,7 @@ class DatabaseServer:
         # ``probe_budget`` and targets whose probes failed this round.
         self._probe_spent = 0
         self._failed_probes: set[ObjectId] = set()
-        #: Deferred slow-path pointify: ``(oid, position)`` of an updater
+        #: Deferred slow-path pointify: ``(oid, row, position)`` of an updater
         #: whose index entry has not been collapsed to its exact point
         #: yet.  The collapse is only observable through an index read
         #: between ingestion and the location manager's reinstall, so it
@@ -304,14 +303,11 @@ class DatabaseServer:
         # The hot paths read an object's cell from the table and never
         # recompute it from coordinates (cell ids are interned).
         items = list(objects.row_items())
-        xs, ys = objects.x, objects.y
-        cells = grid.cells_of_xy(
-            [xs[row] for _, row in items], [ys[row] for _, row in items]
-        )
+        cells = grid.cells_of_xy(*objects.held_xy([row for _, row in items]))
         for (oid, row), cell in zip(items, cells):
             region = objects.region[row]
             assert region.contains_point(
-                Point(xs[row], ys[row]), eps=1e-9
+                Point(objects.x[row], objects.y[row]), eps=1e-9
             ), f"safe region of {oid!r} lost its own location"
             assert objects.cell[row] is cell, (
                 f"held cell of {oid!r} is not the cell of its position"
@@ -369,111 +365,113 @@ class DatabaseServer:
     @paused_gc()
     def bootstrap(
         self,
-        objects: Iterable[tuple[ObjectId, Point]],
+        objects: PositionColumns | Iterable[tuple[ObjectId, Point]],
         queries: Iterable[Query] = (),
         time: float = 0.0,
     ) -> Mapping[ObjectId, Rect]:
         """Start monitoring ``objects`` and ``queries`` together, in one pass.
 
-        At start-up every object has just reported its exact position,
-        so nothing about the queries is ambiguous: each is evaluated
-        over a *point* index (Algorithm 2 and the range evaluator
-        return without a probe), and only then is every object's first
-        safe region derived — once, against the complete query set —
-        and the object index rebuilt from the final regions.
-        Registering the same queries one by one after a plain load
-        would instead evaluate each over full-cell regions, probe every
-        ambiguous object, and re-derive regions cell by cell.
-
-        With no queries every region is the object's full grid cell —
-        the largest region the framework ever grants.  Returns the safe
-        regions to hand to the clients, a read-only mapping over the
-        object table; ``register_query`` remains the way to add a query
-        to a running system.
+        ``objects`` are the positions every object reported at ``time``:
+        :class:`PositionColumns`, or ``(oid, Point)`` pairs, read into
+        columns once here.  Nothing about the queries is ambiguous then,
+        so each is evaluated over a *point* index without a probe, and
+        only then is every object's first safe region derived — once,
+        against the complete query set: a query-free cell's rows share
+        its grant — and written over its point in that same index.
+        (Registering the queries one by one after a plain load would
+        evaluate each over full-cell regions and probe.)  With no
+        queries every region is the object's full grid cell.  Returns
+        the regions to hand to the clients, a read-only mapping over the
+        object table, in the order of ``objects`` on an empty table.
         """
         if self.query_count:
             raise RuntimeError("bootstrap must run before query registration")
         queries = list(queries)
         with self._trace.span("server.bootstrap"):
+            if not isinstance(objects, PositionColumns):
+                objects = PositionColumns.of(objects)
+            oids, xs, ys = objects
             self._clock = max(self._clock, time)
-            grid = self.query_index
-            table = self._objects
-            oids, xs, ys = [], array("d"), array("d")
-            for oid, position in objects:
-                oids.append(oid)
-                xs.append(position.x)
-                ys.append(position.y)
+            grid, table = self.query_index, self._objects
             cells = grid.cells_of_xy(xs, ys)
-            cell_rect = grid.cell_rect
             # The full cell stands until a region is derived below.
-            first = table.load(oids, [cell_rect(c) for c in cells], xs, ys, cells, time)
-            del xs, ys, cells
+            first = table.load(
+                oids, list(map(grid.cell_rect, cells)), xs, ys, cells, time
+            )
+            del objects, xs, ys, cells
             # Index keys are the loaded oids (the caller's int objects),
-            # not ints made by iterating a range table.
-            order = oids if first == 0 else list(table)
-            del oids
-            if queries:
-                order = self._bootstrap_queries(queries, order, time)
-            events = self.events
-            regions, row_of = table.region, table._row
-            #: Query-free cell -> the grant every resident shares: the
-            #: full cell and its certificate's generation.
-            grants: dict = {}
-            for oid in order:
-                row = row_of(oid)
-                cell = table.cell[row]
-                if not grid.has_queries_in_cell(cell):
-                    # No query can shape this region: what
-                    # ``_full_safe_region`` would hand back,
-                    # without entering it.
-                    grant = grants.get(cell)
-                    if grant is None:
-                        grant = grants[cell] = (
-                            cell_rect(cell), grid.cell_generation(cell)
-                        )
-                    regions[row], table.cert_gen[row] = grant
-                    table.clearances[row] = None
-                    continue
+            # not ints made by iterating a range table; a populated
+            # table starts up whole.
+            if first:
+                oids = list(table)
+            rows = list(map(table._row, oids)) if first else range(len(oids))
+            order = self._bootstrap_queries(queries, oids, time, rows)
+            at = table.grant_query_free(rows, grid)
+            if order is oids:
+                derive = zip(map(oids.__getitem__, at), map(rows.__getitem__, at))
+            else:
+                derive = (
+                    (oid, row) for oid, row in zip(order, map(table._row, order))
+                    if grid.has_queries_in_cell(table.cell[row])
+                )
+            events, regions = self.events, table.region
+            for oid, row in derive:
                 region = regions[row] = self._full_safe_region(oid, row, None)
                 if events.enabled and (
                     table.cert_gen[row] < 0 or table.clearances[row] is not None
                 ):
                     # Regions shaped by a query are installs like any
                     # other; a query-free full cell is the silent default.
-                    events.emit(
-                        "safe_region", oid=oid,
-                        region=(region.min_x, region.min_y,
-                                region.max_x, region.max_y),
-                        pos=(table.x[row], table.y[row]),
+                    self._emit_region("safe_region", oid, row, region)
+            index = self.object_index
+            if not (
+                # In place, the buckets hold what a fresh load of the
+                # final regions in ``order`` would, entry for entry —
+                # unless an extension reordered the pass or a region's
+                # home is not its point's; that load is made then (and
+                # with no queries, there being no point index).
+                queries and order is oids
+                and index.settle(
+                    (oid, row, regions[row]) for oid, row in zip(
+                        map(oids.__getitem__, at), map(rows.__getitem__, at)
                     )
-            # Drop the point index (if any) before building its
-            # replacement, so the two never coexist in memory.
-            self.object_index = CellObjectIndex(grid, table)
-            self.object_index.load((oid, regions[row_of(oid)]) for oid in order)
+                )
+                and index.settle_query_free()
+            ):
+                # Drop the point index before building its replacement,
+                # so the two never coexist in memory.
+                self.object_index = index = CellObjectIndex(grid, table)
+                index.load(
+                    (oid, regions[row])
+                    for oid, row in zip(order, map(table._row, order))
+                )
         self.refresh_index_gauges()
         self.stats.cpu_seconds = self._trace.cpu_seconds
         return Regions(table)
 
     def _bootstrap_queries(
-        self, queries: list[Query], oids: list[ObjectId], time: float
+        self, queries: list[Query], oids: list[ObjectId], time: float,
+        rows=None,
     ) -> list[ObjectId]:
         """Evaluate the start-up queries over exact points of ``oids``
-        (every object, in table order); index them.
+        (every object, in table order, at ``rows``); index them.
 
-        Leaves ``object_index`` a point index, so the region pass that
-        follows sees every ranked kNN neighbour as a point and
-        ``knn_safe_region`` splits each gap by the midpoint rule on
-        both sides.  Returns the order to derive regions in: objects an
-        extension evaluator asked about first, as asked — a query
+        Leaves ``object_index`` a point index (``Objects.points``), so
+        the region pass sees every ranked kNN neighbour as a point and
+        ``knn_safe_region`` splits each gap by the midpoint rule.
+        Returns the order to derive regions in: ``oids``, or first the
+        objects an extension evaluator asked about, as asked — a query
         anchored at a moving object records the anchor's granted box,
-        which the regions of the objects around it must be cut against.
+        which the regions around it must be cut against.
         """
         table = self._objects
-        xs, ys = table.x, table.y
+        if not queries:
+            return oids
+        if rows is None:
+            rows = list(map(table._row, oids))
         self.object_index = CellObjectIndex(self.query_index, table)
-        self.object_index.load(
-            (oid, Rect(xs[row], ys[row], xs[row], ys[row]))
-            for oid, row in zip(oids, map(table._row, oids))
+        self.object_index.load_homed(
+            oids, rows, *table.points(rows, self.query_index)
         )
         asked: dict[ObjectId, None] = {}
 
@@ -482,7 +480,7 @@ class DatabaseServer:
             # nothing is counted and no message is sent.
             asked[target] = None
             row = table._row(target)
-            return Point(xs[row], ys[row])
+            return Point(table.x[row], table.y[row])
 
         events = self.events
         if events.enabled:
@@ -493,6 +491,8 @@ class DatabaseServer:
             query.evaluate_over(self.object_index, held_position)
             self.query_index.insert(query)
             self.stats.queries_registered += 1
+        if not asked:
+            return oids
         return list(asked) + [oid for oid in oids if oid not in asked]
 
     def load_objects(
@@ -1043,7 +1043,7 @@ class DatabaseServer:
         # actually reads the index before the location manager
         # reinstalls the entry.  ``_reevaluate_affected`` flushes
         # it just in time; otherwise the entry is never touched.
-        self._pending_pointify = (oid, position)
+        self._pending_pointify = (oid, row, position)
 
         probed: dict[ObjectId, Point] = {}
         shrunk_only: dict[ObjectId, Rect] = {}
@@ -1065,6 +1065,7 @@ class DatabaseServer:
             phase(
                 "location_manager", self._location_manager_phase, targets,
                 {oid: previous}, previous_positions, shrunk_only, outcome, oid,
+                position,
             )
         finally:
             self._pending_pointify = None
@@ -1119,11 +1120,13 @@ class DatabaseServer:
         shrunk_only: dict[ObjectId, Rect],
         outcome: UpdateOutcome,
         updater: ObjectId | None,
+        reported: Point | None = None,
     ) -> None:
         """Recompute safe regions for every object that reported (§5).
 
-        Scatters the fresh regions back onto the outcome (the profile's
-        ``report.scatter``); construction is its ``safe_region`` site.
+        ``reported`` is the ``updater``'s report.  Scatters the fresh
+        regions back onto the outcome (the profile's ``report.scatter``);
+        construction is its ``safe_region`` site.
         """
         # Hoisted out of the loop (one lookup per report adds up).
         table = self._objects
@@ -1142,12 +1145,14 @@ class DatabaseServer:
                     outcome.missed.append(target)
                 continue
             row = table._row(target)
+            if target == updater and target not in previous_positions:
+                position = reported  # held as reported: no probe moved it
+            else:
+                position = Point(table.x[row], table.y[row])
             if (
                 target != updater
                 and table.cert_gen[row] >= 0
-                and self._certificate_holds(
-                    row, Point(table.x[row], table.y[row]), table.cell[row]
-                )
+                and self._certificate_holds(row, position, table.cell[row])
             ):
                 # Lazy recomputation: a probed target whose certificate
                 # still covers its exact position (the updater's was
@@ -1170,6 +1175,7 @@ class DatabaseServer:
                     initial_previous[target]
                     if target in initial_previous
                     else previous_positions.get(target),
+                    position,
                 )
             shrunk_only.pop(target, None)
             install_safe_region(target, row, region)
@@ -1206,9 +1212,11 @@ class DatabaseServer:
             # affected set leaves the entry for the reinstall.
             for query in affected:
                 if type(query) is not RangeQuery:
-                    p_oid, p_pos = self._pending_pointify
+                    p_oid, p_row, p_pos = self._pending_pointify
                     self._pending_pointify = None
-                    self.object_index.update(p_oid, Rect.from_point(p_pos))
+                    self.object_index.update(
+                        p_oid, Rect.from_point(p_pos), p_row
+                    )
                     break
         profiler = self.profiler
         profile_on = profiler.enabled
@@ -1416,7 +1424,7 @@ class DatabaseServer:
             if self._degraded and target in self._degraded:
                 self._exit_degraded(target, time)
             table.hold(row, position, self.query_index.cell_of(position), time)
-            self.object_index.update(target, Rect.from_point(position))
+            self.object_index.update(target, Rect.from_point(position), row)
         return previous_positions
 
     def _apply_shrinks(
@@ -1439,16 +1447,11 @@ class DatabaseServer:
             row = table._row(target)
             table.region[row] = region
             table.uncertify(row)  # no longer the region it was issued for
-            self.object_index.update(target, region)
+            self.object_index.update(target, region, row)
             self.stats.safe_region_pushes += 1
             self._m_pushes.inc()
             if self.events.enabled:
-                self.events.emit(
-                    "shrink_push", cause=self._cause, oid=target,
-                    region=(region.min_x, region.min_y,
-                            region.max_x, region.max_y),
-                    pos=(table.x[row], table.y[row]),
-                )
+                self._emit_region("shrink_push", target, row, region)
             applied[target] = region
         return applied
 
@@ -1509,7 +1512,7 @@ class DatabaseServer:
             region = self._degraded_region(row, now)
             if region != table.region[row]:
                 table.region[row] = region
-                self.object_index.update(oid, region)
+                self.object_index.update(oid, region, row)
 
     def _enter_degraded(self, oid: ObjectId, now: float) -> None:
         """Mark ``oid`` unreachable and install its widened region."""
@@ -1523,7 +1526,7 @@ class DatabaseServer:
         region = self._degraded_region(row, now)
         table.region[row] = region
         table.uncertify(row)
-        self.object_index.update(oid, region)
+        self.object_index.update(oid, region, row)
         if self.events.enabled:
             if first:
                 self.events.emit(
@@ -1532,13 +1535,7 @@ class DatabaseServer:
                 )
             # ``degraded`` marks the install as a server-side widening
             # (no client push) for the diagnose containment exemption.
-            self.events.emit(
-                "safe_region", cause=self._cause, oid=oid,
-                region=(region.min_x, region.min_y,
-                        region.max_x, region.max_y),
-                pos=(table.x[row], table.y[row]),
-                degraded=True,
-            )
+            self._emit_region("safe_region", oid, row, region, degraded=True)
 
     def _exit_degraded(self, oid: ObjectId, now: float) -> None:
         """A fresh position arrived for a degraded object."""
@@ -1553,35 +1550,36 @@ class DatabaseServer:
             )
 
     def _install_safe_region(self, oid: ObjectId, row: int, region: Rect) -> None:
-        table = self._objects
-        table.region[row] = region
-        self.object_index.update(oid, region)
+        self._objects.region[row] = region
+        self.object_index.update(oid, region, row)
         if self.events.enabled:
-            self.events.emit(
-                "safe_region", cause=self._cause, oid=oid,
-                region=(region.min_x, region.min_y,
-                        region.max_x, region.max_y),
-                pos=(table.x[row], table.y[row]),
-            )
+            self._emit_region("safe_region", oid, row, region)
 
-    def _objective(self, position: Point, previous: Point | None):
-        return weighted_perimeter_objective(
-            position, previous, self.config.steadiness
+    def _emit_region(self, kind: str, oid, row: int, region: Rect, **data) -> None:
+        """An event for ``row``'s region: its bounds and the held position."""
+        table = self._objects
+        self.events.emit(
+            kind, cause=self._cause, oid=oid,
+            region=(region.min_x, region.min_y, region.max_x, region.max_y),
+            pos=(table.x[row], table.y[row]), **data,
         )
 
     def _full_safe_region(
-        self, oid: ObjectId, row: int, previous: Point | None
+        self, oid: ObjectId, row: int, previous: Point | None,
+        position: Point | None = None,
     ) -> Rect:
         """Recompute an object's safe region against all relevant queries.
 
-        As a side effect, reissues the object's safe-region certificate
-        for the returned region (or clears it when none applies).
-        Callers always install the returned region, keeping the
-        certificate in step with the installed state.
+        ``position`` is the held position of ``row``, when the caller
+        has it as a ``Point``.  As a side effect, reissues the object's
+        safe-region certificate for the returned region (or clears it
+        when none applies).  Callers always install the returned region,
+        keeping the certificate in step with the installed state.
         """
         grid = self.query_index
         table = self._objects
-        position = Point(table.x[row], table.y[row])
+        if position is None:
+            position = Point(table.x[row], table.y[row])
         cell_id = table.cell[row]
         cell = grid.cell_rect(cell_id)
         relevant = grid.relevant_queries(cell_id)
@@ -1591,7 +1589,9 @@ class DatabaseServer:
             relevant,
             cell,
             self.object_index.rect_of,
-            self._objective(position, previous),
+            weighted_perimeter_objective(
+                position, previous, self.config.steadiness
+            ),
             use_batch=self.config.batch_range_regions,
         )
         # Issue the certificate for ``region`` (``ObjectState.sr_cert``).

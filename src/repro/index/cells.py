@@ -132,6 +132,53 @@ class CellObjectIndex:
             target[oid] = rect
             self._n += 1
 
+    def load_homed(self, oids, rows, homes, rects) -> None:
+        """:meth:`load` of ``rects[k]`` for ``oids[k]``, at the unindexed
+        table row ``rows[k]``, homed at cell ``homes[k]`` (``None``:
+        ``wide``): nothing is looked up or computed per entry."""
+        cells, wide, home = self._cells, self.wide, self._home
+        if len(home) < len(self._rows):
+            home.extend([None] * (len(self._rows) - len(home)))
+        for oid, row, cell, rect in zip(oids, rows, homes, rects):
+            if cell is None:
+                target = wide
+            else:
+                target = cells.get(cell)
+                if target is None:
+                    target = cells[cell] = {}
+            home[row] = target
+            target[oid] = rect
+            self._n += 1
+
+    def settle(self, entries) -> bool:
+        """Write each ``(oid, row, rect)`` of ``entries`` over the region
+        indexed for the row, in place, while ``rect`` keeps that
+        region's home.  Returns ``False`` at the first that would move,
+        leaving it and the rest unwritten."""
+        cells, wide, home, home_of = self._cells, self.wide, self._home, self._home_of
+        for oid, row, rect in entries:
+            cell = home_of(rect)
+            target = wide if cell is None else cells.get(cell)
+            if target is not home[row]:
+                return False
+            target[oid] = rect
+        return True
+
+    def settle_query_free(self) -> bool:
+        """Write its cell's rectangle, the grant homed at that cell, over
+        every region in the bucket of a query-free cell, in place.
+        Returns ``False`` if a region in ``wide`` has its centre in a
+        query-free cell — a point there takes the grant, which belongs
+        in the cell's bucket — so the caller loads afresh."""
+        grid = self._grid
+        for cell, bucket in self._cells.items():
+            if bucket and not grid.has_queries_in_cell(cell):
+                bucket.update(dict.fromkeys(bucket, grid.cell_rect(cell)))
+        return not any(
+            not grid.has_queries_in_cell(grid.cell_of(rect.center))
+            for rect in self.wide.values()
+        )
+
     def delete(self, oid: ObjectId) -> None:
         """Remove an object.  Raises ``KeyError`` when absent."""
         try:
@@ -147,14 +194,16 @@ class CellObjectIndex:
         if self._owns:
             self._rows.discard(oid)
 
-    def update(self, oid: ObjectId, rect: Rect) -> None:
+    def update(self, oid: ObjectId, rect: Rect, row: int | None = None) -> None:
         """Move ``oid`` to a new region.  Raises ``KeyError`` when absent.
 
         A region that keeps its home (or stays wide) is patched in place,
-        so the object keeps its position in the iteration order.
+        so the object keeps its position in the iteration order.  A
+        caller that holds the oid's ``row`` passes it.
         """
         try:
-            row = self._rows._row(oid)
+            if row is None:
+                row = self._rows._row(oid)
             bucket = self._home[row]
         except (ValueError, IndexError):  # ``range.index``, unindexed row
             raise KeyError(oid) from None

@@ -154,15 +154,42 @@ class GridIndex:
         return self.cells_of_xy([p.x for p in points], [p.y for p in points])
 
     def cells_of_xy(self, xs: Sequence[float], ys: Sequence[float]) -> list[CellId]:
-        """Batch :meth:`cell_of` over coordinate columns, interned alike:
-        one array pass that truncates toward zero (``astype`` as ``int()``)
-        and clamps exactly like :meth:`cell_of`, into flat cell numbers."""
+        """Batch :meth:`cell_of` over coordinate columns, interned alike."""
+        return self.cells_of_flat(self.flat_cells_of_xy(xs, ys))
+
+    def cells_of_flat(self, flat: np.ndarray) -> list[CellId]:
+        """The interned ids of flat cell numbers ``i * m + j``."""
+        return list(map(self._flat_ids.__getitem__, flat.tolist()))
+
+    def flat_cells_of_xy(self, xs, ys) -> np.ndarray:
+        """:meth:`cells_of_xy` as flat cell numbers: one array pass that
+        truncates toward zero (``astype`` as ``int()``) and clamps
+        exactly like :meth:`cell_of`."""
+        ci, cj = self._indices_of_xy(xs, ys)
+        return ci * self.m + cj
+
+    def _indices_of_xy(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         m = self.m
         i = (np.asarray(xs, dtype=np.float64) - self.space.min_x) / self._cell_w
         j = (np.asarray(ys, dtype=np.float64) - self.space.min_y) / self._cell_h
         ci = np.minimum(np.maximum(i.astype(np.int64), 0), m - 1)
         cj = np.minimum(np.maximum(j.astype(np.int64), 0), m - 1)
-        return list(map(self._flat_ids.__getitem__, (ci * m + cj).tolist()))
+        return ci, cj
+
+    def cells_hold_xy(self, xs, ys) -> np.ndarray:
+        """Per point of the coordinate columns, whether the closed
+        :meth:`cell_rect` of its cell (:meth:`cells_of_xy`) holds it —
+        the same bounds, bit for bit.  False only for a point truncation
+        puts a rounding step outside its cell."""
+        ci, cj = self._indices_of_xy(xs, ys)
+        x0, y0 = self.space.min_x, self.space.min_y
+        w, h = self._cell_w, self._cell_h
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        return (
+            (x0 + ci * w <= xs) & (xs <= x0 + (ci + 1) * w)
+            & (y0 + cj * h <= ys) & (ys <= y0 + (cj + 1) * h)
+        )
 
     def cells_overlapping(self, rect: Rect) -> Iterable[CellId]:
         """All cell ids whose rectangle intersects ``rect``."""
@@ -193,6 +220,13 @@ class GridIndex:
     def has_queries_in_cell(self, cell: CellId) -> bool:
         """Whether any query's quarantine area overlaps ``cell`` (O(1))."""
         return cell in self._buckets
+
+    def flat_has_queries(self) -> np.ndarray:
+        """:meth:`has_queries_in_cell` of every flat cell number, as one
+        boolean array."""
+        queried = np.zeros(self.m * self.m, dtype=bool)
+        queried[[i * self.m + j for i, j in self._buckets]] = True
+        return queried
 
     def _bump(self, cells: Iterable[CellId]) -> None:
         generations = self._generations

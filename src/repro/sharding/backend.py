@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import gc
 import time as _time
+from array import array
 from typing import Hashable
 
+from repro.core.objects import PositionColumns
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.core.results import UpdateOutcome
 from repro.core.server import DatabaseServer, ServerConfig
@@ -153,7 +155,12 @@ class ShardBackend:
         start = _time.process_time()
         queries = [query_from_spec(spec) for spec in specs]
         regions = self.server.bootstrap(
-            [(oid, Point(x, y)) for oid, (x, y) in pairs], queries, time
+            PositionColumns(
+                [oid for oid, _ in pairs],
+                array("d", [x for _, (x, _) in pairs]),
+                array("d", [y for _, (_, y) in pairs]),
+            ),
+            queries, time,
         )
         partials = {}
         for query in queries:

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import math
 import time as _time
-from array import array
 from dataclasses import fields as _dataclass_fields
 from typing import Hashable, Iterable
 
+import numpy as np
+
+from repro.core.objects import PositionColumns
 from repro.core.queries import KNNQuery, Query, RangeQuery
 from repro.core.results import BatchOutcome, ResultChange, UpdateOutcome
 from repro.core.server import PositionOracle, ServerConfig, ServerStats
@@ -422,7 +424,7 @@ class ShardedServer:
     @paused_gc()
     def bootstrap(
         self,
-        objects: Iterable[tuple[ObjectId, Point]],
+        objects: PositionColumns | Iterable[tuple[ObjectId, Point]],
         queries: Iterable[Query] = (),
         time: float = 0.0,
     ) -> dict[ObjectId, Rect]:
@@ -448,31 +450,33 @@ class ShardedServer:
         self._begin_op()
         start = _time.process_time()
         excluding = frozenset(self._dead)
+        if not isinstance(objects, PositionColumns):
+            objects = PositionColumns.of(objects)
+        given, xs, ys = objects
+        del objects
+        admit_ids(given, {})
         # In id order: ``_first_bound`` ranks rows by ``(d2, row)``,
         # which is then the ranking key ``(d2, oid)``.
-        objects = list(objects)
-        admit_ids([oid for oid, _ in objects], {})
-        objects.sort(key=lambda item: item[0])
-        points = [position for _, position in objects]
-        xs = array("d", [p.x for p in points])
-        ys = array("d", [p.y for p in points])
-        cells = self.router.grid.cells_of_points(points)
+        by_id = sorted(range(len(given)), key=given.__getitem__)
+        oids = [given[k] for k in by_id]
+        xs = np.asarray(xs, dtype=np.float64)[by_id]
+        ys = np.asarray(ys, dtype=np.float64)[by_id]
+        cells = self.router.grid.cells_of_xy(xs, ys)
         shards = [self.map.shard_of(cell, excluding) for cell in cells]
         requests: dict[int, tuple] = {
             shard: ([], [], time) for shard in self._live()
         }
-        for (oid, p), shard in zip(objects, shards):
+        positions = list(zip(xs.tolist(), ys.tolist()))
+        for oid, position, shard in zip(oids, positions, shards):
             if oid in self._homes:
                 raise KeyError(f"duplicate object {oid!r} in bootstrap")
             self._homes[oid] = shard
             self._home_counts[shard] += 1
-            requests[shard][0].append((oid, (p.x, p.y)))
+            requests[shard][0].append((oid, position))
         if self.refresh_probes:
             # Reported this instant: fresh by definition, so the first
             # merges need no refresh probe.
-            self._probe_memo.update(
-                (oid, (p.x, p.y)) for oid, p in objects
-            )
+            self._probe_memo.update(zip(oids, positions))
         for query, spec in zip(queries, specs):
             qid = query.query_id
             if isinstance(query, RangeQuery):
@@ -496,7 +500,8 @@ class ShardedServer:
         responses = self._call_shards("bootstrap", requests)
 
         start = _time.process_time()
-        regions: dict[ObjectId, Rect] = {}
+        # Handed out in the order the objects were given.
+        regions: dict[ObjectId, Rect] = dict.fromkeys(given)
         for shard in sorted(responses):
             regions.update(responses[shard]["regions"])
             for qid, partial in responses[shard]["partials"].items():

@@ -32,6 +32,9 @@ import heapq
 import itertools
 import math
 
+import numpy as np
+
+from repro.core.objects import PositionColumns
 from repro.core.queries import Query
 from repro.core.server import DatabaseServer, ServerConfig
 from repro.faults import ProbeTimeout
@@ -39,6 +42,7 @@ from repro.mobility.client import Clients, MobileClient
 from repro.mobility.waypoint import (
     RandomWaypointModel,
     exit_times_from_rects,
+    positions_at,
     total_distance_travelled,
 )
 from repro.obs import NULL_EVENT_LOG, NULL_REGISTRY, Tracer
@@ -255,28 +259,34 @@ class SRBSimulation:
         self._now = 0.0
         clients = self._clients
         trajectories = clients.trajectories
+        oids = list(clients)
+        xs, ys = positions_at(trajectories.values(), 0.0)
         granted = self.server.bootstrap(
-            (
-                (oid, trajectory.position_at(0.0))
-                for oid, trajectory in trajectories.items()
-            ),
-            self.queries,
-            0.0,
+            PositionColumns(oids, xs, ys), self.queries, 0.0
         )
+        del xs, ys
         horizon = self.scenario.duration
         poll = self.scenario.client_poll_interval
-        # Each client of the fresh table adopts its region (column-wise)
-        # and schedules its first exit in client order, for ``seq`` ties.
-        clients.regions[:] = regions = [granted[oid] for oid in clients]
+        # Each client of the fresh table adopts its region, column-wise:
+        # the server hands them out in the order it was given the oids.
+        regions = list(granted.values())
+        if len(regions) != len(oids):  # a table loaded before start-up
+            regions = [granted[oid] for oid in oids]
+        clients.regions[:] = regions
         first_exits = exit_times_from_rects(
             trajectories.values(), regions, 0.0, horizon
         )
+        del regions
         epochs = clients.epochs
-        for row, (oid, exit_at) in enumerate(zip(clients, first_exits)):
-            epochs[row] += 1
+        np.frombuffer(epochs, np.int64)[:] += 1
+        # First exits numbered in client order, for ``seq`` ties, and
+        # heaped at once; the keys are unique, so the pops are the same.
+        heap, seq = self._heap, self._seq
+        for oid, epoch, exit_at in zip(oids, epochs, first_exits):
             exit_at = max(exit_at, poll)
             if exit_at <= horizon:
-                self._schedule(exit_at, _PRIO_EXIT, "exit", (oid, epochs[row]))
+                heap.append((exit_at, _PRIO_EXIT, next(seq), "exit", (oid, epoch)))
+        heapq.heapify(heap)
         for t in self.scenario.sample_times():
             self._schedule(t, _PRIO_SAMPLE, "sample", ())
         if self.scenario.kill_shard is not None:

@@ -9,17 +9,21 @@ replaces — ``load_objects`` followed by one ``register_query`` per query
 Start-up is also a bulk operation (docs/PERFORMANCE.md "Set-up at paper
 scale"): one columnar cell pass, one shared grant per query-free cell,
 the cycle collector paused throughout.  The second half of this file
-pins those against the per-object pass they replace, and the collector's
-state against what the caller had.
+pins those against the per-object pass they replace — the object index
+the pass settles in place against a fresh load of the final regions,
+the engine's columnar positions and heapified first exits against one
+read and one push per client — and the collector's state against what
+the caller had.
 """
 
 import gc
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import DatabaseServer, KNNQuery, RangeQuery, ServerConfig
-from repro.core.extensions import CircleRangeQuery
+from repro.core.extensions import CircleRangeQuery, ProximityPairQuery
 from repro.geometry import Point, Rect
 from repro.index.cells import CellObjectIndex
 from repro.mobility import RandomWaypointModel
@@ -29,6 +33,7 @@ from repro.sharding import ShardedServer
 from repro.sharding.backend import query_from_spec
 from repro.sharding.worker import WorkerShard
 from repro.simulation import Scenario, SRBSimulation
+from repro.simulation.engine import _PRIO_EXIT, _PRIO_SAMPLE
 from tests.test_outsider_standoff import DENSE, dense_queries
 
 N_OBJECTS = 250
@@ -166,8 +171,6 @@ def test_bootstrap_derives_regions_around_a_moving_anchor():
     last here — must be derived first, as the per-query path does for
     the objects its evaluator probes.
     """
-    from repro.core.extensions import ProximityPairQuery
-
     rng = random.Random(4)
     live = {i: Point(rng.random(), rng.random()) for i in range(120)}
     anchor = 119
@@ -458,6 +461,180 @@ def test_bulk_store_load_extends_a_populated_store():
     _per_object_bootstrap(reference, world.items(), [])
     assert _fingerprint(twice) == _fingerprint(reference)
     twice.validate()
+
+
+# ----------------------------------------------------------------------
+# One object index: the point index becomes the object index in place
+
+
+def _edge_world(covered):
+    """Objects on the cell edge x = 0.85 of a 20 x 20 grid: truncation
+    puts each in the cell the edge starts, whose closed rectangle begins
+    a rounding step above 0.85 — a point index keeps them in ``wide``.
+    ``covered``: a range query covers that column of cells, else every
+    query keeps to the left half."""
+    rng = random.Random(7)
+    world = {i: Point(0.85, rng.random()) for i in range(300)}
+    world.update(
+        (i, Point(rng.random(), rng.random())) for i in range(300, 1_800)
+    )
+
+    def queries():
+        rng = random.Random(8)
+        made = []
+        for i in range(6):
+            x, y = rng.random() * 0.3, rng.random() * 0.9
+            made.append(RangeQuery(Rect(x, y, x + 0.1, y + 0.1), query_id=f"r{i}"))
+        for i in range(6):
+            made.append(KNNQuery(
+                Point(0.1 + rng.random() * 0.3, rng.random()), 1 + i % 5,
+                order_sensitive=i % 2 == 0, query_id=f"k{i}",
+            ))
+        if covered:
+            made.append(RangeQuery(Rect(0.84, 0.0, 0.86, 1.0), query_id="edge"))
+        return made
+
+    return world, queries, ServerConfig(grid_m=20)
+
+
+def _moving_anchor_world():
+    """An extension query anchored at a moving object: the anchor's
+    region is derived first, out of table order."""
+    rng = random.Random(4)
+    world = {i: Point(rng.random(), rng.random()) for i in range(120)}
+
+    def queries():
+        return [ProximityPairQuery(119, 0.18, query_id="pair")]
+
+    return world, queries, ServerConfig(grid_m=8)
+
+
+INDEX_WORLDS = {
+    **WORLDS,
+    "cell-edge-query-free": lambda: _edge_world(covered=False),
+    "cell-edge-covered": lambda: _edge_world(covered=True),
+    "moving-anchor": _moving_anchor_world,
+}
+
+
+def _buckets(index):
+    """Every bucket's entries and ``wide``'s, in iteration order."""
+    return (
+        [(cell, list(bucket.items())) for cell, bucket in index._cells.items()],
+        list(index.wide.items()),
+    )
+
+
+@pytest.mark.parametrize("world_name", INDEX_WORLDS)
+def test_bootstrap_index_equals_a_fresh_load(world_name):
+    """The index start-up leaves holds what ``CellObjectIndex.load`` of
+    the final regions in derivation order holds — the per-object
+    reference's index — bucket by bucket, entry by entry."""
+    world, make_queries, config = INDEX_WORLDS[world_name]()
+    bulk = DatabaseServer(world.__getitem__, config)
+    bulk.bootstrap(world.items(), make_queries())
+    reference = DatabaseServer(world.__getitem__, config)
+    _per_object_bootstrap(reference, world.items(), make_queries())
+    assert _buckets(bulk.object_index) == _buckets(reference.object_index)
+    bulk.validate()
+    if world_name.startswith("cell-edge"):
+        # Every point outside the closed rectangle of its cell is one
+        # on the edge, in the kind of cell the world is named for.
+        grid, table = bulk.query_index, bulk._objects
+        outside = np.flatnonzero(~grid.cells_hold_xy(table.x, table.y))
+        assert outside.tolist() == list(range(300))
+        assert {
+            grid.has_queries_in_cell(table.cell[row]) for row in outside
+        } == {world_name == "cell-edge-covered"}
+        # The point index homes each point where ``_home_of`` does.
+        homes, points = table.points(range(len(table)), grid)
+        home_of = CellObjectIndex(grid)._home_of
+        assert homes == [home_of(point) for point in points]
+        assert homes.count(None) == 300
+
+
+@pytest.mark.parametrize("world_name", WORLDS)
+def test_bootstrap_index_equals_a_fresh_load_on_every_shard(world_name):
+    world, make_queries, config = WORLDS[world_name]()
+    cluster = ShardedServer(world.__getitem__, config, n_shards=3)
+    try:
+        shipped = {}
+        for shard in cluster._shards:
+            def recording(pairs, specs, time, shard=shard,
+                          bootstrap=shard.backend.bootstrap):
+                shipped[shard.shard_id] = (pairs, specs, time)
+                return bootstrap(pairs, specs, time)
+
+            shard.backend.bootstrap = recording
+        cluster.bootstrap(world.items(), make_queries())
+        assert len(shipped) == 3
+        for shard in cluster._shards:
+            pairs, specs, time = shipped[shard.shard_id]
+            reference = DatabaseServer(world.__getitem__, config)
+            _per_object_bootstrap(
+                reference,
+                [(oid, Point(x, y)) for oid, (x, y) in pairs],
+                [query_from_spec(spec) for spec in specs],
+                time,
+            )
+            assert _buckets(shard.backend.server.object_index) == _buckets(
+                reference.object_index
+            )
+    finally:
+        cluster.close()
+
+
+# ----------------------------------------------------------------------
+# The engine's start-up: positions and first exits as columns
+
+
+def _per_client_start_up(sim):
+    """``SRBSimulation._bootstrap`` one client at a time — the reference
+    for its column pass: one ``position_at(0.0)`` per client, the
+    ``(oid, Point)`` pairs handed to the server, and one region adopted
+    and one first exit scheduled per client, in client order."""
+    clients = sim._clients
+    granted = sim.server.bootstrap(
+        [
+            (oid, trajectory.position_at(0.0))
+            for oid, trajectory in clients.trajectories.items()
+        ],
+        sim.queries, 0.0,
+    )
+    horizon = sim.scenario.duration
+    poll = sim.scenario.client_poll_interval
+    for oid in clients:
+        client = clients[oid]
+        client.adopt_safe_region(granted[oid])
+        exit_at = max(client.next_exit_time(0.0, horizon), poll)
+        if exit_at <= horizon:
+            sim._schedule(exit_at, _PRIO_EXIT, "exit", (oid, client.epoch))
+    for t in sim.scenario.sample_times():
+        sim._schedule(t, _PRIO_SAMPLE, "sample", ())
+
+
+@pytest.mark.parametrize("shards", [0, 2], ids=["single", "shards=2"])
+def test_engine_start_up_matches_the_per_client_pass(shards):
+    """On the dense world: the same heap, the same fleet cursors, the
+    same client regions and epochs as the per-client reference."""
+    scenario = DENSE.with_overrides(shards=shards)
+    column, reference = SRBSimulation(scenario), SRBSimulation(scenario)
+    try:
+        column._bootstrap()
+        _per_client_start_up(reference)
+        assert sorted(column._heap) == sorted(reference._heap)
+        for sim in (column, reference):
+            assert sim.clients.trajectories is sim.truth.trajectories()
+        assert list(column.truth.trajectories()._at) == list(
+            reference.truth.trajectories()._at
+        )
+        assert column._clients.regions == reference._clients.regions
+        assert list(column._clients.epochs) == list(reference._clients.epochs)
+        assert set(column._clients.epochs) == {1}
+    finally:
+        if shards:
+            column.server.close()
+            reference.server.close()
 
 
 # ----------------------------------------------------------------------

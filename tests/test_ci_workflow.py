@@ -218,6 +218,18 @@ def test_e2e_smoke_runs_the_ladder_then_its_tests(workflow):
     assert "def test_immediate_messages_are_counted_events(" in fingerprint
     start_up = (ROOT / "tests" / "test_bootstrap.py").read_text()
     assert "def test_start_up_restores_the_collector_state(" in start_up
+    # ... and the one start-up pass: bulk equals per-object, the index
+    # settled in place equals a fresh load, and the engine's columns and
+    # heapified first exits equal the per-client reference.
+    for name in (
+        "test_bulk_start_up_matches_the_per_object_pass",
+        "test_bulk_start_up_matches_the_per_object_pass_on_every_shard",
+        "test_bootstrap_index_equals_a_fresh_load",
+        "test_bootstrap_index_equals_a_fresh_load_on_every_shard",
+        "test_engine_start_up_matches_the_per_client_pass",
+    ):
+        assert f"tests/test_bootstrap.py::{name}" in runs[tests[0]].split()
+        assert f"def {name}(" in start_up
     # ... and the monitoring loop's probes: a dense kNN world probes
     # only adjacent outsiders and records no probe_cascade.
     assert "tests/test_outsider_standoff.py" in runs[tests[0]]
